@@ -6,10 +6,10 @@ GO ?= go
 # rises.
 COVER_FLOOR ?= 84.0
 
-.PHONY: check ci build vet test race race-service store-fault fuzz-smoke bench-smoke bench-load bench-load-smoke fmtcheck bench bench-regression bench-chase bench-match bench-or cover fmt
+.PHONY: check ci build vet test race race-service store-fault fuzz-smoke bench-smoke bench-load bench-load-smoke perfbench-check fmtcheck bench bench-regression bench-chase bench-match bench-or cover fmt
 
 # The gate every change must pass before commit.
-check: build vet fmtcheck test race race-service store-fault fuzz-smoke bench-smoke bench-load-smoke
+check: build vet fmtcheck test race race-service store-fault fuzz-smoke bench-smoke bench-load-smoke perfbench-check
 
 # What .github/workflows/ci.yml runs, as one local target: the check
 # gate plus the coverage floor and the benchmark-regression gate.
@@ -47,10 +47,12 @@ store-fault:
 	$(GO) test -race -run 'TestCrash|TestFaultInjection|TestCorruptRecord' -count=1 ./internal/store
 
 # Differential fuzzing smoke: the seeded 1200-case sweep through all nine
-# oracles (the conjunctive eight plus the disjunctive union oracle), then
-# 10s of coverage-guided mutation per fuzz target on top of the
-# checked-in seed corpora. Open-ended hunting: go test -fuzz=<target>
-# with no -fuzztime, or cmd/tpqfuzz for sweep/triage/replay.
+# oracles (the conjunctive eight plus the disjunctive union oracle; the
+# kernel and augment oracles compare against the references in
+# internal/oracle), then 10s of coverage-guided mutation per fuzz target
+# on top of the checked-in seed corpora. Open-ended hunting: go test
+# -fuzz=<target> with no -fuzztime, or cmd/tpqfuzz for
+# sweep/triage/replay.
 fuzz-smoke:
 	$(GO) test -run 'TestSeededSweep|TestSweepGenerators' -count=1 ./internal/difffuzz
 	$(GO) test -fuzz='^FuzzMinimizeEquiv$$' -fuzztime=10s ./internal/difffuzz
@@ -63,9 +65,10 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseCondition$$' -fuzztime=10s ./internal/pattern
 	$(GO) test -fuzz='^FuzzFromXPath$$' -fuzztime=10s ./internal/xpath
 
-# One-iteration run of the incremental-vs-scratch ablation benchmark: the
-# benchmark b.Fatals if the kernels' outputs ever diverge, so this is a
-# correctness gate as much as a perf smoke test.
+# One-iteration run of the Figure 7(b) incremental-engine benchmark: the
+# benchmark b.Fatals if its output diverges from ACIM with the nested-map
+# reference kernel of internal/oracle, so this is a correctness gate as
+# much as a perf smoke test.
 bench-smoke:
 	$(GO) test -run xxx -bench '^BenchmarkFig7bIncremental$$' -benchtime 1x -count=1 .
 
@@ -130,6 +133,12 @@ bench-load:
 bench-load-smoke:
 	$(GO) run ./cmd/tpqbench -json -fig service-scale -quick -outdir .bench
 	$(GO) test -run 'TestLoadAgainstLiveService' -count=1 ./cmd/tpqload
+
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# `go test ./...` never builds or tests it; vet and test it here so a
+# change that breaks its build or its dependency guard fails `check`.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Full-suite statement coverage with a floor: fails when the total drops
 # below COVER_FLOOR. coverage.out is the artifact CI uploads.

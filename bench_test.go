@@ -20,6 +20,7 @@ import (
 	"tpq/internal/genquery"
 	"tpq/internal/ics"
 	"tpq/internal/match"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
 
@@ -63,11 +64,11 @@ func BenchmarkFig7bTables(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7bIncremental pins the images-table reuse ablation on the
-// Figure 7(b) workload: the incremental engine (one master per run,
-// per-leaf tables derived by interval masking) against the per-leaf
-// from-scratch dense kernel. It doubles as the bench-smoke verdict gate —
-// any output divergence between the two kernels fails the benchmark.
+// BenchmarkFig7bIncremental pins the incremental images-table engine (one
+// master per run, per-leaf tables derived by interval masking) on the
+// Figure 7(b) workload. It doubles as the bench-smoke verdict gate: an
+// output that diverges from ACIM with the nested-map reference kernel
+// fails the benchmark.
 func BenchmarkFig7bIncremental(b *testing.B) {
 	q := genquery.Fan(101)
 	csRaw := genquery.RelevantConstraints(q, 100)
@@ -75,29 +76,19 @@ func BenchmarkFig7bIncremental(b *testing.B) {
 		csRaw.Add(c)
 	}
 	cs := csRaw.Closure()
-	kernels := []struct {
-		name string
-		opts cim.Options
-	}{
-		{"Incremental", cim.Options{}},
-		{"Scratch", cim.Options{Scratch: true}},
-	}
-	want, _ := acim.MinimizeWithOptions(q, cs, cim.Options{MapTables: true})
+	want, _ := acim.MinimizeWithRunner(q, cs, oracle.MinimizeMapInPlace)
 	wantCanon := want.Canonical()
-	for _, k := range kernels {
-		b.Run(k.name, func(b *testing.B) {
-			var built, derived int
-			for i := 0; i < b.N; i++ {
-				out, st := acim.MinimizeWithOptions(q, cs, k.opts)
-				built, derived = st.TablesBuilt, st.TablesDerived
-				if out.Canonical() != wantCanon {
-					b.Fatalf("%s kernel diverged from the map oracle: got %s, want %s", k.name, out, want)
-				}
-			}
-			b.ReportMetric(float64(built), "tables-built")
-			b.ReportMetric(float64(derived), "tables-derived")
-		})
+	var built, derived int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, st := acim.MinimizeWithStats(q, cs)
+		built, derived = st.TablesBuilt, st.TablesDerived
+		if out.Canonical() != wantCanon {
+			b.Fatalf("incremental kernel diverged from the map reference: got %s, want %s", out, want)
+		}
 	}
+	b.ReportMetric(float64(built), "tables-built")
+	b.ReportMetric(float64(derived), "tables-derived")
 }
 
 // --- Figure 8(a): CDM vs stored constraints ------------------------------
@@ -235,7 +226,7 @@ func BenchmarkAblationCIM(b *testing.B) {
 			b.StopTimer()
 			clone := q.Clone()
 			b.StartTimer()
-			cim.MinimizeInPlace(clone, cim.Options{Naive: true})
+			oracle.MinimizeNaiveInPlace(clone)
 		}
 	})
 }
@@ -257,25 +248,10 @@ func BenchmarkAblationCDM(b *testing.B) {
 				b.StopTimer()
 				clone := q.Clone()
 				b.StartTimer()
-				cdm.MinimizeDirectInPlace(clone, closed)
+				oracle.MinimizeDirectInPlace(clone, closed)
 			}
 		})
 	}
-}
-
-func BenchmarkAblationVirtualACIM(b *testing.B) {
-	q, cs := genquery.Chain(60)
-	closed := cs.Closure()
-	b.Run("Physical", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			acim.Minimize(q, closed)
-		}
-	})
-	b.Run("Virtual", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			acim.MinimizeVirtual(q, closed)
-		}
-	})
 }
 
 func BenchmarkAblationClosure(b *testing.B) {
@@ -338,7 +314,7 @@ func BenchmarkContainmentMap(b *testing.B) {
 	p, q := containmentBenchPair()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if containment.FindMappingMap(p, q) == nil {
+		if oracle.FindMappingMap(p, q) == nil {
 			b.Fatal("self-mapping must exist")
 		}
 	}

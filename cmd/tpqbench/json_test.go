@@ -8,13 +8,14 @@ import (
 	"testing"
 
 	"tpq/internal/bench"
+	"tpq/internal/benchjson"
 )
 
 // writeBenchFile drops a hand-built BENCH json fixture for the compare
 // tests — no benchmarks run, the gate logic is what is under test.
-func writeBenchFile(t *testing.T, path string, results ...bench.JSONResult) {
+func writeBenchFile(t *testing.T, path string, results ...benchjson.Result) {
 	t.Helper()
-	data, err := json.Marshal(bench.JSONFile{Schema: bench.JSONSchema, Figure: "test", Results: results})
+	data, err := json.Marshal(benchjson.File{Schema: benchjson.Schema, Figure: "test", Results: results})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +24,8 @@ func writeBenchFile(t *testing.T, path string, results ...bench.JSONResult) {
 	}
 }
 
-func res(name string, ns float64) bench.JSONResult {
-	return bench.JSONResult{Name: name, Figure: "test", NsPerOp: ns}
+func res(name string, ns float64) benchjson.Result {
+	return benchjson.Result{Name: name, Figure: "test", NsPerOp: ns}
 }
 
 func TestJSONMode(t *testing.T) {
@@ -42,7 +43,7 @@ func TestJSONMode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if f.Schema != bench.JSONSchema || len(f.Results) == 0 {
+		if f.Schema != benchjson.Schema || len(f.Results) == 0 {
 			t.Fatalf("%s: schema %q, %d results", name, f.Schema, len(f.Results))
 		}
 		for _, r := range f.Results {
@@ -122,7 +123,7 @@ func TestComparePasses(t *testing.T) {
 	base, head := filepath.Join(dir, "old.json"), filepath.Join(dir, "new.json")
 	// only-old belongs to a figure the head run does not cover — a
 	// targeted gate must not demand it.
-	onlyOld := bench.JSONResult{Name: "only-old", Figure: "uncovered", NsPerOp: 1}
+	onlyOld := benchjson.Result{Name: "only-old", Figure: "uncovered", NsPerOp: 1}
 	writeBenchFile(t, base, res("a", 100), res("b", 200), onlyOld)
 	writeBenchFile(t, head, res("a", 120), res("b", 190), res("only-new", 1))
 	out, stderr, code := runCmd(t, "-compare", base, head, "-threshold", "1.5x")

@@ -9,7 +9,7 @@
 //	tpqbench -fig 8b -csv    # machine-readable output
 //	tpqbench -quick          # sparse grids (smoke test)
 //	tpqbench -budget 200ms   # more careful timing per point
-//	tpqbench -fig 7b-incremental -cpuprofile cpu.out
+//	tpqbench -fig 7b -cpuprofile cpu.out
 //
 // Machine-readable mode (the CI perf gate):
 //
@@ -32,8 +32,8 @@
 // figure's series joins BENCH_baseline.json without re-measuring the
 // rest.
 //
-// Experiments: 7a 7b 7b-incremental 8a 8b 9a 9b motivation ablation-cim
-// ablation-closure ablation-virtual ablation-cdm batch service.
+// Experiments: 7a 7b 8a 8b 9a 9b motivation ablation-cim ablation-closure
+// ablation-cdm batch service service-scale match or.
 package main
 
 import (
@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"tpq/internal/bench"
+	"tpq/internal/benchjson"
 )
 
 func main() {
@@ -60,7 +61,11 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tpqbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "all", "experiment id or 'all': "+strings.Join(bench.Names(), " "))
+	var ids []string
+	for _, f := range bench.Figures {
+		ids = append(ids, f.ID)
+	}
+	fig := fs.String("fig", "all", "experiment id or 'all': "+strings.Join(ids, " "))
 	fs.StringVar(fig, "figure", *fig, "alias for -fig")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	quick := fs.Bool("quick", false, "sparse parameter grids (fast smoke run)")
@@ -102,14 +107,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runJSON(opts, *fig, *outdir, *merged, *mergeInto, stdout, stderr)
 	}
 
-	names := bench.Names()
-	if *fig != "all" {
-		if bench.ByName(*fig) == nil {
-			fmt.Fprintf(stderr, "tpqbench: unknown experiment %q (want one of: all %s)\n",
-				*fig, strings.Join(names, " "))
-			return 2
+	var figs []bench.Figure
+	for _, f := range bench.Figures {
+		if *fig == "all" || f.ID == *fig {
+			figs = append(figs, f)
 		}
-		names = []string{*fig}
+	}
+	if len(figs) == 0 {
+		fmt.Fprintf(stderr, "tpqbench: unknown experiment %q (want one of: all %s)\n",
+			*fig, strings.Join(ids, " "))
+		return 2
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -124,8 +131,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	for i, name := range names {
-		tab := bench.ByName(name)(opts)
+	for i, f := range figs {
+		tab := f.Run(opts)
 		if *csv {
 			fmt.Fprintf(stdout, "# %s\n%s", tab.Title, tab.CSV())
 		} else {
@@ -179,7 +186,7 @@ func runJSON(opts bench.Options, fig, outdir, merged string, mergeInto bool, std
 		return 2
 	}
 	sort.Strings(ids)
-	var files []bench.JSONFile
+	var files []benchjson.File
 	for _, id := range ids {
 		f := figures[id](opts)
 		files = append(files, f)
@@ -196,7 +203,7 @@ func runJSON(opts bench.Options, fig, outdir, merged string, mergeInto bool, std
 	if merged != "" {
 		if mergeInto {
 			if old, err := bench.ReadJSON(merged); err == nil {
-				files = append([]bench.JSONFile{old}, files...)
+				files = append([]benchjson.File{old}, files...)
 			} else if !os.IsNotExist(err) {
 				fmt.Fprintf(stderr, "tpqbench: -merge: %v\n", err)
 				return 1

@@ -34,13 +34,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"tpq/internal/bench"
+	"tpq/internal/benchjson"
 	"tpq/internal/hdr"
 	"tpq/internal/workload"
 )
@@ -248,7 +247,7 @@ func printTable(w io.Writer, phases []phaseResult) {
 // writeJSON emits the phases in the tpq-bench/1 schema so load curves
 // compare with tpqbench -compare like any other pinned figure.
 func writeJSON(path string, phases []phaseResult, patterns int, zipfS, matchFrac float64, duration time.Duration) error {
-	var results []bench.JSONResult
+	var results []benchjson.Result
 	for _, ph := range phases {
 		params := map[string]string{
 			"qps":        strconv.Itoa(ph.qps),
@@ -267,13 +266,13 @@ func writeJSON(path string, phases []phaseResult, patterns int, zipfS, matchFrac
 		}
 		base := "tpqload/mix/qps=" + strconv.Itoa(ph.qps)
 		results = append(results,
-			bench.JSONResult{
+			benchjson.Result{
 				Name:    base + "/p50",
 				Figure:  "tpqload",
 				Params:  params,
 				NsPerOp: float64(ph.hist.Quantile(0.50).Nanoseconds()),
 			},
-			bench.JSONResult{
+			benchjson.Result{
 				Name:     base + "/p99",
 				Figure:   "tpqload",
 				Params:   params,
@@ -281,15 +280,7 @@ func writeJSON(path string, phases []phaseResult, patterns int, zipfS, matchFrac
 				Counters: counters,
 			})
 	}
-	f := bench.JSONFile{
-		Schema:    bench.JSONSchema,
-		Figure:    "tpqload",
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Results:   results,
-	}
-	data, err := json.MarshalIndent(f, "", "  ")
+	data, err := json.MarshalIndent(benchjson.New("tpqload", results), "", "  ")
 	if err != nil {
 		return err
 	}

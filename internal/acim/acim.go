@@ -16,9 +16,9 @@
 // Theorem 5.1: for required-child, required-descendant and co-occurrence
 // constraints the minimal equivalent query under the constraints is unique,
 // and ACIM finds it. ACIM is a direct implementation of the optimal
-// strategy A·M·R of Lemma 5.4 (augment, minimize, reduce); the package also
-// provides Reduce and ApplyStrategy so the lemmas' identities can be
-// exercised directly.
+// strategy A·M·R of Lemma 5.4 (augment, minimize, reduce); the reduction
+// step and the strategy algebra the lemmas speak about are in
+// internal/oracle (Reduce, ApplyStrategy), where the tests exercise them.
 package acim
 
 import (
@@ -67,23 +67,17 @@ func Minimize(p *pattern.Pattern, cs *ics.Set) *pattern.Pattern {
 
 // MinimizeWithStats is Minimize with run statistics.
 func MinimizeWithStats(p *pattern.Pattern, cs *ics.Set) (*pattern.Pattern, Stats) {
-	return MinimizeWithOptions(p, cs, cim.Options{})
-}
-
-// MinimizeWithOptions is MinimizeWithStats with explicit options for the
-// CIM phase. The batch engine uses it to route each worker's redundancy
-// tests through that worker's scratch arena.
-func MinimizeWithOptions(p *pattern.Pattern, cs *ics.Set, opts cim.Options) (*pattern.Pattern, Stats) {
 	return MinimizeWithRunner(p, cs, func(q *pattern.Pattern) cim.Stats {
-		return cim.MinimizeInPlace(q, opts)
+		return cim.MinimizeInPlace(q, cim.Options{})
 	})
 }
 
-// MinimizeWithRunner is MinimizeWithOptions with the CIM phase supplied by
+// MinimizeWithRunner is MinimizeWithStats with the CIM phase supplied by
 // the caller: run receives the augmented query and minimizes it in place.
 // The engine package injects its parallel screening loop here, so the
 // concurrency policy lives with the worker pool while augmentation and
-// temporary-stripping stay in one place.
+// temporary-stripping stay in one place; tests plug in the reference
+// kernels of internal/oracle the same way.
 func MinimizeWithRunner(p *pattern.Pattern, cs *ics.Set, run func(*pattern.Pattern) cim.Stats) (*pattern.Pattern, Stats) {
 	return MinimizeWithRunnerTraced(p, cs, nil, run)
 }
@@ -107,9 +101,7 @@ func MinimizeWithRunnerTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace, 
 
 	// Augment through the precompiled chase plan: the registry closes the
 	// set and compiles once per fingerprint, so repeat minimizations under
-	// one schema pay a map probe plus work proportional to the query. The
-	// per-call chase.Augment stays as the cross-validated oracle (see
-	// internal/difffuzz).
+	// one schema pay a map probe plus work proportional to the query.
 	tAug := time.Now()
 	pl := chase.PlanForTraced(cs, tr)
 	st.Augmented = pl.AugmentTraced(q, tr)
@@ -130,105 +122,6 @@ func MinimizeWithRunnerTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace, 
 	sp.End()
 	tr.Add(trace.ACIMRemoved, st.Removed)
 	return q, st
-}
-
-// Reduce applies the paper's reduction step R in place: repeatedly delete
-// any leaf whose presence is implied by a constraint at its parent — a
-// c-child leaf of type T under a parent carrying a type T' with T' -> T, or
-// a d-child leaf under a parent with T' => T. A leaf carrying extra types
-// is deleted only if the constraint's witness carries them all (via
-// co-occurrence in the closed set). Returns the number of nodes removed.
-// cs must be closed; Reduce closes it defensively otherwise.
-func Reduce(p *pattern.Pattern, cs *ics.Set) int {
-	if p == nil || p.Root == nil || cs == nil {
-		return 0
-	}
-	if !cs.IsClosed() {
-		cs = cs.Closure()
-	}
-	removed := 0
-	for {
-		var victim *pattern.Node
-		p.Walk(func(n *pattern.Node) {
-			if victim != nil || n.Star || n.Parent == nil || !n.IsLeaf() {
-				return
-			}
-			if leafImplied(n, cs) {
-				victim = n
-			}
-		})
-		if victim == nil {
-			return removed
-		}
-		victim.Detach()
-		removed++
-	}
-}
-
-// leafImplied reports whether the leaf's requirement is guaranteed by a
-// constraint on one of its parent's types.
-func leafImplied(n *pattern.Node, cs *ics.Set) bool {
-	if len(n.Conds) > 0 {
-		// Constraint witnesses are condition-free; they cannot discharge a
-		// leaf with value conditions.
-		return false
-	}
-	for _, pt := range n.Parent.Types() {
-		var targets []pattern.Type
-		if n.Edge == pattern.Child {
-			targets = cs.ChildTargets(pt)
-		} else {
-			targets = cs.DescTargets(pt)
-		}
-		for _, b := range targets {
-			if witnessCovers(b, n, cs) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// witnessCovers reports whether a guaranteed node of type b satisfies every
-// type the leaf requires.
-func witnessCovers(b pattern.Type, leaf *pattern.Node, cs *ics.Set) bool {
-	for _, t := range leaf.Types() {
-		if !cs.HasCo(b, t) {
-			return false
-		}
-	}
-	return true
-}
-
-// ApplyStrategy interprets a strategy string over the alphabet {A, R, M}
-// of Section 5.3 on a clone of p: A = augmentation with the added material
-// made permanent, R = reduction, M = constraint-independent minimization.
-// It exists so tests can check the identities of Lemmas 5.2-5.4 (for
-// example: no strategy beats "AMR", and "AMR" is idempotent).
-func ApplyStrategy(p *pattern.Pattern, cs *ics.Set, strategy string) *pattern.Pattern {
-	q := p.Clone()
-	closed := cs.Closure()
-	for _, step := range strategy {
-		switch step {
-		case 'A', 'a':
-			chase.Augment(q, closed)
-			makePermanent(q)
-		case 'R', 'r':
-			Reduce(q, closed)
-		case 'M', 'm':
-			cim.MinimizeInPlace(q, cim.Options{})
-		default:
-			panic("acim: unknown strategy step " + string(step))
-		}
-	}
-	return q
-}
-
-func makePermanent(p *pattern.Pattern) {
-	p.Walk(func(n *pattern.Node) {
-		n.Temp = false
-		n.TempExtra = nil
-	})
 }
 
 // EquivalentUnder reports whether a and b are equivalent under cs

@@ -45,30 +45,23 @@ func TestMeasureTakesMinimum(t *testing.T) {
 }
 
 func TestAllFiguresRun(t *testing.T) {
-	names := Names()
-	for _, name := range names {
-		if ByName(name) == nil {
-			t.Fatalf("ByName(%q) = nil", name)
+	seen := make(map[string]bool)
+	for _, fig := range Figures {
+		if seen[fig.ID] {
+			t.Errorf("figure id %q listed twice", fig.ID)
 		}
-	}
-	if ByName("nope") != nil {
-		t.Error("ByName accepted an unknown figure")
-	}
-	tabs := All(fast)
-	if len(tabs) != len(names) {
-		t.Fatalf("All produced %d tables, Names lists %d", len(tabs), len(names))
-	}
-	for i, tab := range tabs {
+		seen[fig.ID] = true
+		tab := fig.Run(fast)
 		if len(tab.Points) == 0 {
-			t.Errorf("%s: no points produced", names[i])
+			t.Errorf("%s: no points produced", fig.ID)
 		}
 		for _, p := range tab.Points {
 			if p.Y < 0 {
-				t.Errorf("%s: negative measurement %+v", names[i], p)
+				t.Errorf("%s: negative measurement %+v", fig.ID, p)
 			}
 		}
 		if tab.Title == "" || tab.XLabel == "" {
-			t.Errorf("%s: table missing labels", names[i])
+			t.Errorf("%s: table missing labels", fig.ID)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"tpq/internal/genquery"
 	"tpq/internal/ics"
 	"tpq/internal/match"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
 
@@ -99,57 +100,6 @@ func Fig7b(opts Options) *Table {
 		t.Add("TotalTime", float64(red), total)
 		t.Add("TablesTime", float64(red), tables)
 	}
-	return t
-}
-
-// Fig7bIncremental is the reuse ablation on the Figure 7(b) workload: the
-// same 101-node, 100-constraint sweep run once with the incremental
-// images-table engine (one master per run, per-leaf tables derived by
-// interval masking) and once with the per-leaf from-scratch dense kernel
-// (cim.Options.Scratch). Outputs are cross-checked every iteration; the
-// comment reports the built:derived amortization of the incremental runs.
-func Fig7bIncremental(opts Options) *Table {
-	t := &Table{
-		Title:  "Figure 7(b) ablation: incremental vs from-scratch images tables (101 nodes, 100 constraints)",
-		XLabel: "RedNodes*Deg",
-		YLabel: "time",
-	}
-	q := genquery.Fan(101)
-	base := genquery.RelevantConstraints(q, 100)
-	var built, derived int
-	for red := 10; red <= 90; red += opts.step(10) {
-		cs := base.Clone()
-		for _, c := range genquery.FanRedundancy(red).Constraints() {
-			cs.Add(c)
-		}
-		cs = cs.Closure()
-		var incOut, scrOut *pattern.Pattern
-		var incTotal, incTables, scrTotal, scrTables time.Duration
-		Measure(opts, func() time.Duration {
-			out, st := acim.MinimizeWithOptions(q, cs, cim.Options{})
-			if incTotal == 0 || st.TotalTime < incTotal {
-				incOut, incTotal, incTables = out, st.TotalTime, st.TablesTime
-				built, derived = st.TablesBuilt, st.TablesDerived
-			}
-			return st.TotalTime
-		})
-		Measure(opts, func() time.Duration {
-			out, st := acim.MinimizeWithOptions(q, cs, cim.Options{Scratch: true})
-			if scrTotal == 0 || st.TotalTime < scrTotal {
-				scrOut, scrTotal, scrTables = out, st.TotalTime, st.TablesTime
-			}
-			return st.TotalTime
-		})
-		if incOut.Canonical() != scrOut.Canonical() {
-			panic("bench: incremental and from-scratch kernels disagree on the Figure 7(b) workload at red=" + itoa(red))
-		}
-		t.Add("IncrTotal", float64(red), incTotal)
-		t.Add("IncrTables", float64(red), incTables)
-		t.Add("ScratchTotal", float64(red), scrTotal)
-		t.Add("ScratchTables", float64(red), scrTables)
-	}
-	t.Comment = "outputs verified identical; last incremental run built " +
-		itoa(built) + " master table(s) and derived " + itoa(derived) + " test tables from them"
 	return t
 }
 
@@ -318,9 +268,9 @@ func Motivation(opts Options) *Table {
 	return t
 }
 
-// AblationCIM compares the naive CIM (which retests every leaf after each
-// deletion) with the incremental implementation of Figure 3 (enhancement
-// 1: a non-redundant leaf never needs retesting).
+// AblationCIM compares the naive CIM of internal/oracle (which retests
+// every leaf after each deletion) with the production implementation of
+// Figure 3 (enhancement 1: a non-redundant leaf never needs retesting).
 func AblationCIM(opts Options) *Table {
 	t := &Table{
 		Title:   "Ablation: naive CIM vs incremental CIM (Figure 3, enhancement 1)",
@@ -334,7 +284,7 @@ func AblationCIM(opts Options) *Table {
 			return cim.MinimizeInPlace(q.Clone(), cim.Options{}).TotalTime
 		}))
 		t.Add("Naive", float64(n), Measure(opts, func() time.Duration {
-			return cim.MinimizeInPlace(q.Clone(), cim.Options{Naive: true}).TotalTime
+			return oracle.MinimizeNaiveInPlace(q.Clone()).TotalTime
 		}))
 	}
 	return t
@@ -367,35 +317,10 @@ func AblationClosure(opts Options) *Table {
 	return t
 }
 
-// AblationVirtual compares physical augmentation (temporary nodes really
-// inserted and stripped) against the paper's Section 6.1 production
-// variant, where witnesses exist only inside the images tables.
-func AblationVirtual(opts Options) *Table {
-	t := &Table{
-		Title:   "Ablation: physical vs virtual augmentation (Section 6.1)",
-		XLabel:  "QuerySize",
-		YLabel:  "ACIM time",
-		Comment: "virtual avoids materializing witnesses; same minimal output",
-	}
-	for n := 20; n <= 100; n += opts.step(20) {
-		q, cs := genquery.Chain(n)
-		closed := cs.Closure()
-		t.Add("Physical", float64(n), Measure(opts, func() time.Duration {
-			_, st := acim.MinimizeWithStats(q, closed)
-			return st.TotalTime
-		}))
-		t.Add("Virtual", float64(n), Measure(opts, func() time.Duration {
-			_, st := acim.MinimizeVirtualWithStats(q, closed)
-			return st.TotalTime
-		}))
-	}
-	return t
-}
-
-// AblationCDM compares CDM's information-content propagation against a
-// direct implementation of the same four local rules that walks the tree
-// for every rule (iv) check — the inefficiency Section 5.4 says the
-// information content exists to avoid.
+// AblationCDM compares CDM's information-content propagation against the
+// direct implementation of the same four local rules in internal/oracle,
+// which walks the tree for every rule (iv) check — the inefficiency
+// Section 5.4 says the information content exists to avoid.
 func AblationCDM(opts Options) *Table {
 	t := &Table{
 		Title:   "Ablation: CDM information content vs direct rule scanning (Section 5.4)",
@@ -410,7 +335,7 @@ func AblationCDM(opts Options) *Table {
 			return cdm.MinimizeInPlace(q.Clone(), closed).TotalTime
 		}))
 		t.Add("Direct", float64(q.Size()), Measure(opts, func() time.Duration {
-			return cdm.MinimizeDirectInPlace(q.Clone(), closed).TotalTime
+			return oracle.MinimizeDirectInPlace(q.Clone(), closed).TotalTime
 		}))
 	}
 	return t
@@ -461,60 +386,28 @@ func BatchMinimize(opts Options) *Table {
 	return t
 }
 
-// All runs every experiment and returns the tables in presentation order.
-func All(opts Options) []*Table {
-	return []*Table{
-		Fig7a(opts), Fig7b(opts), Fig7bIncremental(opts), Fig8a(opts), Fig8b(opts),
-		Fig9a(opts), Fig9b(opts), Motivation(opts),
-		AblationCIM(opts), AblationClosure(opts), AblationVirtual(opts), AblationCDM(opts),
-		BatchMinimize(opts), ServiceThroughput(opts), ServiceScale(opts), FigMatch(opts),
-		FigOr(opts),
-	}
+// Figure is one experiment: the id tpqbench -fig selects it by and the
+// runner that measures it.
+type Figure struct {
+	ID  string
+	Run func(Options) *Table
 }
 
-// ByName returns the experiment runner for a figure id ("7a", "9b",
-// "motivation", ...), or nil.
-func ByName(name string) func(Options) *Table {
-	switch name {
-	case "7a":
-		return Fig7a
-	case "7b":
-		return Fig7b
-	case "7b-incremental":
-		return Fig7bIncremental
-	case "8a":
-		return Fig8a
-	case "8b":
-		return Fig8b
-	case "9a":
-		return Fig9a
-	case "9b":
-		return Fig9b
-	case "motivation":
-		return Motivation
-	case "ablation-cim":
-		return AblationCIM
-	case "ablation-closure":
-		return AblationClosure
-	case "ablation-virtual":
-		return AblationVirtual
-	case "ablation-cdm":
-		return AblationCDM
-	case "batch":
-		return BatchMinimize
-	case "service":
-		return ServiceThroughput
-	case "service-scale":
-		return ServiceScale
-	case "match":
-		return FigMatch
-	case "or":
-		return FigOr
-	}
-	return nil
-}
-
-// Names lists the experiment ids in presentation order.
-func Names() []string {
-	return []string{"7a", "7b", "7b-incremental", "8a", "8b", "9a", "9b", "motivation", "ablation-cim", "ablation-closure", "ablation-virtual", "ablation-cdm", "batch", "service", "service-scale", "match", "or"}
+// Figures lists every experiment in presentation order.
+var Figures = []Figure{
+	{"7a", Fig7a},
+	{"7b", Fig7b},
+	{"8a", Fig8a},
+	{"8b", Fig8b},
+	{"9a", Fig9a},
+	{"9b", Fig9b},
+	{"motivation", Motivation},
+	{"ablation-cim", AblationCIM},
+	{"ablation-closure", AblationClosure},
+	{"ablation-cdm", AblationCDM},
+	{"batch", BatchMinimize},
+	{"service", ServiceThroughput},
+	{"service-scale", ServiceScale},
+	{"match", FigMatch},
+	{"or", FigOr},
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"tpq/internal/acim"
+	"tpq/internal/benchjson"
 	"tpq/internal/chase"
 	"tpq/internal/cim"
 	"tpq/internal/genquery"
@@ -23,62 +23,6 @@ import (
 	"tpq/internal/store"
 	"tpq/internal/trace"
 )
-
-// JSONSchema identifies the machine-readable benchmark format. Bump it
-// only on incompatible changes; the compare tool refuses mismatched
-// schemas rather than comparing nanoseconds that mean different things.
-const JSONSchema = "tpq-bench/1"
-
-// JSONResult is one pinned measurement. Name is the stable identity the
-// compare tool matches on — changing a name silently drops it from
-// regression checking, so names are versioned with the workload.
-type JSONResult struct {
-	// Name is "figure/series/param=value", e.g. "fig7b/incremental/red=50".
-	Name string `json:"name"`
-	// Figure ties the result to the paper experiment it pins.
-	Figure string `json:"figure"`
-	// Params are the workload knobs, stringly typed for stability.
-	Params map[string]string `json:"params,omitempty"`
-	// NsPerOp is the best-of-N wall time of one operation.
-	NsPerOp float64 `json:"nsPerOp"`
-	// AllocsPerOp is the average heap allocations of one operation.
-	AllocsPerOp float64 `json:"allocsPerOp"`
-	// PhaseNs breaks the operation down by pipeline phase:
-	// chase/cdm/acim/cim/compact (chase, cim and compact nest inside
-	// acim). Each phase is the minimum over all measured runs — phases
-	// are individually noisy (a GC pause lands in whichever phase is
-	// running), so the per-phase best is the stable quantity to gate on,
-	// at the price of the phases not summing to NsPerOp exactly.
-	PhaseNs map[string]float64 `json:"phaseNs,omitempty"`
-	// Counters are work counts of one operation (tests, tables built and
-	// derived) — cheap invariants the compare tool checks exactly, since
-	// a change there is an algorithmic change, not noise.
-	Counters map[string]int64 `json:"counters,omitempty"`
-}
-
-// JSONFile is the on-disk container: one schema-tagged result set.
-// BENCH_<figure>.json holds one figure; BENCH_baseline.json may hold the
-// union of several — the compare tool matches by result name, so files
-// with different result sets compare over their intersection.
-type JSONFile struct {
-	Schema    string       `json:"schema"`
-	Figure    string       `json:"figure"`
-	GoVersion string       `json:"goVersion"`
-	GOOS      string       `json:"goos"`
-	GOARCH    string       `json:"goarch"`
-	Results   []JSONResult `json:"results"`
-}
-
-func newJSONFile(figure string, results []JSONResult) JSONFile {
-	return JSONFile{
-		Schema:    JSONSchema,
-		Figure:    figure,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Results:   results,
-	}
-}
 
 // measureTraced measures f like Measure, but lets f report the trace of
 // each run. It keeps the trace of the fastest run (for the deterministic
@@ -120,17 +64,17 @@ func measureTraced(opts Options, f func() (*trace.Trace, time.Duration)) (time.D
 
 // JSONFig7b pins the Figure 7(b) incremental-engine workload (101-node
 // fan, 100 constraints): the incremental images-table kernel at three
-// redundancy levels plus the from-scratch kernel at the middle one, each
-// with the per-phase breakdown from the trace spans.
-func JSONFig7b(opts Options) JSONFile {
+// redundancy levels, each with the per-phase breakdown from the trace
+// spans, plus plan-based augmentation alone at the same levels.
+func JSONFig7b(opts Options) benchjson.File {
 	q := genquery.Fan(101)
 	base := genquery.RelevantConstraints(q, 100)
 	reds := []int{10, 50, 90}
 	if opts.Quick {
 		reds = []int{10, 90}
 	}
-	var results []JSONResult
-	run := func(red int, cimOpts cim.Options, series string) JSONResult {
+	var results []benchjson.Result
+	run := func(red int) benchjson.Result {
 		cs := base.Clone()
 		for _, c := range genquery.FanRedundancy(red).Constraints() {
 			cs.Add(c)
@@ -138,20 +82,18 @@ func JSONFig7b(opts Options) JSONFile {
 		closed := cs.Closure()
 		one := func() (*trace.Trace, time.Duration) {
 			tr := trace.New()
-			o := cimOpts
-			o.Trace = tr
 			start := time.Now()
 			_, _ = acim.MinimizeWithRunnerTraced(q, closed, tr, func(aug *pattern.Pattern) cim.Stats {
-				return cim.MinimizeInPlace(aug, o)
+				return cim.MinimizeInPlace(aug, cim.Options{Trace: tr})
 			})
 			return tr, time.Since(start)
 		}
 		best, tr, phases := measureTraced(opts, one)
 		allocs := testing.AllocsPerRun(2, func() { one() })
-		return JSONResult{
-			Name:        "fig7b/" + series + "/red=" + strconv.Itoa(red),
+		return benchjson.Result{
+			Name:        "fig7b/incremental/red=" + strconv.Itoa(red),
 			Figure:      "7b-incremental",
-			Params:      map[string]string{"nodes": "101", "constraints": "100", "red": strconv.Itoa(red), "kernel": series},
+			Params:      map[string]string{"nodes": "101", "constraints": "100", "red": strconv.Itoa(red), "kernel": "incremental"},
 			NsPerOp:     float64(best.Nanoseconds()),
 			AllocsPerOp: allocs,
 			PhaseNs:     phases,
@@ -163,13 +105,12 @@ func JSONFig7b(opts Options) JSONFile {
 		}
 	}
 	for _, red := range reds {
-		results = append(results, run(red, cim.Options{}, "incremental"))
+		results = append(results, run(red))
 	}
-	results = append(results, run(reds[len(reds)/2], cim.Options{Scratch: true}, "scratch"))
 	for _, red := range reds {
 		results = append(results, runPlanAugment(opts, q, base, red))
 	}
-	return newJSONFile("fig7b", results)
+	return benchjson.New("fig7b", results)
 }
 
 // runPlanAugment pins the chase phase in isolation: one op is clone +
@@ -178,7 +119,7 @@ func JSONFig7b(opts Options) JSONFile {
 // registry). The augmented-node count is deterministic, so the compare
 // tool checks it exactly; a change there means the chase semantics moved,
 // not the clock.
-func runPlanAugment(opts Options, q *pattern.Pattern, base *ics.Set, red int) JSONResult {
+func runPlanAugment(opts Options, q *pattern.Pattern, base *ics.Set, red int) benchjson.Result {
 	cs := base.Clone()
 	for _, c := range genquery.FanRedundancy(red).Constraints() {
 		cs.Add(c)
@@ -192,7 +133,7 @@ func runPlanAugment(opts Options, q *pattern.Pattern, base *ics.Set, red int) JS
 	}
 	best, tr, phases := measureTraced(opts, one)
 	allocs := testing.AllocsPerRun(2, func() { one() })
-	return JSONResult{
+	return benchjson.Result{
 		Name:        "fig7b/chase-plan/red=" + strconv.Itoa(red),
 		Figure:      "7b-incremental",
 		Params:      map[string]string{"nodes": "101", "constraints": "100", "red": strconv.Itoa(red), "kernel": "chase-plan"},
@@ -208,11 +149,11 @@ func runPlanAugment(opts Options, q *pattern.Pattern, base *ics.Set, red int) JS
 // headline speedup of the cache), plus a cold batch over the standard
 // mix. Hot-path phase breakdowns are empty by construction — a cache hit
 // runs no pipeline phases.
-func JSONService(opts Options) JSONFile {
+func JSONService(opts Options) benchjson.File {
 	distinct, rawCS := BatchWorkload(8)
 	q := distinct[0]
 	ctx := context.Background()
-	var results []JSONResult
+	var results []benchjson.Result
 
 	svc := service.New(service.Options{Constraints: rawCS})
 	if _, _, err := svc.Minimize(ctx, q); err != nil {
@@ -224,7 +165,7 @@ func JSONService(opts Options) JSONFile {
 		}
 	}))
 	hotAllocs := testing.AllocsPerRun(2, func() { svc.Minimize(ctx, q) })
-	results = append(results, JSONResult{
+	results = append(results, benchjson.Result{
 		Name:        "service/hot",
 		Figure:      "service",
 		Params:      map[string]string{"distinct": "8", "path": "cache-hit"},
@@ -242,7 +183,7 @@ func JSONService(opts Options) JSONFile {
 	}
 	uncached, _, _ := measureTraced(opts, uncachedOne)
 	uncachedAllocs := testing.AllocsPerRun(2, func() { uncachedOne() })
-	results = append(results, JSONResult{
+	results = append(results, benchjson.Result{
 		Name:        "service/uncached",
 		Figure:      "service",
 		Params:      map[string]string{"distinct": "8", "path": "pipeline"},
@@ -256,13 +197,13 @@ func JSONService(opts Options) JSONFile {
 			panic(err)
 		}
 	}))
-	results = append(results, JSONResult{
+	results = append(results, benchjson.Result{
 		Name:    "service/cold-batch",
 		Figure:  "service",
 		Params:  map[string]string{"distinct": "8", "path": "cold-batch"},
 		NsPerOp: float64(cold.Nanoseconds()),
 	})
-	return newJSONFile("service", results)
+	return benchjson.New("service", results)
 }
 
 // JSONServiceWarmRestart pins the restart story of the persistent tier:
@@ -273,7 +214,7 @@ func JSONService(opts Options) JSONFile {
 // store.Open, so it covers the real restart path — snapshot load, log
 // replay, warm-start preload — and must still win, because the pipeline
 // it avoids costs more than the store it reads.
-func JSONServiceWarmRestart(opts Options) JSONFile {
+func JSONServiceWarmRestart(opts Options) benchjson.File {
 	distinct, rawCS := BatchWorkload(8)
 	ctx := context.Background()
 
@@ -344,7 +285,7 @@ func JSONServiceWarmRestart(opts Options) JSONFile {
 	}
 	warm, _, _ := measureTraced(opts, warmOne)
 
-	return newJSONFile("service-warm-restart", []JSONResult{
+	return benchjson.New("service-warm-restart", []benchjson.Result{
 		{
 			Name:    "service-warm-restart/cold",
 			Figure:  "service-warm-restart",
@@ -363,8 +304,8 @@ func JSONServiceWarmRestart(opts Options) JSONFile {
 
 // JSONFigures maps the pinned machine-readable benchmark ids to their
 // runners — the set `tpqbench -json` emits and CI gates on.
-func JSONFigures() map[string]func(Options) JSONFile {
-	return map[string]func(Options) JSONFile{
+func JSONFigures() map[string]func(Options) benchjson.File {
+	return map[string]func(Options) benchjson.File{
 		"fig7b":                JSONFig7b,
 		"service":              JSONService,
 		"fig-match":            JSONMatch,
@@ -376,7 +317,7 @@ func JSONFigures() map[string]func(Options) JSONFile {
 
 // WriteJSON writes one result file ("BENCH_<figure>.json" under dir) and
 // returns its path.
-func WriteJSON(dir string, f JSONFile) (string, error) {
+func WriteJSON(dir string, f benchjson.File) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
@@ -390,8 +331,8 @@ func WriteJSON(dir string, f JSONFile) (string, error) {
 }
 
 // ReadJSON loads and schema-checks one result file.
-func ReadJSON(path string) (JSONFile, error) {
-	var f JSONFile
+func ReadJSON(path string) (benchjson.File, error) {
+	var f benchjson.File
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return f, err
@@ -399,8 +340,8 @@ func ReadJSON(path string) (JSONFile, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return f, fmt.Errorf("%s: %w", path, err)
 	}
-	if f.Schema != JSONSchema {
-		return f, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, JSONSchema)
+	if f.Schema != benchjson.Schema {
+		return f, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, benchjson.Schema)
 	}
 	return f, nil
 }
@@ -408,8 +349,8 @@ func ReadJSON(path string) (JSONFile, error) {
 // MergeJSON unions result sets (later files win on duplicate names) into
 // one file tagged with the given figure id — how BENCH_baseline.json is
 // produced from the per-figure runs.
-func MergeJSON(figure string, files ...JSONFile) JSONFile {
-	byName := map[string]JSONResult{}
+func MergeJSON(figure string, files ...benchjson.File) benchjson.File {
+	byName := map[string]benchjson.Result{}
 	var order []string
 	for _, f := range files {
 		for _, r := range f.Results {
@@ -419,11 +360,11 @@ func MergeJSON(figure string, files ...JSONFile) JSONFile {
 			byName[r.Name] = r
 		}
 	}
-	results := make([]JSONResult, 0, len(order))
+	results := make([]benchjson.Result, 0, len(order))
 	for _, name := range order {
 		results = append(results, byName[name])
 	}
-	return newJSONFile(figure, results)
+	return benchjson.New(figure, results)
 }
 
 // Comparison is the verdict on one result name present in both files —
@@ -482,7 +423,7 @@ const phaseFloorNs = 1_000_000
 // sweep point dropped — would otherwise pass the gate forever. Targeted
 // gates still work: comparing the full baseline against a single-figure
 // head file only requires the baseline series of that figure.
-func CompareJSON(base, head JSONFile, threshold float64) (comps []Comparison, regressions int) {
+func CompareJSON(base, head benchjson.File, threshold float64) (comps []Comparison, regressions int) {
 	headFigs := map[string]bool{}
 	headBy := map[string]bool{}
 	for _, r := range head.Results {
@@ -495,7 +436,7 @@ func CompareJSON(base, head JSONFile, threshold float64) (comps []Comparison, re
 			regressions++
 		}
 	}
-	oldBy := map[string]JSONResult{}
+	oldBy := map[string]benchjson.Result{}
 	for _, r := range base.Results {
 		oldBy[r.Name] = r
 	}

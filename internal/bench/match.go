@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"tpq/internal/benchjson"
 	"tpq/internal/data"
 	"tpq/internal/match"
 	"tpq/internal/match/stream"
@@ -119,13 +120,13 @@ func FigMatch(opts Options) *Table {
 // in KiB. The headline acceptance bar lives in that counter pair: at the
 // 1M-node point the streamed alloc_kb must stay well under the
 // materialized one (≤25%) at equal answer counts.
-func JSONMatch(opts Options) JSONFile {
+func JSONMatch(opts Options) benchjson.File {
 	q, err := pattern.Parse(matchQueryText)
 	if err != nil {
 		panic(err)
 	}
 	ctx := context.Background()
-	var results []JSONResult
+	var results []benchjson.Result
 	for _, sz := range matchSizes(opts) {
 		forest, idx := matchForest(sz)
 		sq, err := stream.Compile(q, idx, stream.Options{})
@@ -158,7 +159,7 @@ func JSONMatch(opts Options) JSONFile {
 		}
 		best, _, phases := measureTraced(opts, streamOne)
 		streamAlloc := allocBytes(func() { sq.Count(ctx) })
-		results = append(results, JSONResult{
+		results = append(results, benchjson.Result{
 			Name:    "fig-match/stream/n=" + sz.label,
 			Figure:  "match",
 			Params:  params("stream"),
@@ -182,7 +183,7 @@ func JSONMatch(opts Options) JSONFile {
 		}
 		best, _, phases = measureTraced(opts, matOne)
 		matAlloc := allocBytes(func() { match.AnswersIndexed(q, idx) })
-		results = append(results, JSONResult{
+		results = append(results, benchjson.Result{
 			Name:    "fig-match/materialized/n=" + sz.label,
 			Figure:  "match",
 			Params:  params("materialized"),
@@ -202,5 +203,5 @@ func JSONMatch(opts Options) JSONFile {
 	// The last forest is a million nodes; don't make whichever figure
 	// runs next measure the collector reclaiming it.
 	runtime.GC()
-	return newJSONFile("fig-match", results)
+	return benchjson.New("fig-match", results)
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"tpq/internal/benchjson"
 	"tpq/internal/engine"
 	"tpq/internal/genquery"
 	"tpq/internal/ics"
@@ -88,9 +89,9 @@ func FigOr(opts Options) *Table {
 // counters — disjuncts_out, absorbed and unsat are deterministic for
 // the pinned workload, so a diff there means the absorption or
 // satisfiability semantics moved, not the clock.
-func JSONOr(opts Options) JSONFile {
+func JSONOr(opts Options) benchjson.File {
 	ctx := context.Background()
-	var results []JSONResult
+	var results []benchjson.Result
 	for _, k := range orKs(opts) {
 		d, cs := orWorkload(k)
 		m := engine.New(engine.Options{Workers: 1, Algo: engine.Auto, Constraints: cs})
@@ -105,7 +106,7 @@ func JSONOr(opts Options) JSONFile {
 			return time.Since(start)
 		}
 		best := Measure(opts, one)
-		results = append(results, JSONResult{
+		results = append(results, benchjson.Result{
 			Name:    "fig-or/minimize/k=" + strconv.Itoa(k),
 			Figure:  "or",
 			Params:  map[string]string{"k": strconv.Itoa(k), "size": "101", "red": "30", "workers": "1"},
@@ -117,5 +118,5 @@ func JSONOr(opts Options) JSONFile {
 			},
 		})
 	}
-	return newJSONFile("fig-or", results)
+	return benchjson.New("fig-or", results)
 }

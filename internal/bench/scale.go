@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"tpq/internal/benchjson"
 	"tpq/internal/service"
 	"tpq/internal/workload"
 )
@@ -34,7 +35,7 @@ const scaleDistinct = 16
 //
 // GOMAXPROCS is pinned to W for the measurement (and restored), so the
 // figure reflects scheduler parallelism, not just goroutine count.
-func JSONServiceScale(opts Options) JSONFile {
+func JSONServiceScale(opts Options) benchjson.File {
 	workers := []int{1, 2, 4, 8}
 	ops := 8192
 	if opts.Quick {
@@ -43,7 +44,7 @@ func JSONServiceScale(opts Options) JSONFile {
 	}
 	mix := workload.Queries(scaleDistinct, 11)
 	ctx := context.Background()
-	var results []JSONResult
+	var results []benchjson.Result
 
 	for _, w := range workers {
 		prev := runtime.GOMAXPROCS(w)
@@ -57,7 +58,7 @@ func JSONServiceScale(opts Options) JSONFile {
 		hot := Measure(opts, Timed(func() {
 			driveScale(ctx, warm, mix, w, ops)
 		}))
-		results = append(results, JSONResult{
+		results = append(results, benchjson.Result{
 			Name:   "service-scale/hot/workers=" + strconv.Itoa(w),
 			Figure: "service-scale",
 			Params: map[string]string{
@@ -72,7 +73,7 @@ func JSONServiceScale(opts Options) JSONFile {
 			fresh := service.New(service.Options{})
 			driveScale(ctx, fresh, mix, w, ops)
 		}))
-		results = append(results, JSONResult{
+		results = append(results, benchjson.Result{
 			Name:   "service-scale/mixed/workers=" + strconv.Itoa(w),
 			Figure: "service-scale",
 			Params: map[string]string{
@@ -85,7 +86,7 @@ func JSONServiceScale(opts Options) JSONFile {
 
 		runtime.GOMAXPROCS(prev)
 	}
-	return newJSONFile("service-scale", results)
+	return benchjson.New("service-scale", results)
 }
 
 // driveScale issues ops requests split across w workers, each drawing

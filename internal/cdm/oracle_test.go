@@ -1,12 +1,25 @@
-package cdm
+package cdm_test
+
+// Cross-checks of information-content propagation against the direct
+// rule scan in internal/oracle. They live in the external test package
+// because oracle imports cdm.
 
 import (
 	"math/rand"
 	"testing"
 
+	"tpq/internal/cdm"
 	"tpq/internal/ics"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
+
+// minimizeDirect runs the direct rule scan on a clone of q.
+func minimizeDirect(q *pattern.Pattern, cs *ics.Set) *pattern.Pattern {
+	out := q.Clone()
+	oracle.MinimizeDirectInPlace(out, cs)
+	return out
+}
 
 func TestDirectMatchesPropagatedOnExamples(t *testing.T) {
 	cases := []struct {
@@ -21,10 +34,10 @@ func TestDirectMatchesPropagatedOnExamples(t *testing.T) {
 			[]string{"Section => Paragraph"}},
 	}
 	for _, c := range cases {
-		q := mp(c.q)
+		q := pattern.MustParse(c.q)
 		cs := ics.MustParseSet(c.cs...)
-		prop := Minimize(q, cs)
-		direct := MinimizeDirect(q, cs)
+		prop := cdm.Minimize(q, cs)
+		direct := minimizeDirect(q, cs)
 		if !pattern.Isomorphic(prop, direct) {
 			t.Errorf("engines disagree on %s:\npropagated = %s\ndirect     = %s", c.q, prop, direct)
 		}
@@ -34,10 +47,10 @@ func TestDirectMatchesPropagatedOnExamples(t *testing.T) {
 func TestDirectMatchesPropagatedRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for i := 0; i < 300; i++ {
-		q, cs := randomSetup(rng, 1+rng.Intn(10), 1+rng.Intn(5))
+		q, cs := cdm.RandomSetup(rng, 1+rng.Intn(10), 1+rng.Intn(5))
 		closed := cs.Closure()
-		prop := Minimize(q, closed)
-		direct := MinimizeDirect(q, closed)
+		prop := cdm.Minimize(q, closed)
+		direct := minimizeDirect(q, closed)
 		if !pattern.Isomorphic(prop, direct) {
 			t.Fatalf("iter %d: engines disagree\nq = %s\ncs = %s\npropagated = %s\ndirect     = %s",
 				i, q, cs, prop, direct)
@@ -46,10 +59,10 @@ func TestDirectMatchesPropagatedRandomized(t *testing.T) {
 }
 
 func TestDirectStats(t *testing.T) {
-	q := mp("a*/b/c")
+	q := pattern.MustParse("a*/b/c")
 	cs := ics.MustParseSet("a -> b", "b -> c")
 	clone := q.Clone()
-	st := MinimizeDirectInPlace(clone, cs.Closure())
+	st := oracle.MinimizeDirectInPlace(clone, cs.Closure())
 	if st.Removed != 2 || clone.Size() != 1 {
 		t.Errorf("Removed = %d size %d", st.Removed, clone.Size())
 	}

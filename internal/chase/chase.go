@@ -21,207 +21,16 @@
 // O(n·k) where n is the original query size and k the number of types
 // mentioned by the query and the closed constraint set; witness chains
 // are no longer than k.
+//
+// Augmentation runs through a Plan (plan.go), compiled once per closed
+// constraint set and specialized per query type set. The per-call chase
+// it is checked against is internal/oracle's Augment.
 package chase
 
 import (
 	"tpq/internal/ics"
 	"tpq/internal/pattern"
-	"tpq/internal/trace"
 )
-
-// Augment applies the paper's restricted chase to p in place, marking every
-// added node, edge and type association as temporary. It returns the
-// number of nodes added. cs must be logically closed; Augment closes it
-// defensively if it is not (callers on a hot path should pass a closed
-// set).
-//
-// Witnesses are chased too: a fresh witness receives its own co-occurrence
-// types and required children, recursively, because a query node may have
-// to map onto the witness — and then the witness must exhibit everything
-// the constraints guarantee about it. A witness of type t1 with t1 ~ t3
-// and t1 -> t2 stands for a node that is also a t3 and has a t2 child; a
-// query branch t3/t2 is redundant exactly because it can map onto that
-// guaranteed structure, which a bare childless t1 node cannot witness
-// (found by the difffuzz minimality/agreement oracles). Recursion follows
-// required edges of the closed constraint graph, admitting witness types
-// beyond the query's own when the chain they start leads to one a query
-// node can map onto — necessary for CDM;ACIM = ACIM (Theorem 5.3), since
-// CDM may delete the only node of an intermediate chain type. On an
-// acyclic-required set recursion terminates with witness chains no longer
-// than the number of mentioned types; on a cyclic set — satisfiable only
-// by infinite databases — witnesses stay one level deep, which keeps the
-// old sound under-approximation.
-func Augment(p *pattern.Pattern, cs *ics.Set) int {
-	return AugmentTraced(p, cs, nil)
-}
-
-// AugmentTraced is Augment recording the chase into tr: the elapsed time
-// under the Chase phase and the witness count under the Augmented
-// counter. tr may be nil (then it is exactly Augment).
-func AugmentTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace) int {
-	sp := tr.Start(trace.Chase)
-	added := augment(p, cs)
-	sp.End()
-	tr.Add(trace.Augmented, added)
-	return added
-}
-
-func augment(p *pattern.Pattern, cs *ics.Set) int {
-	if p == nil || p.Root == nil || cs == nil {
-		return 0
-	}
-	if !cs.IsClosed() {
-		cs = cs.Closure()
-	}
-	origTypes := p.TypeSet()
-	origNodes := p.Nodes()
-	deep := cs.AcyclicRequired()
-	wanted := WantedWitnessTypes(cs, origTypes)
-
-	// A fresh witness's whole chain — its temporary co-occurrence types and
-	// its recursively chased required children — is a function of its type
-	// alone (witnesses start with a single type; everything else follows
-	// from the closed constraint set and the query's type set). Building
-	// the chain once per type as a template and instantiating it per
-	// witness turns the chase from O(nodes added × constraint lookups)
-	// into O(types × constraint lookups) + O(nodes added): on Figure 7(b)
-	// workloads the augmented query is ~100× the original, so this is
-	// where augmentation time goes.
-	tmpls := &witnessTemplates{cs: cs, origTypes: origTypes, wanted: wanted, memo: make(map[pattern.Type]*witnessTemplate)}
-
-	added := 0
-	for _, n := range origNodes {
-		if n.Temp {
-			continue
-		}
-		// Co-occurrence types first, so the child/descendant pass below sees
-		// the full type set. The closure makes cascading through
-		// co-occurrence targets unnecessary. Only query types are associated:
-		// a required type of a mapped node is always a query type.
-		for _, t := range n.Types() {
-			for _, b := range cs.CoTargets(t) {
-				if origTypes[b] {
-					n.AddType(b, true)
-				}
-			}
-		}
-		childT, descT := WitnessTargets(cs, n.Types(), wanted, deep)
-		for _, b := range childT {
-			if w, isNew := ensureTempChild(n, pattern.Child, b); isNew {
-				added++
-				if deep {
-					added += tmpls.instantiate(w)
-				}
-			}
-		}
-		for _, b := range descT {
-			if w, isNew := ensureTempChild(n, pattern.Descendant, b); isNew {
-				added++
-				if deep {
-					added += tmpls.instantiate(w)
-				}
-			}
-		}
-	}
-	return added
-}
-
-// witnessTemplate is the memoized chase result below a fresh witness of
-// one type: the temporary co-occurrence types it receives and the
-// witness children it spawns, each carrying its own template.
-type witnessTemplate struct {
-	extras   []pattern.Type
-	children []witnessChild
-}
-
-type witnessChild struct {
-	edge pattern.EdgeKind
-	typ  pattern.Type
-	sub  *witnessTemplate
-}
-
-type witnessTemplates struct {
-	cs        *ics.Set
-	origTypes map[pattern.Type]bool
-	wanted    map[pattern.Type]bool
-	memo      map[pattern.Type]*witnessTemplate
-	building  map[pattern.Type]bool
-}
-
-// template builds (or returns) the chain template for witness type t,
-// mirroring exactly what the per-node recursion used to do: associate
-// the query co-occurrence types, then spawn the witness targets of the
-// resulting type set. Templates are only built when chains are grown,
-// i.e. on acyclic-required sets, so the recursion terminates; the
-// building guard is the defensive bound the recursion depth used to be.
-func (ts *witnessTemplates) template(t pattern.Type) *witnessTemplate {
-	if m, ok := ts.memo[t]; ok {
-		return m
-	}
-	if ts.building[t] {
-		return nil // required-edge cycle: unreachable when chains are grown
-	}
-	if ts.building == nil {
-		ts.building = make(map[pattern.Type]bool)
-	}
-	ts.building[t] = true
-	w := &witnessTemplate{}
-	types := []pattern.Type{t}
-	for _, b := range ts.cs.CoTargets(t) {
-		if ts.origTypes[b] && !typeIn(types, b) {
-			w.extras = append(w.extras, b)
-			types = append(types, b)
-		}
-	}
-	childT, descT := WitnessTargets(ts.cs, types, ts.wanted, true)
-	for _, b := range childT {
-		w.children = append(w.children, witnessChild{pattern.Child, b, ts.template(b)})
-	}
-	for _, b := range descT {
-		w.children = append(w.children, witnessChild{pattern.Descendant, b, ts.template(b)})
-	}
-	delete(ts.building, t)
-	ts.memo[t] = w
-	return w
-}
-
-// instantiate expands the chain template under the fresh witness w and
-// returns the number of nodes added. Witness children are deduplicated at
-// template-build time, and w has no children yet, so no existence scans
-// are needed.
-func (ts *witnessTemplates) instantiate(w *pattern.Node) int {
-	tmpl := ts.template(w.Type)
-	if tmpl == nil {
-		return 0
-	}
-	return ts.instantiateFrom(w, tmpl)
-}
-
-func (ts *witnessTemplates) instantiateFrom(w *pattern.Node, tmpl *witnessTemplate) int {
-	added := 0
-	for _, b := range tmpl.extras {
-		w.AddType(b, true)
-	}
-	for _, c := range tmpl.children {
-		cw := pattern.NewNode(c.typ)
-		cw.Temp = true
-		w.AddChild(c.edge, cw)
-		added++
-		if c.sub != nil {
-			added += ts.instantiateFrom(cw, c.sub)
-		}
-	}
-	return added
-}
-
-func typeIn(ts []pattern.Type, t pattern.Type) bool {
-	for _, x := range ts {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
 
 // WantedWitnessTypes computes, for a closed constraint set and a base set
 // of query types, every type whose chase witnesses can matter for a
@@ -348,21 +157,6 @@ func WitnessTargets(cs *ics.Set, ts []pattern.Type, wanted map[pattern.Type]bool
 		}
 	}
 	return childT, descT
-}
-
-// ensureTempChild returns n's temporary witness child of the given type
-// and edge kind, creating it if absent — the lookup is what makes
-// re-augmenting a query idempotent — and reports whether it created it.
-func ensureTempChild(n *pattern.Node, k pattern.EdgeKind, t pattern.Type) (*pattern.Node, bool) {
-	for _, c := range n.Children {
-		if c.Temp && c.Type == t && c.Edge == k {
-			return c, false
-		}
-	}
-	w := pattern.NewNode(t)
-	w.Temp = true
-	n.AddChild(k, w)
-	return w, true
 }
 
 // FullChase applies the unrestricted chase for up to maxRounds rounds,

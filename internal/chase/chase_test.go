@@ -22,7 +22,7 @@ func TestAugmentAddsWitnesses(t *testing.T) {
 	// temporary Paragraph d-child under Section.
 	p := pattern.MustParse("Articles/Article*[//Paragraph, /Section//Paragraph]")
 	cs := ics.NewSet(ics.Desc("Section", "Paragraph"))
-	added := Augment(p, cs)
+	added := Compile(cs).Augment(p)
 	if added != 1 {
 		t.Fatalf("Augment added %d nodes, want 1", added)
 	}
@@ -49,7 +49,7 @@ func TestAugmentSkipsAbsentTargetTypes(t *testing.T) {
 	// applied (restriction 2 of Section 5.2).
 	p := pattern.MustParse("a*/b")
 	cs := ics.NewSet(ics.Child("a", "zzz"), ics.Desc("b", "yyy"), ics.Co("a", "www"))
-	if added := Augment(p, cs); added != 0 {
+	if added := Compile(cs).Augment(p); added != 0 {
 		t.Errorf("Augment added %d nodes for absent types", added)
 	}
 	if p.Root.HasType("www") {
@@ -60,7 +60,7 @@ func TestAugmentSkipsAbsentTargetTypes(t *testing.T) {
 func TestAugmentCoOccurrence(t *testing.T) {
 	p := pattern.MustParse("Organization*[/Employee/Project, /PermEmp/DBproject]")
 	cs := ics.NewSet(ics.Co("PermEmp", "Employee"), ics.Co("DBproject", "Project"))
-	Augment(p, cs)
+	Compile(cs).Augment(p)
 	var permEmp, dbproj *pattern.Node
 	p.Walk(func(n *pattern.Node) {
 		switch n.Type {
@@ -90,7 +90,7 @@ func TestAugmentChasesWitnesses(t *testing.T) {
 	// ACIM misses redundancies (the difffuzz agreement/minimality bugs).
 	p := pattern.MustParse("a*[/b, /c]")
 	cs := ics.NewSet(ics.Child("a", "b"), ics.Child("b", "c"))
-	Augment(p, cs)
+	Compile(cs).Augment(p)
 	found := false
 	for _, c := range p.Root.Children {
 		if c.Temp && c.Type == "b" {
@@ -122,7 +122,7 @@ func TestAugmentDeepChainStaysLinear(t *testing.T) {
 		cons = append(cons, ics.Child(types[i], types[i+1]))
 	}
 	p := pattern.MustParse("aa*//" + string(types[len(types)-1]))
-	added := Augment(p, ics.NewSet(cons...).Closure())
+	added := Compile(ics.NewSet(cons...).Closure()).Augment(p)
 	if added == 0 {
 		t.Fatal("chain augmentation added nothing")
 	}
@@ -137,7 +137,7 @@ func TestAugmentCyclicStaysShallow(t *testing.T) {
 	// deep (the sound under-approximation).
 	p := pattern.MustParse("a*[/b, /c]")
 	cs := ics.NewSet(ics.Child("a", "b"), ics.Child("b", "c"), ics.Child("c", "a"))
-	Augment(p, cs)
+	Compile(cs).Augment(p)
 	for _, c := range p.Root.Children {
 		if c.Temp && len(c.Children) != 0 {
 			t.Error("temporary witness has children despite cyclic constraints")
@@ -148,12 +148,12 @@ func TestAugmentCyclicStaysShallow(t *testing.T) {
 func TestAugmentIdempotent(t *testing.T) {
 	p := pattern.MustParse("a*[/b, //c]")
 	cs := ics.NewSet(ics.Child("a", "b"), ics.Desc("a", "c"), ics.Co("b", "c")).Closure()
-	first := Augment(p, cs)
+	first := Compile(cs).Augment(p)
 	if first == 0 {
 		t.Fatal("first augmentation added nothing")
 	}
 	size := p.Size()
-	second := Augment(p, cs)
+	second := Compile(cs).Augment(p)
 	if second != 0 || p.Size() != size {
 		t.Errorf("second augmentation added %d nodes", second)
 	}
@@ -164,7 +164,7 @@ func TestAugmentClosedSetCascade(t *testing.T) {
 	// closure-derived b -> d.
 	p := pattern.MustParse("a*[/b, /d]")
 	cs := ics.NewSet(ics.Co("b", "c"), ics.Child("c", "d"))
-	Augment(p, cs) // Augment closes internally
+	Compile(cs).Augment(p) // Compile closes internally
 	var b *pattern.Node
 	p.Walk(func(n *pattern.Node) {
 		if n.Type == "b" {
@@ -188,11 +188,11 @@ func TestAugmentClosedSetCascade(t *testing.T) {
 }
 
 func TestAugmentEmptyInputs(t *testing.T) {
-	if Augment(&pattern.Pattern{}, ics.NewSet()) != 0 {
+	if Compile(ics.NewSet()).Augment(&pattern.Pattern{}) != 0 {
 		t.Error("augmenting empty pattern added nodes")
 	}
 	p := pattern.MustParse("a*")
-	if Augment(p, nil) != 0 {
+	if Compile(nil).Augment(p) != 0 {
 		t.Error("nil constraint set added nodes")
 	}
 }

@@ -12,9 +12,9 @@ package chase
 // instantiated out of batch-allocated arenas instead of one NewNode call
 // per witness.
 //
-// The per-call path (Augment) is kept verbatim as the cross-validated
-// oracle — the difffuzz harness asserts plan-based augmentation produces
-// the identical pattern, node for node.
+// The per-call chase (internal/oracle's Augment) is the reference: the
+// difffuzz harness asserts plan-based augmentation produces the identical
+// pattern, node for node.
 //
 // Correctness of the per-type specialization rests on a closure-folding
 // property: on a closed set, a ~ b together with b -> c (or b => c)
@@ -25,7 +25,7 @@ package chase
 // nodes whose extra types were all added by this augmentation's
 // co-occurrence step enjoy the same folding; nodes carrying user-written
 // extra types fall back to the shared WitnessTargets kernel, so the
-// plan path never diverges from the oracle.
+// plan path never diverges from the reference.
 
 import (
 	"container/list"
@@ -216,15 +216,17 @@ func (pl *Plan) Wanted(base map[pattern.Type]bool) map[pattern.Type]bool {
 	return out
 }
 
-// Augment is chase.Augment through the plan: it applies the identical
-// restricted chase to p in place and returns the number of nodes added.
-// The plan's constraint set stands in for the cs argument.
+// Augment applies the restricted chase of §5.2 to p in place under the
+// plan's constraint set, marking every added node and type association
+// temporary, and returns the number of nodes added. Re-augmenting an
+// augmented query adds nothing.
 func (pl *Plan) Augment(p *pattern.Pattern) int {
 	return pl.AugmentTraced(p, nil)
 }
 
-// AugmentTraced is Augment recording the chase into tr, exactly like
-// chase.AugmentTraced. tr may be nil.
+// AugmentTraced is Augment recording the chase into tr: the elapsed time
+// under the Chase phase and the witness count under the Augmented
+// counter. tr may be nil.
 func (pl *Plan) AugmentTraced(p *pattern.Pattern, tr *trace.Trace) int {
 	sp := tr.Start(trace.Chase)
 	added := pl.augment(p)
@@ -344,8 +346,8 @@ type typeSpec struct {
 	extras []pattern.Type // temporary co-occurrence types of a fresh witness
 	// children is the resolved chain below a fresh witness of the type:
 	// child targets then descendant targets, mirroring instantiation
-	// order of the per-call templates.
-	children []ChainChild
+	// order of the per-call chase (internal/oracle).
+	children []chainChild
 	// nodes and extrasTotal size the chain below one witness of the type:
 	// nodes added and extra-type associations (excluding the witness's
 	// own extras), so attach can arena-allocate in one batch.
@@ -355,21 +357,13 @@ type typeSpec struct {
 
 var emptySpec = &typeSpec{}
 
-// ChainChild is one compiled witness-chain edge: a witness spawns a
-// temporary child of this type over this edge kind, with Children
-// continuing the chain.
-type ChainChild struct {
-	Edge pattern.EdgeKind
-	Type pattern.Type
+// chainChild is one compiled witness-chain edge: a witness spawns a
+// temporary child of this type over this edge kind, with sub continuing
+// the chain.
+type chainChild struct {
+	edge pattern.EdgeKind
+	typ  pattern.Type
 	sub  *typeSpec
-}
-
-// Children returns the chain below this witness child.
-func (c ChainChild) Children() []ChainChild {
-	if c.sub == nil {
-		return nil
-	}
-	return c.sub.children
 }
 
 func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
@@ -429,10 +423,10 @@ func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
 				}
 			}
 			for _, b := range s.childT {
-				s.children = append(s.children, ChainChild{Edge: pattern.Child, Type: b, sub: build(b)})
+				s.children = append(s.children, chainChild{edge: pattern.Child, typ: b, sub: build(b)})
 			}
 			for _, b := range s.descT {
-				s.children = append(s.children, ChainChild{Edge: pattern.Descendant, Type: b, sub: build(b)})
+				s.children = append(s.children, chainChild{edge: pattern.Descendant, typ: b, sub: build(b)})
 			}
 			for _, c := range s.children {
 				s.nodes++
@@ -459,26 +453,6 @@ func (in *Instance) specOf(t pattern.Type) *typeSpec {
 	return emptySpec
 }
 
-// Targets returns the witness targets a real node carrying types ts
-// spawns — the plan-side equivalent of WitnessTargets(cs, ts, wanted,
-// deep). Single-type nodes hit the precompiled tables; multi-type nodes
-// route through the shared kernel. The returned slices are shared and
-// must not be modified.
-func (in *Instance) Targets(ts []pattern.Type) (childT, descT []pattern.Type) {
-	if len(ts) == 1 {
-		s := in.specOf(ts[0])
-		return s.childT, s.descT
-	}
-	return WitnessTargets(in.plan.cs, ts, in.wanted, in.plan.deep)
-}
-
-// ChainChildren returns the compiled chain below a fresh witness of type
-// t: what the witness is guaranteed to exhibit, in instantiation order.
-// Empty unless the plan grows chains (acyclic-required sets).
-func (in *Instance) ChainChildren(t pattern.Type) []ChainChild {
-	return in.specOf(t).children
-}
-
 // newTarget is one witness to create at a real node during attach.
 type newTarget struct {
 	edge pattern.EdgeKind
@@ -488,9 +462,9 @@ type newTarget struct {
 
 // attach creates the missing temporary witnesses for the given targets
 // under n, instantiating each witness's chain from the compiled spec in
-// one arena batch, and returns the number of nodes added. It preserves
-// ensureTempChild's idempotency: targets already witnessed by an
-// existing temporary child are skipped (the scan runs only when n has
+// one arena batch, and returns the number of nodes added. It keeps the
+// chase idempotent: targets already witnessed by an existing temporary
+// child are skipped (the scan runs only when n has
 // temporary children at all — a freshly cloned query has none).
 func (in *Instance) attach(n *pattern.Node, childT, descT []pattern.Type) int {
 	hasTemp := false
@@ -584,7 +558,7 @@ func (ar *arena) emit(w *pattern.Node, sp *typeSpec) int {
 	for i, c := range sp.children {
 		cw := &ar.nodes[ar.ni]
 		ar.ni++
-		cw.Type, cw.Temp, cw.Edge, cw.Parent = c.Type, true, c.Edge, w
+		cw.Type, cw.Temp, cw.Edge, cw.Parent = c.typ, true, c.edge, w
 		kids[i] = cw
 		added++
 		if c.sub != nil {

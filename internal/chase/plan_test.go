@@ -10,100 +10,6 @@ import (
 	"tpq/internal/trace"
 )
 
-// planCases are (query, constraint-set) pairs spanning the augmentation
-// features: plain child/desc witnesses, co-occurrence, chained witness
-// growth, coverage pruning on deep sets, and cyclic sets kept shallow.
-var planCases = []struct {
-	name  string
-	query string
-	cons  []ics.Constraint
-}{
-	{"fig2j", "Articles/Article*[//Paragraph, /Section//Paragraph]",
-		[]ics.Constraint{ics.Desc("Section", "Paragraph")}},
-	{"co", "Organization*[/Employee/Project, /PermEmp/DBproject]",
-		[]ics.Constraint{ics.Co("PermEmp", "Employee"), ics.Co("DBproject", "Project")}},
-	{"chain", "a*[/b, /c]",
-		[]ics.Constraint{ics.Child("a", "b"), ics.Child("b", "c"), ics.Child("c", "d")}},
-	{"prune", "a*/b",
-		[]ics.Constraint{ics.Child("a", "b"), ics.Desc("a", "c"), ics.Child("b", "c")}},
-	{"cyclic", "a*/b",
-		[]ics.Constraint{ics.Child("a", "b"), ics.Child("b", "a")}},
-	{"mixed", "r*[/a[/b], //c]",
-		[]ics.Constraint{ics.Child("a", "x"), ics.Desc("c", "y"), ics.Co("b", "c"), ics.Child("c", "z")}},
-	{"empty", "a*/b", nil},
-}
-
-// dump serializes everything augmentation can touch, so equal dumps mean
-// the plan reproduced the per-call chase verbatim (order included).
-func dump(p *pattern.Pattern) string {
-	var out string
-	var rec func(n *pattern.Node)
-	rec = func(n *pattern.Node) {
-		out += fmt.Sprintf("%v%s{%v|%v}", n.Edge, n.Type, n.Extra, n.TempExtra)
-		if n.Temp {
-			out += "~"
-		}
-		out += "("
-		for _, c := range n.Children {
-			rec(c)
-		}
-		out += ")"
-	}
-	rec(p.Root)
-	return out
-}
-
-func TestPlanAugmentMatchesPerCall(t *testing.T) {
-	for _, tc := range planCases {
-		t.Run(tc.name, func(t *testing.T) {
-			cs := ics.NewSet(tc.cons...).Closure()
-			ref := pattern.MustParse(tc.query)
-			refAdded := Augment(ref, cs)
-
-			pl := Compile(cs)
-			got := pattern.MustParse(tc.query)
-			gotAdded := pl.Augment(got)
-
-			if refAdded != gotAdded {
-				t.Fatalf("plan added %d nodes, per-call added %d", gotAdded, refAdded)
-			}
-			if d, r := dump(got), dump(ref); d != r {
-				t.Fatalf("plan output differs\n plan: %s\n call: %s", d, r)
-			}
-			if err := got.Validate(); err != nil {
-				t.Errorf("plan output invalid: %v", err)
-			}
-			// Idempotent: a second pass over already-augmented input is a
-			// no-op, structurally too.
-			if extra := pl.Augment(got); extra != 0 {
-				t.Errorf("re-augmenting added %d nodes", extra)
-			}
-			if d := dump(got); d != dump(ref) {
-				t.Errorf("re-augmenting changed the pattern: %s", d)
-			}
-		})
-	}
-}
-
-func TestPlanWantedMatchesPerCall(t *testing.T) {
-	for _, tc := range planCases {
-		t.Run(tc.name, func(t *testing.T) {
-			cs := ics.NewSet(tc.cons...).Closure()
-			base := pattern.MustParse(tc.query).TypeSet()
-			ref := WantedWitnessTypes(cs, base)
-			got := Compile(cs).Wanted(base)
-			if len(ref) != len(got) {
-				t.Fatalf("wanted = %v, per-call %v", got, ref)
-			}
-			for ty := range ref {
-				if !got[ty] {
-					t.Fatalf("wanted missing %q: got %v, want %v", ty, got, ref)
-				}
-			}
-		})
-	}
-}
-
 func TestRegistryHitsAndEviction(t *testing.T) {
 	reg := NewRegistry(2)
 	sets := []*ics.Set{
@@ -127,39 +33,6 @@ func TestRegistryHitsAndEviction(t *testing.T) {
 	}
 	if st := reg.Stats(); st.Compiled != 4 {
 		t.Errorf("recompile not counted: %+v", st)
-	}
-}
-
-func TestRegistryFingerprintIsolation(t *testing.T) {
-	// Same types, different constraints: the plans must not alias.
-	reg := NewRegistry(8)
-	a := ics.NewSet(ics.Child("a", "b")).Closure()
-	b := ics.NewSet(ics.Desc("a", "b")).Closure()
-	pa, pb := reg.PlanFor(a), reg.PlanFor(b)
-	if pa == pb {
-		t.Fatal("distinct constraint sets shared a plan")
-	}
-	if pa.Fingerprint() == pb.Fingerprint() {
-		t.Fatalf("distinct constraint sets shared fingerprint %q", pa.Fingerprint())
-	}
-	// Each plan must still agree with its own per-call oracle, and the two
-	// outputs must differ (a child witness vs a descendant witness).
-	qa := pattern.MustParse("a*//b")
-	pa.Augment(qa)
-	refA := pattern.MustParse("a*//b")
-	Augment(refA, a)
-	if dump(qa) != dump(refA) {
-		t.Errorf("child plan diverged from oracle:\n plan: %s\n call: %s", dump(qa), dump(refA))
-	}
-	qb := pattern.MustParse("a*//b")
-	pb.Augment(qb)
-	refB := pattern.MustParse("a*//b")
-	Augment(refB, b)
-	if dump(qb) != dump(refB) {
-		t.Errorf("desc plan diverged from oracle:\n plan: %s\n call: %s", dump(qb), dump(refB))
-	}
-	if dump(qa) == dump(qb) {
-		t.Error("plans for distinct constraint sets produced identical augmentations")
 	}
 }
 
@@ -191,8 +64,8 @@ func TestRegistryConcurrent(t *testing.T) {
 				}
 				q := pattern.MustParse("a*[/b, //m]")
 				ref := pattern.MustParse("a*[/b, //m]")
-				if got, want := pl.Augment(q), Augment(ref, cs); got != want {
-					t.Errorf("plan added %d, per-call %d", got, want)
+				if got, want := pl.Augment(q), Compile(cs).Augment(ref); got != want {
+					t.Errorf("registry plan added %d, fresh plan %d", got, want)
 					return
 				}
 			}

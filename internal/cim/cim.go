@@ -26,6 +26,10 @@
 // requirements — a mapped node's temporary children do not constrain the
 // mapping, because the integrity constraints that created them hold at any
 // image — and they are never candidates for elimination.
+//
+// The package has one implementation of the test, the incremental engine
+// of incremental.go. The nested-map reference it is checked against, and
+// the naive CIM of the ablation figures, live in internal/oracle.
 package cim
 
 import (
@@ -42,9 +46,9 @@ type Stats struct {
 	Removed int
 	// Tests is the number of leaf-redundancy tests executed.
 	Tests int
-	// TablesBuilt counts full images-table constructions: one per test for
-	// the from-scratch kernels, one per master build (initial plus
-	// compactions) for the incremental engine.
+	// TablesBuilt counts full images-table constructions: one per master
+	// build of the incremental engine (initial plus compactions), one per
+	// test for the nested-map reference kernel in internal/oracle.
 	TablesBuilt int
 	// TablesDerived counts per-leaf tables the incremental engine derived
 	// from a master by interval masking instead of rebuilding. The
@@ -77,26 +81,7 @@ type Options struct {
 	// this to exercise different maximal elimination orderings.
 	Order map[*pattern.Node]int
 
-	// Naive disables the "non-redundant stays non-redundant" memoization
-	// (enhancement 1 of Section 4): after every deletion all leaves are
-	// reconsidered. Quadratically more redundancy tests; kept as the
-	// ablation baseline.
-	Naive bool
-
-	// MapTables switches the leaf-redundancy test to the original
-	// nested-map images tables instead of the dense integer-indexed bitset
-	// kernels. Kept as the cross-validation oracle and ablation baseline;
-	// results are identical (the property tests assert it), only slower.
-	MapTables bool
-
-	// Scratch switches to the per-test from-scratch dense kernel: exec
-	// index and image matrix rebuilt for every candidate leaf. Kept as the
-	// cross-validation oracle and ablation baseline for the default
-	// incremental engine, which builds the master state once per run and
-	// derives each per-leaf table from it.
-	Scratch bool
-
-	// Arena, if non-nil, supplies the bitset rows of the dense kernels.
+	// Arena, if non-nil, supplies the bitset rows of the images tables.
 	// The batch minimizer gives each worker its own arena; nil falls back
 	// to a package-level shared arena.
 	Arena *bitset.Arena
@@ -117,11 +102,9 @@ func Minimize(p *pattern.Pattern) *pattern.Pattern {
 
 // MinimizeInPlace removes every redundant node of p and returns statistics
 // about the run. The output node and temporary nodes are never removed
-// (temporary subtrees hanging under a removed node go with it).
-//
-// By default the run uses the incremental images-table engine (master
-// state built once, per-leaf tables derived); Options.Scratch and
-// Options.MapTables select the per-test oracle kernels instead.
+// (temporary subtrees hanging under a removed node go with it). The run
+// uses the incremental images-table engine: master state built once,
+// per-leaf tables derived from it (see incremental.go).
 func MinimizeInPlace(p *pattern.Pattern, opts Options) (st Stats) {
 	start := time.Now()
 	defer func() {
@@ -132,26 +115,6 @@ func MinimizeInPlace(p *pattern.Pattern, opts Options) (st Stats) {
 	if p == nil || p.Root == nil {
 		return st
 	}
-
-	if opts.MapTables || opts.Scratch {
-		wl := newWorklist(p, opts.Order)
-		for l := wl.pop(); l != nil; l = wl.pop() {
-			st.Tests++
-			if redundantLeaf(p, l, &st, opts) {
-				parent := l.Parent
-				removeWithTemps(l)
-				st.Removed++
-				wl.noteRemoved(parent)
-				if opts.Naive {
-					wl.reviveMarked()
-				}
-			} else {
-				wl.markNonRedundant(l)
-			}
-		}
-		return st
-	}
-
 	e := NewEngine(p, opts)
 	defer e.Close()
 	for l := e.Pop(); l != nil; l = e.Pop() {
@@ -169,51 +132,12 @@ func MinimizeInPlace(p *pattern.Pattern, opts Options) (st Stats) {
 }
 
 // RedundantLeaf reports whether l — an effective leaf of p (no permanent
-// children) — is redundant. It is the entry point of Figure 3.
+// children) — is redundant. It is the entry point of Figure 3, run on a
+// one-shot engine.
 func RedundantLeaf(p *pattern.Pattern, l *pattern.Node) bool {
-	var st Stats
-	return redundantLeaf(p, l, &st, Options{})
-}
-
-// redundantLeaf dispatches a standalone leaf-redundancy test to the
-// from-scratch dense kernel or, under Options.MapTables, to the original
-// nested-map implementation. (The default minimization path does not go
-// through here — it derives per-leaf tables from the run's master state;
-// see incremental.go.)
-func redundantLeaf(p *pattern.Pattern, l *pattern.Node, st *Stats, opts Options) bool {
-	if opts.MapTables {
-		return redundantLeafMap(p, l, st)
-	}
-	return redundantLeafDense(p, l, st, opts.Arena)
-}
-
-// nextCandidate picks the best-ranked effective leaf that is still worth
-// testing: not the output node, not temporary, not known non-redundant.
-// It re-walks the whole pattern per call; the minimization loops use the
-// maintained worklist instead, and this walk is kept as the ordering
-// oracle the worklist tests compare against.
-func nextCandidate(p *pattern.Pattern, nonRedundant map[*pattern.Node]bool, order map[*pattern.Node]int) *pattern.Node {
-	var best *pattern.Node
-	bestRank := int(^uint(0) >> 1)
-	pos := 0
-	p.Walk(func(n *pattern.Node) {
-		pos++
-		if n.Star || n.Temp || nonRedundant[n] || !effectiveLeaf(n) {
-			return
-		}
-		rank := pos
-		if order != nil {
-			if r, ok := order[n]; ok {
-				rank = r
-			} else {
-				rank = pos + 1<<20
-			}
-		}
-		if best == nil || rank < bestRank {
-			best, bestRank = n, rank
-		}
-	})
-	return best
+	e := NewEngine(p, Options{})
+	defer e.Close()
+	return e.Test(l)
 }
 
 // effectiveLeaf reports whether n has no permanent children. Temporary
@@ -226,147 +150,4 @@ func effectiveLeaf(n *pattern.Node) bool {
 		}
 	}
 	return true
-}
-
-// removeWithTemps detaches n (and therefore any temporary children it still
-// carries) from the pattern.
-func removeWithTemps(n *pattern.Node) { n.Detach() }
-
-// labelCompatible mirrors containment.labelCompatible — type-set inclusion
-// plus one-directional output preservation — except that only u's required
-// types count: extra types added by augmentation are consequences of the
-// integrity constraints, guaranteed at any image of u, so they must not
-// narrow u's image set (they still widen v's capability side).
-func labelCompatible(u, v *pattern.Node) bool {
-	if u.Star && !v.Star {
-		return false
-	}
-	return u.RequiredTypesSubsetOf(v) && v.CondsEntail(u)
-}
-
-// redundantLeafMap is Figure 3 with the enhancements of Section 4, on the
-// original nested-map images tables (see dense.go for the default dense
-// kernel).
-func redundantLeafMap(p *pattern.Pattern, l *pattern.Node, st *Stats) bool {
-	tStart := time.Now()
-	st.TablesBuilt++
-	idx := pattern.NewIndex(p)
-
-	// Initialize the images tables. images(l) excludes l itself and any
-	// node of l's temporary subtree (the endomorphism must avoid what is
-	// being deleted); every other permanent node gets all label-compatible
-	// nodes, temporaries included.
-	images := make(map[*pattern.Node]map[*pattern.Node]bool, len(idx.Order))
-	ownTemp := make(map[*pattern.Node]bool)
-	for _, m := range l.Children {
-		markSubtree(m, ownTemp)
-	}
-	for _, v := range idx.Order {
-		if v.Temp {
-			continue // temporaries are never requirements; no images needed
-		}
-		set := make(map[*pattern.Node]bool)
-		for _, m := range idx.Order {
-			if v == l && (m == l || ownTemp[m]) {
-				continue
-			}
-			if labelCompatible(v, m) {
-				set[m] = true
-			}
-		}
-		images[v] = set
-	}
-	st.TablesTime += time.Since(tStart)
-
-	if len(images[l]) == 0 {
-		return false
-	}
-
-	marked := map[*pattern.Node]bool{l: true}
-	for v := l.Parent; v != nil; v = v.Parent {
-		minimizeImages(v, images, marked, idx)
-		if len(images[v]) == 0 {
-			return false
-		}
-		if v != p.Root && images[v][v] {
-			// subtree(v) maps into itself with v fixed; extend with the
-			// identity outside subtree(v).
-			return true
-		}
-	}
-	return len(images[p.Root]) > 0
-}
-
-func markSubtree(n *pattern.Node, set map[*pattern.Node]bool) {
-	set[n] = true
-	for _, c := range n.Children {
-		markSubtree(c, set)
-	}
-}
-
-// minimizeImages prunes the image sets of v's (permanent) descendants and
-// then of v itself, marking processed nodes so shared work is not repeated
-// across the upward walk.
-func minimizeImages(v *pattern.Node, images map[*pattern.Node]map[*pattern.Node]bool, marked map[*pattern.Node]bool, idx *pattern.Index) {
-	if marked[v] {
-		return
-	}
-	reqs := requirements(v)
-	if len(reqs) == 0 {
-		marked[v] = true
-		return
-	}
-	for _, u := range reqs {
-		minimizeImages(u, images, marked, idx)
-	}
-	set := images[v]
-	for s := range set {
-		for _, u := range reqs {
-			if !hasImageUnder(u, s, images[u], idx) {
-				delete(set, s)
-				break
-			}
-		}
-	}
-	marked[v] = true
-}
-
-// requirements returns v's permanent children — the constraints an image
-// of v must satisfy.
-func requirements(v *pattern.Node) []*pattern.Node {
-	reqs := v.Children
-	for _, c := range v.Children {
-		if c.Temp {
-			reqs = nil
-			break
-		}
-	}
-	if reqs != nil {
-		return reqs
-	}
-	for _, c := range v.Children {
-		if !c.Temp {
-			reqs = append(reqs, c)
-		}
-	}
-	return reqs
-}
-
-// hasImageUnder reports whether child u of the pattern has a surviving
-// image correctly related to the candidate image s of u's parent.
-func hasImageUnder(u *pattern.Node, s *pattern.Node, uImages map[*pattern.Node]bool, idx *pattern.Index) bool {
-	if u.Edge == pattern.Child {
-		for _, m := range s.Children {
-			if m.Edge == pattern.Child && uImages[m] {
-				return true
-			}
-		}
-		return false
-	}
-	for m := range uImages {
-		if idx.IsDescendant(m, s) {
-			return true
-		}
-	}
-	return false
 }

@@ -163,23 +163,6 @@ func TestMEOOrderIndependence(t *testing.T) {
 	}
 }
 
-func TestNaiveMatchesFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	types := []pattern.Type{"a", "b", "c"}
-	for i := 0; i < 100; i++ {
-		q := randomQuery(rng, 1+rng.Intn(8), types)
-		fast := Minimize(q)
-		naiveClone := q.Clone()
-		st := MinimizeInPlace(naiveClone, Options{Naive: true})
-		if !pattern.Isomorphic(fast, naiveClone) {
-			t.Fatalf("iter %d: naive and fast disagree on %s", i, q)
-		}
-		if st.TotalTime < st.TablesTime {
-			t.Fatal("stats: tables time exceeds total time")
-		}
-	}
-}
-
 func TestStatsCounts(t *testing.T) {
 	q := mp("a*[/b, /b, /b]")
 	clone := q.Clone()

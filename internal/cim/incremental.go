@@ -8,15 +8,26 @@ import (
 	"tpq/internal/pattern"
 )
 
-// This file is the incremental images-table engine: the run-scoped twin of
-// the per-test kernel in dense.go.
+// This file is the images-table engine of Figure 3, built once per run
+// and updated incrementally.
 //
-// The per-test kernel rebuilds the exec index, the per-type membership
-// bitsets and the whole image matrix from scratch for every candidate
-// leaf, although a failed test leaves the pattern untouched and a
-// successful removal only clears one contiguous preorder interval. The
-// engine instead builds a *master* state once per run: the exec index,
-// the type/star membership rows, and the fully pruned image rows of the
+// The pattern is exec-indexed (dense preorder IDs, subtree intervals,
+// per-label candidate lists — no node-keyed hash maps) and the images
+// tables are one flat bit matrix with a row per *permanent* pattern node,
+// each row a bitset over all node IDs. Temporary witness nodes — the
+// overwhelming majority of an augmented query — appear only as columns:
+// they may serve as images but are never requirements, so they need no
+// rows. A node's initial image row is the word-parallel AND of the
+// per-type membership rows of its required types; a d-child's "has an
+// image below s" check is a single IntersectsRange probe. Children are
+// enumerated by interval walking (first child of i is i+1, the next
+// sibling of c starts at SubtreeEnd(c)+1).
+//
+// A failed test leaves the pattern untouched and a successful removal
+// only clears one contiguous preorder interval, so rebuilding the tables
+// per candidate leaf would repeat almost all of the work. The engine
+// instead builds a *master* state once per run: the exec index, the
+// type/star membership rows, and the fully pruned image rows of the
 // unconstrained pattern — the greatest fixpoint of the Figure 3 pruning
 // step with no leaf excluded. Because the pruning dependency is strictly
 // child-to-parent and children occupy larger preorder IDs, one
@@ -58,10 +69,8 @@ import (
 // Candidates/Test/Commit for screening), and Close when done to return
 // the master state to the arena.
 type Engine struct {
-	p     *pattern.Pattern
-	a     *bitset.Arena
-	wl    *worklist
-	naive bool
+	a  *bitset.Arena
+	wl *worklist
 
 	idx      *pattern.Index
 	n        int                         // ordinal count, including tombstones
@@ -87,7 +96,7 @@ func NewEngine(p *pattern.Pattern, opts Options) *Engine {
 	if a == nil {
 		a = &defaultArena
 	}
-	e := &Engine{p: p, a: a, naive: opts.Naive}
+	e := &Engine{a: a}
 	e.wl = newWorklist(p, opts.Order)
 	e.build(pattern.NewExecIndex(p))
 	return e
@@ -271,9 +280,8 @@ func (e *Engine) Test(l *pattern.Node) bool {
 }
 
 // MarkNonRedundant records a negative verdict: l leaves the candidate
-// pool for good (enhancement 1 of Section 4 — unless the engine runs in
-// Naive mode, where the next removal revives it).
-func (e *Engine) MarkNonRedundant(l *pattern.Node) { e.wl.markNonRedundant(l) }
+// pool for good (enhancement 1 of Section 4).
+func (e *Engine) MarkNonRedundant(l *pattern.Node) { e.wl.drop(l) }
 
 // Remove commits a removal whose verdict the caller knows to be current
 // (the sequential loop calls it right after Test; the screening round may
@@ -282,12 +290,9 @@ func (e *Engine) MarkNonRedundant(l *pattern.Node) { e.wl.markNonRedundant(l) }
 func (e *Engine) Remove(l *pattern.Node) {
 	lid := e.id[l]
 	parent := l.Parent
-	removeWithTemps(l)
+	l.Detach() // temporary children go with it
 	e.wl.drop(l)
 	e.wl.noteRemoved(parent)
-	if e.naive {
-		e.wl.reviveMarked()
-	}
 	e.removed++
 	e.patch(lid)
 }
@@ -412,3 +417,32 @@ func (e *Engine) releaseState() {
 // Close returns the engine's storage to the arena. The engine must not be
 // used afterwards.
 func (e *Engine) Close() { e.releaseState() }
+
+// defaultArena recycles images-table storage across minimization runs
+// when the caller does not supply an arena.
+var defaultArena bitset.Arena
+
+func typeIn(ts []pattern.Type, t pattern.Type) bool {
+	for _, x := range ts {
+		if x == t {
+			return true
+		}
+	}
+	return false
+}
+
+// hasImageUnderDense reports whether the pattern child with ID ci (edge
+// kind given) has a surviving image correctly related to the candidate
+// image with ID si of its parent.
+func hasImageUnderDense(edge pattern.EdgeKind, ci, si int, cImages bitset.Set, idx *pattern.Index) bool {
+	end := idx.SubtreeEnd(si)
+	if edge == pattern.Child {
+		for wi := si + 1; wi <= end; wi = idx.SubtreeEnd(wi) + 1 {
+			if idx.NodeAt(wi).Edge == pattern.Child && cImages.Has(wi) {
+				return true
+			}
+		}
+		return false
+	}
+	return cImages.IntersectsRange(si+1, end)
+}

@@ -9,68 +9,29 @@ import (
 	"tpq/internal/pattern"
 )
 
-// TestIncrementalPropertySweep is the difffuzz-style cross-validation of
-// the incremental engine: over >=1k random queries (half of them
-// augmented), the incremental, from-scratch dense, and nested-map kernels
-// must produce identical final patterns and identical Removed/Tests
-// counts, and the incremental run must have built exactly as many master
-// tables as compactions required while deriving one table per test.
-func TestIncrementalPropertySweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 1200; trial++ {
-		q := genquery.Random(rng, 1+rng.Intn(14), 3)
-		if trial%2 == 1 {
-			cs := genquery.RandomConstraints(rng, 4, 3).Closure()
-			chase.Augment(q, cs)
-		}
-		inc := q.Clone()
-		stInc := MinimizeInPlace(inc, Options{})
-		scr := q.Clone()
-		stScr := MinimizeInPlace(scr, Options{Scratch: true})
-		mp := q.Clone()
-		stMap := MinimizeInPlace(mp, Options{MapTables: true})
-
-		if inc.String() != scr.String() || inc.String() != mp.String() {
-			t.Fatalf("trial %d: outputs differ\ninput = %s\nincr  = %s\nscratch = %s\nmap   = %s",
-				trial, q, inc, scr, mp)
-		}
-		if stInc.Removed != stScr.Removed || stInc.Tests != stScr.Tests ||
-			stInc.Removed != stMap.Removed || stInc.Tests != stMap.Tests {
-			t.Fatalf("trial %d: stats differ: incr removed=%d tests=%d, scratch removed=%d tests=%d, map removed=%d tests=%d",
-				trial, stInc.Removed, stInc.Tests, stScr.Removed, stScr.Tests, stMap.Removed, stMap.Tests)
-		}
-		if stInc.TablesDerived != stInc.Tests {
-			t.Fatalf("trial %d: incremental derived %d tables for %d tests", trial, stInc.TablesDerived, stInc.Tests)
-		}
-		if stInc.Tests > 0 && stInc.TablesBuilt < 1 {
-			t.Fatalf("trial %d: incremental run built no master", trial)
-		}
-		if stScr.TablesBuilt != stScr.Tests || stScr.TablesDerived != 0 {
-			t.Fatalf("trial %d: scratch accounting built=%d derived=%d for %d tests",
-				trial, stScr.TablesBuilt, stScr.TablesDerived, stScr.Tests)
-		}
-	}
-}
-
-// TestIncrementalVerdictsMatchScratch checks the per-leaf verdicts of one
-// shared master against the from-scratch kernels on augmented queries —
-// the derived-table walk against the full Figure 3 rebuild — without any
-// removals in between.
+// TestIncrementalVerdictsMatchScratch checks the derived per-leaf
+// verdicts of a patched master against verdicts from a master built from
+// scratch over the mutated pattern: after every removal of a random
+// schedule on augmented queries, each remaining candidate must get the
+// same verdict from the run's engine as from a one-shot RedundantLeaf.
 func TestIncrementalVerdictsMatchScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 250; trial++ {
 		q := genquery.Random(rng, 2+rng.Intn(10), 3)
 		cs := genquery.RandomConstraints(rng, 4, 3).Closure()
-		chase.Augment(q, cs)
+		chase.Compile(cs).Augment(q)
 		e := NewEngine(q, Options{})
-		for _, l := range e.Candidates() {
-			var stD, stM Stats
-			got := e.Test(l)
-			dense := redundantLeafDense(q, l, &stD, nil)
-			mp := redundantLeafMap(q, l, &stM)
-			if got != dense || got != mp {
-				t.Fatalf("trial %d: verdict differs for leaf %s: incr=%v dense=%v map=%v\nquery = %s",
-					trial, l.Type, got, dense, mp, q)
+		for l := e.Pop(); l != nil; l = e.Pop() {
+			for _, c := range e.Candidates() {
+				if got, want := e.Test(c), RedundantLeaf(q, c); got != want {
+					t.Fatalf("trial %d: verdict differs for leaf %s: incr=%v scratch=%v\nquery = %s",
+						trial, c.Type, got, want, q)
+				}
+			}
+			if e.Test(l) {
+				e.Remove(l)
+			} else {
+				e.MarkNonRedundant(l)
 			}
 		}
 		e.Close()
@@ -150,8 +111,7 @@ func TestFailedTestThenDistantRemoval(t *testing.T) {
 
 	// And the remaining verdicts still agree with a from-scratch test.
 	for _, l := range e.Candidates() {
-		var st Stats
-		if got, want := e.Test(l), redundantLeafDense(q, l, &st, nil); got != want {
+		if got, want := e.Test(l), RedundantLeaf(q, l); got != want {
 			t.Fatalf("verdict for %s after patch: incr=%v scratch=%v", l.Type, got, want)
 		}
 	}
@@ -169,7 +129,7 @@ func TestMasterConsistentAfterRandomRuns(t *testing.T) {
 		q := genquery.Random(rng, 4+rng.Intn(12), 3)
 		if trial%2 == 1 {
 			cs := genquery.RandomConstraints(rng, 3, 3).Closure()
-			chase.Augment(q, cs)
+			chase.Compile(cs).Augment(q)
 		}
 		e := NewEngine(q, Options{})
 		for l := e.Pop(); l != nil; l = e.Pop() {
@@ -181,55 +141,5 @@ func TestMasterConsistentAfterRandomRuns(t *testing.T) {
 			}
 		}
 		e.Close()
-	}
-}
-
-// TestWorklistMatchesWalkOracle replays random minimization traces and
-// asserts that the maintained worklist pops candidates in exactly the
-// order the old full-pattern walk (nextCandidate, kept as the oracle)
-// would pick them — with and without an explicit Order map, and across
-// Naive-style revivals.
-func TestWorklistMatchesWalkOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 400; trial++ {
-		q := genquery.Random(rng, 2+rng.Intn(12), 3)
-		if trial%3 == 2 {
-			cs := genquery.RandomConstraints(rng, 3, 3).Closure()
-			chase.Augment(q, cs)
-		}
-		var order map[*pattern.Node]int
-		if trial%2 == 1 {
-			order = make(map[*pattern.Node]int)
-			q.Walk(func(n *pattern.Node) {
-				if rng.Intn(2) == 0 {
-					order[n] = rng.Intn(1000)
-				}
-			})
-		}
-		naive := trial%5 == 0
-		wl := newWorklist(q, order)
-		nonRed := make(map[*pattern.Node]bool)
-		for step := 0; ; step++ {
-			want := nextCandidate(q, nonRed, order)
-			got := wl.pop()
-			if got != want {
-				t.Fatalf("trial %d step %d: worklist popped %v, walk picked %v", trial, step, got, want)
-			}
-			if got == nil {
-				break
-			}
-			if rng.Intn(2) == 0 { // pretend redundant: remove it
-				parent := got.Parent
-				got.Detach()
-				wl.noteRemoved(parent)
-				if naive {
-					nonRed = make(map[*pattern.Node]bool)
-					wl.reviveMarked()
-				}
-			} else {
-				nonRed[got] = true
-				wl.markNonRedundant(got)
-			}
-		}
 	}
 }

@@ -7,28 +7,27 @@ import (
 )
 
 // worklist maintains the candidate leaves of a minimization run so the
-// next candidate is picked without re-walking the whole pattern (the old
-// nextCandidate walk is O(augmented size) per iteration — dominated by
-// temporary witness subtrees that can never contain a candidate — and is
-// kept as the ordering oracle for this worklist's tests).
+// next candidate is picked without re-walking the whole pattern (a walk is
+// O(augmented size) per pick, dominated by temporary witness subtrees that
+// can never contain a candidate). internal/oracle's NextCandidate is that
+// walk, kept as the reference for this order.
 //
 // A node is a candidate when it is an effective leaf (no permanent
 // children), permanent, not an output node, and not yet proven
-// non-redundant. Candidates leave the list when popped; a node enters
-// after construction only when the removal of its last permanent child
-// turns it into an effective leaf — which the caller reports via
+// non-redundant. Candidates leave the list when popped or dropped; a node
+// enters after construction only when the removal of its last permanent
+// child turns it into an effective leaf — which the caller reports via
 // noteRemoved.
 //
-// Ranking matches nextCandidate: the node's preorder position, or its
-// entry in the Options.Order map with unmapped nodes ranked after every
-// mapped one (assuming, as every caller does, order values below 1<<20).
-// Preorder positions are assigned once at construction; deletions keep
-// the relative order of survivors, which is all min-rank selection needs.
+// The rank is the node's preorder position, or its entry in the
+// Options.Order map with unmapped nodes ranked after every mapped one
+// (assuming, as every caller does, order values below 1<<20). Preorder
+// positions are assigned once at construction; deletions keep the
+// relative order of survivors, which is all min-rank selection needs.
 type worklist struct {
-	order  map[*pattern.Node]int
-	pos    map[*pattern.Node]int // 1-based preorder position at construction
-	items  []*pattern.Node       // current candidates, unordered
-	marked []*pattern.Node       // tested non-redundant, kept for Naive revival
+	order map[*pattern.Node]int
+	pos   map[*pattern.Node]int // 1-based preorder position at construction
+	items []*pattern.Node       // current candidates, unordered
 }
 
 func newWorklist(p *pattern.Pattern, order map[*pattern.Node]int) *worklist {
@@ -61,7 +60,7 @@ func (w *worklist) rank(n *pattern.Node) int {
 }
 
 // pop removes and returns the best-ranked candidate, or nil when none is
-// left. Ties break toward the earlier preorder position, like the walk.
+// left. Ties break toward the earlier preorder position.
 func (w *worklist) pop() *pattern.Node {
 	if len(w.items) == 0 {
 		return nil
@@ -106,14 +105,6 @@ func (w *worklist) drop(n *pattern.Node) {
 	}
 }
 
-// markNonRedundant records that n tested non-redundant: it leaves the
-// candidate pool (enhancement 1: it can never become redundant again) but
-// is remembered so Naive runs can revive it after the next removal.
-func (w *worklist) markNonRedundant(n *pattern.Node) {
-	w.drop(n)
-	w.marked = append(w.marked, n)
-}
-
 // noteRemoved reports that a candidate was removed; parent is the removed
 // node's former parent. If the removal turned the parent into an
 // effective leaf it becomes a candidate now (it cannot have been tested
@@ -122,11 +113,4 @@ func (w *worklist) noteRemoved(parent *pattern.Node) {
 	if parent != nil && candidateLeaf(parent) {
 		w.items = append(w.items, parent)
 	}
-}
-
-// reviveMarked returns every non-redundant-marked node to the candidate
-// pool — the Naive mode's "reconsider everything after each deletion".
-func (w *worklist) reviveMarked() {
-	w.items = append(w.items, w.marked...)
-	w.marked = w.marked[:0]
 }

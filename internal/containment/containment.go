@@ -18,12 +18,11 @@
 // mapping P → Q exists; package tests cross-validate this against
 // brute-force evaluation over canonical databases.
 //
-// Two implementations of the mapping search coexist. FindMapping runs on
-// the integer-indexed execution layer: feasibility rows are bitsets over
-// dense preorder node IDs (package bitset), seeded from the index's
-// per-label candidate lists, with descendant checks answered by one
-// preorder-interval probe per row. FindMappingMap is the original
-// nested-map dynamic program, kept as the cross-validation oracle.
+// FindMapping runs on the integer-indexed execution layer: feasibility
+// rows are bitsets over dense preorder node IDs (package bitset), seeded
+// from the index's per-label candidate lists, with descendant checks
+// answered by one preorder-interval probe per row. The nested-map dynamic
+// program it is checked against is internal/oracle's FindMappingMap.
 package containment
 
 import (
@@ -129,80 +128,6 @@ func pickChildImageDense(edge pattern.EdgeKind, vi int, row bitset.Set, qIdx *pa
 	return row.NextInRange(vi+1, end)
 }
 
-// FindMappingMap is the original nested-map implementation of the mapping
-// search, kept as the oracle the property tests cross-validate the dense
-// kernel against. Worst-case time O(|p|·|q|·(maxFanout·|q|)).
-func FindMappingMap(p, q *pattern.Pattern) Mapping {
-	if p == nil || p.Root == nil || q == nil || q.Root == nil {
-		return nil
-	}
-	qIdx := pattern.NewIndex(q)
-	qNodes := qIdx.Order
-
-	canMap := make(map[*pattern.Node]map[*pattern.Node]bool)
-
-	var compute func(u *pattern.Node)
-	compute = func(u *pattern.Node) {
-		for _, c := range u.Children {
-			compute(c)
-		}
-		row := make(map[*pattern.Node]bool, len(qNodes))
-		for _, v := range qNodes {
-			if !labelCompatible(u, v) {
-				continue
-			}
-			ok := true
-			for _, c := range u.Children {
-				if !childMappable(c, v, canMap[c], qIdx) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				row[v] = true
-			}
-		}
-		canMap[u] = row
-	}
-	compute(p.Root)
-
-	var rootImage *pattern.Node
-	for _, v := range qNodes {
-		if canMap[p.Root][v] {
-			rootImage = v
-			break
-		}
-	}
-	if rootImage == nil {
-		return nil
-	}
-	m := Mapping{p.Root: rootImage}
-	var build func(u *pattern.Node) bool
-	build = func(u *pattern.Node) bool {
-		for _, c := range u.Children {
-			img := pickChildImage(c, m[u], canMap[c], qIdx)
-			if img == nil {
-				return false
-			}
-			m[c] = img
-			if !build(c) {
-				return false
-			}
-		}
-		return true
-	}
-	if !build(p.Root) {
-		return nil
-	}
-	return m
-}
-
-// ExistsMap reports whether a containment mapping exists, using the
-// map-based oracle.
-func ExistsMap(p, q *pattern.Pattern) bool {
-	return FindMappingMap(p, q) != nil
-}
-
 // labelCompatible implements condition (1): type-set inclusion plus output
 // preservation. The output node must map to the output node; a non-output
 // node may map anywhere, including onto the output node. (The paper words
@@ -214,29 +139,6 @@ func labelCompatible(u, v *pattern.Node) bool {
 		return false
 	}
 	return u.TypesSubsetOf(v) && v.CondsEntail(u)
-}
-
-// childMappable reports whether child c of p (with its precomputed row of
-// feasible images) has at least one feasible image correctly related to v.
-func childMappable(c *pattern.Node, v *pattern.Node, row map[*pattern.Node]bool, qIdx *pattern.Index) bool {
-	return pickChildImage(c, v, row, qIdx) != nil
-}
-
-func pickChildImage(c *pattern.Node, v *pattern.Node, row map[*pattern.Node]bool, qIdx *pattern.Index) *pattern.Node {
-	if c.Edge == pattern.Child {
-		for _, w := range v.Children {
-			if w.Edge == pattern.Child && row[w] {
-				return w
-			}
-		}
-		return nil
-	}
-	for w := range row {
-		if qIdx.IsDescendant(w, v) {
-			return w
-		}
-	}
-	return nil
 }
 
 // Verify checks that m is a valid containment mapping from p to q. It is

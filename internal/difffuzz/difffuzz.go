@@ -5,8 +5,8 @@
 // minimal equivalent query — with and without integrity constraints —
 // which makes a perfect oracle: any divergence between two variants, or
 // between a variant and the containment-based equivalence judge, is a bug
-// by construction. No reference implementation or ground-truth corpus is
-// needed.
+// by construction. No ground-truth corpus is needed; the reference
+// kernels of internal/oracle serve oracles 4 and 6.
 //
 // Nine oracles are checked (Check runs the conjunctive eight; CheckOr
 // runs the ninth on disjunctive queries):
@@ -22,12 +22,12 @@
 //  3. Agreement: CDM-then-ACIM yields the same query as ACIM alone
 //     (Theorem 5.3), and CIM is independent of the elimination order
 //     (Theorem 4.1 via the MEO lemmas).
-//  4. Kernels: the dense integer-indexed bitset kernels produce canonical
-//     forms byte-identical to the nested-map oracles, for both the
-//     leaf-redundancy test (cim.Options.MapTables) and the containment
-//     mapping search (containment.FindMappingMap); the incremental
-//     images-table engine agrees with the per-leaf from-scratch dense
-//     kernel (cim.Options.Scratch).
+//  4. Kernels: the production kernels agree with the nested-map
+//     references of internal/oracle. ACIM with the incremental
+//     images-table engine produces a canonical form byte-identical to
+//     ACIM with the reference leaf-redundancy test
+//     (oracle.MinimizeMapInPlace), and the dense containment-mapping
+//     search agrees with oracle.FindMappingMap.
 //  5. Service: the cached, singleflight-deduplicated serving path returns
 //     results isomorphic to a direct engine run — on a cold miss, on a hot
 //     cache hit, with caching disabled, and across a duplicate-heavy batch
@@ -35,7 +35,7 @@
 //  6. Augment: plan-based augmentation (chase.Plan, compiled once per
 //     closed constraint set) produces a pattern structurally identical —
 //     node for node, including Temp marks, temporary extra types, edge
-//     kinds and child order — to the per-call chase.Augment, reports the
+//     kinds and child order — to the per-call oracle.Augment, reports the
 //     same node count and the same wanted-witness set, and stays
 //     idempotent on re-augmentation.
 //  7. Match: the three evaluation engines agree — the streaming
@@ -81,6 +81,7 @@ import (
 	"tpq/internal/ics"
 	"tpq/internal/match"
 	"tpq/internal/match/stream"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 	"tpq/internal/service"
 	"tpq/internal/store"
@@ -111,8 +112,8 @@ func constraintString(cs *ics.Set) string {
 	return cs.String()
 }
 
-func fail(q *pattern.Pattern, cs *ics.Set, oracle, format string, args ...interface{}) *Failure {
-	return &Failure{Oracle: oracle, Detail: fmt.Sprintf(format, args...), Query: q, Constraints: cs}
+func fail(q *pattern.Pattern, cs *ics.Set, name, format string, args ...interface{}) *Failure {
+	return &Failure{Oracle: name, Detail: fmt.Sprintf(format, args...), Query: q, Constraints: cs}
 }
 
 // Check runs the eight conjunctive oracles on q under cs (nil means no
@@ -150,7 +151,7 @@ func CheckAugment(q *pattern.Pattern, cs *ics.Set) *Failure {
 	closed := cs.Closure()
 
 	ref := q.Clone()
-	refAdded := chase.Augment(ref, closed)
+	refAdded := oracle.Augment(ref, closed)
 
 	pl := chase.PlanFor(closed)
 	got := q.Clone()
@@ -179,8 +180,7 @@ func CheckAugment(q *pattern.Pattern, cs *ics.Set) *Failure {
 	}
 
 	// Idempotency: re-augmenting an already-augmented query through the
-	// plan must add nothing (the per-call path guarantees this via
-	// ensureTempChild and AddType).
+	// plan must add nothing, as it adds nothing through the per-call path.
 	if extra := pl.Augment(got); extra != 0 {
 		return fail(q, cs, "augment", "re-augmenting through the plan added %d nodes", extra)
 	}
@@ -243,7 +243,7 @@ func CheckMinimize(q *pattern.Pattern, cs *ics.Set) *Failure {
 	}
 	closed := cs.Closure()
 
-	// Reference run: ACIM alone, dense kernels.
+	// Reference run: ACIM alone, production kernels.
 	out, _ := acim.MinimizeWithStats(q, closed)
 
 	// Structural sanity: the output must be a well-formed query with no
@@ -279,15 +279,6 @@ func CheckMinimize(q *pattern.Pattern, cs *ics.Set) *Failure {
 		return fail(q, cs, "agreement", "CDM+ACIM produced %s, ACIM alone produced %s", both, out)
 	}
 
-	// Oracle 3c: virtual augmentation (§6.1, witnesses only in the images
-	// tables) agrees with physical augmentation. The one-level virtual
-	// witness model silently diverged once physical witnesses became
-	// chains — this oracle pins the two engines together.
-	virt := acim.MinimizeVirtual(q, closed)
-	if !pattern.Isomorphic(out, virt) {
-		return fail(q, cs, "agreement", "physical ACIM produced %s, virtual ACIM produced %s", out, virt)
-	}
-
 	// Oracle 3b: CIM's result is independent of the elimination order
 	// (Theorem 4.1). Reverse the preference among candidate leaves.
 	// Uniqueness is up to type-set isomorphism: either of two mutually
@@ -304,28 +295,20 @@ func CheckMinimize(q *pattern.Pattern, cs *ics.Set) *Failure {
 		return fail(q, cs, "agreement", "CIM order-dependence: forward %s vs reversed %s", forward, reversed)
 	}
 
-	// Oracle 4a: the dense CIM kernel is byte-identical to the nested-map
-	// oracle through the whole ACIM pipeline.
-	mapOut, _ := acim.MinimizeWithOptions(q, closed, cim.Options{MapTables: true})
+	// Oracle 4a: the incremental CIM engine is byte-identical to the
+	// nested-map reference through the whole ACIM pipeline.
+	mapOut, _ := acim.MinimizeWithRunner(q, closed, oracle.MinimizeMapInPlace)
 	if out.Canonical() != mapOut.Canonical() {
-		return fail(q, cs, "kernel", "dense ACIM produced %s, map-tables ACIM produced %s", out, mapOut)
-	}
-
-	// Oracle 4c: the incremental images-table engine (the default kernel,
-	// already in `out`) agrees with the per-leaf from-scratch dense
-	// kernel — master derivation and removal patching vs full rebuilds.
-	scratchOut, _ := acim.MinimizeWithOptions(q, closed, cim.Options{Scratch: true})
-	if out.Canonical() != scratchOut.Canonical() {
-		return fail(q, cs, "kernel", "incremental ACIM produced %s, from-scratch ACIM produced %s", out, scratchOut)
+		return fail(q, cs, "kernel", "incremental ACIM produced %s, map-tables ACIM produced %s", out, mapOut)
 	}
 
 	// Oracle 4b: the dense containment-mapping kernel agrees with the map
-	// oracle in both directions between input and output, and any witness
-	// mapping verifies.
+	// reference in both directions between input and output, and any
+	// witness mapping verifies.
 	for _, pair := range [][2]*pattern.Pattern{{q, out}, {out, q}} {
 		a, b := pair[0], pair[1]
 		dense := containment.FindMapping(a, b)
-		mapped := containment.FindMappingMap(a, b)
+		mapped := oracle.FindMappingMap(a, b)
 		if (dense != nil) != (mapped != nil) {
 			return fail(q, cs, "kernel", "FindMapping(%s, %s): dense found=%v, map found=%v",
 				a, b, dense != nil, mapped != nil)

@@ -96,20 +96,12 @@ func TestRegressEquivalenceJudgeTypeFilter(t *testing.T) {
 		"t0 -> t3", "t2 -> t5", "t2 ~ t1", "t3 ~ t2")
 }
 
-// TestRegressAgreementVirtualWitnessChains: the virtual-augmentation
-// engine (acim.MinimizeVirtual) kept the old one-level witness model
-// after physical witnesses became chains, so it missed the same
-// redundancies the chains expose; virtual witnesses now form chains too
-// and internal query nodes may map onto them. Oracle 3c (checked by
-// Check above) pins the engines together; this also asserts the virtual
-// output directly.
 // TestRegressAgreementVirtualEdgeKind: the first chained virtual-witness
 // model let a child-edge query node map onto a descendant-edge witness of
 // the chain — t1 => t2 only guarantees a t2 somewhere below the t1
-// witness, yet /t1/t2 (child edge) was deemed removable. The chain-local
-// image check now requires matching edge kinds, restoring parity with the
-// physical engine (which hangs the witness on a d-edge a c-edge query
-// node can never map across).
+// witness, yet /t1/t2 (child edge) was deemed removable. Nothing in these
+// queries is redundant; physical augmentation hangs the witness on a
+// d-edge a c-edge query node can never map across.
 func TestRegressAgreementVirtualEdgeKind(t *testing.T) {
 	for _, c := range []struct {
 		q  string
@@ -120,10 +112,8 @@ func TestRegressAgreementVirtualEdgeKind(t *testing.T) {
 	} {
 		q := pattern.MustParse(c.q)
 		cs := ics.MustParseSet(c.cs...).Closure()
-		phys := acim.Minimize(q.Clone(), cs)
-		virt := acim.MinimizeVirtual(q, cs)
-		if !pattern.Isomorphic(phys, virt) {
-			t.Errorf("%s: physical %s, virtual %s", c.q, phys, virt)
+		if got := acim.Minimize(q, cs); !pattern.Isomorphic(got, q) {
+			t.Errorf("acim.Minimize(%s) = %s, want it unchanged", c.q, got)
 		}
 		if f := Check(q, ics.MustParseSet(c.cs...)); f != nil {
 			t.Errorf("oracle %q still fails on %s: %v", f.Oracle, c.q, f)
@@ -131,6 +121,11 @@ func TestRegressAgreementVirtualEdgeKind(t *testing.T) {
 	}
 }
 
+// TestRegressAgreementVirtualWitnessChains: the virtual-augmentation
+// engine (an ACIM variant that kept witnesses only in the images tables)
+// kept the old one-level witness model after physical witnesses became
+// chains, so it missed the redundancies the chains expose. The expected
+// outputs are the chain-aware ones.
 func TestRegressAgreementVirtualWitnessChains(t *testing.T) {
 	for _, c := range []struct {
 		q, want string
@@ -141,9 +136,8 @@ func TestRegressAgreementVirtualWitnessChains(t *testing.T) {
 	} {
 		q := pattern.MustParse(c.q)
 		cs := ics.MustParseSet(c.cs...).Closure()
-		virt := acim.MinimizeVirtual(q, cs)
-		if !pattern.Isomorphic(virt, pattern.MustParse(c.want)) {
-			t.Errorf("MinimizeVirtual(%s) = %s, want %s", c.q, virt, c.want)
+		if got := acim.Minimize(q, cs); !pattern.Isomorphic(got, pattern.MustParse(c.want)) {
+			t.Errorf("acim.Minimize(%s) = %s, want %s", c.q, got, c.want)
 		}
 	}
 }

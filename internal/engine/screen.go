@@ -26,9 +26,8 @@ import (
 
 // screenMinimize minimizes p in place like cim.MinimizeInPlace, but
 // screens each round's candidate snapshot concurrently over the given
-// number of workers. Options' kernel selectors are ignored: screening is
-// only meaningful on the incremental engine, whose Test is read-only on
-// shared state.
+// number of workers: the incremental engine's Test is read-only on shared
+// state.
 func screenMinimize(p *pattern.Pattern, opts cim.Options, workers int) (st cim.Stats) {
 	start := time.Now()
 	defer func() {

@@ -21,7 +21,7 @@ func TestScreenMatchesSequential(t *testing.T) {
 		q := genquery.Random(rng, 2+rng.Intn(14), 3)
 		if trial%2 == 1 {
 			cs := genquery.RandomConstraints(rng, 4, 3).Closure()
-			chase.Augment(q, cs)
+			chase.Compile(cs).Augment(q)
 		}
 		seq := q.Clone()
 		stSeq := cim.MinimizeInPlace(seq, cim.Options{})

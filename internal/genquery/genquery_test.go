@@ -7,6 +7,7 @@ import (
 	"tpq/internal/acim"
 	"tpq/internal/cdm"
 	"tpq/internal/cim"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
 
@@ -161,7 +162,8 @@ func TestDeepWitness(t *testing.T) {
 	if st.Removed != 20 || clone.Size() != 21 {
 		t.Errorf("propagated removed %d (left %d), want 20 (left 21)", st.Removed, clone.Size())
 	}
-	direct := cdm.MinimizeDirect(q, closed)
+	direct := q.Clone()
+	oracle.MinimizeDirectInPlace(direct, closed)
 	if !pattern.Isomorphic(direct, clone) {
 		t.Errorf("direct and propagated disagree on DeepWitness")
 	}

@@ -1,30 +1,22 @@
-package cdm
+package oracle
 
 import (
 	"time"
 
+	"tpq/internal/cdm"
 	"tpq/internal/ics"
 	"tpq/internal/pattern"
 )
 
-// MinimizeDirect applies the four local-redundancy facts of Section 5.4
-// literally, without the information-content machinery: for every leaf it
-// re-examines its parent's types, its siblings, and — for rule (iv) — every
-// descendant of the parent, walking the subtree each time. The paper
-// introduces information contents precisely because "the rules by
-// themselves do not yield an efficient test, since they need information
-// that is not available at a node or its neighbors"; this direct
-// implementation is the baseline that claim is measured against
-// (ablation-cdm in the benchmark harness). Output is identical to
-// MinimizeInPlace — the package tests verify it on random inputs.
-func MinimizeDirect(p *pattern.Pattern, cs *ics.Set) *pattern.Pattern {
-	q := p.Clone()
-	MinimizeDirectInPlace(q, cs)
-	return q
-}
-
-// MinimizeDirectInPlace is the in-place form of MinimizeDirect.
-func MinimizeDirectInPlace(p *pattern.Pattern, cs *ics.Set) (st Stats) {
+// MinimizeDirectInPlace applies the four local-redundancy facts of §5.4
+// literally, without information contents: for every leaf it re-examines
+// its parent's types, its siblings and — for rule (iv) — every descendant
+// of the parent, walking the subtree each time. The paper introduces
+// information contents because "the rules by themselves do not yield an
+// efficient test, since they need information that is not available at a
+// node or its neighbors"; this is the baseline that claim is measured
+// against (the ablation-cdm figure). The output equals cdm.MinimizeInPlace.
+func MinimizeDirectInPlace(p *pattern.Pattern, cs *ics.Set) (st cdm.Stats) {
 	start := time.Now()
 	defer func() { st.TotalTime = time.Since(start) }()
 	if p == nil || p.Root == nil || cs == nil {
@@ -113,8 +105,7 @@ func directlyRedundant(y *pattern.Node, cs *ics.Set) bool {
 	// Rule (iv), deep case: any descendant of the parent whose type
 	// witnesses the leaf directly (co-occurrence) or through a
 	// required-descendant constraint — found by walking the whole subtree,
-	// which is exactly the cost the information content avoids. Matches
-	// the per-type semantics of the propagated arguments.
+	// which is exactly the cost the information content avoids.
 	found := false
 	var walk func(m *pattern.Node)
 	walk = func(m *pattern.Node) {
@@ -141,4 +132,33 @@ func directlyRedundant(y *pattern.Node, cs *ics.Set) bool {
 	}
 	walk(n)
 	return found
+}
+
+// covers reports whether a guaranteed node of type b satisfies every type
+// in need, via co-occurrence in the closed set.
+func covers(b pattern.Type, need []pattern.Type, cs *ics.Set) bool {
+	for _, t := range need {
+		if !cs.HasCo(b, t) {
+			return false
+		}
+	}
+	return true
+}
+
+// jointlyCovers reports whether a witness carrying all of have satisfies
+// every type in need.
+func jointlyCovers(have, need []pattern.Type, cs *ics.Set) bool {
+	for _, t := range need {
+		ok := false
+		for _, h := range have {
+			if cs.HasCo(h, t) {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -38,7 +38,7 @@ const (
 	// Parse is query-text (or XPath) parsing, recorded by the serving
 	// layer — the algorithm packages never see unparsed text.
 	Parse Phase = iota
-	// Chase is the augmentation step of ACIM (chase.Augment).
+	// Chase is the augmentation step of ACIM (chase.Plan.Augment).
 	Chase
 	// CDM is the constraint-dependent local pre-filter (cdm.MinimizeInPlace).
 	CDM
