@@ -6,7 +6,7 @@ GO ?= go
 # rises.
 COVER_FLOOR ?= 84.0
 
-.PHONY: check ci build vet test race race-service store-fault fuzz-smoke bench-smoke bench-load bench-load-smoke perfbench-check fmtcheck bench bench-regression bench-chase bench-match bench-or cover fmt
+.PHONY: check ci build vet test race race-service store-fault fuzz-smoke bench-smoke bench-load bench-load-smoke perfbench-check fmtcheck bench bench-regression bench-chase bench-match bench-or cover fmt loc
 
 # The gate every change must pass before commit.
 check: build vet fmtcheck test race race-service store-fault fuzz-smoke bench-smoke bench-load-smoke perfbench-check
@@ -151,3 +151,10 @@ cover:
 
 fmt:
 	gofmt -l -w .
+
+# Non-test Go line counts, the size figure the ROADMAP tracks: the root
+# module (perfbench/ is its own module, .bench_build/ its build cache)
+# and the serving layer, internal/service.
+loc:
+	@printf 'non-test Go, root module:      %s\n' "$$(find . \( -path ./perfbench -o -path ./.bench_build \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf 'non-test Go, internal/service: %s\n' "$$(find internal/service -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"

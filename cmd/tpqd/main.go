@@ -9,7 +9,7 @@
 //	tpqd [-addr :8080] [-f constraints.txt] [-xml doc.xml]
 //	     [-cache N] [-workers N] [-timeout 5s] [-grace 10s]
 //	     [-maxdoc N] [-slowlog 100ms] [-debug-addr 127.0.0.1:6060]
-//	     [-store dir] [-warm-start N] [-peers a:1,b:1,c:1] [-self a:1]
+//	     [-store dir] [-warm-start N]
 //
 // Endpoints:
 //
@@ -33,14 +33,11 @@
 // profiling endpoints are never exposed by default.
 //
 // -store dir persists the minimization cache (internal/store): computed
-// entries are written behind to an append-log + snapshot KV store and a
-// restarted daemon warm-starts from it (-warm-start bounds how many
-// entries are preloaded), so previously minimized queries are served as
-// cache hits immediately. -peers lists a static replica fleet (every
-// node, this one included, same list everywhere) for consistent-hash
-// sharding: an LRU+store miss asks the key's owner over GET
-// /internal/entry?key= before computing (single hop — the owner never
-// forwards). -self names this node in that list.
+// entries are written behind to an append-log + snapshot KV store, an
+// LRU miss reads the store before computing, and a restarted daemon
+// warm-starts from it (-warm-start bounds how many entries are
+// preloaded), so previously minimized queries are served as cache hits
+// immediately.
 //
 // SIGINT/SIGTERM begin a graceful shutdown: the listener drains for up to
 // -grace, then inflight minimizations are awaited.
@@ -91,13 +88,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this extra address (empty disables)")
 	storeDir := fs.String("store", "", "persist the minimization cache in this directory (empty disables; ignored with -cache < 0)")
 	warmStart := fs.Int("warm-start", -1, "store entries to preload into the cache at startup (-1 = up to cache capacity, 0 disables)")
-	peers := fs.String("peers", "", "comma-separated replica fleet (host:port, this node included) for consistent-hash sharding")
-	self := fs.String("self", "", "this node's address as listed in -peers (required with -peers)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if (*peers == "") != (*self == "") {
-		fmt.Fprintln(stderr, "tpqd: -peers and -self must be set together")
 		return 2
 	}
 
@@ -143,14 +134,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout, ")")
 	}
-	var peerList []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-	}
 
 	svc := service.New(service.Options{
 		Constraints:      cs,
@@ -160,8 +143,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		SlowLog:          stderr,
 		Store:            st,
 		WarmStart:        *warmStart,
-		Peers:            peerList,
-		Self:             *self,
 	})
 	publishExpvar(svc)
 	if *slowlog > 0 {
@@ -169,9 +150,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if st != nil {
 		fmt.Fprintf(stdout, "tpqd: warm-started %d cache entries\n", svc.Stats().WarmStarted)
-	}
-	if len(peerList) > 0 {
-		fmt.Fprintf(stdout, "tpqd: sharding across %d replicas as %s\n", len(peerList), *self)
 	}
 
 	mux := http.NewServeMux()

@@ -253,17 +253,6 @@ func TestServerStoreRestartColdLookup(t *testing.T) {
 	}
 }
 
-// TestServerPeerFlagValidation pins the -peers/-self pairing rule.
-func TestServerPeerFlagValidation(t *testing.T) {
-	var stdout, stderr syncBuffer
-	if c := run(context.Background(), []string{"-peers", "a:1,b:1"}, &stdout, &stderr); c != 2 {
-		t.Errorf("-peers without -self: exit %d, want 2", c)
-	}
-	if c := run(context.Background(), []string{"-self", "a:1"}, &stdout, &stderr); c != 2 {
-		t.Errorf("-self without -peers: exit %d, want 2", c)
-	}
-}
-
 func TestServerFlagAndFileErrors(t *testing.T) {
 	var stdout, stderr syncBuffer
 	ctx := context.Background()

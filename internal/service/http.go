@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,8 +17,6 @@ import (
 	"tpq/internal/match"
 	"tpq/internal/match/stream"
 	"tpq/internal/pattern"
-	"tpq/internal/shard"
-	"tpq/internal/store"
 	"tpq/internal/xpath"
 )
 
@@ -62,8 +59,8 @@ type HandlerOptions struct {
 //	                summary line.
 //
 // Responses are JSON; errors arrive as {"error": "..."} with a matching
-// status code (400 malformed input, 413 oversized batch or document,
-// 503 shutting down, 504 deadline).
+// status code (400 malformed input, 413 oversized body, batch or
+// document, 503 shutting down, 504 deadline).
 func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 1024
@@ -84,7 +81,6 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 	mux.HandleFunc("/stats", h.stats)
 	mux.HandleFunc("/metrics", s.metricsHandler)
 	mux.HandleFunc("/healthz", h.healthz)
-	mux.HandleFunc(shard.EntryPath, h.entry)
 	return mux
 }
 
@@ -219,7 +215,7 @@ func (h *handler) readRequest(w http.ResponseWriter, r *http.Request) (*minimize
 	}
 	buf, release, err := readBody(w, r, h.opts.MaxBody)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		writeDecodeError(w, err)
 		return nil, false
 	}
 	defer release()
@@ -454,7 +450,7 @@ func (h *handler) match(w http.ResponseWriter, r *http.Request) {
 	var req matchRequest
 	body := http.MaxBytesReader(w, r.Body, h.opts.MaxBody)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		writeDecodeError(w, err)
 		return
 	}
 	if req.Limit < 0 {
@@ -610,29 +606,6 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.svc.Stats())
 }
 
-// entry serves the shard peer-fetch protocol: GET /internal/entry?key=
-// with the hex of a full store key returns the persisted encoding of
-// the entry, answered strictly from this node's own tiers — a miss is
-// 404, never a forward or a compute (single-hop guarantee).
-func (h *handler) entry(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	key, err := hex.DecodeString(r.URL.Query().Get("key"))
-	if err != nil || len(key) != store.KeySize {
-		writeError(w, http.StatusBadRequest, "key must be the hex of a full store key")
-		return
-	}
-	val, ok := h.svc.LookupEncoded(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no entry")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(val)
-}
-
 func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 	if h.svc.Closing() {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -666,6 +639,17 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 
 func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
+}
+
+// writeDecodeError rejects an unreadable request body: 413 when it
+// exceeds HandlerOptions.MaxBody, 400 otherwise.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, "decoding request: "+err.Error())
 }
 
 // writeServiceError maps service/context errors onto status codes.

@@ -177,7 +177,8 @@ func TestHTTPStatsAndHealth(t *testing.T) {
 }
 
 func TestHTTPBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Options{}, HandlerOptions{MaxBatch: 2})
+	_, ts := newTestServer(t, Options{}, HandlerOptions{MaxBatch: 2, MaxBody: 64})
+	oversized := `{"query": "` + strings.Repeat("a", 64) + `"}`
 	cases := []struct {
 		name, body string
 		want       int
@@ -189,6 +190,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"mixed forms", `{"query": "a*", "queries": ["b*"]}`, http.StatusBadRequest},
 		{"oversized batch", `{"queries": ["a*", "b*", "c*"]}`, http.StatusRequestEntityTooLarge},
 		{"bad batch member", `{"queries": ["a*", "[["]}`, http.StatusBadRequest},
+		{"oversized body", oversized, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.URL+"/minimize", tc.body)
@@ -199,6 +201,10 @@ func TestHTTPBadRequests(t *testing.T) {
 		if json.Unmarshal(data, &e) != nil || e["error"] == "" {
 			t.Errorf("%s: error body missing: %s", tc.name, data)
 		}
+	}
+
+	if resp, data := postJSON(t, ts.URL+"/match", oversized); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized /match body: status %d, want 413 (%s)", resp.StatusCode, data)
 	}
 
 	resp, err := http.Get(ts.URL + "/minimize")

@@ -12,16 +12,10 @@ type lruCache struct {
 	cap   int
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
-	// byFP indexes entries by their raw persistent-store key, so the
-	// shard peer-fetch endpoint can answer from the LRU without knowing
-	// the canonical form. Entries cached without a persistent tier have
-	// no store key and are not indexed.
-	byFP map[string]*list.Element
 }
 
 type lruItem struct {
 	key string
-	fp  string // raw store key; empty when there is no persistent tier
 	val *entry
 }
 
@@ -30,7 +24,6 @@ func newLRU(capacity int) *lruCache {
 		cap:   capacity,
 		ll:    list.New(),
 		items: make(map[string]*list.Element),
-		byFP:  make(map[string]*list.Element),
 	}
 }
 
@@ -62,52 +55,23 @@ func (c *lruCache) getBytes(key []byte) (*entry, bool) {
 	return el.Value.(*lruItem).val, true
 }
 
-// getByFP returns the entry stored under the raw store key fp, without
-// refreshing recency — peer fetches should not keep another node's hot
-// set pinned in this node's cache.
-func (c *lruCache) getByFP(fp string) *entry {
-	if el, ok := c.byFP[fp]; ok {
-		return el.Value.(*lruItem).val
-	}
-	return nil
-}
-
 // add inserts (or refreshes) key and returns how many entries were
-// evicted to stay within capacity. fp is the entry's raw persistent-
-// store key ("" when there is no persistent tier).
-func (c *lruCache) add(key, fp string, val *entry) int {
+// evicted to stay within capacity.
+func (c *lruCache) add(key string, val *entry) int {
 	if c.cap <= 0 {
 		return 0
 	}
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		it := el.Value.(*lruItem)
-		it.val = val
-		if it.fp != fp {
-			if it.fp != "" {
-				delete(c.byFP, it.fp)
-			}
-			it.fp = fp
-			if fp != "" {
-				c.byFP[fp] = el
-			}
-		}
+		el.Value.(*lruItem).val = val
 		return 0
 	}
-	el := c.ll.PushFront(&lruItem{key: key, fp: fp, val: val})
-	c.items[key] = el
-	if fp != "" {
-		c.byFP[fp] = el
-	}
+	c.items[key] = c.ll.PushFront(&lruItem{key: key, val: val})
 	evicted := 0
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
-		it := last.Value.(*lruItem)
-		delete(c.items, it.key)
-		if it.fp != "" {
-			delete(c.byFP, it.fp)
-		}
+		delete(c.items, last.Value.(*lruItem).key)
 		evicted++
 	}
 	return evicted

@@ -8,12 +8,16 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"regexp"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"tpq/internal/data"
 	"tpq/internal/engine"
 	"tpq/internal/ics"
 	"tpq/internal/pattern"
@@ -410,5 +414,165 @@ func TestSlowLogSilent(t *testing.T) {
 	}
 	if snap := svc.Stats(); snap.SlowQueries != 0 {
 		t.Errorf("Stats().SlowQueries = %d, want 0", snap.SlowQueries)
+	}
+}
+
+// goldenMetricTypes is the /metrics family set, as sorted TYPE lines. A
+// family added, renamed, retyped or dropped fails TestMetricsGolden
+// until this list follows.
+var goldenMetricTypes = []string{
+	"# TYPE tpq_batches_total counter",
+	"# TYPE tpq_cache_capacity gauge",
+	"# TYPE tpq_cache_entries gauge",
+	"# TYPE tpq_cache_evictions_total counter",
+	"# TYPE tpq_cache_hits_total counter",
+	"# TYPE tpq_cache_misses_total counter",
+	"# TYPE tpq_cache_shards gauge",
+	"# TYPE tpq_constraints gauge",
+	"# TYPE tpq_errors_total counter",
+	"# TYPE tpq_inflight_merges_total counter",
+	"# TYPE tpq_inflight_requests gauge",
+	"# TYPE tpq_match_answers_total counter",
+	"# TYPE tpq_match_limited_total counter",
+	"# TYPE tpq_match_requests_total counter",
+	"# TYPE tpq_match_streams_total counter",
+	"# TYPE tpq_minimizations_total counter",
+	"# TYPE tpq_nodes_removed_total counter",
+	"# TYPE tpq_or_absorbed_total counter",
+	"# TYPE tpq_or_cache_entries gauge",
+	"# TYPE tpq_or_cache_hits_total counter",
+	"# TYPE tpq_or_disjuncts_total counter",
+	"# TYPE tpq_or_requests_total counter",
+	"# TYPE tpq_or_unsat_total counter",
+	"# TYPE tpq_phase_duration_seconds histogram",
+	"# TYPE tpq_plan_cache_capacity gauge",
+	"# TYPE tpq_plan_cache_entries gauge",
+	"# TYPE tpq_plan_hits_total counter",
+	"# TYPE tpq_plans_compiled_total counter",
+	"# TYPE tpq_request_duration_seconds histogram",
+	"# TYPE tpq_requests_total counter",
+	"# TYPE tpq_slow_log_dropped_total counter",
+	"# TYPE tpq_slow_queries_total counter",
+	"# TYPE tpq_store_compactions_total counter",
+	"# TYPE tpq_store_dropped_total counter",
+	"# TYPE tpq_store_entries gauge",
+	"# TYPE tpq_store_errors_total counter",
+	"# TYPE tpq_store_hits_total counter",
+	"# TYPE tpq_store_log_bytes gauge",
+	"# TYPE tpq_store_misses_total counter",
+	"# TYPE tpq_store_puts_total counter",
+	"# TYPE tpq_store_replayed_records gauge",
+	"# TYPE tpq_store_torn_bytes gauge",
+	"# TYPE tpq_tables_total counter",
+	"# TYPE tpq_unsatisfiable_total counter",
+	"# TYPE tpq_uptime_seconds gauge",
+	"# TYPE tpq_warm_start_entries_total counter",
+	"# TYPE tpq_workers gauge",
+}
+
+// TestMetricsGolden pins the exposition to its one declaration, the
+// Snapshot tags. Through a handler with a store it drives a miss, a hit,
+// a store put, a two-disjunct union and a /match; then the sorted TYPE
+// lines of /metrics must equal goldenMetricTypes, and every
+// metric-tagged Snapshot counter must read the same on /stats as on
+// /metrics.
+func TestMetricsGolden(t *testing.T) {
+	forest, err := data.ParseXML(strings.NewReader("<a><b/><c/></a>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, ts := newTestServer(t, Options{Store: openStore(t, t.TempDir())}, HandlerOptions{Forest: forest})
+	for _, req := range []struct{ path, body string }{
+		{"/minimize", `{"query": "a*[/b, /b]"}`}, // miss: computes, then a store put
+		{"/minimize", `{"query": "a*[/b, /b]"}`}, // hit
+		{"/minimize", `{"query": "or(x*/y, z*/w)"}`},
+		{"/match", `{"query": "a*/b"}`},
+	} {
+		if resp, body := postJSON(t, ts.URL+req.path, req.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s %s: status %d: %s", req.path, req.body, resp.StatusCode, body)
+		}
+	}
+	closeService(t, svc) // drains the write-behind queue
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	text.ReadFrom(resp.Body)
+	resp.Body.Close()
+	scrape := parsePrometheus(t, text.Bytes())
+	var types []string
+	for _, line := range strings.Split(text.String(), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, line)
+		}
+	}
+	sort.Strings(types)
+	if !slices.Equal(types, goldenMetricTypes) {
+		t.Errorf("/metrics TYPE lines:\n%s\nwant:\n%s", strings.Join(types, "\n"), strings.Join(goldenMetricTypes, "\n"))
+	}
+
+	resp, err = http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	var compare func(typ reflect.Type, obj map[string]any)
+	compare = func(typ reflect.Type, obj map[string]any) {
+		family := ""
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if f.Type.Kind() == reflect.Pointer {
+				sub, ok := obj[key].(map[string]any)
+				if !ok {
+					t.Fatalf("/stats has no %q object", key)
+				}
+				compare(f.Type.Elem(), sub)
+				continue
+			}
+			series, ok := f.Tag.Lookup("metric")
+			if !ok {
+				continue
+			}
+			if strings.HasPrefix(series, "{") {
+				series = family + series
+			} else {
+				family, _, _ = strings.Cut(series, "{")
+			}
+			if !strings.HasSuffix(family, "_total") {
+				continue
+			}
+			got, ok := obj[key].(float64)
+			if !ok {
+				t.Errorf("/stats has no %q", key)
+				continue
+			}
+			if want := scrape.value(t, series); got != want {
+				t.Errorf("/stats %s = %v, /metrics %s = %v", key, got, series, want)
+			}
+			checked++
+		}
+	}
+	compare(reflect.TypeOf(Snapshot{}), stats)
+	if checked < 30 {
+		t.Errorf("compared %d counters, want every tagged counter (>= 30)", checked)
+	}
+	for series, want := range map[string]float64{
+		"tpq_cache_hits_total":     1,
+		"tpq_store_puts_total":     4, // one per computed conjunct: the miss, both disjuncts, the match query
+		"tpq_or_requests_total":    1,
+		"tpq_match_requests_total": 1,
+	} {
+		if got := scrape.value(t, series); got != want {
+			t.Errorf("%s = %v, want %v: the request sequence did not reach it", series, got, want)
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // Disjunctive serving. A disjunctive request is minimized per disjunct —
 // each disjunct routed through Minimize and therefore through every tier
-// the conjunctive path has (LRU, singleflight, persistent store, peer
-// fetch) — then absorption-pruned and reassembled. The assembled union is
+// the conjunctive path has (LRU, singleflight, persistent store) — then
+// absorption-pruned and reassembled. The assembled union is
 // cached in its own small LRU keyed on the disjunction's canonical form
 // (disjunct-sorted, so every spelling of the same union shares one key)
 // plus the constraint fingerprint: a repeat disjunctive request costs one

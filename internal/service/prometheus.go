@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
+	"strings"
 
-	"tpq/internal/chase"
-	"tpq/internal/store"
 	"tpq/internal/trace"
 )
 
@@ -17,133 +17,68 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus renders the service counters, gauges and histograms in
 // the Prometheus text exposition format (version 0.0.4) — hand-rolled,
-// because pulling in a client library for a dozen metric families is not
-// worth a dependency. Every metric family is always present (histograms
-// included, at zero), so dashboards and the /metrics acceptance check
-// never see a family appear late.
-//
-// Families:
-//
-//	tpq_requests_total, tpq_errors_total, tpq_batches_total,
-//	tpq_minimizations_total, tpq_unsatisfiable_total,
-//	tpq_slow_queries_total            — request counters
-//	tpq_cache_hits_total, tpq_cache_misses_total,
-//	tpq_cache_evictions_total, tpq_inflight_merges_total — cache counters
-//	tpq_plans_compiled_total, tpq_plan_hits_total        — chase-plan registry
-//	    lookups by this service's pipeline runs (miss = compile)
-//	tpq_match_requests_total, tpq_match_streams_total,
-//	tpq_match_answers_total, tpq_match_limited_total     — /match evaluations
-//	tpq_or_requests_total, tpq_or_disjuncts_total,
-//	tpq_or_absorbed_total, tpq_or_unsat_total,
-//	tpq_or_cache_hits_total, tpq_or_cache_entries        — disjunctive serving
-//	tpq_slow_log_dropped_total                           — slow-log lines lost
-//	tpq_store_hits_total, tpq_store_misses_total,
-//	tpq_store_puts_total, tpq_store_errors_total,
-//	tpq_store_dropped_total, tpq_store_compactions_total,
-//	tpq_warm_start_entries_total                         — persistent tier
-//	tpq_store_entries, tpq_store_log_bytes,
-//	tpq_store_replayed_records, tpq_store_torn_bytes     — store gauges
-//	tpq_peer_fetches_total, tpq_peer_hits_total,
-//	tpq_peer_errors_total                                — shard peer fetch
-//	tpq_cache_entries, tpq_cache_capacity, tpq_cache_shards,
-//	tpq_inflight_requests,
-//	tpq_plan_cache_entries, tpq_plan_cache_capacity,
-//	tpq_workers, tpq_constraints, tpq_uptime_seconds     — gauges
-//	tpq_nodes_removed_total{phase="cdm"|"acim"}          — removals
-//	tpq_tables_total{kind="built"|"derived"}             — images tables
-//	tpq_request_duration_seconds                         — histogram
-//	tpq_phase_duration_seconds{phase=...}                — histograms,
-//	    one per pipeline phase (parse, chase, cdm, acim, cim, compact)
-//	    plus the serving layer's match phase
+// because pulling in a client library for a few dozen metric families is
+// not worth a dependency. The counters and gauges are the metric-tagged
+// fields of one Stats snapshot, in declaration order (see Snapshot); the
+// request and per-phase duration histograms follow. Every family is
+// always present (store gauges and histograms included, at zero), so
+// dashboards and the /metrics acceptance check never see a family appear
+// late.
 func (s *Service) WritePrometheus(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-			name, help, name, name, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-
-	counter("tpq_requests_total", "Minimize requests accepted (batch members included).", s.stats.requests.Load())
-	counter("tpq_errors_total", "Requests failed (cancellation, shutdown, rejection).", s.stats.errors.Load())
-	counter("tpq_batches_total", "MinimizeBatch calls.", s.stats.batches.Load())
-	counter("tpq_minimizations_total", "Actual engine pipeline runs.", s.stats.minimizations.Load())
-	counter("tpq_unsatisfiable_total", "Minimized queries found unsatisfiable under the constraints.", s.stats.unsat.Load())
-	counter("tpq_slow_queries_total", "Pipeline runs recorded by the slow-query log.", s.stats.slowQueries.Load())
-	counter("tpq_cache_hits_total", "Requests served straight from the cache.", s.stats.hits.Load())
-	counter("tpq_cache_misses_total", "Requests not in the cache at lookup time.", s.stats.misses.Load())
-	counter("tpq_cache_evictions_total", "Cache entries displaced by capacity.", s.stats.evictions.Load())
-	counter("tpq_inflight_merges_total", "Requests that joined another request's inflight minimization.", s.stats.merges.Load())
-	counter("tpq_plans_compiled_total", "Chase plans compiled by this service's pipeline runs (registry misses).", s.stats.plansCompiled.Load())
-	counter("tpq_plan_hits_total", "Chase-plan registry hits by this service's pipeline runs.", s.stats.planHits.Load())
-	counter("tpq_match_requests_total", "Match evaluations accepted.", s.stats.matchRequests.Load())
-	counter("tpq_match_streams_total", "Match evaluations served in streaming (NDJSON) mode.", s.stats.matchStreams.Load())
-	counter("tpq_match_answers_total", "Answers delivered across all match evaluations.", s.stats.matchAnswers.Load())
-	counter("tpq_match_limited_total", "Match evaluations truncated by a result limit.", s.stats.matchLimited.Load())
-	counter("tpq_or_requests_total", "Disjunctive (multi-disjunct) minimize requests.", s.stats.orRequests.Load())
-	counter("tpq_or_disjuncts_total", "Disjuncts across all disjunctive requests.", s.stats.orDisjuncts.Load())
-	counter("tpq_or_absorbed_total", "Disjuncts dropped by absorption pruning (duplicates included).", s.stats.orAbsorbed.Load())
-	counter("tpq_or_unsat_total", "Disjuncts dropped as unsatisfiable under the constraints.", s.stats.orUnsat.Load())
-	counter("tpq_or_cache_hits_total", "Disjunctive requests served from the or-cache.", s.stats.orCacheHits.Load())
-	counter("tpq_slow_log_dropped_total", "Slow-query log lines lost to a failing writer.", s.stats.slowLogDropped.Load())
-	counter("tpq_store_hits_total", "LRU misses answered by the persistent tier.", s.stats.storeHits.Load())
-	counter("tpq_store_misses_total", "LRU misses the persistent tier could not answer.", s.stats.storeMisses.Load())
-	counter("tpq_store_puts_total", "Write-behind puts applied to the persistent tier.", s.stats.storePuts.Load())
-	counter("tpq_store_errors_total", "Persistent-tier failures (put errors, undecodable entries).", s.stats.storeErrors.Load())
-	counter("tpq_store_dropped_total", "Write-behind puts dropped on a full queue.", s.stats.storeDropped.Load())
-	counter("tpq_warm_start_entries_total", "Entries preloaded into the LRU from the store at startup.", s.stats.warmStarted.Load())
-	counter("tpq_peer_fetches_total", "Lookups forwarded to the key's owner replica.", s.stats.peerFetches.Load())
-	counter("tpq_peer_hits_total", "Peer fetches that returned an entry.", s.stats.peerHits.Load())
-	counter("tpq_peer_errors_total", "Peer fetches that failed (transport or decode).", s.stats.peerErrors.Load())
-
-	fmt.Fprintf(w, "# HELP tpq_nodes_removed_total Nodes eliminated, split by pipeline phase.\n# TYPE tpq_nodes_removed_total counter\n")
-	fmt.Fprintf(w, "tpq_nodes_removed_total{phase=\"cdm\"} %d\n", s.stats.cdmRemoved.Load())
-	fmt.Fprintf(w, "tpq_nodes_removed_total{phase=\"acim\"} %d\n", s.stats.acimRemoved.Load())
-	fmt.Fprintf(w, "# HELP tpq_tables_total Images tables, split into full constructions and master-derived tables.\n# TYPE tpq_tables_total counter\n")
-	fmt.Fprintf(w, "tpq_tables_total{kind=\"built\"} %d\n", s.stats.tablesBuilt.Load())
-	fmt.Fprintf(w, "tpq_tables_total{kind=\"derived\"} %d\n", s.stats.tablesDerived.Load())
-
-	cacheLen, cacheCap := s.cacheLenCap()
-	gauge("tpq_cache_entries", "Cached minimizations resident.", float64(cacheLen))
-	gauge("tpq_cache_capacity", "Cache capacity (0 when caching is disabled).", float64(cacheCap))
-	gauge("tpq_cache_shards", "Lock domains the LRU is split over.", float64(len(s.shards)))
-	orLen := 0
-	if s.orcache != nil {
-		orLen = s.orcache.len()
-	}
-	gauge("tpq_or_cache_entries", "Cached disjunctive results resident.", float64(orLen))
-	reg := chase.DefaultRegistry.Stats()
-	gauge("tpq_plan_cache_entries", "Compiled chase plans resident in the process-wide registry.", float64(reg.Len))
-	gauge("tpq_plan_cache_capacity", "Chase-plan registry capacity.", float64(reg.Cap))
-	gauge("tpq_inflight_requests", "Requests currently inside Minimize.", float64(s.stats.inflight.Load()))
-	var storeStats store.Stats
-	if s.store != nil {
-		storeStats = s.store.Stats()
-	}
-	gauge("tpq_store_entries", "Live entries in the persistent tier (0 without one).", float64(storeStats.Entries))
-	gauge("tpq_store_log_bytes", "Append-log bytes since the last compaction.", float64(storeStats.LogBytes))
-	gauge("tpq_store_replayed_records", "Log records replayed at the last open.", float64(storeStats.ReplayedRecords))
-	gauge("tpq_store_torn_bytes", "Torn log bytes discarded at the last open.", float64(storeStats.TornBytes))
-	counter("tpq_store_compactions_total", "Snapshot rewrites of the persistent tier.", storeStats.Compactions)
-	gauge("tpq_workers", "Worker-pool size of the engine.", float64(s.eng.Workers()))
-	gauge("tpq_constraints", "Size of the closed constraint set.", float64(s.closed.Len()))
-	gauge("tpq_uptime_seconds", "Seconds since the service was constructed.", secondsSince(s))
-
+	writeSeries(w, reflect.ValueOf(s.Stats()), "")
 	writeHistogram(w, "tpq_request_duration_seconds",
 		"End-to-end Minimize latency (cache hits included).", "", &s.stats.lat)
-	fmt.Fprintf(w, "# HELP tpq_phase_duration_seconds Time spent per pipeline phase (chase/cim/compact nest inside acim).\n# TYPE tpq_phase_duration_seconds histogram\n")
+	help := "Time spent per pipeline phase (chase/cim/compact nest inside acim)."
 	for _, p := range trace.Phases() {
-		writeHistogram(w, "tpq_phase_duration_seconds", "", fmt.Sprintf("phase=%q", p), &s.stats.phase[p])
+		writeHistogram(w, "tpq_phase_duration_seconds", help, fmt.Sprintf("phase=%q", p), &s.stats.phase[p])
+		help = "" // one header per family
 	}
 }
 
-func secondsSince(s *Service) float64 { return s.Stats().UptimeSeconds }
+// writeSeries writes one sample per metric-tagged field of the struct v,
+// heading each family with its HELP and TYPE lines, and recursing into
+// struct pointers (a nil one renders its series at zero). family is the
+// family of the last series written; it is returned updated, so a
+// label-only tag can join the family of the field before it.
+func writeSeries(w io.Writer, v reflect.Value, family string) string {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f, fv := t.Field(i), v.Field(i)
+		if f.Type.Kind() == reflect.Pointer && f.Type.Elem().Kind() == reflect.Struct {
+			if fv.IsNil() {
+				fv = reflect.New(f.Type.Elem())
+			}
+			family = writeSeries(w, fv.Elem(), family)
+			continue
+		}
+		series, ok := f.Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		if strings.HasPrefix(series, "{") {
+			series = family + series
+		} else {
+			family, _, _ = strings.Cut(series, "{")
+			kind := "gauge"
+			if strings.HasSuffix(family, "_total") {
+				kind = "counter"
+			}
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", family, f.Tag.Get("help"), family, kind)
+		}
+		if fv.CanInt() {
+			fmt.Fprintf(w, "%s %d\n", series, fv.Int())
+		} else {
+			fmt.Fprintf(w, "%s %s\n", series, strconv.FormatFloat(fv.Float(), 'g', -1, 64))
+		}
+	}
+	return family
+}
 
 // writeHistogram renders one histogram family in the exposition format:
 // cumulative buckets over the shared log-linear sub-millisecond bounds,
 // then sum and count. help == "" suppresses the HELP/TYPE header (for
-// labeled families whose header is written once by the caller); labels
-// ("phase=\"cim\"") are merged with the le label.
+// the later series of a labeled family); labels ("phase=\"cim\"") are
+// merged with the le label.
 func writeHistogram(w io.Writer, name, help, labels string, h *latencyHist) {
 	if help != "" {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)

@@ -37,7 +37,6 @@ import (
 	"tpq/internal/engine"
 	"tpq/internal/ics"
 	"tpq/internal/pattern"
-	"tpq/internal/shard"
 	"tpq/internal/store"
 	"tpq/internal/trace"
 )
@@ -88,15 +87,6 @@ type Options struct {
 	// cache capacity, zero disables warm-start. Only meaningful with
 	// Store set.
 	WarmStart int
-	// Peers is the static replica fleet (host:port, every node listed,
-	// this one included) for consistent-hash sharding; empty disables
-	// peer fetch. All nodes must be configured with the same list.
-	Peers []string
-	// Self is this node's own address as it appears in Peers; required
-	// when Peers is set.
-	Self string
-	// PeerTimeout bounds one peer fetch (default shard.DefaultTimeout).
-	PeerTimeout time.Duration
 }
 
 // Report describes how one request was served.
@@ -116,7 +106,7 @@ type Report struct {
 }
 
 // entry is a cached minimization: the canonical form of the input (the
-// identity the persistent tier and peers verify against), the minimized
+// identity the persistent tier verifies against), the minimized
 // pattern (cloned by the public API, never handed out for mutation) and
 // its report with the per-request flags unset. Cached entries are
 // finalized with the rendered output text and a pre-rendered hit
@@ -149,8 +139,8 @@ type Service struct {
 
 	// Sharded cache tier (nil when caching is disabled): each request
 	// hashes its cache key to one shard and takes only that shard's
-	// lock, flight map and write-behind queue — the hot path contends
-	// on 1/len(shards) of the traffic instead of one global mutex.
+	// lock and flight map — the hot path contends on 1/len(shards) of
+	// the traffic instead of one global mutex.
 	shards    []*cacheShard
 	shardMask uint64
 
@@ -165,25 +155,22 @@ type Service struct {
 	slowLog       io.Writer
 
 	// Persistent tier (nil without Options.Store): entries computed here
-	// are written behind through the per-shard queues; LRU misses read
-	// the store before computing. fpRaw is the decoded constraint
-	// fingerprint — the fixed key prefix of every entry this service
-	// owns.
+	// are written behind through storeQ, which one goroutine drains —
+	// store.Put holds the store's lock across append and flush, so more
+	// drains would only queue on it. LRU misses read the store before
+	// computing. fpRaw is the decoded constraint fingerprint, the fixed
+	// key prefix of every entry this service owns.
 	store     *store.Store
 	fpRaw     []byte
-	storeOnce sync.Once // closes every shard's write-behind queue once
+	storeQ    chan storeWrite
+	storeDone chan struct{} // closed when the drain goroutine exits
+	storeOnce sync.Once     // closes storeQ once
 	// writeTick numbers write-behind puts in request-completion order;
-	// persisted with each entry so warm-start can rank recency even though
-	// the per-shard drains apply puts to the store out of order. Seeded
-	// from the store's max persisted tick so it stays monotonic across
-	// restarts.
+	// persisted with each entry so warm-start can rank recency after
+	// Compact, which rewrites the store in key order and so loses its
+	// append sequence. Seeded from the store's max persisted tick so it
+	// stays monotonic across restarts.
 	writeTick atomic.Uint64
-
-	// Shard tier (nil without Options.Peers): consistent-hash ring over
-	// the fleet plus the peer-fetch client.
-	ring       *shard.Ring
-	peerClient *shard.Client
-	self       string
 
 	// computeGate, when set (tests only), runs on the leader's goroutine
 	// after it wins the flight and before it computes — the hook the
@@ -224,27 +211,10 @@ func New(opts Options) *Service {
 	if opts.Store != nil && len(s.shards) > 0 {
 		s.store = opts.Store
 		s.fpRaw = decodeFingerprint(s.fp)
-		depth := storeQueueDepth / len(s.shards)
-		if depth < 16 {
-			depth = 16
-		}
-		s.initWriteTick()
-		for _, sh := range s.shards {
-			sh.storeQ = make(chan storeWrite, depth)
-			sh.storeDone = make(chan struct{})
-			go s.drainStore(sh)
-		}
-		s.warmStart(opts.WarmStart)
-	}
-	if len(opts.Peers) > 0 && opts.Self != "" {
-		if ring, err := shard.NewRing(opts.Peers, 0); err == nil {
-			s.ring = ring
-			s.peerClient = shard.NewClient(opts.PeerTimeout)
-			s.self = opts.Self
-			if s.fpRaw == nil {
-				s.fpRaw = decodeFingerprint(s.fp)
-			}
-		}
+		s.loadStore(opts.WarmStart)
+		s.storeQ = make(chan storeWrite, storeQueueDepth)
+		s.storeDone = make(chan struct{})
+		go s.drainStore()
 	}
 	return s
 }
@@ -318,10 +288,10 @@ func (s *Service) Closing() bool {
 }
 
 // Close begins graceful shutdown: new requests fail with ErrClosed and
-// Close blocks until inflight requests — and every shard's write-behind
-// queue, so no computed entry is lost on a clean stop — drain or ctx
-// expires. The queues are closed only after the last inflight request
-// has left, so an enqueue can never race a closed channel.
+// Close blocks until inflight requests — and the write-behind queue, so
+// no computed entry is lost on a clean stop — drain or ctx expires. The
+// queue is closed only after the last inflight request has left, so an
+// enqueue can never race a closed channel.
 func (s *Service) Close(ctx context.Context) error {
 	s.mu.Lock()
 	s.closing = true
@@ -329,17 +299,9 @@ func (s *Service) Close(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
-		s.storeOnce.Do(func() {
-			for _, sh := range s.shards {
-				if sh.storeQ != nil {
-					close(sh.storeQ)
-				}
-			}
-		})
-		for _, sh := range s.shards {
-			if sh.storeDone != nil {
-				<-sh.storeDone
-			}
+		if s.storeQ != nil {
+			s.storeOnce.Do(func() { close(s.storeQ) })
+			<-s.storeDone
 		}
 		close(done)
 	}()
@@ -561,14 +523,9 @@ func (s *Service) minimize(ctx context.Context, p *pattern.Pattern) (*entry, Rep
 			rep.CacheHit = true
 			return e, rep, nil
 		}
-		// Second tier: the local persistent store; third tier: the key's
-		// owner in the fleet. Either hit is promoted into the LRU and
-		// served as a cache hit — no pipeline run.
-		e, tiered := s.storeGet(canon)
-		if !tiered {
-			e, tiered = s.peerGet(ctx, canon)
-		}
-		if tiered {
+		// Second tier: the persistent store. A hit is promoted into the
+		// LRU and served as a cache hit — no pipeline run.
+		if e, ok := s.storeGet(canon); ok {
 			s.cacheAdd(sh, key, e)
 			sh.flight.finish(key, c, e)
 			rep := e.rep
@@ -587,21 +544,16 @@ func (s *Service) minimize(ctx context.Context, p *pattern.Pattern) (*entry, Rep
 		e.canon = canon
 		e.finalize()
 		s.cacheAdd(sh, key, e)
-		s.storeEnqueue(sh, e)
+		s.storeEnqueue(e)
 		sh.flight.finish(key, c, e)
 		return e, e.rep, nil
 	}
 }
 
-// cacheAdd admits an entry under its shard's lock, indexing it by its
-// store key when a persistent or shard tier needs byte-key lookups.
+// cacheAdd admits an entry under its shard's lock.
 func (s *Service) cacheAdd(sh *cacheShard, key string, e *entry) {
-	fp := ""
-	if s.store != nil || s.ring != nil {
-		fp = string(s.storeKey(e.canon))
-	}
 	sh.mu.Lock()
-	evicted := sh.lru.add(key, fp, e)
+	evicted := sh.lru.add(key, e)
 	sh.mu.Unlock()
 	if evicted > 0 {
 		s.stats.evictions.Add(int64(evicted))

@@ -351,13 +351,13 @@ func TestEmptyPatternRejected(t *testing.T) {
 func TestLRU(t *testing.T) {
 	c := newLRU(2)
 	e := func(n int) *entry { return &entry{rep: Report{InputSize: n}} }
-	c.add("a", "", e(1))
-	c.add("b", "", e(2))
+	c.add("a", e(1))
+	c.add("b", e(2))
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing")
 	}
 	// a was refreshed, so adding c evicts b.
-	if ev := c.add("c", "", e(3)); ev != 1 {
+	if ev := c.add("c", e(3)); ev != 1 {
 		t.Fatalf("evicted %d, want 1", ev)
 	}
 	if _, ok := c.get("b"); ok {
@@ -370,7 +370,7 @@ func TestLRU(t *testing.T) {
 		t.Error("c lost its value")
 	}
 	// Refreshing an existing key neither grows nor evicts.
-	if ev := c.add("a", "", e(9)); ev != 0 || c.len() != 2 {
+	if ev := c.add("a", e(9)); ev != 0 || c.len() != 2 {
 		t.Errorf("refresh: evicted %d len %d", ev, c.len())
 	}
 	if got, _ := c.get("a"); got.rep.InputSize != 9 {
@@ -385,7 +385,7 @@ func TestLRU(t *testing.T) {
 func TestLRUZeroCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
 		c := newLRU(capacity)
-		if ev := c.add("a", "", &entry{}); ev != 0 {
+		if ev := c.add("a", &entry{}); ev != 0 {
 			t.Errorf("cap %d: add reported %d evictions, want 0", capacity, ev)
 		}
 		if c.len() != 0 {
@@ -394,26 +394,6 @@ func TestLRUZeroCapacity(t *testing.T) {
 		if _, ok := c.get("a"); ok {
 			t.Errorf("cap %d: get returned an entry from an empty cache", capacity)
 		}
-	}
-}
-
-// TestLRUByFPIndex covers the raw-store-key index the shard peer-fetch
-// endpoint reads: entries are reachable by store key, the index follows
-// evictions, and lookups by fp do not refresh recency.
-func TestLRUByFPIndex(t *testing.T) {
-	c := newLRU(2)
-	c.add("a", "fpA", &entry{rep: Report{InputSize: 1}})
-	c.add("b", "fpB", &entry{rep: Report{InputSize: 2}})
-	if got := c.getByFP("fpA"); got == nil || got.rep.InputSize != 1 {
-		t.Fatalf("getByFP(fpA) = %+v", got)
-	}
-	// getByFP must not refresh: adding c evicts a (the LRU tail).
-	c.add("c", "fpC", &entry{rep: Report{InputSize: 3}})
-	if got := c.getByFP("fpA"); got != nil {
-		t.Error("evicted entry still reachable by fp")
-	}
-	if got := c.getByFP("fpB"); got == nil {
-		t.Error("resident entry lost its fp index")
 	}
 }
 

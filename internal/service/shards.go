@@ -3,15 +3,12 @@ package service
 import (
 	"runtime"
 	"sync"
-
-	"tpq/internal/shard"
 )
 
 // cacheShard is one lock domain of the sharded cache tier: its slice of
-// the LRU, its own singleflight group, and its own write-behind handoff
-// queue. Requests hash their cache key to a shard and contend only with
-// the traffic that lands there — the cache lock, the flight map lock and
-// the store drain all split N ways.
+// the LRU and its own singleflight group. Requests hash their cache key
+// to a shard and contend only with the traffic that lands there — the
+// cache lock and the flight map lock both split N ways.
 type cacheShard struct {
 	mu     sync.Mutex
 	lru    *lruCache
@@ -26,12 +23,6 @@ type cacheShard struct {
 	// the canon shard stays authoritative.
 	textIdx map[string]string
 	textCap int
-
-	// Write-behind handoff (nil without a persistent tier). Each shard
-	// drains its own queue with its own goroutine, so one busy drain
-	// never serializes the other shards' computed entries.
-	storeQ    chan storeWrite
-	storeDone chan struct{}
 }
 
 // numShards picks the shard count for a cache of the given total
@@ -72,10 +63,9 @@ func newShards(totalCap int) []*cacheShard {
 }
 
 // shardHash spreads a cache key over the shard space: FNV-1a finalized
-// by splitmix64 (shard.Mix64), the same mix the consistent-hash ring
-// uses — raw FNV of keys sharing the constraint-fingerprint suffix
-// stays correlated in the low bits, and the shard index is exactly the
-// low bits.
+// by splitmix64 (mix64) — raw FNV of keys sharing the
+// constraint-fingerprint suffix stays correlated in the low bits, and
+// the shard index is exactly the low bits.
 func shardHash(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -86,7 +76,7 @@ func shardHash(key []byte) uint64 {
 		h ^= uint64(b)
 		h *= prime64
 	}
-	return shard.Mix64(h)
+	return mix64(h)
 }
 
 // shardHashString is shardHash for slow paths that already materialized
@@ -101,7 +91,18 @@ func shardHashString(key string) uint64 {
 		h ^= uint64(key[i])
 		h *= prime64
 	}
-	return shard.Mix64(h)
+	return mix64(h)
+}
+
+// mix64 is the splitmix64 finalizer: a full-avalanche mix, so every
+// input bit reaches the low bits the shard mask keeps.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // getBytes returns the shard's entry for a key still in its scratch

@@ -39,10 +39,6 @@ type Stats struct {
 	storeDropped atomic.Int64 // write-behind puts dropped on a full queue
 	warmStarted  atomic.Int64 // entries preloaded into the LRU at construction
 
-	peerFetches atomic.Int64 // lookups forwarded to the key's owner replica
-	peerHits    atomic.Int64 // peer fetches that returned an entry
-	peerErrors  atomic.Int64 // peer fetches that failed (transport, decode)
-
 	orRequests  atomic.Int64 // disjunctive (multi-disjunct) minimize requests
 	orDisjuncts atomic.Int64 // disjuncts across all disjunctive requests
 	orAbsorbed  atomic.Int64 // disjuncts dropped by absorption (duplicates included)
@@ -159,70 +155,75 @@ type LatencyBucket struct {
 }
 
 // Snapshot is a point-in-time copy of the counters, shaped for JSON.
+//
+// It is also the one declaration of every counter and gauge the service
+// exposes. A field's json tag is its /stats (and expvar) key; a metric
+// tag puts it on /metrics as that series, with the help tag as the
+// family's HELP text (see WritePrometheus). A family whose name ends in
+// _total is a counter, any other a gauge. A metric tag that is only a
+// label set, such as {phase="acim"}, adds a series to the family of the
+// field before it.
 type Snapshot struct {
-	Requests       int64 `json:"requests"`
-	Hits           int64 `json:"hits"`
-	Misses         int64 `json:"misses"`
-	InflightMerges int64 `json:"inflightMerges"`
-	Minimizations  int64 `json:"minimizations"`
-	Evictions      int64 `json:"evictions"`
-	Unsatisfiable  int64 `json:"unsatisfiable"`
-	CDMRemoved     int64 `json:"cdmRemoved"`
-	ACIMRemoved    int64 `json:"acimRemoved"`
-	TablesBuilt    int64 `json:"tablesBuilt"`
-	TablesDerived  int64 `json:"tablesDerived"`
-	PlansCompiled  int64 `json:"plansCompiled"`
-	PlanHits       int64 `json:"planHits"`
-	Batches        int64 `json:"batches"`
-	Errors         int64 `json:"errors"`
-	SlowQueries    int64 `json:"slowQueries"`
-	SlowLogDropped int64 `json:"slowLogDropped"`
-	Inflight       int64 `json:"inflight"`
+	Requests       int64 `json:"requests" metric:"tpq_requests_total" help:"Minimize requests accepted (batch members included)."`
+	Hits           int64 `json:"hits" metric:"tpq_cache_hits_total" help:"Requests served straight from the cache."`
+	Misses         int64 `json:"misses" metric:"tpq_cache_misses_total" help:"Requests not in the cache at lookup time."`
+	InflightMerges int64 `json:"inflightMerges" metric:"tpq_inflight_merges_total" help:"Requests that joined another request's inflight minimization."`
+	Minimizations  int64 `json:"minimizations" metric:"tpq_minimizations_total" help:"Actual engine pipeline runs."`
+	Evictions      int64 `json:"evictions" metric:"tpq_cache_evictions_total" help:"Cache entries displaced by capacity."`
+	Unsatisfiable  int64 `json:"unsatisfiable" metric:"tpq_unsatisfiable_total" help:"Minimized queries found unsatisfiable under the constraints."`
+	CDMRemoved     int64 `json:"cdmRemoved" metric:"tpq_nodes_removed_total{phase=\"cdm\"}" help:"Nodes eliminated, split by pipeline phase."`
+	ACIMRemoved    int64 `json:"acimRemoved" metric:"{phase=\"acim\"}"`
+	TablesBuilt    int64 `json:"tablesBuilt" metric:"tpq_tables_total{kind=\"built\"}" help:"Images tables, split into full constructions and master-derived tables."`
+	TablesDerived  int64 `json:"tablesDerived" metric:"{kind=\"derived\"}"`
+	PlansCompiled  int64 `json:"plansCompiled" metric:"tpq_plans_compiled_total" help:"Chase plans compiled by this service's pipeline runs (registry misses)."`
+	PlanHits       int64 `json:"planHits" metric:"tpq_plan_hits_total" help:"Chase-plan registry hits by this service's pipeline runs."`
+	Batches        int64 `json:"batches" metric:"tpq_batches_total" help:"MinimizeBatch calls."`
+	Errors         int64 `json:"errors" metric:"tpq_errors_total" help:"Requests failed (cancellation, shutdown, rejection)."`
+	SlowQueries    int64 `json:"slowQueries" metric:"tpq_slow_queries_total" help:"Pipeline runs recorded by the slow-query log."`
+	SlowLogDropped int64 `json:"slowLogDropped" metric:"tpq_slow_log_dropped_total" help:"Slow-query log lines lost to a failing writer."`
+	Inflight       int64 `json:"inflight" metric:"tpq_inflight_requests" help:"Requests currently inside Minimize."`
 
-	StoreHits    int64 `json:"storeHits"`
-	StoreMisses  int64 `json:"storeMisses"`
-	StorePuts    int64 `json:"storePuts"`
-	StoreErrors  int64 `json:"storeErrors"`
-	StoreDropped int64 `json:"storeDropped"`
-	WarmStarted  int64 `json:"warmStarted"`
-	PeerFetches  int64 `json:"peerFetches"`
-	PeerHits     int64 `json:"peerHits"`
-	PeerErrors   int64 `json:"peerErrors"`
+	StoreHits    int64 `json:"storeHits" metric:"tpq_store_hits_total" help:"LRU misses answered by the persistent tier."`
+	StoreMisses  int64 `json:"storeMisses" metric:"tpq_store_misses_total" help:"LRU misses the persistent tier could not answer."`
+	StorePuts    int64 `json:"storePuts" metric:"tpq_store_puts_total" help:"Write-behind puts applied to the persistent tier."`
+	StoreErrors  int64 `json:"storeErrors" metric:"tpq_store_errors_total" help:"Persistent-tier failures (put errors, undecodable entries)."`
+	StoreDropped int64 `json:"storeDropped" metric:"tpq_store_dropped_total" help:"Write-behind puts dropped on a full queue."`
+	WarmStarted  int64 `json:"warmStarted" metric:"tpq_warm_start_entries_total" help:"Entries preloaded into the LRU from the store at startup."`
 
 	// Store mirrors the persistent tier's own state; nil when the
-	// service runs without one.
+	// service runs without one (its series then read zero on /metrics).
 	Store *StoreSnapshot `json:"store,omitempty"`
 
-	MatchRequests int64 `json:"matchRequests"`
-	MatchStreams  int64 `json:"matchStreams"`
-	MatchAnswers  int64 `json:"matchAnswers"`
-	MatchLimited  int64 `json:"matchLimited"`
+	MatchRequests int64 `json:"matchRequests" metric:"tpq_match_requests_total" help:"Match evaluations accepted."`
+	MatchStreams  int64 `json:"matchStreams" metric:"tpq_match_streams_total" help:"Match evaluations served in streaming (NDJSON) mode."`
+	MatchAnswers  int64 `json:"matchAnswers" metric:"tpq_match_answers_total" help:"Answers delivered across all match evaluations."`
+	MatchLimited  int64 `json:"matchLimited" metric:"tpq_match_limited_total" help:"Match evaluations truncated by a result limit."`
 
 	// Disjunctive serving: requests with two or more disjuncts
 	// (singletons count as conjunctive requests above).
-	OrRequests  int64 `json:"orRequests"`
-	OrDisjuncts int64 `json:"orDisjuncts"`
-	OrAbsorbed  int64 `json:"orAbsorbed"`
-	OrUnsat     int64 `json:"orUnsat"`
-	OrCacheHits int64 `json:"orCacheHits"`
-	OrCacheLen  int   `json:"orCacheLen"`
+	OrRequests  int64 `json:"orRequests" metric:"tpq_or_requests_total" help:"Disjunctive (multi-disjunct) minimize requests."`
+	OrDisjuncts int64 `json:"orDisjuncts" metric:"tpq_or_disjuncts_total" help:"Disjuncts across all disjunctive requests."`
+	OrAbsorbed  int64 `json:"orAbsorbed" metric:"tpq_or_absorbed_total" help:"Disjuncts dropped by absorption pruning (duplicates included)."`
+	OrUnsat     int64 `json:"orUnsat" metric:"tpq_or_unsat_total" help:"Disjuncts dropped as unsatisfiable under the constraints."`
+	OrCacheHits int64 `json:"orCacheHits" metric:"tpq_or_cache_hits_total" help:"Disjunctive requests served from the or-cache."`
+	OrCacheLen  int   `json:"orCacheLen" metric:"tpq_or_cache_entries" help:"Cached disjunctive results resident."`
 
-	CacheLen int `json:"cacheLen"`
-	CacheCap int `json:"cacheCap"`
+	CacheLen int `json:"cacheLen" metric:"tpq_cache_entries" help:"Cached minimizations resident."`
+	CacheCap int `json:"cacheCap" metric:"tpq_cache_capacity" help:"Cache capacity (0 when caching is disabled)."`
 	// CacheShards is the number of lock domains the LRU is split over
 	// (0 when caching is disabled).
-	CacheShards int `json:"cacheShards"`
+	CacheShards int `json:"cacheShards" metric:"tpq_cache_shards" help:"Lock domains the LRU is split over."`
 
 	// PlanCacheLen and PlanCacheCap mirror the process-wide chase-plan
 	// registry (compiled augmentation plans keyed by constraint-set
 	// fingerprint; see internal/chase).
-	PlanCacheLen int `json:"planCacheLen"`
-	PlanCacheCap int `json:"planCacheCap"`
+	PlanCacheLen int `json:"planCacheLen" metric:"tpq_plan_cache_entries" help:"Compiled chase plans resident in the process-wide registry."`
+	PlanCacheCap int `json:"planCacheCap" metric:"tpq_plan_cache_capacity" help:"Chase-plan registry capacity."`
 
-	Constraints           int     `json:"constraints"`
+	Constraints           int     `json:"constraints" metric:"tpq_constraints" help:"Size of the closed constraint set."`
 	ConstraintFingerprint string  `json:"constraintFingerprint"`
-	Workers               int     `json:"workers"`
-	UptimeSeconds         float64 `json:"uptimeSeconds"`
+	Workers               int     `json:"workers" metric:"tpq_workers" help:"Worker-pool size of the engine."`
+	UptimeSeconds         float64 `json:"uptimeSeconds" metric:"tpq_uptime_seconds" help:"Seconds since the service was constructed."`
 
 	LatencyCount      int64           `json:"latencyCount"`
 	LatencyMeanMicros float64         `json:"latencyMeanMicros"`
@@ -245,15 +246,16 @@ type PhaseSnapshot struct {
 	P99Micros  float64 `json:"p99Micros"` // -1: beyond the last bound
 }
 
-// StoreSnapshot is the persistent tier's state as seen on /stats.
+// StoreSnapshot is the persistent tier's state as seen on /stats, its
+// series declared as on Snapshot.
 type StoreSnapshot struct {
-	Entries         int   `json:"entries"`
+	Entries         int   `json:"entries" metric:"tpq_store_entries" help:"Live entries in the persistent tier (0 without one)."`
 	LogRecords      int   `json:"logRecords"`
-	LogBytes        int64 `json:"logBytes"`
+	LogBytes        int64 `json:"logBytes" metric:"tpq_store_log_bytes" help:"Append-log bytes since the last compaction."`
 	SnapshotRecords int   `json:"snapshotRecords"`
-	ReplayedRecords int   `json:"replayedRecords"`
-	TornBytes       int64 `json:"tornBytes"`
-	Compactions     int64 `json:"compactions"`
+	ReplayedRecords int   `json:"replayedRecords" metric:"tpq_store_replayed_records" help:"Log records replayed at the last open."`
+	TornBytes       int64 `json:"tornBytes" metric:"tpq_store_torn_bytes" help:"Torn log bytes discarded at the last open."`
+	Compactions     int64 `json:"compactions" metric:"tpq_store_compactions_total" help:"Snapshot rewrites of the persistent tier."`
 }
 
 func (s *Stats) snapshot() Snapshot {
@@ -282,9 +284,6 @@ func (s *Stats) snapshot() Snapshot {
 		StoreErrors:    s.storeErrors.Load(),
 		StoreDropped:   s.storeDropped.Load(),
 		WarmStarted:    s.warmStarted.Load(),
-		PeerFetches:    s.peerFetches.Load(),
-		PeerHits:       s.peerHits.Load(),
-		PeerErrors:     s.peerErrors.Load(),
 		MatchRequests:  s.matchRequests.Load(),
 		MatchStreams:   s.matchStreams.Load(),
 		MatchAnswers:   s.matchAnswers.Load(),

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,11 +11,12 @@ import (
 	"tpq/internal/store"
 )
 
-// storeQueueDepth bounds the write-behind queue. Persistence is
-// best-effort: when the drainer falls behind, new entries are dropped
-// (counted in storeDropped) rather than back-pressuring the serving
-// path — a dropped put costs a recomputation after a restart, nothing
-// more.
+// storeQueueDepth bounds the write-behind queue: 256 slots absorb a
+// burst of that many misses while the drain waits on a slow append or
+// flush. Persistence is best-effort: when the drain falls behind, new
+// entries are dropped (counted in storeDropped) rather than
+// back-pressuring the serving path — a dropped put costs a
+// recomputation after a restart, nothing more.
 const storeQueueDepth = 256
 
 // storedEntry is the persisted form of one cache entry. Canon is the
@@ -33,16 +33,14 @@ type storedEntry struct {
 	ACIMRemoved   int             `json:"acimRemoved"`
 	Unsatisfiable bool            `json:"unsatisfiable,omitempty"`
 	// Tick is the service-global write ticket, assigned at enqueue time.
-	// The per-shard drain goroutines race, so the store's own append
-	// sequence no longer reflects completion order; warm-start ranks
-	// recency by tick instead. Zero on peer-wire encodings and entries
-	// written before ticks existed.
+	// Warm-start ranks recency by tick: the store's own append sequence
+	// does not survive Compact, which rewrites the snapshot in key order.
+	// Zero on entries written before ticks existed.
 	Tick uint64 `json:"tick,omitempty"`
 }
 
-// encodeStored serializes one cache entry for the persistent tier and
-// the peer-fetch wire (they share the codec byte for byte). tick is the
-// write ticket for persisted entries, 0 on the peer wire.
+// encodeStored serializes one cache entry for the persistent tier,
+// stamped with its write ticket.
 func encodeStored(e *entry, tick uint64) ([]byte, error) {
 	out, err := json.Marshal(e.out)
 	if err != nil {
@@ -108,13 +106,11 @@ type storeWrite struct {
 	key, val []byte
 }
 
-// drainStore is one shard's write-behind goroutine: it applies that
-// shard's queued puts to the persistent tier until the queue is closed
-// at shutdown. One goroutine per shard, so a slow put serializes only
-// its own shard's handoff.
-func (s *Service) drainStore(sh *cacheShard) {
-	defer close(sh.storeDone)
-	for w := range sh.storeQ {
+// drainStore is the write-behind goroutine: it applies queued puts to
+// the persistent tier until Close closes the queue.
+func (s *Service) drainStore() {
+	defer close(s.storeDone)
+	for w := range s.storeQ {
 		if err := s.store.Put(w.key, w.val); err != nil {
 			s.stats.storeErrors.Add(1)
 		} else {
@@ -123,11 +119,10 @@ func (s *Service) drainStore(sh *cacheShard) {
 	}
 }
 
-// storeEnqueue hands a freshly computed entry to its shard's
-// write-behind queue. Never blocks: a full queue drops the put and
-// counts it.
-func (s *Service) storeEnqueue(sh *cacheShard, e *entry) {
-	if sh.storeQ == nil {
+// storeEnqueue hands a freshly computed entry to the write-behind queue.
+// Never blocks: a full queue drops the put and counts it.
+func (s *Service) storeEnqueue(e *entry) {
+	if s.storeQ == nil {
 		return
 	}
 	val, err := encodeStored(e, s.writeTick.Add(1))
@@ -136,14 +131,14 @@ func (s *Service) storeEnqueue(sh *cacheShard, e *entry) {
 		return
 	}
 	select {
-	case sh.storeQ <- storeWrite{key: s.storeKey(e.canon), val: val}:
+	case s.storeQ <- storeWrite{key: s.storeKey(e.canon), val: val}:
 	default:
 		s.stats.storeDropped.Add(1)
 	}
 }
 
-// storeGet is the second lookup tier: the local persistent store.
-// A decoded entry whose canonical form does not match the request is a
+// storeGet is the second lookup tier: the persistent store. A decoded
+// entry whose canonical form does not match the request is a
 // fingerprint collision — served as a miss, never as a wrong answer.
 func (s *Service) storeGet(canon string) (*entry, bool) {
 	if s.store == nil {
@@ -164,122 +159,39 @@ func (s *Service) storeGet(canon string) (*entry, bool) {
 	return e, true
 }
 
-// peerGet is the third lookup tier: ask the key's owner in the fleet.
-// Only called when this node is not the owner; the owner answers from
-// its own tiers only (single hop), so a peer miss is definitive.
-// Fetched entries populate this node's LRU but not its store — the
-// owner persists them, and duplicating them here would defeat the
-// sharding.
-func (s *Service) peerGet(ctx context.Context, canon string) (*entry, bool) {
-	if s.ring == nil {
-		return nil, false
-	}
-	key := s.storeKey(canon)
-	owner := s.ring.Owner(key)
-	if owner == s.self {
-		return nil, false
-	}
-	s.stats.peerFetches.Add(1)
-	body, ok, err := s.peerClient.FetchEntry(ctx, owner, key)
-	if err != nil {
-		s.stats.peerErrors.Add(1)
-		return nil, false
-	}
-	if !ok {
-		return nil, false
-	}
-	e, err := decodeStored(body)
-	if err != nil || e.canon != canon {
-		s.stats.peerErrors.Add(1)
-		return nil, false
-	}
-	s.stats.peerHits.Add(1)
-	return e, true
-}
-
-// LookupEncoded serves the shard peer-fetch protocol: the entry under
-// a raw store key, in the persisted wire encoding, answered strictly
-// from this node's own tiers (LRU first, then store — never a forward,
-// never a compute). This is what keeps peer fetches single-hop.
-func (s *Service) LookupEncoded(key []byte) ([]byte, bool) {
-	if len(key) != store.KeySize {
-		return nil, false
-	}
-	// The store key does not determine the cache shard (that hash covers
-	// the canonical form, which only the entry knows), so scan the
-	// shards' byFP indexes; peer fetches are rare and the shard count is
-	// small.
-	var e *entry
-	fp := string(key)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		e = sh.lru.getByFP(fp)
-		sh.mu.Unlock()
-		if e != nil {
-			break
-		}
-	}
-	if e != nil {
-		if val, err := encodeStored(e, 0); err == nil {
-			return val, true
-		}
-	}
-	if s.store != nil {
-		if val, ok := s.store.Get(key); ok {
-			return val, true
-		}
-	}
-	return nil, false
-}
-
-// initWriteTick seeds the write ticket from the largest tick already
-// persisted under this constraint set, so ticks written after a restart
-// rank above every existing entry. Runs once, at construction, before
-// the drain goroutines start.
-func (s *Service) initWriteTick() {
-	max := uint64(0)
-	s.store.Scan(s.fpRaw, func(_, val []byte, _ uint64) bool {
-		var meta struct {
-			Tick uint64 `json:"tick"`
-		}
-		if json.Unmarshal(val, &meta) == nil && meta.Tick > max {
-			max = meta.Tick
-		}
-		return true
-	})
-	s.writeTick.Store(max)
-}
-
-// warmStart pre-populates the LRU from the persistent tier: the limit
-// most recently written entries under this service's constraint-set
-// prefix (limit < 0 means up to the cache capacity), inserted oldest
-// first so the hottest entry ends up most recently used. Runs once,
-// at construction, before any request is admitted.
-func (s *Service) warmStart(limit int) {
-	if limit == 0 || len(s.shards) == 0 || s.store == nil {
-		return
-	}
-	_, totalCap := s.cacheLenCap()
-	if limit < 0 || limit > totalCap {
+// loadStore makes the one startup pass over this constraint set's store
+// prefix, at construction, before the drain starts or any request is
+// admitted. It seeds the write ticket from the largest persisted tick,
+// so ticks written after a restart rank above every existing entry, and
+// warm-starts the LRU with the limit most recently written entries
+// (limit < 0 means up to the cache capacity, 0 disables warm-start),
+// inserted oldest first so the hottest entry ends up most recently used.
+func (s *Service) loadStore(limit int) {
+	if _, totalCap := s.cacheLenCap(); limit < 0 || limit > totalCap {
 		limit = totalCap
 	}
 	type cand struct {
-		key, val []byte
-		seq      uint64
-		tick     uint64
+		val       []byte
+		tick, seq uint64
 	}
 	var cands []cand
-	s.store.Scan(s.fpRaw, func(key, val []byte, seq uint64) bool {
+	maxTick := uint64(0)
+	s.store.Scan(s.fpRaw, func(_, val []byte, seq uint64) bool {
 		var meta struct {
 			Tick uint64 `json:"tick"`
 		}
+		// A record that does not decode ranks as tick 0; decodeStored
+		// rejects it below if it is picked.
 		_ = json.Unmarshal(val, &meta)
-		cands = append(cands, cand{key: key, val: val, seq: seq, tick: meta.Tick})
+		maxTick = max(maxTick, meta.Tick)
+		if limit > 0 {
+			cands = append(cands, cand{val: val, tick: meta.Tick, seq: seq})
+		}
 		return true
 	})
+	s.writeTick.Store(maxTick)
 	// Rank by write ticket (assigned in request-completion order), falling
-	// back to the store's append sequence for pre-tick records; the store
-	// sequence alone is scrambled by the racing per-shard drains.
+	// back to the store's sequence for records written before ticks.
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].tick != cands[j].tick {
 			return cands[i].tick > cands[j].tick
@@ -298,7 +210,7 @@ func (s *Service) warmStart(limit int) {
 		key := e.canon + "\x00" + s.fp
 		sh := s.shardForString(key)
 		sh.mu.Lock()
-		sh.lru.add(key, string(cands[i].key), e)
+		sh.lru.add(key, e)
 		sh.mu.Unlock()
 		s.stats.warmStarted.Add(1)
 	}

@@ -1,11 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
-	"encoding/hex"
 	"fmt"
-	"io"
-	"net/http"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -151,144 +150,90 @@ func TestWarmStartBounded(t *testing.T) {
 	}
 }
 
-// TestEntryEndpoint covers the peer-fetch wire protocol end to end:
-// hex-keyed lookup, 404 on unknown keys, 400 on malformed ones.
-func TestEntryEndpoint(t *testing.T) {
-	svc, ts := newTestServer(t, Options{Store: openStore(t, t.TempDir())}, HandlerOptions{})
-	q := pattern.MustParse("a*[/b, /b]")
-	if _, _, err := svc.Minimize(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	key := svc.storeKey(q.Canonical())
-
-	resp, err := http.Get(ts.URL + "/internal/entry?key=" + hex.EncodeToString(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	e, err := decodeStored(body)
-	if err != nil {
-		t.Fatalf("response is not a stored entry: %v\n%s", err, body)
-	}
-	if e.canon != q.Canonical() {
-		t.Errorf("entry canon mismatch: %q", e.canon)
-	}
-
-	unknown := make([]byte, store.KeySize)
-	if resp, err := http.Get(ts.URL + "/internal/entry?key=" + hex.EncodeToString(unknown)); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("unknown key: status %d, want 404", resp.StatusCode)
-		}
-	}
-	for _, bad := range []string{"", "zz", "abcd"} {
-		resp, err := http.Get(ts.URL + "/internal/entry?key=" + bad)
+// TestWarmStartRecencyAcrossCompact pins warm-start recency across
+// Compact, which rewrites the snapshot in key order: only the persisted
+// write ticks still rank the entries by when they were computed.
+func TestWarmStartRecencyAcrossCompact(t *testing.T) {
+	dir := t.TempDir()
+	minimize := func(svc *Service, src string) Report {
+		t.Helper()
+		_, rep, err := svc.Minimize(context.Background(), pattern.MustParse(src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("key %q: status %d, want 400", bad, resp.StatusCode)
+		return rep
+	}
+	// restart closes svc, compacts and closes its store, and reopens the
+	// directory under a fresh service that warm-starts limit entries.
+	restart := func(svc *Service, st *store.Store, limit int) (*Service, *store.Store) {
+		t.Helper()
+		closeService(t, svc)
+		if err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		st = openStore(t, dir)
+		return New(Options{Store: st, WarmStart: limit}), st
+	}
+
+	st := openStore(t, dir)
+	svc := New(Options{Store: st})
+	for i := 0; i < 5; i++ {
+		minimize(svc, fmt.Sprintf("q%d*/x", i))
+	}
+	svc, st = restart(svc, st, 2)
+	for _, src := range []string{"q3*/x", "q4*/x"} {
+		if !minimize(svc, src).CacheHit {
+			t.Errorf("%s, among the 2 newest entries, was not served from the cache", src)
 		}
 	}
-}
-
-// TestPeerFetch runs a two-node fleet: node B misses locally on a key
-// owned by node A, fetches A's entry over /internal/entry, and serves
-// it as a cache hit without running the pipeline.
-func TestPeerFetch(t *testing.T) {
-	svcA, tsA := newTestServer(t, Options{Store: openStore(t, t.TempDir())}, HandlerOptions{})
-	addrA := strings.TrimPrefix(tsA.URL, "http://")
-	const addrB = "node-b.invalid:1" // B never receives fetches in this test
-
-	svcB := New(Options{Peers: []string{addrA, addrB}, Self: addrB})
-	defer closeService(t, svcB)
-
-	// Pick a query whose key the ring assigns to A, so B must fetch.
-	var q *pattern.Pattern
-	for i := 0; i < 64; i++ {
-		cand := pattern.MustParse(fmt.Sprintf("p%d*[/b, /b]", i))
-		if svcB.ring.Owner(svcB.storeKey(cand.Canonical())) == addrA {
-			q = cand
-			break
-		}
-	}
-	if q == nil {
-		t.Fatal("no candidate key owned by node A — ring badly unbalanced")
+	if snap := svc.Stats(); snap.Hits != 2 || snap.StoreHits != 0 {
+		t.Fatalf("Hits=%d StoreHits=%d, want 2, 0: q3 and q4 must be warm-started LRU hits", snap.Hits, snap.StoreHits)
 	}
 
-	// A owns the key but has not computed it yet: B's fetch misses and B
-	// computes locally (a definitive single-hop miss, not an error).
-	if _, rep, err := svcB.Minimize(context.Background(), q.Clone()); err != nil || rep.CacheHit {
-		t.Fatalf("pre-publication: rep=%+v err=%v", rep, err)
-	}
-	snap := svcB.Stats()
-	if snap.PeerFetches != 1 || snap.PeerHits != 0 || snap.PeerErrors != 0 || snap.Minimizations != 1 {
-		t.Fatalf("pre-publication stats: %+v", snap)
+	minimize(svc, "q5*/x")
+	svc, st = restart(svc, st, 1)
+	minimize(svc, "q5*/x")
+	if snap := svc.Stats(); snap.WarmStarted != 1 || snap.Hits != 1 || snap.StoreHits != 0 {
+		t.Errorf("WarmStarted=%d Hits=%d StoreHits=%d, want 1, 1, 0: q5, the newest entry, must be the one preloaded",
+			snap.WarmStarted, snap.Hits, snap.StoreHits)
 	}
 
-	// Publish on A, then ask a fresh B (cold LRU) again: served by peer
-	// fetch, no pipeline run.
-	outA, _, err := svcA.Minimize(context.Background(), q.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	svcB2 := New(Options{Peers: []string{addrA, addrB}, Self: addrB})
-	defer closeService(t, svcB2)
-	outB, rep, err := svcB2.Minimize(context.Background(), q.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.CacheHit {
-		t.Error("peer-fetched entry not reported as a cache hit")
-	}
-	if outA.Canonical() != outB.Canonical() {
-		t.Errorf("peer-fetched result differs: %s vs %s", outA, outB)
-	}
-	snap = svcB2.Stats()
-	if snap.PeerFetches != 1 || snap.PeerHits != 1 || snap.Minimizations != 0 {
-		t.Fatalf("post-publication stats: %+v", snap)
-	}
-
-	// The fetched entry was promoted into B's LRU: no second fetch.
-	if _, rep, err := svcB2.Minimize(context.Background(), q.Clone()); err != nil || !rep.CacheHit {
-		t.Fatalf("repeat: rep=%+v err=%v", rep, err)
-	}
-	if snap := svcB2.Stats(); snap.PeerFetches != 1 || snap.Hits != 1 {
-		t.Fatalf("repeat stats: PeerFetches=%d Hits=%d, want 1, 1", snap.PeerFetches, snap.Hits)
-	}
-}
-
-// TestPeerFetchSelfOwned checks that keys this node owns never leave
-// the node: no fetch, straight to compute.
-func TestPeerFetchSelfOwned(t *testing.T) {
-	const addrA = "node-a.invalid:1"
-	const addrB = "node-b.invalid:1"
-	svc := New(Options{Peers: []string{addrA, addrB}, Self: addrB})
+	// With warm-start off the startup pass still seeds the write tick,
+	// so an entry computed then outranks every older one.
+	svc, st = restart(svc, st, 0)
+	minimize(svc, "q6*/x")
+	svc, _ = restart(svc, st, 1)
 	defer closeService(t, svc)
+	minimize(svc, "q6*/x")
+	if snap := svc.Stats(); snap.WarmStarted != 1 || snap.Hits != 1 || snap.StoreHits != 0 {
+		t.Errorf("WarmStarted=%d Hits=%d StoreHits=%d, want 1, 1, 0: q6, computed under WarmStart 0, must be the one preloaded",
+			snap.WarmStarted, snap.Hits, snap.StoreHits)
+	}
+}
 
-	var q *pattern.Pattern
-	for i := 0; i < 64; i++ {
-		cand := pattern.MustParse(fmt.Sprintf("s%d*/x", i))
-		if svc.ring.Owner(svc.storeKey(cand.Canonical())) == addrB {
-			q = cand
-			break
-		}
+// TestOneWriteBehindGoroutine pins the write-behind fan-in: a service
+// with a store starts exactly one drain goroutine however many cache
+// shards it has, and Close stops it.
+func TestOneWriteBehindGoroutine(t *testing.T) {
+	// Counted by creator, not by function: a goroutine that has not run
+	// yet shows a compiler wrapper as its top frame.
+	drains := func() int {
+		var buf bytes.Buffer
+		pprof.Lookup("goroutine").WriteTo(&buf, 2)
+		return strings.Count(buf.String(), "created by tpq/internal/service.New ")
 	}
-	if q == nil {
-		t.Fatal("no candidate key owned by self")
+	before := drains()
+	svc := New(Options{Store: openStore(t, t.TempDir())})
+	if len(svc.shards) < 2 {
+		t.Fatalf("%d cache shards; the test needs several", len(svc.shards))
 	}
-	if _, rep, err := svc.Minimize(context.Background(), q); err != nil || rep.CacheHit {
-		t.Fatalf("rep=%+v err=%v", rep, err)
+	if got := drains() - before; got != 1 {
+		t.Errorf("%d write-behind goroutines across %d shards, want 1", got, len(svc.shards))
 	}
-	if snap := svc.Stats(); snap.PeerFetches != 0 || snap.Minimizations != 1 {
-		t.Fatalf("self-owned key left the node: %+v", snap)
+	closeService(t, svc)
+	if got := drains() - before; got != 0 {
+		t.Errorf("%d write-behind goroutines left after Close, want 0", got)
 	}
 }
 
