@@ -72,16 +72,22 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run xxx -bench '^BenchmarkFig7bIncremental$$' -benchtime 1x -count=1 .
 
-# Pinned representative benchmark points (full sweeps: cmd/tpqbench).
+# Every figure's quick grid, as aligned tables (full sweeps: drop
+# -quick). The root package's testing.B benchmarks are micro-benchmarks
+# of the substrate plus the bench-smoke gate; none re-measures a figure.
 bench:
-	$(GO) test -run xxx -bench . -benchmem .
+	$(GO) run ./cmd/tpqbench -quick
 
-# The perf gate: re-measure the pinned benchmarks in machine-readable
-# form and compare against the committed baseline — per-result totals
-# AND per-phase breakdowns, so a phase regression can't hide inside a
-# flat total. Exits nonzero when anything grew past the threshold;
-# refresh the baseline (on a quiet machine) with:
+# The perf gate: re-measure every pinned figure (the six paper panels
+# 7a 7b 8a 8b 9a 9b, plus service, service-warm-restart, service-scale,
+# match and or) in machine-readable form and compare against the
+# committed baseline — per-result totals AND per-phase breakdowns, so a
+# phase regression can't hide inside a flat total. Exits nonzero when
+# anything grew past the threshold or a baseline series is missing.
+# Refresh the baseline (on a quiet machine) with:
 #   go run ./cmd/tpqbench -json -o BENCH_baseline.json
+# or add one figure's results without re-measuring the rest with:
+#   go run ./cmd/tpqbench -json -quick -fig <id> -o BENCH_baseline.json -merge
 bench-regression:
 	$(GO) run ./cmd/tpqbench -json -o .bench/BENCH_head.json
 	$(GO) run ./cmd/tpqbench -compare BENCH_baseline.json .bench/BENCH_head.json -threshold 1.5x
@@ -91,8 +97,8 @@ bench-regression:
 # totals and phases against the baseline. Much faster than the full
 # bench-regression; the gate that pins the precompiled-plan speedup.
 bench-chase:
-	$(GO) run ./cmd/tpqbench -json -fig fig7b -outdir .bench
-	$(GO) run ./cmd/tpqbench -compare BENCH_baseline.json .bench/BENCH_fig7b.json -threshold 1.5x
+	$(GO) run ./cmd/tpqbench -json -fig 7b -outdir .bench
+	$(GO) run ./cmd/tpqbench -compare BENCH_baseline.json .bench/BENCH_7b.json -threshold 1.5x
 
 # Targeted match-engine gate: re-measure the streamed-vs-materialized
 # evaluation figure (fig-match/stream vs fig-match/materialized at
@@ -103,18 +109,18 @@ bench-chase:
 # series' alloc_kb staying far below the materialized one is the
 # memory-ceiling claim this gate pins.
 bench-match:
-	$(GO) run ./cmd/tpqbench -json -fig fig-match -outdir .bench
-	$(GO) run ./cmd/tpqbench -compare BENCH_baseline.json .bench/BENCH_fig-match.json -threshold 1.5x
+	$(GO) run ./cmd/tpqbench -json -fig match -outdir .bench
+	$(GO) run ./cmd/tpqbench -compare BENCH_baseline.json .bench/BENCH_match.json -threshold 1.5x
 
-# Targeted disjunctive-minimization gate: re-measure the fig-or series
-# (k-disjunct unions of 101-node redundant disjuncts over disjoint type
+# Targeted disjunctive-minimization gate: re-measure the or figure
+# (fig-or/minimize/k=K: k-disjunct unions of 101-node redundant disjuncts over disjoint type
 # alphabets, one worker — the curve must stay ~linear in k) and compare
 # against the baseline. The exact counters (disjuncts_out, absorbed,
 # unsat) pin the absorption semantics; the compare tool also fails if
-# any fig-or series disappears from the head run.
+# any of its baseline results disappears from the head run.
 bench-or:
-	$(GO) run ./cmd/tpqbench -json -fig fig-or -outdir .bench
-	$(GO) run ./cmd/tpqbench -compare BENCH_baseline.json .bench/BENCH_fig-or.json -threshold 1.5x
+	$(GO) run ./cmd/tpqbench -json -fig or -outdir .bench
+	$(GO) run ./cmd/tpqbench -compare BENCH_baseline.json .bench/BENCH_or.json -threshold 1.5x
 
 # Targeted serving-concurrency gate: re-measure the service-scale figure
 # (aggregate ns/request of a Zipf mix at 1..8 concurrent workers, hot

@@ -34,7 +34,9 @@ func TestJSONMode(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
-	for _, name := range []string{"BENCH_fig7b.json", "BENCH_service.json"} {
+	// Every pinned figure, the six paper panels among them, gets a file.
+	for _, name := range []string{"BENCH_7a.json", "BENCH_7b.json", "BENCH_8a.json", "BENCH_8b.json",
+		"BENCH_9a.json", "BENCH_9b.json", "BENCH_service.json"} {
 		path := filepath.Join(dir, name)
 		if !strings.Contains(out, name) {
 			t.Errorf("stdout does not mention %s:\n%s", name, out)
@@ -52,12 +54,20 @@ func TestJSONMode(t *testing.T) {
 			}
 		}
 	}
-	// The fig7b results carry the per-phase breakdown the CI gate graphs.
-	// The chase-plan series measures augmentation alone, so its invariant
-	// counter is the witness count; the pipeline series count tests.
-	f, _ := bench.ReadJSON(filepath.Join(dir, "BENCH_fig7b.json"))
+	if _, err := os.Stat(filepath.Join(dir, "BENCH_motivation.json")); !os.IsNotExist(err) {
+		t.Error("-json without -fig ran a figure that is not pinned")
+	}
+	// The measured 7b results carry the per-phase breakdown the CI gate
+	// graphs. The chase-plan series measures augmentation alone, so its
+	// invariant counter is the witness count; the pipeline series count
+	// tests. The tables series is a share of the pipeline run, not a run
+	// of its own.
+	f, _ := bench.ReadJSON(filepath.Join(dir, "BENCH_7b.json"))
 	sawPlan := false
 	for _, r := range f.Results {
+		if strings.Contains(r.Name, "/tables/") {
+			continue
+		}
 		if len(r.PhaseNs) == 0 {
 			t.Errorf("result %s has no phase breakdown", r.Name)
 		}
@@ -73,24 +83,34 @@ func TestJSONMode(t *testing.T) {
 		}
 	}
 	if !sawPlan {
-		t.Error("fig7b emitted no chase-plan results")
+		t.Error("7b emitted no chase-plan results")
 	}
 }
 
+// TestJSONFigFilter: -json -fig takes the same ids as the table mode,
+// pinned or not, and rejects the same unknown ones.
 func TestJSONFigFilter(t *testing.T) {
 	dir := t.TempDir()
-	out, stderr, code := runCmd(t, "-json", "-fig", "fig7b", "-quick", "-budget", "1ms", "-runs", "1", "-outdir", dir)
+	out, stderr, code := runCmd(t, "-json", "-fig", "7b", "-quick", "-budget", "1ms", "-runs", "1", "-outdir", dir)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
-	if !strings.Contains(out, "BENCH_fig7b.json") {
+	if !strings.Contains(out, "BENCH_7b.json") {
 		t.Errorf("stdout does not mention the requested figure:\n%s", out)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "BENCH_service.json")); !os.IsNotExist(err) {
-		t.Error("-fig fig7b still wrote the service figure")
+		t.Error("-fig 7b still wrote the service figure")
 	}
-	if _, stderr, code := runCmd(t, "-json", "-fig", "nope", "-outdir", dir); code != 2 || !strings.Contains(stderr, "knows no figure") {
-		t.Errorf("unknown figure: exit %d, stderr %q", code, stderr)
+	if _, stderr, code := runCmd(t, "-json", "-fig", "ablation-cim", "-quick", "-budget", "1ms", "-runs", "1", "-outdir", dir); code != 0 {
+		t.Errorf("-json -fig ablation-cim: exit %d, stderr %q", code, stderr)
+	}
+	if _, err := bench.ReadJSON(filepath.Join(dir, "BENCH_ablation-cim.json")); err != nil {
+		t.Error(err)
+	}
+	for _, id := range []string{"nope", "fig7b"} {
+		if _, stderr, code := runCmd(t, "-json", "-fig", id, "-outdir", dir); code != 2 || !strings.Contains(stderr, "unknown experiment") {
+			t.Errorf("-json -fig %s: exit %d, stderr %q", id, code, stderr)
+		}
 	}
 }
 
@@ -113,7 +133,7 @@ func TestJSONMerged(t *testing.T) {
 		t.Fatalf("merged file missing figures: %v", names)
 	}
 	// Per-figure files are not written in merged mode.
-	if _, err := os.Stat(filepath.Join(dir, "BENCH_fig7b.json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "BENCH_7b.json")); !os.IsNotExist(err) {
 		t.Errorf("merged mode still wrote per-figure files")
 	}
 }
@@ -247,5 +267,30 @@ func TestCompareUsageErrors(t *testing.T) {
 	}
 	if _, _, code := runCmd(t, "-compare", one, bad); code != 1 {
 		t.Errorf("bad schema: exit %d", code)
+	}
+}
+
+// TestBaselineRoundTrip: the committed baseline goes through MergeJSON
+// and the merged-file writer byte for byte, so `-json -o
+// BENCH_baseline.json -merge` only ever adds or replaces results, never
+// rewrites the ones it leaves alone. The header is restamped with the
+// running toolchain, so it is compared apart from the results.
+func TestBaselineRoundTrip(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := bench.ReadJSON("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := bench.MergeJSON("baseline", base)
+	merged.GoVersion, merged.GOOS, merged.GOARCH = base.GoVersion, base.GOOS, base.GOARCH
+	data, err := json.MarshalIndent(merged, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(append(data, '\n')) != string(raw) {
+		t.Error("BENCH_baseline.json does not survive MergeJSON unchanged")
 	}
 }

@@ -1,23 +1,25 @@
 // Command tpqbench regenerates the paper's evaluation figures (Section 6,
-// Figures 7-9) plus this reproduction's supplementary experiments, printing
-// one aligned table — or CSV — per figure.
+// Figures 7-9) plus this reproduction's supplementary experiments. Every
+// experiment has one id, accepted by every mode; a run prints one aligned
+// table per figure, or CSV, or writes tpq-bench/1 JSON — all three
+// rendered from the same measured results.
 //
 // Usage:
 //
 //	tpqbench                 # run everything
 //	tpqbench -fig 9a         # one experiment
 //	tpqbench -fig 8b -csv    # machine-readable output
-//	tpqbench -quick          # sparse grids (smoke test)
+//	tpqbench -quick          # quick grids (smoke test)
 //	tpqbench -budget 200ms   # more careful timing per point
 //	tpqbench -fig 7b -cpuprofile cpu.out
 //
 // Machine-readable mode (the CI perf gate):
 //
-//	tpqbench -json                        # write BENCH_fig7b.json, BENCH_service.json
-//	tpqbench -json -fig fig7b             # one pinned figure only
+//	tpqbench -json                        # every pinned figure: BENCH_7a.json, ..., BENCH_or.json
+//	tpqbench -json -fig 7b                # one figure only (pinned or not)
 //	tpqbench -json -outdir out            # ... under out/
 //	tpqbench -json -o BENCH_baseline.json # one merged file (the committed baseline)
-//	tpqbench -compare BENCH_baseline.json out/BENCH_fig7b.json -threshold 1.5x
+//	tpqbench -compare BENCH_baseline.json out/BENCH_7b.json -threshold 1.5x
 //
 // -compare matches results by name over the two files' intersection and
 // exits 1 when any time grew past the threshold (counters that changed
@@ -32,8 +34,10 @@
 // figure's series joins BENCH_baseline.json without re-measuring the
 // rest.
 //
+// -cpuprofile and -memprofile work in every mode.
+//
 // Experiments: 7a 7b 8a 8b 9a 9b motivation ablation-cim ablation-closure
-// ablation-cdm batch service service-scale match or.
+// ablation-cdm batch service service-warm-restart service-scale match or.
 package main
 
 import (
@@ -45,7 +49,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -65,15 +68,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, f := range bench.Figures {
 		ids = append(ids, f.ID)
 	}
-	fig := fs.String("fig", "all", "experiment id or 'all': "+strings.Join(ids, " "))
+	fig := fs.String("fig", "all", "experiment id or 'all' (with -json: every pinned figure): "+strings.Join(ids, " "))
 	fs.StringVar(fig, "figure", *fig, "alias for -fig")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	quick := fs.Bool("quick", false, "sparse parameter grids (fast smoke run)")
+	quick := fs.Bool("quick", false, "quick parameter grids (fast smoke run)")
 	budget := fs.Duration("budget", 50*time.Millisecond, "minimum measurement time per point")
 	runs := fs.Int("runs", 3, "minimum runs per point")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the measured experiments to this file")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile taken after the run to this file")
-	jsonMode := fs.Bool("json", false, "run the pinned benchmarks and write BENCH_<figure>.json files")
+	jsonMode := fs.Bool("json", false, "write tpq-bench/1 BENCH_<id>.json files instead of tables")
 	outdir := fs.String("outdir", ".", "directory for -json output files")
 	merged := fs.String("o", "", "with -json: write one merged file here instead of per-figure files")
 	mergeInto := fs.Bool("merge", false, "with -json -o: fold fresh results into the existing file instead of replacing it")
@@ -83,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *jsonMode {
-		// The pinned benchmarks gate CI: their best-of-N only converges
+		// The pinned figures gate CI: their best-of-N only converges
 		// with enough runs, and an op of the fig7b workload costs several
 		// ms. Default to a larger budget in json mode (an explicit
 		// -budget always wins).
@@ -97,27 +100,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*budget = 300 * time.Millisecond
 		}
 	}
-
 	opts := bench.Options{MinRuns: *runs, Budget: *budget, Quick: *quick}
 
-	if *compare {
-		return runCompare(fs.Args(), *threshold, stdout, stderr)
-	}
-	if *jsonMode {
-		return runJSON(opts, *fig, *outdir, *merged, *mergeInto, stdout, stderr)
-	}
-
 	var figs []bench.Figure
-	for _, f := range bench.Figures {
-		if *fig == "all" || f.ID == *fig {
-			figs = append(figs, f)
+	if !*compare {
+		for _, f := range bench.Figures {
+			if f.ID == *fig || *fig == "all" && (f.Pinned || !*jsonMode) {
+				figs = append(figs, f)
+			}
+		}
+		if len(figs) == 0 {
+			fmt.Fprintf(stderr, "tpqbench: unknown experiment %q (want one of: all %s)\n",
+				*fig, strings.Join(ids, " "))
+			return 2
 		}
 	}
-	if len(figs) == 0 {
-		fmt.Fprintf(stderr, "tpqbench: unknown experiment %q (want one of: all %s)\n",
-			*fig, strings.Join(ids, " "))
-		return 2
-	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -131,15 +129,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	for i, f := range figs {
-		tab := f.Run(opts)
-		if *csv {
-			fmt.Fprintf(stdout, "# %s\n%s", tab.Title, tab.CSV())
-		} else {
+	var code int
+	switch {
+	case *compare:
+		code = runCompare(fs.Args(), *threshold, stdout, stderr)
+	case *jsonMode:
+		code = runJSON(opts, figs, *outdir, *merged, *mergeInto, stdout, stderr)
+	default:
+		for i, f := range figs {
+			results := f.Results(opts)
+			if *csv {
+				fmt.Fprintf(stdout, "# %s\n%s", f.Title, bench.CSV(results))
+				continue
+			}
 			if i > 0 {
 				fmt.Fprintln(stdout)
 			}
-			fmt.Fprint(stdout, tab)
+			fmt.Fprint(stdout, f.Render(results))
 		}
 	}
 	if *memprofile != "" {
@@ -155,40 +161,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	return 0
+	return code
 }
 
-// runJSON runs the pinned machine-readable benchmarks, writing one
-// BENCH_<figure>.json per figure under outdir — or, with merged set, the
-// union into that single file (how BENCH_baseline.json is refreshed).
-// fig narrows the run to one pinned figure id ("all" runs every one) —
-// the cheap targeted gate `tpqbench -json -fig fig7b` CI uses for the
-// chase-phase check. mergeInto additionally folds an existing merged
-// file's results in under the fresh ones, so one figure can join the
-// baseline without re-measuring every other.
-func runJSON(opts bench.Options, fig, outdir, merged string, mergeInto bool, stdout, stderr io.Writer) int {
-	figures := bench.JSONFigures()
-	ids := make([]string, 0, len(figures))
-	for id := range figures {
-		if fig != "all" && id != fig {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	if len(ids) == 0 {
-		all := make([]string, 0, len(figures))
-		for id := range figures {
-			all = append(all, id)
-		}
-		sort.Strings(all)
-		fmt.Fprintf(stderr, "tpqbench: -json knows no figure %q (want one of: all %s)\n",
-			fig, strings.Join(all, " "))
-		return 2
-	}
-	sort.Strings(ids)
+// runJSON measures figs and writes one BENCH_<id>.json per figure under
+// outdir — or, with merged set, the union into that single file (how
+// BENCH_baseline.json is refreshed). mergeInto additionally folds an
+// existing merged file's results in under the fresh ones, so one figure
+// can join the baseline without re-measuring every other.
+func runJSON(opts bench.Options, figs []bench.Figure, outdir, merged string, mergeInto bool, stdout, stderr io.Writer) int {
 	var files []benchjson.File
-	for _, id := range ids {
-		f := figures[id](opts)
+	for _, fig := range figs {
+		f := benchjson.New(fig.ID, fig.Results(opts))
 		files = append(files, f)
 		if merged != "" {
 			continue
@@ -200,33 +184,34 @@ func runJSON(opts bench.Options, fig, outdir, merged string, mergeInto bool, std
 		}
 		fmt.Fprintf(stdout, "tpqbench: wrote %s (%d results)\n", path, len(f.Results))
 	}
-	if merged != "" {
-		if mergeInto {
-			if old, err := bench.ReadJSON(merged); err == nil {
-				files = append([]benchjson.File{old}, files...)
-			} else if !os.IsNotExist(err) {
-				fmt.Fprintf(stderr, "tpqbench: -merge: %v\n", err)
-				return 1
-			}
-		}
-		f := bench.MergeJSON("baseline", files...)
-		data, err := json.MarshalIndent(f, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "tpqbench: %v\n", err)
-			return 1
-		}
-		if dir := filepath.Dir(merged); dir != "." {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintf(stderr, "tpqbench: %v\n", err)
-				return 1
-			}
-		}
-		if err := os.WriteFile(merged, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "tpqbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "tpqbench: wrote %s (%d results)\n", merged, len(f.Results))
+	if merged == "" {
+		return 0
 	}
+	if mergeInto {
+		if old, err := bench.ReadJSON(merged); err == nil {
+			files = append([]benchjson.File{old}, files...)
+		} else if !os.IsNotExist(err) {
+			fmt.Fprintf(stderr, "tpqbench: -merge: %v\n", err)
+			return 1
+		}
+	}
+	f := bench.MergeJSON("baseline", files...)
+	data, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		fmt.Fprintf(stderr, "tpqbench: %v\n", err)
+		return 1
+	}
+	if dir := filepath.Dir(merged); dir != "." {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			fmt.Fprintf(stderr, "tpqbench: %v\n", err)
+			return 1
+		}
+	}
+	if err := os.WriteFile(merged, append(data, '\n'), 0o644); err != nil {
+		fmt.Fprintf(stderr, "tpqbench: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "tpqbench: wrote %s (%d results)\n", merged, len(f.Results))
 	return 0
 }
 

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -48,5 +50,33 @@ func TestUnknownFigure(t *testing.T) {
 func TestBadFlag(t *testing.T) {
 	if _, _, code := runCmd(t, "-nope"); code != 2 {
 		t.Errorf("exit %d", code)
+	}
+}
+
+// TestProfilesInEveryMode: -cpuprofile and -memprofile write non-empty
+// profiles in table, CSV, JSON and compare mode alike.
+func TestProfilesInEveryMode(t *testing.T) {
+	dir := t.TempDir()
+	quick := []string{"-fig", "9b", "-quick", "-budget", "1ms", "-runs", "1"}
+	base := filepath.Join(dir, "BENCH_9b.json")
+	for _, mode := range []struct {
+		name string
+		args []string
+	}{
+		{"table", quick},
+		{"csv", append([]string{"-csv"}, quick...)},
+		{"json", append([]string{"-json", "-outdir", dir}, quick...)},
+		{"compare", []string{"-compare", base, base}},
+	} {
+		cpu, mem := filepath.Join(dir, mode.name+".cpu"), filepath.Join(dir, mode.name+".mem")
+		args := append([]string{"-cpuprofile", cpu, "-memprofile", mem}, mode.args...)
+		if _, stderr, code := runCmd(t, args...); code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", mode.name, code, stderr)
+		}
+		for _, path := range []string{cpu, mem} {
+			if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+				t.Errorf("%s: profile %s missing or empty (%v)", mode.name, filepath.Base(path), err)
+			}
+		}
 	}
 }

@@ -1,319 +1,15 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
-	"testing"
-	"time"
 
-	"tpq/internal/acim"
 	"tpq/internal/benchjson"
-	"tpq/internal/chase"
-	"tpq/internal/cim"
-	"tpq/internal/genquery"
-	"tpq/internal/ics"
-	"tpq/internal/pattern"
-	"tpq/internal/service"
-	"tpq/internal/store"
-	"tpq/internal/trace"
 )
-
-// measureTraced measures f like Measure, but lets f report the trace of
-// each run. It keeps the trace of the fastest run (for the deterministic
-// counters) and, separately, the minimum duration each phase reached in
-// any run: one run's phase split is noisy — a GC pause inflates whichever
-// phase it lands in — while the per-phase minimum converges like a
-// best-of-N total does.
-func measureTraced(opts Options, f func() (*trace.Trace, time.Duration)) (time.Duration, *trace.Trace, map[string]float64) {
-	opts = opts.withDefaults()
-	best := time.Duration(-1)
-	var bestTr *trace.Trace
-	phaseMin := map[string]float64{}
-	spent := time.Duration(0)
-	for run := 0; run < opts.MinRuns || spent < opts.Budget; run++ {
-		tr, d := f()
-		spent += d
-		if best < 0 || d < best {
-			best, bestTr = d, tr
-		}
-		if tr != nil {
-			for _, p := range trace.Phases() {
-				if pd := tr.Dur(p); pd > 0 {
-					ns := float64(pd.Nanoseconds())
-					if cur, ok := phaseMin[p.String()]; !ok || ns < cur {
-						phaseMin[p.String()] = ns
-					}
-				}
-			}
-		}
-		if run > 10000 {
-			break
-		}
-	}
-	if len(phaseMin) == 0 {
-		phaseMin = nil
-	}
-	return best, bestTr, phaseMin
-}
-
-// JSONFig7b pins the Figure 7(b) incremental-engine workload (101-node
-// fan, 100 constraints): the incremental images-table kernel at three
-// redundancy levels, each with the per-phase breakdown from the trace
-// spans, plus plan-based augmentation alone at the same levels.
-func JSONFig7b(opts Options) benchjson.File {
-	q := genquery.Fan(101)
-	base := genquery.RelevantConstraints(q, 100)
-	reds := []int{10, 50, 90}
-	if opts.Quick {
-		reds = []int{10, 90}
-	}
-	var results []benchjson.Result
-	run := func(red int) benchjson.Result {
-		cs := base.Clone()
-		for _, c := range genquery.FanRedundancy(red).Constraints() {
-			cs.Add(c)
-		}
-		closed := cs.Closure()
-		one := func() (*trace.Trace, time.Duration) {
-			tr := trace.New()
-			start := time.Now()
-			_, _ = acim.MinimizeWithRunnerTraced(q, closed, tr, func(aug *pattern.Pattern) cim.Stats {
-				return cim.MinimizeInPlace(aug, cim.Options{Trace: tr})
-			})
-			return tr, time.Since(start)
-		}
-		best, tr, phases := measureTraced(opts, one)
-		allocs := testing.AllocsPerRun(2, func() { one() })
-		return benchjson.Result{
-			Name:        "fig7b/incremental/red=" + strconv.Itoa(red),
-			Figure:      "7b-incremental",
-			Params:      map[string]string{"nodes": "101", "constraints": "100", "red": strconv.Itoa(red), "kernel": "incremental"},
-			NsPerOp:     float64(best.Nanoseconds()),
-			AllocsPerOp: allocs,
-			PhaseNs:     phases,
-			Counters: map[string]int64{
-				"tests":          tr.Count(trace.Tests),
-				"tables_built":   tr.Count(trace.TablesBuilt),
-				"tables_derived": tr.Count(trace.TablesDerived),
-			},
-		}
-	}
-	for _, red := range reds {
-		results = append(results, run(red))
-	}
-	for _, red := range reds {
-		results = append(results, runPlanAugment(opts, q, base, red))
-	}
-	return benchjson.New("fig7b", results)
-}
-
-// runPlanAugment pins the chase phase in isolation: one op is clone +
-// plan-based augmentation on the Figure 7(b) workload (the plan itself is
-// compiled once, outside the measured op — that is the point of the
-// registry). The augmented-node count is deterministic, so the compare
-// tool checks it exactly; a change there means the chase semantics moved,
-// not the clock.
-func runPlanAugment(opts Options, q *pattern.Pattern, base *ics.Set, red int) benchjson.Result {
-	cs := base.Clone()
-	for _, c := range genquery.FanRedundancy(red).Constraints() {
-		cs.Add(c)
-	}
-	pl := chase.PlanFor(cs.Closure())
-	one := func() (*trace.Trace, time.Duration) {
-		tr := trace.New()
-		start := time.Now()
-		pl.AugmentTraced(q.Clone(), tr)
-		return tr, time.Since(start)
-	}
-	best, tr, phases := measureTraced(opts, one)
-	allocs := testing.AllocsPerRun(2, func() { one() })
-	return benchjson.Result{
-		Name:        "fig7b/chase-plan/red=" + strconv.Itoa(red),
-		Figure:      "7b-incremental",
-		Params:      map[string]string{"nodes": "101", "constraints": "100", "red": strconv.Itoa(red), "kernel": "chase-plan"},
-		NsPerOp:     float64(best.Nanoseconds()),
-		AllocsPerOp: allocs,
-		PhaseNs:     phases,
-		Counters:    map[string]int64{"augmented": tr.Count(trace.Augmented)},
-	}
-}
-
-// JSONService pins the serving layer: the steady-state latency of a hot
-// cached query and of the uncached pipeline on the same query (the
-// headline speedup of the cache), plus a cold batch over the standard
-// mix. Hot-path phase breakdowns are empty by construction — a cache hit
-// runs no pipeline phases.
-func JSONService(opts Options) benchjson.File {
-	distinct, rawCS := BatchWorkload(8)
-	q := distinct[0]
-	ctx := context.Background()
-	var results []benchjson.Result
-
-	svc := service.New(service.Options{Constraints: rawCS})
-	if _, _, err := svc.Minimize(ctx, q); err != nil {
-		panic(err)
-	}
-	hot := Measure(opts, Timed(func() {
-		if _, _, err := svc.Minimize(ctx, q); err != nil {
-			panic(err)
-		}
-	}))
-	hotAllocs := testing.AllocsPerRun(2, func() { svc.Minimize(ctx, q) })
-	results = append(results, benchjson.Result{
-		Name:        "service/hot",
-		Figure:      "service",
-		Params:      map[string]string{"distinct": "8", "path": "cache-hit"},
-		NsPerOp:     float64(hot.Nanoseconds()),
-		AllocsPerOp: hotAllocs,
-	})
-
-	eng := service.New(service.Options{Constraints: rawCS, CacheSize: -1})
-	uncachedOne := func() (*trace.Trace, time.Duration) {
-		start := time.Now()
-		if _, _, err := eng.Minimize(ctx, q); err != nil {
-			panic(err)
-		}
-		return nil, time.Since(start)
-	}
-	uncached, _, _ := measureTraced(opts, uncachedOne)
-	uncachedAllocs := testing.AllocsPerRun(2, func() { uncachedOne() })
-	results = append(results, benchjson.Result{
-		Name:        "service/uncached",
-		Figure:      "service",
-		Params:      map[string]string{"distinct": "8", "path": "pipeline"},
-		NsPerOp:     float64(uncached.Nanoseconds()),
-		AllocsPerOp: uncachedAllocs,
-	})
-
-	cold := Measure(opts, Timed(func() {
-		fresh := service.New(service.Options{Constraints: rawCS})
-		if _, _, err := fresh.MinimizeBatch(ctx, distinct); err != nil {
-			panic(err)
-		}
-	}))
-	results = append(results, benchjson.Result{
-		Name:    "service/cold-batch",
-		Figure:  "service",
-		Params:  map[string]string{"distinct": "8", "path": "cold-batch"},
-		NsPerOp: float64(cold.Nanoseconds()),
-	})
-	return benchjson.New("service", results)
-}
-
-// JSONServiceWarmRestart pins the restart story of the persistent tier:
-// the time for a freshly constructed service to serve its whole working
-// set again — cold (no store: every distinct query pays the pipeline)
-// versus warm (reopening a populated store with warm-start: every
-// request is already a cache hit). The warm measurement starts at
-// store.Open, so it covers the real restart path — snapshot load, log
-// replay, warm-start preload — and must still win, because the pipeline
-// it avoids costs more than the store it reads.
-func JSONServiceWarmRestart(opts Options) benchjson.File {
-	distinct, rawCS := BatchWorkload(8)
-	ctx := context.Background()
-
-	// Seed the store with a clean shutdown's worth of state: every
-	// distinct query minimized, the write-behind queue drained, the log
-	// folded into the snapshot.
-	dir, err := os.MkdirTemp("", "tpqbench-store-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		panic(err)
-	}
-	seed := service.New(service.Options{Constraints: rawCS, Store: st})
-	if _, _, err := seed.MinimizeBatch(ctx, distinct); err != nil {
-		panic(err)
-	}
-	if err := seed.Close(ctx); err != nil {
-		panic(err)
-	}
-	if err := st.Compact(); err != nil {
-		panic(err)
-	}
-	if err := st.Close(); err != nil {
-		panic(err)
-	}
-
-	coldOne := func() (*trace.Trace, time.Duration) {
-		start := time.Now()
-		fresh := service.New(service.Options{Constraints: rawCS})
-		for _, q := range distinct {
-			if _, _, err := fresh.Minimize(ctx, q); err != nil {
-				panic(err)
-			}
-		}
-		return nil, time.Since(start)
-	}
-	cold, _, _ := measureTraced(opts, coldOne)
-
-	var warmStarted int64
-	warmOne := func() (*trace.Trace, time.Duration) {
-		start := time.Now()
-		st, err := store.Open(dir, store.Options{})
-		if err != nil {
-			panic(err)
-		}
-		fresh := service.New(service.Options{Constraints: rawCS, Store: st, WarmStart: -1})
-		for _, q := range distinct {
-			_, rep, err := fresh.Minimize(ctx, q)
-			if err != nil {
-				panic(err)
-			}
-			if !rep.CacheHit {
-				panic("bench: warm restart missed the cache")
-			}
-		}
-		d := time.Since(start)
-		warmStarted = fresh.Stats().WarmStarted
-		if err := fresh.Close(ctx); err != nil {
-			panic(err)
-		}
-		if err := st.Close(); err != nil {
-			panic(err)
-		}
-		return nil, d
-	}
-	warm, _, _ := measureTraced(opts, warmOne)
-
-	return benchjson.New("service-warm-restart", []benchjson.Result{
-		{
-			Name:    "service-warm-restart/cold",
-			Figure:  "service-warm-restart",
-			Params:  map[string]string{"queries": "8", "path": "cold-start"},
-			NsPerOp: float64(cold.Nanoseconds()),
-		},
-		{
-			Name:     "service-warm-restart/warm",
-			Figure:   "service-warm-restart",
-			Params:   map[string]string{"queries": "8", "path": "warm-start"},
-			NsPerOp:  float64(warm.Nanoseconds()),
-			Counters: map[string]int64{"warm_started": warmStarted},
-		},
-	})
-}
-
-// JSONFigures maps the pinned machine-readable benchmark ids to their
-// runners — the set `tpqbench -json` emits and CI gates on.
-func JSONFigures() map[string]func(Options) benchjson.File {
-	return map[string]func(Options) benchjson.File{
-		"fig7b":                JSONFig7b,
-		"service":              JSONService,
-		"fig-match":            JSONMatch,
-		"service-warm-restart": JSONServiceWarmRestart,
-		"service-scale":        JSONServiceScale,
-		"fig-or":               JSONOr,
-	}
-}
 
 // WriteJSON writes one result file ("BENCH_<figure>.json" under dir) and
 // returns its path.

@@ -19,6 +19,11 @@ type Result struct {
 	Name string `json:"name"`
 	// Figure ties the result to the paper experiment it pins.
 	Figure string `json:"figure"`
+	// Series and X place the result in its figure: the curve it belongs
+	// to and its position on the x axis. tpqbench renders its aligned
+	// table and CSV from these two and NsPerOp.
+	Series string  `json:"series,omitempty"`
+	X      float64 `json:"x,omitempty"`
 	// Params are the workload knobs, stringly typed for stability.
 	Params map[string]string `json:"params,omitempty"`
 	// NsPerOp is the best-of-N wall time of one operation.

@@ -135,6 +135,12 @@ type Stats struct {
 	// Passes is the number of bottom-up sweeps executed (at least 1; the
 	// last pass deletes nothing).
 	Passes int
+	// Probes is the number of lookups the minimization rules made into
+	// the constraint set's hash indexes: target and source lists and
+	// co-occurrence tests. It is the run's work count — it depends on the
+	// query and on the constraints the lookups return, not on how many
+	// constraints the set stores, nor on the clock.
+	Probes int
 	// TotalTime is the wall-clock time of the run.
 	TotalTime time.Duration
 }
@@ -173,8 +179,9 @@ func MinimizeInPlaceTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace) (st
 	}
 	for {
 		st.Passes++
-		removed := sweep(p, cs)
+		removed, probes := sweep(p, cs)
 		st.Removed += removed
+		st.Probes += probes
 		if removed == 0 {
 			return st
 		}
@@ -256,7 +263,7 @@ func (a argCounter) at(t pattern.Type) int32 {
 }
 
 // sweep performs one bottom-up propagation-plus-minimization pass and
-// returns the number of nodes removed.
+// returns the number of nodes removed and of constraint lookups made.
 //
 // Information contents are represented as six per-kind bitsets over the
 // pattern's interned types rather than as Info maps: every argument's
@@ -266,7 +273,8 @@ func (a argCounter) at(t pattern.Type) int32 {
 // insert per argument. On chain-shaped queries the per-node content is
 // O(depth) arguments, which made map-based propagation the dominant cost
 // of the whole pipeline once the chase was precompiled.
-func sweep(p *pattern.Pattern, cs *ics.Set) int {
+func sweep(p *pattern.Pattern, cs *ics.Set) (removed, probes int) {
+	r := &rules{cs: cs}
 	// Intern every type occurring in the pattern. Arguments only carry
 	// node types, so this is the full universe of the pass.
 	ids := make(map[pattern.Type]int32)
@@ -321,7 +329,6 @@ func sweep(p *pattern.Pattern, cs *ics.Set) int {
 		}
 	}
 
-	removed := 0
 	var rec func(n *pattern.Node) []uint64
 	rec = func(n *pattern.Node) []uint64 {
 		// Process children first, keeping each child's contributed
@@ -352,7 +359,7 @@ func sweep(p *pattern.Pattern, cs *ics.Set) int {
 				if y.Star || y.Temp || !y.IsLeaf() {
 					continue
 				}
-				if deletable(n, y, ac, cs) {
+				if r.deletable(n, y, ac) {
 					for i, c := range kids {
 						if c == y {
 							victim = i
@@ -388,7 +395,14 @@ func sweep(p *pattern.Pattern, cs *ics.Set) int {
 		return in
 	}
 	rec(p.Root)
-	return removed
+	return removed, r.probes
+}
+
+// rules applies the minimization rules under one closed constraint set
+// and counts the lookups they make into its indexes (Stats.Probes).
+type rules struct {
+	cs     *ics.Set
+	probes int
 }
 
 // deletable decides whether the leaf child y of n is locally redundant
@@ -405,7 +419,7 @@ func sweep(p *pattern.Pattern, cs *ics.Set) int {
 // "Covering" accounts for extra types on the leaf: a witness of type B
 // satisfies the leaf's requirement {t...} iff B ~ t holds (or B == t) for
 // every required t.
-func deletable(n, y *pattern.Node, ac argCounter, cs *ics.Set) bool {
+func (r *rules) deletable(n, y *pattern.Node, ac argCounter) bool {
 	need := y.Types()
 	// A leaf carrying value conditions (Section 7 extension) can only be
 	// discharged by a sibling witness whose conditions entail them;
@@ -417,14 +431,15 @@ func deletable(n, y *pattern.Node, ac argCounter, cs *ics.Set) bool {
 		if !condFree {
 			break
 		}
+		r.probes++
 		var targets []pattern.Type
 		if y.Edge == pattern.Child {
-			targets = cs.ChildTargets(pt)
+			targets = r.cs.ChildTargets(pt)
 		} else {
-			targets = cs.DescTargets(pt)
+			targets = r.cs.DescTargets(pt)
 		}
 		for _, b := range targets {
-			if covers(b, need, cs) {
+			if r.covers(b, need) {
 				return true
 			}
 		}
@@ -439,7 +454,7 @@ func deletable(n, y *pattern.Node, ac argCounter, cs *ics.Set) bool {
 			if z == y || z.Edge != pattern.Child {
 				continue
 			}
-			if jointlyCovers(z.Types(), need, cs) && z.CondsEntail(y) {
+			if r.jointlyCovers(z.Types(), need) && z.CondsEntail(y) {
 				return true
 			}
 		}
@@ -463,15 +478,17 @@ func deletable(n, y *pattern.Node, ac argCounter, cs *ics.Set) bool {
 			return c > 0
 		}
 		t0 := need[0]
-		cands := append(cs.CoSources(t0), t0)
+		r.probes++
+		cands := append(r.cs.CoSources(t0), t0)
 		for _, u := range cands {
-			if !covers(u, need, cs) {
+			if !r.covers(u, need) {
 				continue
 			}
 			if present(u) {
 				return true
 			}
-			for _, t1 := range cs.DescSources(u) {
+			r.probes++
+			for _, t1 := range r.cs.DescSources(u) {
 				if present(t1) {
 					return true
 				}
@@ -481,7 +498,7 @@ func deletable(n, y *pattern.Node, ac argCounter, cs *ics.Set) bool {
 	// Siblings jointly (multi-typed witnesses are not decomposable into
 	// single-type arguments).
 	for _, z := range n.Children {
-		if z != y && jointlyCovers(z.Types(), need, cs) && z.CondsEntail(y) {
+		if z != y && r.jointlyCovers(z.Types(), need) && z.CondsEntail(y) {
 			return true
 		}
 	}
@@ -490,9 +507,10 @@ func deletable(n, y *pattern.Node, ac argCounter, cs *ics.Set) bool {
 
 // covers reports whether a guaranteed node of type b satisfies every type
 // in need, via co-occurrence in the closed set.
-func covers(b pattern.Type, need []pattern.Type, cs *ics.Set) bool {
+func (r *rules) covers(b pattern.Type, need []pattern.Type) bool {
 	for _, t := range need {
-		if !cs.HasCo(b, t) {
+		r.probes++
+		if !r.cs.HasCo(b, t) {
 			return false
 		}
 	}
@@ -501,11 +519,12 @@ func covers(b pattern.Type, need []pattern.Type, cs *ics.Set) bool {
 
 // jointlyCovers reports whether a witness carrying all of have satisfies
 // every type in need.
-func jointlyCovers(have, need []pattern.Type, cs *ics.Set) bool {
+func (r *rules) jointlyCovers(have, need []pattern.Type) bool {
 	for _, t := range need {
 		ok := false
 		for _, h := range have {
-			if cs.HasCo(h, t) {
+			r.probes++
+			if r.cs.HasCo(h, t) {
 				ok = true
 				break
 			}

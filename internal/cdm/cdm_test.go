@@ -1,6 +1,7 @@
 package cdm
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -261,6 +262,30 @@ func TestStatsAndPasses(t *testing.T) {
 	st2 := MinimizeInPlace(clone, cs)
 	if st2.Removed != 0 || st2.Passes != 1 {
 		t.Errorf("second run: %+v, want 0 removals in 1 pass", st2)
+	}
+}
+
+// TestProbesCountLookups: Probes counts the rules' lookups into the
+// constraint set, and constraints over other types — stored, never
+// returned by a lookup — do not change it.
+func TestProbesCountLookups(t *testing.T) {
+	chain := ics.NewSet(ics.Child("a", "b"), ics.Child("b", "c"))
+	// Per removed leaf: the parent's child targets, then one
+	// co-occurrence test of the target against the leaf.
+	if st := MinimizeInPlace(mp("a*/b/c"), chain); st.Probes != 4 {
+		t.Errorf("chain: Probes = %d, want 4", st.Probes)
+	}
+	// No constraints: per leaf, the parent's (empty) child targets and
+	// one co-occurrence test against the sibling.
+	if st := MinimizeInPlace(mp("a*[/b, /c]"), ics.NewSet()); st.Probes != 4 || st.Removed != 0 {
+		t.Errorf("siblings: %+v, want 4 probes, 0 removed", st)
+	}
+	stored := chain.Clone()
+	for i := 0; i < 50; i++ {
+		stored.Add(ics.Desc(pattern.Type(fmt.Sprintf("y%d", i)), pattern.Type(fmt.Sprintf("z%d", i))))
+	}
+	if st := MinimizeInPlace(mp("a*/b/c"), stored.Closure()); st.Probes != 4 {
+		t.Errorf("chain with 50 unrelated constraints stored: Probes = %d, want 4", st.Probes)
 	}
 }
 

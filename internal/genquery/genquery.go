@@ -159,17 +159,12 @@ func FanRedundancy(x int) *ics.Set {
 // discharge a c-edge requirement. Surplus demand beyond the available
 // acyclic pairs is filled with constraints targeting fresh types, which
 // still cost retrieval but are never applied by augmentation.
+//
+// The pairs chain (gap 1 first), so on a query with m types the first
+// m-1 constraints already imply every later in-query pair: their closure
+// saturates. SpreadConstraints is the variant whose closure grows with k.
 func RelevantConstraints(q *pattern.Pattern, k int) *ics.Set {
-	types := make([]pattern.Type, 0, 16)
-	seen := map[pattern.Type]bool{}
-	q.Walk(func(n *pattern.Node) {
-		for _, t := range n.Types() {
-			if !seen[t] {
-				seen[t] = true
-				types = append(types, t)
-			}
-		}
-	})
+	types := queryTypes(q)
 	cs := ics.NewSet()
 	// In-query pairs first (i < j keeps the requirement graph acyclic).
 	for gap := 1; gap < len(types) && cs.Len() < k; gap++ {
@@ -181,6 +176,45 @@ func RelevantConstraints(q *pattern.Pattern, k int) *ics.Set {
 		cs.Add(ics.Desc(types[i%len(types)], pattern.Type(fmt.Sprintf("x%d", i))))
 	}
 	return cs
+}
+
+// SpreadConstraints builds k required-descendant constraints between
+// types of q that never chain — the constraint load of Figure 7(a). The
+// non-root types are split in half; every constraint leads from a type
+// of the first half to one of the second, so no constraint implies
+// another and each of the k adds to the closure. Like
+// RelevantConstraints they cannot discharge a c-edge requirement, so
+// they leave the minimal equivalent query unchanged. It panics when q
+// has fewer than k such pairs.
+func SpreadConstraints(q *pattern.Pattern, k int) *ics.Set {
+	types := queryTypes(q)[1:]
+	h := len(types) / 2
+	src, dst := types[:h], types[h:]
+	if k > len(src)*len(dst) {
+		panic(fmt.Sprintf("genquery: SpreadConstraints wants %d constraints, query has %d pairs", k, len(src)*len(dst)))
+	}
+	cs := ics.NewSet()
+	for i := 0; i < k; i++ {
+		s := i % len(src)
+		cs.Add(ics.Desc(src[s], dst[(s+i/len(src))%len(dst)]))
+	}
+	return cs
+}
+
+// queryTypes lists the types of q in walk order (the root's first),
+// each once.
+func queryTypes(q *pattern.Pattern) []pattern.Type {
+	var types []pattern.Type
+	seen := map[pattern.Type]bool{}
+	q.Walk(func(n *pattern.Node) {
+		for _, t := range n.Types() {
+			if !seen[t] {
+				seen[t] = true
+				types = append(types, t)
+			}
+		}
+	})
+	return types
 }
 
 // HalfLocal returns a query in which ACIM can remove 2k nodes but only k

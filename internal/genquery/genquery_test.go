@@ -7,6 +7,7 @@ import (
 	"tpq/internal/acim"
 	"tpq/internal/cdm"
 	"tpq/internal/cim"
+	"tpq/internal/ics"
 	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
@@ -201,6 +202,50 @@ func TestRelevantConstraints(t *testing.T) {
 	if out.Size() > q.Size() {
 		t.Error("minimization grew the query")
 	}
+}
+
+// TestSpreadConstraints: unlike RelevantConstraints, whose chained pairs
+// saturate the closure on a fan, every spread constraint is implied by
+// no other, so the closed set grows with k — the Figure 7(a) load.
+func TestSpreadConstraints(t *testing.T) {
+	q := Fan(101)
+	if sat := RelevantConstraints(q, 150); sat.Closure().Len() != RelevantConstraints(q, 100).Closure().Len() {
+		t.Fatal("RelevantConstraints no longer saturates on a fan; revisit SpreadConstraints' doc")
+	}
+	prev := -1
+	for _, k := range []int{0, 50, 100, 150} {
+		cs := SpreadConstraints(q, k)
+		if cs.Len() != k || !cs.AcyclicRequired() {
+			t.Fatalf("SpreadConstraints(%d): %d constraints, acyclic %v", k, cs.Len(), cs.AcyclicRequired())
+		}
+		closed := cs.Closure().Len()
+		if closed <= prev {
+			t.Errorf("SpreadConstraints(%d) closes to %d constraints, not above %d", k, closed, prev)
+		}
+		prev = closed
+	}
+	all := SpreadConstraints(q, 150).Constraints()
+	for i, c := range all {
+		rest := ics.NewSet()
+		for j, d := range all {
+			if j != i {
+				rest.Add(d)
+			}
+		}
+		if rest.Closure().Has(c) {
+			t.Errorf("%v is implied by the other spread constraints", c)
+		}
+	}
+	// They leave the minimal query alone: Fan's leaves are c-children.
+	if out := acim.Minimize(q, SpreadConstraints(q, 150)); out.Size() != q.Size() {
+		t.Errorf("spread constraints changed the minimal query: %d nodes, want %d", out.Size(), q.Size())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SpreadConstraints past the available pairs did not panic")
+		}
+	}()
+	SpreadConstraints(Fan(5), 5)
 }
 
 func TestHalfLocal(t *testing.T) {
