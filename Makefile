@@ -48,9 +48,9 @@ store-fault:
 
 # Differential fuzzing smoke: the seeded 1200-case sweep through all nine
 # oracles (the conjunctive eight plus the disjunctive union oracle; the
-# kernel and augment oracles compare against the references in
-# internal/oracle), then 10s of coverage-guided mutation per fuzz target
-# on top of the checked-in seed corpora. Open-ended hunting: go test
+# kernel, augment, match and union oracles compare against the references
+# in internal/oracle), then 10s of coverage-guided mutation per fuzz
+# target on top of the checked-in seed corpora. Open-ended hunting: go test
 # -fuzz=<target> with no -fuzztime, or cmd/tpqfuzz for
 # sweep/triage/replay.
 fuzz-smoke:
@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzMinimizeEquiv$$' -fuzztime=10s ./internal/difffuzz
 	$(GO) test -fuzz='^FuzzMinimizeUnderICs$$' -fuzztime=10s ./internal/difffuzz
 	$(GO) test -fuzz='^FuzzServiceConsistency$$' -fuzztime=10s ./internal/difffuzz
+	$(GO) test -fuzz='^FuzzMatch$$' -fuzztime=10s ./internal/difffuzz
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/difffuzz
 	$(GO) test -fuzz='^FuzzOr$$' -fuzztime=10s ./internal/difffuzz
 	$(GO) test -fuzz='^FuzzOrDecode$$' -fuzztime=10s ./internal/difffuzz

@@ -14,7 +14,6 @@ import (
 	"tpq/internal/containment"
 	"tpq/internal/data"
 	"tpq/internal/genquery"
-	"tpq/internal/match"
 	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
@@ -112,9 +111,10 @@ func BenchmarkMatch5k(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	m := NewMatcher(MatcherOptions{Forest: forest})
 	q := MustParse("a*[/b//c, //d]")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		match.Answers(q, forest)
+		m.Match(q)
 	}
 }

@@ -6,7 +6,7 @@ import (
 
 	"tpq/internal/data"
 	"tpq/internal/ics"
-	"tpq/internal/match"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
 
@@ -194,8 +194,8 @@ func TestACIMSemanticEquivalence(t *testing.T) {
 			if err := data.Repair(f, cs); err != nil {
 				t.Fatalf("iter %d: repair: %v", i, err)
 			}
-			a := match.Answers(q, f)
-			b := match.Answers(min, f)
+			a := oracle.BindingsMap(q, f)[q.OutputNode()]
+			b := oracle.BindingsMap(min, f)[min.OutputNode()]
 			if len(a) != len(b) {
 				t.Fatalf("iter %d trial %d: %d vs %d answers\nq   = %s\nmin = %s\ncs  = %s\ndata:\n%s",
 					i, trial, len(a), len(b), q, min, cs, f)

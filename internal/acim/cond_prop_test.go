@@ -6,7 +6,7 @@ import (
 
 	"tpq/internal/cdm"
 	"tpq/internal/data"
-	"tpq/internal/match"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
 
@@ -67,8 +67,8 @@ func TestConditionedMinimizationSemantics(t *testing.T) {
 			if err := data.Repair(f, closed); err != nil {
 				t.Fatal(err)
 			}
-			want := match.Answers(q, f)
-			got := match.Answers(minACIM, f)
+			want := oracle.BindingsMap(q, f)[q.OutputNode()]
+			got := oracle.BindingsMap(minACIM, f)[minACIM.OutputNode()]
 			if len(want) != len(got) {
 				t.Fatalf("iter %d: conditioned minimization broke equivalence\nq   = %s\nmin = %s\ncs  = %s\ndata:\n%s",
 					i, q, minACIM, cs, f)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tpq/internal/data"
-	"tpq/internal/match"
 	"tpq/internal/pattern"
 )
 
@@ -68,11 +67,11 @@ func TestConditionedMappingIsSound(t *testing.T) {
 			if !pattern.Satisfiable(flattenConds(sub)) {
 				continue // the sub-query matches nothing anywhere
 			}
-			subAnswers := match.Answers(sub, f)
+			subAnswers := answers(sub, f)
 			if len(subAnswers) == 0 {
 				continue // unsatisfiable node combination
 			}
-			got := match.Answers(super, f)
+			got := answers(super, f)
 			okay := false
 			for _, n := range got {
 				if n == want {

@@ -6,7 +6,7 @@
 // which makes a perfect oracle: any divergence between two variants, or
 // between a variant and the containment-based equivalence judge, is a bug
 // by construction. No ground-truth corpus is needed; the reference
-// kernels of internal/oracle serve oracles 4 and 6.
+// kernels of internal/oracle serve oracles 4, 6, 7 and 9.
 //
 // Nine oracles are checked (Check runs the conjunctive eight; CheckOr
 // runs the ninth on disjunctive queries):
@@ -38,25 +38,27 @@
 //     kinds and child order — to the per-call oracle.Augment, reports the
 //     same node count and the same wanted-witness set, and stays
 //     idempotent on re-augmentation.
-//  7. Match: the three evaluation engines agree — the streaming
-//     twig-join engine (match/stream) yields the same answer set as the
-//     dense DP engine and the structural-join engine, and its embedding
-//     enumeration agrees with the big-integer counting kernel, on the
-//     query's canonical database and a generated forest.
+//  7. Match: the evaluation kernels agree with the literal embedding
+//     definition of internal/oracle. The streaming twig-join engine
+//     (match/stream) and the structural-join kernel yield exactly the
+//     answer set of oracle.BindingsMap, and the streamed embedding
+//     enumeration and the counting kernel agree with
+//     oracle.CountEmbeddingsMap, on the query's canonical database and a
+//     generated forest.
 //  8. Store: an entry persisted through the serving layer's write-behind
 //     tier and reloaded by a fresh service over the same store files is
 //     byte-identical (canonical form) to a freshly computed
 //     minimization, served as a cache hit with the same report — the
 //     persistence round trip never changes an answer.
-//  9. Or: disjunctive queries. The streamed union, the dense merged union
-//     and the structural-join union agree answer for answer in strict
-//     document order; per-disjunct minimization plus absorption pruning
-//     preserves the union, certified by per-disjunct-pair containment in
-//     both directions; no output disjunct absorbs another, each is
-//     individually minimal, the serving layer's disjunctive path (with
-//     its or-cache) agrees with the direct engine, and on a
-//     constraint-satisfying forest the input and minimized unions answer
-//     identically.
+//  9. Or: disjunctive queries. The streamed union agrees answer for
+//     answer, in strict document order, with the union of the
+//     disjuncts' oracle.BindingsMap answer sets; per-disjunct
+//     minimization plus absorption pruning preserves the union,
+//     certified by per-disjunct-pair containment in both directions; no
+//     output disjunct absorbs another, each is individually minimal, the
+//     serving layer's disjunctive path (with its or-cache) agrees with
+//     the direct engine, and on a constraint-satisfying forest the input
+//     and minimized unions answer identically.
 //
 // The package is pure tooling: it must never mutate its inputs, and a nil
 // error means every oracle held.
@@ -509,14 +511,17 @@ func CheckStore(q *pattern.Pattern, cs *ics.Set) *Failure {
 	return nil
 }
 
-// CheckMatch runs oracle 7: the three evaluation engines agree. The
-// streaming twig-join engine's answer set must equal the dense DP
-// engine's and the structural-join engine's, on the query's canonical
-// database and on a generated forest over the query's alphabet; the
-// streamed embedding enumeration must agree with the big-integer
-// counting kernel and bind the output node to exactly the answer set.
-// cs may be nil — matching is constraint-independent, but a generated
-// forest repaired to satisfy cs exercises denser candidate lists.
+// CheckMatch runs oracle 7: the evaluation kernels agree with the literal
+// embedding definition. On the query's canonical database and on a
+// generated forest over the query's alphabet, the streaming twig-join
+// engine (match/stream) and the structural-join kernel
+// (match.AnswersIndexed) must each return exactly the answer set of
+// oracle.BindingsMap, which shares no code with either. The streamed
+// embedding enumeration and the counting kernel (match.CountEmbeddings)
+// must agree with oracle.CountEmbeddingsMap, and the enumeration must
+// bind the output node to exactly the answer set. cs may be nil —
+// matching is constraint-independent, but a generated forest repaired to
+// satisfy cs exercises denser candidate lists.
 func CheckMatch(q *pattern.Pattern, cs *ics.Set) *Failure {
 	if q == nil || q.Validate() != nil {
 		return nil
@@ -543,11 +548,11 @@ func CheckMatch(q *pattern.Pattern, cs *ics.Set) *Failure {
 	const embedCap = 2000
 	ctx := context.Background()
 	for fi, f := range forests {
+		want := oracle.BindingsMap(q, f)[q.OutputNode()]
 		idx := match.NewForestIndex(f)
-		dense := match.Answers(q, f)
-		if indexed := match.AnswersIndexed(q, idx); !sameNodeLists(dense, indexed) {
-			return fail(q, cs, "match", "forest %d: dense engine found %d answers, structural-join %d",
-				fi, len(dense), len(indexed))
+		if indexed := match.AnswersIndexed(q, idx); !sameNodeLists(want, indexed) {
+			return fail(q, cs, "match", "forest %d: reference found %d answers, structural-join %d",
+				fi, len(want), len(indexed))
 		}
 		sq, err := stream.Compile(q, idx, stream.Options{})
 		if err != nil {
@@ -557,11 +562,16 @@ func CheckMatch(q *pattern.Pattern, cs *ics.Set) *Failure {
 		for v := range sq.Answers(ctx) {
 			streamed = append(streamed, v)
 		}
-		if !sameNodeLists(dense, streamed) {
-			return fail(q, cs, "match", "forest %d: dense engine found %d answers, streaming %d",
-				fi, len(dense), len(streamed))
+		if !sameNodeLists(want, streamed) {
+			return fail(q, cs, "match", "forest %d: reference found %d answers, streaming %d",
+				fi, len(want), len(streamed))
 		}
 
+		wantCount := oracle.CountEmbeddingsMap(q, f)
+		if got := match.CountEmbeddings(q, idx); got.Cmp(wantCount) != 0 {
+			return fail(q, cs, "match", "forest %d: counting kernel says %s embeddings, reference %s",
+				fi, got, wantCount)
+		}
 		images := make(map[*data.Node]bool)
 		n, complete := 0, true
 		for e := range sq.Embeddings(ctx) {
@@ -571,19 +581,18 @@ func CheckMatch(q *pattern.Pattern, cs *ics.Set) *Failure {
 				break
 			}
 		}
-		want := match.CountEmbeddings(q, f)
 		if complete {
-			if want.Cmp(big.NewInt(int64(n))) != 0 {
-				return fail(q, cs, "match", "forest %d: enumerated %d embeddings, counting kernel says %s",
-					fi, n, want)
+			if wantCount.Cmp(big.NewInt(int64(n))) != 0 {
+				return fail(q, cs, "match", "forest %d: enumerated %d embeddings, reference counts %s",
+					fi, n, wantCount)
 			}
-			if len(images) != len(dense) {
+			if len(images) != len(want) {
 				return fail(q, cs, "match", "forest %d: embeddings bind the output to %d nodes, answer set has %d",
-					fi, len(images), len(dense))
+					fi, len(images), len(want))
 			}
-		} else if want.Cmp(big.NewInt(embedCap)) < 0 {
-			return fail(q, cs, "match", "forest %d: enumerated %d embeddings, counting kernel says only %s",
-				fi, embedCap, want)
+		} else if wantCount.Cmp(big.NewInt(embedCap)) < 0 {
+			return fail(q, cs, "match", "forest %d: enumerated %d embeddings, reference counts only %s",
+				fi, embedCap, wantCount)
 		}
 	}
 	return nil

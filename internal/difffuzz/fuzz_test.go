@@ -67,6 +67,22 @@ func FuzzServiceConsistency(f *testing.F) {
 	})
 }
 
+// FuzzMatch runs the match oracle: a byte-decoded query through the
+// evaluation kernels against the reference embedding definition, on its
+// canonical database and on a forest generated under the decoded
+// constraints.
+func FuzzMatch(f *testing.F) {
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, cs := genquery.FromBytesWithICs(data)
+		if err := CheckMatch(q, cs).err(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // FuzzOr runs the disjunctive oracle: a byte-decoded union of up to four
 // disjuncts through evaluation-engine agreement, minimize-with-absorption
 // equivalence, and the serving layer's disjunctive path.

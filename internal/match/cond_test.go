@@ -29,11 +29,11 @@ func TestMatchWithConditions(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.q, func(t *testing.T) {
 			p := pattern.MustParse(c.q)
-			got := Answers(p, f)
+			got := answers(p, f)
 			if len(got) != c.want {
-				t.Errorf("Answers(%q) = %d, want %d", c.q, len(got), c.want)
+				t.Errorf("AnswersIndexed(%q) = %d, want %d", c.q, len(got), c.want)
 			}
-			naive := AnswersNaive(p, f)
+			naive := answersNaive(p, f)
 			if len(naive) != len(got) {
 				t.Errorf("naive oracle disagrees: %d vs %d", len(naive), len(got))
 			}
@@ -45,10 +45,10 @@ func TestMatchConditionsOnInnerNodes(t *testing.T) {
 	root := data.NewNode("Shop").SetAttr("rating", 4)
 	root.Child("Item").SetAttr("price", 10)
 	f := data.NewForest(root)
-	if got := Count(pattern.MustParse("Shop(@rating>3)/Item*"), f); got != 1 {
+	if got := count(pattern.MustParse("Shop(@rating>3)/Item*"), f); got != 1 {
 		t.Errorf("inner condition match = %d, want 1", got)
 	}
-	if got := Count(pattern.MustParse("Shop(@rating>5)/Item*"), f); got != 0 {
+	if got := count(pattern.MustParse("Shop(@rating>5)/Item*"), f); got != 0 {
 		t.Errorf("failing inner condition matched %d", got)
 	}
 }
@@ -58,8 +58,8 @@ func TestCanonicalSatisfiesConditions(t *testing.T) {
 	// pattern itself (its attributes are sampled from the conditions).
 	p := pattern.MustParse("a*(@r>=2)[/b(@p>50, @p<100), //c(@q!=0)]")
 	f, m := data.Canonical(p, 1)
-	answers := Answers(p, f)
-	if len(answers) != 1 || answers[0] != m[p.OutputNode()] {
-		t.Errorf("pattern does not match its own canonical database: %v", answers)
+	got := answers(p, f)
+	if len(got) != 1 || got[0] != m[p.OutputNode()] {
+		t.Errorf("pattern does not match its own canonical database: %v", got)
 	}
 }

@@ -3,32 +3,29 @@ package match
 import (
 	"math/big"
 
-	"tpq/internal/data"
 	"tpq/internal/pattern"
 )
 
-// CountEmbeddings returns the number of distinct embeddings of p into f —
-// not just distinct answers. Each embedding is a full assignment of
-// pattern nodes to data nodes; the count can be exponential in the pattern
-// size, so it is returned as a big integer.
+// CountEmbeddings returns the number of distinct embeddings of p into the
+// indexed forest — not just distinct answers. Each embedding is a full
+// assignment of pattern nodes to data nodes; the count can be exponential
+// in the pattern size, so it is returned as a big integer.
 //
-// The dynamic program mirrors Bindings: emb(u, v) — the number of
-// embeddings of subtree(u) with u ↦ v — is the product over u's children c
-// of the sum of emb(c, w) over the valid images w under v. The total is
-// the sum of emb(root, v) over all v.
+// The dynamic program runs bottom-up over the pattern: emb(u, v) — the
+// number of embeddings of subtree(u) with u ↦ v — is the product over u's
+// children c of the sum of emb(c, w) over the valid images w under v. The
+// total is the sum of emb(root, v) over all v.
 //
 // Rows are flat slices indexed by pattern preorder ID and data node ID; a
 // nil cell means zero, so only cells actually reached by candidate images
-// (drawn from a per-type index built once per call) are materialized.
-// CountEmbeddingsMap is the original full-scan implementation, kept as the
-// cross-validation oracle.
-func CountEmbeddings(p *pattern.Pattern, f *data.Forest) *big.Int {
+// (drawn from idx) are materialized. oracle.CountEmbeddingsMap is the
+// full-scan reference it is checked against.
+func CountEmbeddings(p *pattern.Pattern, idx *ForestIndex) *big.Int {
 	total := big.NewInt(0)
-	if p == nil || p.Root == nil || f == nil || f.Size() == 0 {
+	if p == nil || p.Root == nil || idx == nil || idx.forest.Size() == 0 {
 		return total
 	}
-	idx := NewForestIndex(f)
-	nodes := f.Nodes()
+	nodes := idx.forest.Nodes()
 	n := len(nodes)
 	pIdx := pattern.NewExecIndex(p)
 	k := pIdx.Size()
@@ -101,85 +98,6 @@ func CountEmbeddings(p *pattern.Pattern, f *data.Forest) *big.Int {
 		if x != nil {
 			total.Add(total, x)
 		}
-	}
-	return total
-}
-
-// CountEmbeddingsMap is the original implementation of CountEmbeddings on
-// nested maps with full-forest scans, kept as the cross-validation oracle
-// for the flat-row engine.
-func CountEmbeddingsMap(p *pattern.Pattern, f *data.Forest) *big.Int {
-	total := big.NewInt(0)
-	if p == nil || p.Root == nil || f == nil || f.Size() == 0 {
-		return total
-	}
-	nodes := f.Nodes()
-	n := len(nodes)
-
-	emb := make(map[*pattern.Node][]*big.Int)
-	var up func(u *pattern.Node)
-	up = func(u *pattern.Node) {
-		for _, c := range u.Children {
-			up(c)
-		}
-		row := make([]*big.Int, n)
-
-		// For each child, precompute per data node the sum of its subtree
-		// counts over valid images: children sums for c-edges, subtree
-		// sums for d-edges (computed bottom-up over the data).
-		type kidSum struct {
-			kid  *pattern.Node
-			sums []*big.Int // indexed by candidate parent image
-		}
-		kids := make([]kidSum, 0, len(u.Children))
-		for _, c := range u.Children {
-			ks := kidSum{kid: c, sums: make([]*big.Int, n)}
-			for i := range ks.sums {
-				ks.sums[i] = big.NewInt(0)
-			}
-			if c.Edge == pattern.Child {
-				for _, v := range nodes {
-					if v.Parent != nil {
-						ks.sums[v.Parent.ID].Add(ks.sums[v.Parent.ID], emb[c][v.ID])
-					}
-				}
-			} else {
-				// descSum(v) = Σ over proper descendants w of emb(c, w):
-				// propagate child subtree totals bottom-up in reverse
-				// preorder. below(v) = emb(c,v) + descSum(v); descSum(v) =
-				// Σ_children below(ch).
-				below := make([]*big.Int, n)
-				for i := n - 1; i >= 0; i-- {
-					v := nodes[i]
-					below[v.ID] = new(big.Int).Add(emb[c][v.ID], ks.sums[v.ID])
-					if v.Parent != nil {
-						ks.sums[v.Parent.ID].Add(ks.sums[v.Parent.ID], below[v.ID])
-					}
-				}
-			}
-			kids = append(kids, ks)
-		}
-
-		for _, v := range nodes {
-			if !typesOK(u, v) {
-				row[v.ID] = big.NewInt(0)
-				continue
-			}
-			prod := big.NewInt(1)
-			for _, ks := range kids {
-				prod.Mul(prod, ks.sums[v.ID])
-				if prod.Sign() == 0 {
-					break
-				}
-			}
-			row[v.ID] = prod
-		}
-		emb[u] = row
-	}
-	up(p.Root)
-
-	for _, v := range nodes {
-		total.Add(total, emb[p.Root][v.ID])
 	}
 	return total
 }

@@ -25,7 +25,7 @@ func TestCountEmbeddingsBasic(t *testing.T) {
 		{"Title*", 2},
 	}
 	for _, c := range cases {
-		got := CountEmbeddings(pattern.MustParse(c.src), f)
+		got := CountEmbeddings(pattern.MustParse(c.src), NewForestIndex(f))
 		if got.Cmp(big.NewInt(c.want)) != 0 {
 			t.Errorf("CountEmbeddings(%q) = %s, want %d", c.src, got, c.want)
 		}
@@ -43,13 +43,13 @@ func TestCountEmbeddingsMultiplies(t *testing.T) {
 		root.Child("c")
 	}
 	f := data.NewForest(root)
-	got := CountEmbeddings(pattern.MustParse("a*[/b, /c]"), f)
+	got := CountEmbeddings(pattern.MustParse("a*[/b, /c]"), NewForestIndex(f))
 	if got.Cmp(big.NewInt(6)) != 0 {
 		t.Errorf("count = %s, want 6", got)
 	}
 	// Redundant duplicate branches square the count without changing the
 	// answers — the blow-up minimization avoids.
-	got2 := CountEmbeddings(pattern.MustParse("a*[/b, /b, /c]"), f)
+	got2 := CountEmbeddings(pattern.MustParse("a*[/b, /b, /c]"), NewForestIndex(f))
 	if got2.Cmp(big.NewInt(18)) != 0 {
 		t.Errorf("count with duplicate branch = %s, want 18", got2)
 	}
@@ -61,7 +61,7 @@ func TestCountEmbeddingsAgainstBruteForce(t *testing.T) {
 		f := randomForest(rng, 1+rng.Intn(12))
 		p := randomQuery(rng, 1+rng.Intn(4))
 		want := bruteForceEmbeddings(p, f)
-		got := CountEmbeddings(p, f)
+		got := CountEmbeddings(p, NewForestIndex(f))
 		if got.Cmp(big.NewInt(int64(want))) != 0 {
 			t.Fatalf("iter %d: CountEmbeddings = %s, brute force %d\npattern %s\ndata:\n%s",
 				i, got, want, p, f)
@@ -73,7 +73,7 @@ func TestCountEmbeddingsAgainstBruteForce(t *testing.T) {
 func bruteForceEmbeddings(p *pattern.Pattern, f *data.Forest) int {
 	var countAt func(u *pattern.Node, v *data.Node) int
 	countAt = func(u *pattern.Node, v *data.Node) int {
-		if !typesOK(u, v) {
+		if !TypesOK(u, v) {
 			return 0
 		}
 		prod := 1
@@ -108,10 +108,10 @@ func bruteForceEmbeddings(p *pattern.Pattern, f *data.Forest) int {
 }
 
 func TestCountEmbeddingsEmpty(t *testing.T) {
-	if CountEmbeddings(&pattern.Pattern{}, library()).Sign() != 0 {
+	if CountEmbeddings(&pattern.Pattern{}, NewForestIndex(library())).Sign() != 0 {
 		t.Error("empty pattern counted embeddings")
 	}
-	if CountEmbeddings(pattern.MustParse("a*"), data.NewForest()).Sign() != 0 {
+	if CountEmbeddings(pattern.MustParse("a*"), NewForestIndex(data.NewForest())).Sign() != 0 {
 		t.Error("empty forest counted embeddings")
 	}
 }
@@ -130,7 +130,7 @@ func TestCountEmbeddingsExponentialBlowup(t *testing.T) {
 		src += ", //b"
 	}
 	src += "]"
-	got := CountEmbeddings(pattern.MustParse(src), f)
+	got := CountEmbeddings(pattern.MustParse(src), NewForestIndex(f))
 	want := new(big.Int).Exp(big.NewInt(4), big.NewInt(10), nil)
 	if got.Cmp(want) != 0 {
 		t.Errorf("count = %s, want 4^10 = %s", got, want)

@@ -1,41 +1,47 @@
 package match
 
 import (
+	"sync"
+
 	"tpq/internal/bitset"
 	"tpq/internal/data"
 	"tpq/internal/pattern"
 )
 
-// This file implements a second evaluation engine based on structural
-// joins over a per-type inverted index — the approach XML query processors
-// take when the database is large and the pattern selective. Candidate
-// lists (sorted by document position) are computed bottom-up over the
-// pattern and pruned top-down; ancestor/descendant checks are binary
-// searches on preorder intervals rather than scans of the whole forest.
+// This file implements the structural-join kernel over a per-type
+// inverted index — the approach XML query processors take when the
+// database is large and the pattern selective. Candidate lists (sorted by
+// document position) are computed bottom-up over the pattern and pruned
+// top-down; ancestor/descendant checks are merges over preorder intervals
+// rather than scans of the whole forest.
 //
 // For a pattern of size k over a forest of size n with candidate lists of
-// total length m, evaluation costs O(k·m·log n) instead of the dense
-// engine's O(k·n) — a win whenever the pattern's types are selective
-// (m ≪ n). The package tests cross-validate the two engines on random
-// inputs, and a benchmark compares them.
+// total length m, evaluation costs O(k·m·log n) rather than a full scan's
+// O(k·n) — a win whenever the pattern's types are selective (m ≪ n).
 
 // ForestIndex is an inverted index from type to the nodes carrying it, in
-// document order. Build once per forest, reuse across queries — both the
-// structural-join engine here and the dense Bindings/CountEmbeddings
-// engines draw their candidates from it.
+// document order. Build once per forest, reuse across queries: the
+// streaming engine, the structural-join kernel and CountEmbeddings all
+// draw their candidates from it. It is safe for concurrent use.
 type ForestIndex struct {
 	forest *data.Forest
 	byType map[pattern.Type][]*data.Node
-	// bits caches, per type, the bitset over node IDs of byType[t]; built
-	// lazily by typeBits and shared by every pattern node requiring t.
+
+	// mu guards bits, which caches per type the bitset over node IDs of
+	// byType[t]. Rows are filled lazily, on the first TypeBits call for a
+	// type: an inline document may carry as many distinct types as nodes,
+	// so one eager row per type would cost types × nodes bits.
+	mu   sync.Mutex
 	bits map[pattern.Type]bitset.Set
-	// pos maps a node to its position in the document-order numbering used
-	// for interval reasoning (its preorder ID).
 }
 
 // NewForestIndex builds the inverted index for f.
 func NewForestIndex(f *data.Forest) *ForestIndex {
-	idx := &ForestIndex{forest: f, byType: make(map[pattern.Type][]*data.Node)}
+	idx := &ForestIndex{
+		forest: f,
+		byType: make(map[pattern.Type][]*data.Node),
+		bits:   make(map[pattern.Type]bitset.Set),
+	}
 	for _, n := range f.Nodes() {
 		for _, t := range n.Types {
 			idx.byType[t] = append(idx.byType[t], n)
@@ -48,19 +54,14 @@ func NewForestIndex(f *data.Forest) *ForestIndex {
 func (idx *ForestIndex) Forest() *data.Forest { return idx.forest }
 
 // TypeBits returns the bitset over node IDs of the nodes carrying t,
-// built lazily and cached. The returned set is owned by the index: callers
-// must treat it as read-only. The streaming engine uses it for its
+// built on first use and cached. The returned set is owned by the index:
+// callers must treat it as read-only. The streaming engine uses it for its
 // existence fast path (one AndIntersectsRange probe per subtree interval).
-func (idx *ForestIndex) TypeBits(t pattern.Type) bitset.Set { return idx.typeBits(t) }
-
-// typeBits returns the cached bitset of node IDs carrying t. The returned
-// set is owned by the index: callers must CopyFrom it, never mutate it.
-func (idx *ForestIndex) typeBits(t pattern.Type) bitset.Set {
+func (idx *ForestIndex) TypeBits(t pattern.Type) bitset.Set {
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
 	if s, ok := idx.bits[t]; ok {
 		return s
-	}
-	if idx.bits == nil {
-		idx.bits = make(map[pattern.Type]bitset.Set)
 	}
 	s := bitset.New(idx.forest.Size())
 	for _, v := range idx.byType[t] {
@@ -68,35 +69,6 @@ func (idx *ForestIndex) typeBits(t pattern.Type) bitset.Set {
 	}
 	idx.bits[t] = s
 	return s
-}
-
-// candidateBits overwrites row with the IDs of the nodes satisfying u's
-// local requirements: the intersection of the per-type membership bitsets
-// of u's required types, minus any node failing u's value conditions. The
-// row must have capacity for the forest size.
-func (idx *ForestIndex) candidateBits(u *pattern.Node, row bitset.Set) {
-	row.CopyFrom(idx.typeBits(u.Type))
-	for _, t := range u.Extra {
-		row.And(idx.typeBits(t))
-	}
-	if len(u.Conds) == 0 {
-		return
-	}
-	nodes := idx.forest.Nodes()
-	for vi := row.NextSet(0); vi >= 0; vi = row.NextSet(vi + 1) {
-		v := nodes[vi]
-		ok := true
-		for _, c := range u.Conds {
-			val, has := v.Attrs[c.Attr]
-			if !has || !c.Holds(val) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			row.Remove(vi)
-		}
-	}
 }
 
 // Candidates returns the nodes satisfying the pattern node's local
@@ -108,7 +80,7 @@ func (idx *ForestIndex) Candidates(u *pattern.Node) []*data.Node {
 	}
 	out := make([]*data.Node, 0, len(base))
 	for _, v := range base {
-		if typesOK(u, v) {
+		if TypesOK(u, v) {
 			out = append(out, v)
 		}
 	}
@@ -116,12 +88,13 @@ func (idx *ForestIndex) Candidates(u *pattern.Node) []*data.Node {
 }
 
 // AnswersIndexed evaluates p over the indexed forest and returns the
-// answer set in document order — the same result as Answers.
+// answer set in document order.
 //
 // Deprecated: new code should stream answers through match/stream (the
 // tpq.Matcher engine) instead of materializing the structural-join
-// candidate lists. This kernel stays as the cross-validation oracle the
-// streaming engine is tested against.
+// candidate lists. This kernel stays as the fig-match figure's
+// comparison baseline until the streaming engine is faster at every
+// size.
 func AnswersIndexed(p *pattern.Pattern, idx *ForestIndex) []*data.Node {
 	star := p.OutputNode()
 	if star == nil || idx == nil || idx.forest.Size() == 0 {

@@ -52,26 +52,6 @@ func TestIndexedCandidates(t *testing.T) {
 	}
 }
 
-func TestIndexedAgainstDenseEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for i := 0; i < 200; i++ {
-		f := randomForest(rng, 1+rng.Intn(40))
-		idx := NewForestIndex(f)
-		p := randomQuery(rng, 1+rng.Intn(6))
-		dense := Answers(p, f)
-		indexed := AnswersIndexed(p, idx)
-		if len(dense) != len(indexed) {
-			t.Fatalf("iter %d: dense %d vs indexed %d answers\npattern %s\ndata:\n%s",
-				i, len(dense), len(indexed), p, f)
-		}
-		for j := range dense {
-			if dense[j] != indexed[j] {
-				t.Fatalf("iter %d: answer %d differs", i, j)
-			}
-		}
-	}
-}
-
 func TestIndexedEmpty(t *testing.T) {
 	idx := NewForestIndex(data.NewForest())
 	if got := AnswersIndexed(pattern.MustParse("a*"), idx); got != nil {
@@ -99,33 +79,6 @@ func TestIndexedNestedAncestors(t *testing.T) {
 	if got := CountIndexed(pattern.MustParse("a/b*"), idx); got != 1 {
 		t.Errorf("Count = %d, want 1", got)
 	}
-}
-
-func BenchmarkDenseVsIndexed(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	// A large forest where the pattern's types are selective.
-	types := []pattern.Type{"a", "b", "c", "d", "e", "f", "g", "h"}
-	var all []*data.Node
-	root := data.NewNode("root")
-	all = append(all, root)
-	for len(all) < 20000 {
-		parent := all[rng.Intn(len(all))]
-		all = append(all, parent.Child(types[rng.Intn(len(types))]))
-	}
-	f := data.NewForest(root)
-	q := pattern.MustParse("a*[/b//c, //d]")
-	b.Run("Dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Answers(q, f)
-		}
-	})
-	b.Run("Indexed", func(b *testing.B) {
-		idx := NewForestIndex(f)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			AnswersIndexed(q, idx)
-		}
-	})
 }
 
 // TestDescendantFilterProperty checks the merge-cursor interval filters

@@ -1,282 +1,29 @@
-// Package match evaluates tree pattern queries over tree-structured
-// databases: it finds the embeddings of a pattern into a data forest and
-// returns the answer set — the data nodes the pattern's output node binds
-// to. This is the operation whose cost motivates minimization (Section 1 of
-// the paper): evaluation time grows with pattern size, so a minimized
-// pattern matches faster.
+// Package match holds what the match engines share: the inverted type
+// index over a data forest (ForestIndex), the per-node admission test
+// (TypesOK), the embedding counter (CountEmbeddings), and the
+// structural-join kernel AnswersIndexed that the fig-match figure keeps
+// as the streaming engine's comparison baseline. Evaluation itself runs
+// on the streaming twig join in match/stream. Evaluation cost is what
+// motivates minimization (Section 1 of the paper): it grows with pattern
+// size, so a minimized pattern matches faster.
 //
 // Embeddings are non-anchored: the pattern root may bind to any data node.
 // An embedding e maps pattern nodes to data nodes such that every type
 // required by a pattern node is carried by its data image, a c-child maps
-// to a child, and a d-child maps to a proper descendant.
-//
-// Answers runs a two-pass dynamic program in O(|pattern| x |data|);
-// AnswersNaive is an exponential backtracking enumerator kept as a
-// cross-check oracle for the tests.
+// to a child, and a d-child maps to a proper descendant. The reference
+// implementations of this definition live in internal/oracle.
 package match
 
 import (
-	"sort"
-
-	"tpq/internal/bitset"
 	"tpq/internal/data"
 	"tpq/internal/pattern"
 )
 
-// arena recycles DP-row storage across evaluations.
-var arena bitset.Arena
-
-// Answers returns the answer set of p over f: the data nodes the output
-// node binds to across all embeddings, in document (preorder) order,
-// without duplicates.
-func Answers(p *pattern.Pattern, f *data.Forest) []*data.Node {
-	star := p.OutputNode()
-	if star == nil {
-		return nil
-	}
-	bind := Bindings(p, f)
-	return bind[star]
-}
-
-// Count returns the number of distinct answers of p over f.
-func Count(p *pattern.Pattern, f *data.Forest) int {
-	return len(Answers(p, f))
-}
-
-// Bindings returns, for every pattern node, the set of data nodes it binds
-// to in at least one embedding of p into f, in document order.
-//
-// The computation is the standard two-pass dynamic program:
-//
-//   - Bottom-up over the pattern: sat(u) = data nodes v whose subtree can
-//     embed subtree(u) with u ↦ v. For a d-child this needs "v has a proper
-//     descendant in sat(c)" — one IntersectsRange probe of the child's row
-//     against v's preorder subtree interval.
-//   - Top-down: bind(root) = sat(root); bind(c) for a child of u keeps only
-//     nodes of sat(c) lying under some bound image of u with the right
-//     relationship.
-//
-// It runs on the dense execution layer: the per-pattern-node sets are
-// bitset rows over data preorder IDs, seeded from a per-type inverted
-// index built once per call and shared by all pattern nodes. BindingsMap
-// is the original flat-scan implementation, kept as the oracle the
-// property tests cross-validate against.
-func Bindings(p *pattern.Pattern, f *data.Forest) map[*pattern.Node][]*data.Node {
-	if p == nil || p.Root == nil || f == nil || f.Size() == 0 {
-		return map[*pattern.Node][]*data.Node{}
-	}
-	return BindingsIndexed(p, NewForestIndex(f))
-}
-
-// BindingsIndexed is Bindings over a prebuilt forest index, for callers
-// evaluating many patterns against one forest.
-func BindingsIndexed(p *pattern.Pattern, idx *ForestIndex) map[*pattern.Node][]*data.Node {
-	if p == nil || p.Root == nil || idx == nil || idx.forest.Size() == 0 {
-		return map[*pattern.Node][]*data.Node{}
-	}
-	nodes := idx.forest.Nodes()
-	n := len(nodes)
-	pIdx := pattern.NewExecIndex(p)
-	k := pIdx.Size()
-
-	sat := bitset.NewMatrix(&arena, k, n)
-	defer sat.Release(&arena)
-
-	// Bottom-up: reverse preorder visits every pattern node after its
-	// children. Children are enumerated by interval walking.
-	for ui := k - 1; ui >= 0; ui-- {
-		row := sat.Row(ui)
-		idx.candidateBits(pIdx.NodeAt(ui), row)
-		uEnd := pIdx.SubtreeEnd(ui)
-		for ci := ui + 1; ci <= uEnd && row.Any(); ci = pIdx.SubtreeEnd(ci) + 1 {
-			cRow := sat.Row(ci)
-			if pIdx.NodeAt(ci).Edge == pattern.Child {
-				hasChild := arena.Get(n)
-				for vi := cRow.NextSet(0); vi >= 0; vi = cRow.NextSet(vi + 1) {
-					if par := nodes[vi].Parent; par != nil {
-						hasChild.Add(par.ID)
-					}
-				}
-				row.And(hasChild)
-				arena.Put(hasChild)
-			} else {
-				for vi := row.NextSet(0); vi >= 0; vi = row.NextSet(vi + 1) {
-					if !cRow.IntersectsRange(vi+1, nodes[vi].SubtreeEnd()) {
-						row.Remove(vi)
-					}
-				}
-			}
-		}
-	}
-
-	// Top-down restriction. Preorder: a node's bound set is final before
-	// its children's are derived from it.
-	bind := bitset.NewMatrix(&arena, k, n)
-	defer bind.Release(&arena)
-	bind.Row(0).CopyFrom(sat.Row(0))
-	for ui := 0; ui < k; ui++ {
-		bu := bind.Row(ui)
-		uEnd := pIdx.SubtreeEnd(ui)
-		for ci := ui + 1; ci <= uEnd; ci = pIdx.SubtreeEnd(ci) + 1 {
-			bc := bind.Row(ci)
-			if pIdx.NodeAt(ci).Edge == pattern.Child {
-				cRow := sat.Row(ci)
-				for vi := bu.NextSet(0); vi >= 0; vi = bu.NextSet(vi + 1) {
-					for _, ch := range nodes[vi].Children {
-						if cRow.Has(ch.ID) {
-							bc.Add(ch.ID)
-						}
-					}
-				}
-			} else {
-				// Union of the bound images' subtree intervals, then mask.
-				for vi := bu.NextSet(0); vi >= 0; vi = bu.NextSet(vi + 1) {
-					bc.AddRange(vi+1, nodes[vi].SubtreeEnd())
-				}
-				bc.And(sat.Row(ci))
-			}
-		}
-	}
-
-	out := make(map[*pattern.Node][]*data.Node, k)
-	for ui := 0; ui < k; ui++ {
-		row := bind.Row(ui)
-		var list []*data.Node
-		for vi := row.NextSet(0); vi >= 0; vi = row.NextSet(vi + 1) {
-			list = append(list, nodes[vi])
-		}
-		out[pIdx.NodeAt(ui)] = list
-	}
-	return out
-}
-
-// BindingsMap is the original implementation of Bindings on per-node
-// boolean slices with full-forest scans, kept as the cross-validation
-// oracle for the dense engine.
-func BindingsMap(p *pattern.Pattern, f *data.Forest) map[*pattern.Node][]*data.Node {
-	if p == nil || p.Root == nil || f == nil || f.Size() == 0 {
-		return map[*pattern.Node][]*data.Node{}
-	}
-	nodes := f.Nodes()
-	n := len(nodes)
-
-	// sat[u][id] — computed bottom-up over the pattern.
-	sat := make(map[*pattern.Node][]bool)
-	var up func(u *pattern.Node)
-	up = func(u *pattern.Node) {
-		for _, c := range u.Children {
-			up(c)
-		}
-		s := make([]bool, n)
-		// hasDesc[c], hasChild[c] per data node, derived from sat[c].
-		type kidSets struct {
-			kid               *pattern.Node
-			hasChild, hasDesc []bool
-		}
-		kids := make([]kidSets, 0, len(u.Children))
-		for _, c := range u.Children {
-			ks := kidSets{kid: c}
-			if c.Edge == pattern.Child {
-				ks.hasChild = make([]bool, n)
-				for _, v := range nodes {
-					if v.Parent != nil && sat[c][v.ID] {
-						ks.hasChild[v.Parent.ID] = true
-					}
-				}
-			} else {
-				// hasDesc(v) = any child ch with sat[c][ch] or hasDesc(ch).
-				// Propagate bottom-up by walking preorder in reverse.
-				ks.hasDesc = make([]bool, n)
-				for i := n - 1; i >= 0; i-- {
-					v := nodes[i]
-					if v.Parent != nil && (sat[c][v.ID] || ks.hasDesc[v.ID]) {
-						ks.hasDesc[v.Parent.ID] = true
-					}
-				}
-			}
-			kids = append(kids, ks)
-		}
-		for _, v := range nodes {
-			if !typesOK(u, v) {
-				continue
-			}
-			ok := true
-			for _, ks := range kids {
-				if ks.kid.Edge == pattern.Child {
-					if !ks.hasChild[v.ID] {
-						ok = false
-						break
-					}
-				} else if !ks.hasDesc[v.ID] {
-					ok = false
-					break
-				}
-			}
-			s[v.ID] = ok
-		}
-		sat[u] = s
-	}
-	up(p.Root)
-
-	// Top-down restriction.
-	bindSet := make(map[*pattern.Node][]bool)
-	bindSet[p.Root] = sat[p.Root]
-	var down func(u *pattern.Node)
-	down = func(u *pattern.Node) {
-		bu := bindSet[u]
-		for _, c := range u.Children {
-			bc := make([]bool, n)
-			if c.Edge == pattern.Child {
-				for _, v := range nodes {
-					if bu[v.ID] {
-						for _, ch := range v.Children {
-							if sat[c][ch.ID] {
-								bc[ch.ID] = true
-							}
-						}
-					}
-				}
-			} else {
-				// under[v]: v lies strictly below some bound image of u.
-				// Propagate top-down in preorder.
-				under := make([]bool, n)
-				for _, v := range nodes {
-					if v.Parent != nil && (bu[v.Parent.ID] || under[v.Parent.ID]) {
-						under[v.ID] = true
-					}
-				}
-				for _, v := range nodes {
-					if under[v.ID] && sat[c][v.ID] {
-						bc[v.ID] = true
-					}
-				}
-			}
-			bindSet[c] = bc
-			down(c)
-		}
-	}
-	down(p.Root)
-
-	out := make(map[*pattern.Node][]*data.Node, len(bindSet))
-	for u, set := range bindSet {
-		var list []*data.Node
-		for _, v := range nodes {
-			if set[v.ID] {
-				list = append(list, v)
-			}
-		}
-		out[u] = list
-	}
-	return out
-}
-
 // TypesOK reports whether data node v satisfies pattern node u's local
 // requirements: every required type (primary and extra) and every value
-// condition. It is the per-node admission test shared by every engine in
+// condition. It is the per-node admission test shared by the kernels in
 // this package and by the streaming matcher in match/stream.
-func TypesOK(u *pattern.Node, v *data.Node) bool { return typesOK(u, v) }
-
-func typesOK(u *pattern.Node, v *data.Node) bool {
+func TypesOK(u *pattern.Node, v *data.Node) bool {
 	if !v.HasType(u.Type) {
 		return false
 	}
@@ -292,89 +39,4 @@ func typesOK(u *pattern.Node, v *data.Node) bool {
 		}
 	}
 	return true
-}
-
-// AnswersNaive enumerates embeddings by backtracking and returns the answer
-// set in document order. Exponential in the worst case; used by tests as an
-// oracle for Answers and by benchmarks to show the cost of unminimized
-// patterns.
-func AnswersNaive(p *pattern.Pattern, f *data.Forest) []*data.Node {
-	star := p.OutputNode()
-	if star == nil || f == nil {
-		return nil
-	}
-	found := make(map[*data.Node]bool)
-	var embed func(u *pattern.Node, v *data.Node) bool
-	// embedAll collects all data nodes the subtree rooted at u can embed at
-	// with u ↦ v, recording star bindings. Returns whether any embedding of
-	// subtree(u) at v exists.
-	embed = func(u *pattern.Node, v *data.Node) bool {
-		if !typesOK(u, v) {
-			return false
-		}
-		for _, c := range u.Children {
-			okChild := false
-			if c.Edge == pattern.Child {
-				for _, w := range v.Children {
-					if embed(c, w) {
-						okChild = true
-					}
-				}
-			} else {
-				var desc func(*data.Node)
-				desc = func(w *data.Node) {
-					for _, x := range w.Children {
-						if embed(c, x) {
-							okChild = true
-						}
-						desc(x)
-					}
-				}
-				desc(v)
-			}
-			if !okChild {
-				return false
-			}
-		}
-		return true
-	}
-	// For each candidate root binding, re-walk to collect star bindings of
-	// full embeddings. The simple way: for every data node v where the full
-	// pattern embeds with root ↦ v, collect the star bindings reachable
-	// under that embedding; equivalent to intersecting bottom-up and
-	// top-down which Answers does — here we just recompute per candidate.
-	var collect func(u *pattern.Node, v *data.Node)
-	collect = func(u *pattern.Node, v *data.Node) {
-		if !embed(u, v) {
-			return
-		}
-		if u.Star {
-			found[v] = true
-		}
-		for _, c := range u.Children {
-			if c.Edge == pattern.Child {
-				for _, w := range v.Children {
-					collect(c, w)
-				}
-			} else {
-				var desc func(*data.Node)
-				desc = func(w *data.Node) {
-					for _, x := range w.Children {
-						collect(c, x)
-						desc(x)
-					}
-				}
-				desc(v)
-			}
-		}
-	}
-	for _, v := range f.Nodes() {
-		collect(p.Root, v)
-	}
-	out := make([]*data.Node, 0, len(found))
-	for v := range found {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

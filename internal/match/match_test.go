@@ -2,9 +2,11 @@ package match
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"tpq/internal/data"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
 
@@ -18,6 +20,13 @@ func library() *data.Forest {
 	b2.Child("Title")
 	return data.NewForest(lib)
 }
+
+// answers is the answer set of p over f on the structural-join kernel.
+func answers(p *pattern.Pattern, f *data.Forest) []*data.Node {
+	return AnswersIndexed(p, NewForestIndex(f))
+}
+
+func count(p *pattern.Pattern, f *data.Forest) int { return len(answers(p, f)) }
 
 func typesOf(nodes []*data.Node) []pattern.Type {
 	out := make([]pattern.Type, len(nodes))
@@ -48,14 +57,11 @@ func TestAnswersBasic(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.src, func(t *testing.T) {
 			p := pattern.MustParse(c.src)
-			got := Answers(p, f)
+			got := answers(p, f)
 			if len(got) != c.want {
-				t.Errorf("Answers(%q) = %v (%d), want %d", c.src, typesOf(got), len(got), c.want)
+				t.Errorf("AnswersIndexed(%q) = %v (%d), want %d", c.src, typesOf(got), len(got), c.want)
 			}
-			if Count(p, f) != c.want {
-				t.Errorf("Count disagrees with Answers")
-			}
-			naive := AnswersNaive(p, f)
+			naive := answersNaive(p, f)
 			if len(naive) != len(got) {
 				t.Fatalf("naive oracle disagrees: %d vs %d", len(naive), len(got))
 			}
@@ -72,14 +78,14 @@ func TestAnswersNonAnchored(t *testing.T) {
 	// The pattern root binds anywhere, not only at document roots.
 	f := library()
 	p := pattern.MustParse("Author*/LastName")
-	if got := Count(p, f); got != 1 {
+	if got := count(p, f); got != 1 {
 		t.Errorf("non-anchored match count = %d, want 1", got)
 	}
 }
 
 func TestAnswersDocumentOrder(t *testing.T) {
 	f := library()
-	got := Answers(pattern.MustParse("Title*"), f)
+	got := answers(pattern.MustParse("Title*"), f)
 	if len(got) != 2 || got[0].ID >= got[1].ID {
 		t.Errorf("answers not in document order: %v", got)
 	}
@@ -90,14 +96,14 @@ func TestAnswersMultiTypeData(t *testing.T) {
 	org.Child("Employee", "Person")
 	org.Child("Contractor")
 	f := data.NewForest(org)
-	if got := Count(pattern.MustParse("Org/Person*"), f); got != 1 {
+	if got := count(pattern.MustParse("Org/Person*"), f); got != 1 {
 		t.Errorf("multi-type match = %d, want 1", got)
 	}
 	// A pattern node with extra types requires all of them.
-	if got := Count(pattern.MustParse("Org/Employee{Person}*"), f); got != 1 {
+	if got := count(pattern.MustParse("Org/Employee{Person}*"), f); got != 1 {
 		t.Errorf("extra-type pattern match = %d, want 1", got)
 	}
-	if got := Count(pattern.MustParse("Org/Contractor{Person}*"), f); got != 0 {
+	if got := count(pattern.MustParse("Org/Contractor{Person}*"), f); got != 0 {
 		t.Errorf("unsatisfiable extra-type pattern matched %d", got)
 	}
 }
@@ -111,21 +117,21 @@ func TestBindingsIntersectTopDown(t *testing.T) {
 	root.Child("b") // b2 has no c child
 	f := data.NewForest(root)
 	p := pattern.MustParse("a/b*/c")
-	if got := Count(p, f); got != 1 {
+	if got := count(p, f); got != 1 {
 		t.Errorf("Count = %d, want 1 (only the b with a c child)", got)
 	}
 	// and conversely constraints from above:
 	p2 := pattern.MustParse("x/b/c*")
-	if got := Count(p2, f); got != 0 {
+	if got := count(p2, f); got != 0 {
 		t.Errorf("Count = %d, want 0 (no x above)", got)
 	}
 }
 
 func TestAnswersEmptyInputs(t *testing.T) {
-	if got := Answers(&pattern.Pattern{}, library()); got != nil {
+	if got := answers(&pattern.Pattern{}, library()); got != nil {
 		t.Error("empty pattern matched")
 	}
-	if got := Answers(pattern.MustParse("a*"), data.NewForest()); len(got) != 0 {
+	if got := answers(pattern.MustParse("a*"), data.NewForest()); len(got) != 0 {
 		t.Error("empty forest matched")
 	}
 }
@@ -134,12 +140,12 @@ func TestDescendantSelfNotMatched(t *testing.T) {
 	// a//a requires a *proper* descendant.
 	root := data.NewNode("a")
 	f := data.NewForest(root)
-	if got := Count(pattern.MustParse("a*//a"), f); got != 0 {
+	if got := count(pattern.MustParse("a*//a"), f); got != 0 {
 		t.Errorf("single node matched a*//a: %d", got)
 	}
 	root.Child("a")
 	f.Reindex()
-	if got := Count(pattern.MustParse("a*//a"), f); got != 1 {
+	if got := count(pattern.MustParse("a*//a"), f); got != 1 {
 		t.Errorf("a over a: %d answers, want 1", got)
 	}
 }
@@ -189,16 +195,99 @@ func TestAnswersAgainstNaiveOracle(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		f := randomForest(rng, 1+rng.Intn(14))
 		p := randomQuery(rng, 1+rng.Intn(5))
-		fast := Answers(p, f)
-		slow := AnswersNaive(p, f)
-		if len(fast) != len(slow) {
-			t.Fatalf("iter %d: fast %d answers, naive %d\npattern %s\ndata:\n%s",
-				i, len(fast), len(slow), p, f)
-		}
-		for j := range fast {
-			if fast[j] != slow[j] {
-				t.Fatalf("iter %d: answer %d differs", i, j)
+		slow := answersNaive(p, f)
+		for name, fast := range map[string][]*data.Node{
+			"AnswersIndexed":     answers(p, f),
+			"oracle.BindingsMap": oracle.BindingsMap(p, f)[p.OutputNode()],
+		} {
+			if len(fast) != len(slow) {
+				t.Fatalf("iter %d: %s found %d answers, naive %d\npattern %s\ndata:\n%s",
+					i, name, len(fast), len(slow), p, f)
+			}
+			for j := range fast {
+				if fast[j] != slow[j] {
+					t.Fatalf("iter %d: %s answer %d differs", i, name, j)
+				}
 			}
 		}
 	}
+}
+
+// answersNaive enumerates embeddings by backtracking and returns the
+// answer set in document order: exponential in the worst case, the
+// brute-force check for the polynomial kernels on small inputs.
+func answersNaive(p *pattern.Pattern, f *data.Forest) []*data.Node {
+	star := p.OutputNode()
+	if star == nil || f == nil {
+		return nil
+	}
+	found := make(map[*data.Node]bool)
+	// embed reports whether subtree(u) embeds with u ↦ v.
+	var embed func(u *pattern.Node, v *data.Node) bool
+	embed = func(u *pattern.Node, v *data.Node) bool {
+		if !TypesOK(u, v) {
+			return false
+		}
+		for _, c := range u.Children {
+			okChild := false
+			if c.Edge == pattern.Child {
+				for _, w := range v.Children {
+					if embed(c, w) {
+						okChild = true
+					}
+				}
+			} else {
+				var desc func(*data.Node)
+				desc = func(w *data.Node) {
+					for _, x := range w.Children {
+						if embed(c, x) {
+							okChild = true
+						}
+						desc(x)
+					}
+				}
+				desc(v)
+			}
+			if !okChild {
+				return false
+			}
+		}
+		return true
+	}
+	// collect walks every embedding of subtree(u) with u ↦ v, recording
+	// the output node's images; started at every data node for the root.
+	var collect func(u *pattern.Node, v *data.Node)
+	collect = func(u *pattern.Node, v *data.Node) {
+		if !embed(u, v) {
+			return
+		}
+		if u.Star {
+			found[v] = true
+		}
+		for _, c := range u.Children {
+			if c.Edge == pattern.Child {
+				for _, w := range v.Children {
+					collect(c, w)
+				}
+			} else {
+				var desc func(*data.Node)
+				desc = func(w *data.Node) {
+					for _, x := range w.Children {
+						collect(c, x)
+						desc(x)
+					}
+				}
+				desc(v)
+			}
+		}
+	}
+	for _, v := range f.Nodes() {
+		collect(p.Root, v)
+	}
+	out := make([]*data.Node, 0, len(found))
+	for v := range found {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }

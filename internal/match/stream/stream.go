@@ -1,8 +1,9 @@
 // Package stream is the streaming twig-join match engine: it evaluates a
 // tree pattern query over an indexed forest and yields answers — and full
-// embeddings — incrementally, instead of materializing result slices or
-// O(|pattern|·|forest|) DP matrices the way the dense engines in package
-// match do.
+// embeddings — incrementally, instead of materializing per-node candidate
+// lists and answer slices the way the structural-join kernel in package
+// match does. It is the one evaluation engine behind tpq.Matcher, tpqd's
+// /match and tpqmatch.
 //
 // The design follows the holistic twig-join family (PathStack/TwigStack):
 // per-type document-ordered candidate streams come from match.ForestIndex,

@@ -9,6 +9,7 @@ import (
 	"tpq/internal/data"
 	"tpq/internal/genquery"
 	"tpq/internal/match"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
 
@@ -105,9 +106,10 @@ func checkEmbedding(t *testing.T, q *Query, e Embedding) {
 }
 
 // TestAgainstMaterializedEngines is the in-package differential sweep: the
-// streamed answer set must equal the dense DP and structural-join engines,
-// and the streamed embedding enumeration must agree with the big-integer
-// counting kernel, on hundreds of random query/forest pairs.
+// streamed answer set must equal the reference bindings of internal/oracle
+// and the structural-join kernel, and the streamed embedding enumeration
+// must agree with the big-integer counting kernel, on hundreds of random
+// query/forest pairs.
 func TestAgainstMaterializedEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	const embedCap = 5000
@@ -120,13 +122,13 @@ func TestAgainstMaterializedEngines(t *testing.T) {
 			t.Fatalf("case %d: compile %s: %v", i, q, err)
 		}
 
-		want := ids(match.Answers(q, f))
+		want := ids(oracle.BindingsMap(q, f)[q.OutputNode()])
 		got := ids(collect(sq, context.Background()))
 		if !equalIDs(want, got) {
-			t.Fatalf("case %d: query %s\nforest:\n%s\ndense answers %v, streamed %v", i, q, f, want, got)
+			t.Fatalf("case %d: query %s\nforest:\n%s\nreference answers %v, streamed %v", i, q, f, want, got)
 		}
 		if wantIdx := ids(match.AnswersIndexed(q, idx)); !equalIDs(want, wantIdx) {
-			t.Fatalf("case %d: query %s: dense answers %v, indexed %v", i, q, want, wantIdx)
+			t.Fatalf("case %d: query %s: reference answers %v, indexed %v", i, q, want, wantIdx)
 		}
 
 		// Embeddings: validity of each, count agreement, and answer-set
@@ -142,7 +144,7 @@ func TestAgainstMaterializedEngines(t *testing.T) {
 				break
 			}
 		}
-		wantCount := match.CountEmbeddings(q, f)
+		wantCount := match.CountEmbeddings(q, idx)
 		if complete {
 			if wantCount.Cmp(big.NewInt(int64(n))) != 0 {
 				t.Fatalf("case %d: query %s: counted %s embeddings, enumerated %d", i, q, wantCount, n)
@@ -349,7 +351,7 @@ func TestDeepPathFeasibility(t *testing.T) {
 	if len(got) != 1 || got[0] != leaf {
 		t.Fatalf("got %v, want [%d]", ids(got), leaf.ID)
 	}
-	if want := ids(match.Answers(q, f)); !equalIDs(ids(got), want) {
-		t.Fatalf("streamed %v, dense %v", ids(got), want)
+	if want := ids(oracle.BindingsMap(q, f)[q.OutputNode()]); !equalIDs(ids(got), want) {
+		t.Fatalf("streamed %v, reference %v", ids(got), want)
 	}
 }

@@ -13,7 +13,9 @@ import (
 // TestProductionNeverImportsOracle walks the non-test imports of every
 // production entry point and fails if this package is reachable from
 // one: the references are for tests, difffuzz and the ablation figures,
-// never for the serving path or the CLIs.
+// never for the serving path or the CLIs. It also fails if this package
+// reaches internal/match (and so its streaming engine), the kernels the
+// match references check.
 func TestProductionNeverImportsOracle(t *testing.T) {
 	const self = "tpq/internal/oracle"
 	root, err := filepath.Abs("../..")
@@ -33,6 +35,11 @@ func TestProductionNeverImportsOracle(t *testing.T) {
 	// passes vacuously.
 	if importPath(t, root, "tpq/internal/difffuzz", self) == nil {
 		t.Error("import walk did not find the oracle from internal/difffuzz, which imports it")
+	}
+	// The match references judge the match kernels, so they must not
+	// run on them.
+	if path := importPath(t, root, self, "tpq/internal/match"); path != nil {
+		t.Errorf("%s reaches the kernels it checks: %s", self, strings.Join(path, " -> "))
 	}
 }
 

@@ -17,6 +17,10 @@
 //     information-content propagation.
 //   - acim: the reduction step and the {A, R, M} strategy algebra of §5.3
 //     (Reduce, ApplyStrategy), so Lemmas 5.2-5.4 can be checked.
+//   - match: the literal embedding definition on per-node boolean slices
+//     with full-forest scans (BindingsMap for answer sets,
+//     CountEmbeddingsMap for embedding counts). It imports neither
+//     internal/match nor its streaming engine.
 //
 // Only tests, internal/difffuzz and the ablation figures of internal/bench
 // import this package. It imports the production packages, never the

@@ -561,8 +561,9 @@ func (p *Pattern) Validate() error {
 // layer: every node gets a stable dense ID (its 0-based preorder
 // position), subtree membership becomes a contiguous ID interval
 // [i+1, SubtreeEnd(i)], and per-label candidate lists enumerate the nodes
-// carrying a type. The dense DP kernels in containment, cim and match
-// address their bitset rows by these IDs.
+// carrying a type. The dense DP kernels in containment and cim address
+// their bitset rows by these IDs, as match.CountEmbeddings does its flat
+// rows.
 type Index struct {
 	In, Out map[*Node]int
 	Order   []*Node // preorder; Order[i] has ID i

@@ -46,13 +46,13 @@ const (
 	// and Compact.
 	ACIM
 	// CIM is the constraint-independent minimization loop, whichever
-	// kernel runs it (incremental engine, scratch, map oracle, or the
-	// engine package's parallel screening).
+	// kernel runs it (incremental engine, map oracle, or the engine
+	// package's parallel screening).
 	CIM
 	// Compact is the temporary-node strip after CIM (pattern.StripTemp).
 	Compact
 	// Match is pattern evaluation over a database — the serving layer's
-	// /match endpoint, both materialized and streaming modes.
+	// /match endpoint, on the streaming twig-join engine.
 	Match
 	// NumPhases bounds arrays indexed by Phase.
 	NumPhases

@@ -156,5 +156,5 @@ func (m *Matcher) Count(p *Pattern) int {
 // runs on the materialized counting kernel rather than the streaming
 // enumerator; use Embeddings to visit the embeddings themselves.
 func (m *Matcher) CountEmbeddings(p *Pattern) *big.Int {
-	return match.CountEmbeddings(p, m.idx.Forest())
+	return match.CountEmbeddings(p, m.idx)
 }

@@ -2,8 +2,10 @@ package tpq
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -131,6 +133,34 @@ func TestMatchIndexedCompat(t *testing.T) {
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("answer %d differs", i)
+		}
+	}
+}
+
+// TestMatcherConcurrentCount shares one Matcher between goroutines that
+// each count a different type, so the index's lazily built per-type
+// bitsets are filled concurrently (tpqd's /match shares one index the
+// same way).
+func TestMatcherConcurrentCount(t *testing.T) {
+	const workers = 50
+	root := NewDataNode("r")
+	for i := 0; i < workers; i++ {
+		root.Child(Type(fmt.Sprintf("t%d", i)))
+	}
+	m := NewMatcher(MatcherOptions{Forest: NewForest(root)})
+	counts := make([]int, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			counts[i] = m.Count(MustParse(fmt.Sprintf("t%d*", i)))
+		}(i)
+	}
+	wg.Wait()
+	for i, n := range counts {
+		if n != 1 {
+			t.Errorf("t%d*: %d answers, want 1", i, n)
 		}
 	}
 }

@@ -303,7 +303,9 @@ func MatchCount(p *Pattern, f *Forest) int {
 // f (as opposed to distinct answers), as a big integer — redundant pattern
 // branches multiply it, which is the evaluation blow-up minimization
 // avoids.
-func CountEmbeddings(p *Pattern, f *Forest) *big.Int { return match.CountEmbeddings(p, f) }
+func CountEmbeddings(p *Pattern, f *Forest) *big.Int {
+	return NewMatcher(MatcherOptions{Forest: f}).CountEmbeddings(p)
+}
 
 // MatchIndex is an inverted index over a forest, reusable across queries;
 // see NewMatchIndex.
