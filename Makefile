@@ -160,8 +160,10 @@ fmt:
 	gofmt -l -w .
 
 # Non-test Go line counts, the size figure the ROADMAP tracks: the root
-# module (perfbench/ is its own module, .bench_build/ its build cache)
-# and the serving layer, internal/service.
+# module (perfbench/ is its own module, .bench_build/ its build cache),
+# the single-query minimization driver, internal/engine, and the serving
+# layer, internal/service.
 loc:
 	@printf 'non-test Go, root module:      %s\n' "$$(find . \( -path ./perfbench -o -path ./.bench_build \) -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf 'non-test Go, internal/engine:  %s\n' "$$(find internal/engine -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'non-test Go, internal/service: %s\n' "$$(find internal/service -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"

@@ -44,7 +44,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"expvar"
 	"flag"
@@ -55,7 +54,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -79,7 +77,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	consFile := fs.String("f", "", "constraint file (one per line, # comments)")
 	xmlPath := fs.String("xml", "", "XML document served by /match")
 	cacheSize := fs.Int("cache", service.DefaultCacheSize, "query cache capacity (negative disables)")
-	workers := fs.Int("workers", 0, "batch minimization workers (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "batch and union minimization workers (0 = all CPUs)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request minimization budget")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown grace period")
 	maxBatch := fs.Int("maxbatch", 1024, "maximum queries per batch request")
@@ -94,12 +92,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	cs := ics.NewSet()
 	if *consFile != "" {
-		n, err := loadConstraints(cs, *consFile)
-		if err != nil {
+		if err := cs.AddFile(*consFile); err != nil {
 			fmt.Fprintln(stderr, "tpqd:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "tpqd: loaded %d constraints from %s\n", n, *consFile)
+		fmt.Fprintf(stdout, "tpqd: loaded %d constraints from %s\n", cs.Len(), *consFile)
 	}
 	var forest *data.Forest
 	if *xmlPath != "" {
@@ -233,29 +230,6 @@ func debugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
-}
-
-// loadConstraints reads one constraint per line; blank lines and #
-// comments are skipped. Same format as tpqshell -f.
-func loadConstraints(cs *ics.Set, path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		c, err := ics.Parse(text)
-		if err != nil {
-			return 0, err
-		}
-		cs.Add(c)
-	}
-	return cs.Len(), sc.Err()
 }
 
 // publishExpvar exposes the service counters under the "tpqd" expvar.

@@ -28,14 +28,12 @@ import (
 	"os"
 	"strings"
 
-	"tpq/internal/acim"
-	"tpq/internal/cdm"
 	"tpq/internal/data"
-	"tpq/internal/engine"
 	"tpq/internal/ics"
 	"tpq/internal/match"
 	"tpq/internal/match/stream"
 	"tpq/internal/pattern"
+	"tpq/internal/service"
 	"tpq/internal/xpath"
 )
 
@@ -103,32 +101,23 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			}
 			cs.Add(con)
 		}
-		if q := d.Singleton(); q != nil {
-			closed := cs.Closure()
-			pre := q.Clone()
-			cdm.MinimizeInPlace(pre, closed)
-			min := acim.Minimize(pre, closed)
-			if min.Size() < q.Size() {
-				fmt.Fprintf(stdout, "# minimized %d -> %d nodes: %s\n", q.Size(), min.Size(), min)
-			}
-			d = pattern.NewDisjunction(min)
-		} else {
-			res, err := engine.New(engine.Options{Constraints: cs}).MinimizeDisjunction(context.Background(), d)
-			if err != nil {
-				return fail(err)
-			}
-			if res.Output.Size() < d.Size() || len(res.Output.Disjuncts) < len(d.Disjuncts) {
-				fmt.Fprintf(stdout, "# minimized %d -> %d nodes (%d disjunct(s), %d absorbed, %d unsatisfiable): %s\n",
-					d.Size(), res.Output.Size(), len(res.Output.Disjuncts), res.Absorbed, res.Unsat, res.Output)
-			}
-			d = res.Output
+		svc := service.New(service.Options{Constraints: cs, CacheSize: -1})
+		out, rep, err := svc.MinimizeDisjunction(context.Background(), d)
+		if err != nil {
+			return fail(err)
 		}
+		if rep.OutputSize < rep.InputSize || rep.Kept < rep.Disjuncts {
+			fmt.Fprintf(stdout, "# minimized %d -> %d nodes (%d disjunct(s), %d absorbed, %d unsatisfiable): %s\n",
+				rep.InputSize, rep.OutputSize, rep.Kept, rep.Absorbed, rep.Unsat, out)
+		}
+		d = out
 	}
 
 	// Evaluation streams: answers print as they are found, and -limit
-	// stops the matcher early instead of materializing the full set. A
-	// union compiles one matcher per disjunct and merges their streams in
-	// document order, deduplicating answers shared between disjuncts.
+	// stops the matcher early instead of materializing the full set. Every
+	// disjunct compiles to one matcher and UnionAnswers merges their
+	// streams in document order, deduplicating answers shared between
+	// disjuncts (a plain query streams its one matcher directly).
 	idx := match.NewForestIndex(forest)
 	qs := make([]*stream.Query, 0, len(d.Disjuncts))
 	for _, p := range d.Disjuncts {
@@ -138,12 +127,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		qs = append(qs, sq)
 	}
-	answers := qs[0].Answers(context.Background())
-	if len(qs) > 1 {
-		answers = stream.UnionAnswers(context.Background(), qs)
-	}
 	count, truncated := 0, false
-	for n := range answers {
+	for n := range stream.UnionAnswers(context.Background(), qs) {
 		if *limit > 0 && count >= *limit {
 			truncated = true
 			break

@@ -28,7 +28,7 @@
 package main
 
 import (
-	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -38,6 +38,7 @@ import (
 	"tpq/internal/engine"
 	"tpq/internal/ics"
 	"tpq/internal/pattern"
+	"tpq/internal/service"
 	"tpq/internal/xpath"
 )
 
@@ -109,18 +110,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cs.Add(c)
 	}
 	if *file != "" {
-		if err := loadConstraints(cs, *file); err != nil {
+		if err := cs.AddFile(*file); err != nil {
 			return fail(err)
 		}
 	}
 
 	closed := cs.Closure()
-	m := engine.New(engine.Options{
+	svc := service.New(service.Options{
+		Constraints: closed,
 		Workers:     *parallel,
 		Algo:        engine.Algo(*algo),
-		Constraints: closed,
+		CacheSize:   -1,
 	})
-	results := m.MinimizeBatch(queries)
+	outs, reps, err := svc.MinimizeBatch(context.Background(), queries)
+	if err != nil {
+		return fail(err)
+	}
 
 	render := func(p *pattern.Pattern) (string, error) {
 		if *asXPath {
@@ -128,8 +133,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return p.String(), nil
 	}
-	for i, r := range results {
-		outStr, err := render(r.Output)
+	for i, out := range outs {
+		outStr, err := render(out)
 		if err != nil {
 			return fail(err)
 		}
@@ -137,43 +142,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, outStr)
 			continue
 		}
-		inStr, err := render(r.Input)
+		inStr, err := render(queries[i])
 		if err != nil {
 			return fail(err)
 		}
 		if i > 0 {
 			fmt.Fprintln(stdout)
 		}
-		fmt.Fprintf(stdout, "input:       %s  (%d nodes)\n", inStr, r.Input.Size())
+		fmt.Fprintf(stdout, "input:       %s  (%d nodes)\n", inStr, queries[i].Size())
 		if cs.Len() > 0 {
 			fmt.Fprintf(stdout, "constraints: %s\n", cs)
 			fmt.Fprintf(stdout, "closure:     %s  (%d constraints)\n", closed, closed.Len())
 		}
-		fmt.Fprintf(stdout, "removed:     %d nodes\n", r.Removed)
-		fmt.Fprintf(stdout, "minimized:   %s  (%d nodes)\n", outStr, r.Output.Size())
+		fmt.Fprintf(stdout, "removed:     %d nodes\n", reps[i].CDMRemoved+reps[i].ACIMRemoved)
+		fmt.Fprintf(stdout, "minimized:   %s  (%d nodes)\n", outStr, out.Size())
 	}
 	return 0
-}
-
-func loadConstraints(cs *ics.Set, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		c, err := ics.Parse(text)
-		if err != nil {
-			return fmt.Errorf("%s:%d: %w", path, line, err)
-		}
-		cs.Add(c)
-	}
-	return sc.Err()
 }

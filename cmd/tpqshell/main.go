@@ -134,26 +134,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 func (sh *shell) loadConstraints(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
+	if err := sh.cs.AddFile(path); err != nil {
 		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		c, err := ics.Parse(text)
-		if err != nil {
-			return err
-		}
-		sh.cs.Add(c)
 	}
 	sh.min = nil
 	fmt.Fprintf(sh.out, "loaded %d constraints\n", sh.cs.Len())
-	return sc.Err()
+	return nil
 }
 
 func (sh *shell) exec(line string) {
@@ -273,16 +259,6 @@ func (sh *shell) exec(line string) {
 		d, err := xpath.FromXPathDisjunctive(rest)
 		if err != nil {
 			sh.errorf("%v", err)
-			return
-		}
-		if q := d.Singleton(); q != nil {
-			min := acim.Minimize(cdm.Minimize(q, sh.cs.Closure()), sh.cs.Closure())
-			back, err := xpath.ToXPath(min)
-			if err != nil {
-				sh.errorf("%v", err)
-				return
-			}
-			fmt.Fprintf(sh.out, "%s   (%d -> %d nodes)\n", back, q.Size(), min.Size())
 			return
 		}
 		min, _ := sh.minimizer().MinimizeDisjunction(d)

@@ -74,10 +74,9 @@ func MinimizeWithStats(p *pattern.Pattern, cs *ics.Set) (*pattern.Pattern, Stats
 
 // MinimizeWithRunner is MinimizeWithStats with the CIM phase supplied by
 // the caller: run receives the augmented query and minimizes it in place.
-// The engine package injects its parallel screening loop here, so the
-// concurrency policy lives with the worker pool while augmentation and
-// temporary-stripping stay in one place; tests plug in the reference
-// kernels of internal/oracle the same way.
+// The engine package passes cim.MinimizeInPlace with its trace here, so
+// augmentation and temporary-stripping stay in one place; tests and
+// difffuzz plug in the reference kernels of internal/oracle the same way.
 func MinimizeWithRunner(p *pattern.Pattern, cs *ics.Set, run func(*pattern.Pattern) cim.Stats) (*pattern.Pattern, Stats) {
 	return MinimizeWithRunnerTraced(p, cs, nil, run)
 }
@@ -86,9 +85,8 @@ func MinimizeWithRunner(p *pattern.Pattern, cs *ics.Set, run func(*pattern.Patte
 // tr: the whole pipeline under the ACIM phase, augmentation under the
 // nested Chase phase, the temporary strip under Compact, and removals
 // under the ACIMRemoved counter. The runner is expected to meter the CIM
-// phase itself (cim.MinimizeInPlace and the engine's screening loop do,
-// via cim.Stats.Record), so Chase + CIM + Compact nest inside — and sum
-// to at most — ACIM. tr may be nil (then it is exactly
+// phase itself (cim.MinimizeInPlace does, given cim.Options.Trace), so
+// Chase + CIM + Compact nest inside — and sum to at most — ACIM. tr may be nil (then it is exactly
 // MinimizeWithRunner).
 func MinimizeWithRunnerTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace, run func(*pattern.Pattern) cim.Stats) (*pattern.Pattern, Stats) {
 	var st Stats

@@ -13,13 +13,13 @@ import (
 	"tpq/internal/chase"
 	"tpq/internal/cim"
 	"tpq/internal/data"
-	"tpq/internal/engine"
 	"tpq/internal/genquery"
 	"tpq/internal/ics"
 	"tpq/internal/match"
 	"tpq/internal/match/stream"
 	"tpq/internal/oracle"
 	"tpq/internal/pattern"
+	"tpq/internal/service"
 	"tpq/internal/trace"
 )
 
@@ -134,7 +134,7 @@ var Figures = []Figure{
 	},
 	{
 		ID:     "batch",
-		Title:  "Batch engine: wall-clock time to minimize a mixed workload vs workers",
+		Title:  "Batch minimization: wall-clock time of service.MinimizeBatch on a mixed workload vs workers",
 		XLabel: "Workers",
 		YLabel: "batch time",
 		Shape:  "time drops with workers until cores or stragglers bound it",
@@ -500,17 +500,22 @@ func batchWorkload(nQueries int) ([]*pattern.Pattern, *ics.Set) {
 	return queries, cs.Closure()
 }
 
-// batchMinimize measures the batch engine (package engine): wall-clock
-// time to minimize a fixed mixed workload under the auto pipeline with x
-// workers.
+// batchMinimize measures the service's worker pool: wall-clock time to
+// minimize a fixed mixed workload under the auto pipeline with x workers,
+// caching disabled so every repetition runs the pipeline.
 func batchMinimize(opts Options, x int) []benchjson.Result {
 	nQueries := 32
 	if opts.Quick {
 		nQueries = 9
 	}
 	queries, cs := batchWorkload(nQueries)
-	m := engine.New(engine.Options{Workers: x, Algo: engine.Auto, Constraints: cs})
-	r := measure(opts, untraced(func() { m.MinimizeBatch(queries) }))
+	svc := service.New(service.Options{Constraints: cs, Workers: x, CacheSize: -1})
+	ctx := context.Background()
+	r := measure(opts, untraced(func() {
+		if _, _, err := svc.MinimizeBatch(ctx, queries); err != nil {
+			panic(err)
+		}
+	}))
 	return []benchjson.Result{r.result(fmt.Sprintf("batch/BatchTime/workers=%d", x), "BatchTime", float64(x),
 		map[string]string{"workers": strconv.Itoa(x), "queries": strconv.Itoa(nQueries)}, nil)}
 }

@@ -6,10 +6,10 @@ import (
 	"strconv"
 
 	"tpq/internal/benchjson"
-	"tpq/internal/engine"
 	"tpq/internal/genquery"
 	"tpq/internal/ics"
 	"tpq/internal/pattern"
+	"tpq/internal/service"
 )
 
 // Disjunctive minimization figure: time to minimize an or(...) union as
@@ -51,11 +51,11 @@ func orWorkload(k int) (*pattern.Disjunction, *ics.Set) {
 }
 
 // orFigure is the disjunctive series: wall time of one
-// MinimizeDisjunction call on the pinned k-disjunct union, one worker so
-// the series stays ~linear in k. Every result carries exact counters —
-// disjuncts_out, absorbed and unsat are deterministic for the pinned
-// workload, so a diff there means the absorption or satisfiability
-// semantics moved, not the clock.
+// service.MinimizeDisjunction call on the pinned k-disjunct union, one
+// worker so the series stays ~linear in k. Every result carries exact
+// counters — disjuncts_out, absorbed and unsat are deterministic for the
+// pinned workload, so a diff there means the absorption or
+// satisfiability semantics moved, not the clock.
 var orFigure = Figure{
 	ID:     "or",
 	Title:  "or: disjunctive minimization time vs disjunct count (101-node redundant disjuncts, disjoint alphabets)",
@@ -67,21 +67,24 @@ var orFigure = Figure{
 	Pinned: true,
 	Run: func(opts Options, x int) []benchjson.Result {
 		d, cs := orWorkload(x)
-		m := engine.New(engine.Options{Workers: 1, Algo: engine.Auto, Constraints: cs})
+		// Caching off: every repetition measures minimization, not an
+		// or-cache hit.
+		svc := service.New(service.Options{Constraints: cs, Workers: 1, CacheSize: -1})
 		ctx := context.Background()
-		var res engine.DisjunctionResult
+		var out *pattern.Disjunction
+		var rep service.OrReport
 		r := measure(opts, untraced(func() {
 			var err error
-			if res, err = m.MinimizeDisjunction(ctx, d); err != nil {
+			if out, rep, err = svc.MinimizeDisjunction(ctx, d); err != nil {
 				panic(err)
 			}
 		}))
 		return []benchjson.Result{r.result(fmt.Sprintf("fig-or/minimize/k=%d", x), "minimize", float64(x),
 			map[string]string{"k": strconv.Itoa(x), "size": "101", "red": "30", "workers": "1"},
 			map[string]int64{
-				"disjuncts_out": int64(len(res.Output.Disjuncts)),
-				"absorbed":      int64(res.Absorbed),
-				"unsat":         int64(res.Unsat),
+				"disjuncts_out": int64(len(out.Disjuncts)),
+				"absorbed":      int64(rep.Absorbed),
+				"unsat":         int64(rep.Unsat),
 			})}
 	},
 }

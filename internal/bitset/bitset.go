@@ -6,8 +6,8 @@
 // The minimization and matching dynamic programs all reduce to the same
 // two primitives over node-ID sets — "intersect a row with a candidate
 // set" and "does this row contain any ID in a preorder interval" — so a
-// Set is deliberately minimal: a []uint64 with word-parallel And/AndNot/Or,
-// a range-intersection test (ancestor/descendant checks against preorder
+// Set is deliberately minimal: a []uint64 with a word-parallel And, a
+// range-intersection test (ancestor/descendant checks against preorder
 // intervals become one masked word scan), and NextSet iteration.
 //
 // Sets are plain slices, not structs: the capacity is fixed at creation
@@ -58,20 +58,6 @@ func (s Set) And(t Set) {
 	}
 }
 
-// AndNot removes every member of t from s in place. Equal lengths required.
-func (s Set) AndNot(t Set) {
-	for i := range s {
-		s[i] &^= t[i]
-	}
-}
-
-// Or unions t into s in place. Equal lengths required.
-func (s Set) Or(t Set) {
-	for i := range s {
-		s[i] |= t[i]
-	}
-}
-
 // CopyFrom overwrites s with t. Equal lengths required.
 func (s Set) CopyFrom(t Set) { copy(s, t) }
 
@@ -92,17 +78,6 @@ func (s Set) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Intersects reports whether s and t share a member. Equal lengths
-// required.
-func (s Set) Intersects(t Set) bool {
-	for i := range s {
-		if s[i]&t[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // NextSet returns the smallest member >= i, or -1 if there is none.
@@ -193,32 +168,6 @@ func (s Set) AndIntersectsRange(t Set, lo, hi int) bool {
 	return s[hiW]&t[hiW]&hiMask != 0
 }
 
-// AddRange inserts every integer in the inclusive range [lo, hi],
-// word-parallel. Used to mark whole preorder subtree intervals at once.
-func (s Set) AddRange(lo, hi int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if max := len(s)*wordBits - 1; hi > max {
-		hi = max
-	}
-	if lo > hi {
-		return
-	}
-	loW, hiW := lo/wordBits, hi/wordBits
-	loMask := ^Word(0) << (uint(lo) % wordBits)
-	hiMask := ^Word(0) >> (wordBits - 1 - uint(hi)%wordBits)
-	if loW == hiW {
-		s[loW] |= loMask & hiMask
-		return
-	}
-	s[loW] |= loMask
-	for w := loW + 1; w < hiW; w++ {
-		s[w] = ^Word(0)
-	}
-	s[hiW] |= hiMask
-}
-
 // RemoveRange deletes every integer in the inclusive range [lo, hi],
 // word-parallel. The incremental images-table engine uses it to mask a
 // tested leaf's excluded subtree interval and to clear the columns of a
@@ -270,9 +219,7 @@ func (s Set) NextInRange(lo, hi int) int {
 // Arena recycles word slices across DP-table builds. A minimization run
 // performs one redundancy test per candidate leaf, each needing O(n) rows
 // of O(n/64) words; routing the rows through an arena makes the steady
-// state allocation-free. Arenas are safe for concurrent use (the batch
-// minimizer gives each worker its own to avoid pool contention, but
-// sharing one is correct).
+// state allocation-free. Arenas are safe for concurrent use.
 //
 // The zero Arena is ready to use.
 type Arena struct {
@@ -306,7 +253,6 @@ func (a *Arena) Put(s Set) {
 // the images tables and DP tables of the execution layer. Row i is the
 // bit-set over columns for node ID i.
 type Matrix struct {
-	rows  int
 	words int
 	bits  Set // rows * words
 }
@@ -321,7 +267,7 @@ func NewMatrix(a *Arena, rows, cols int) *Matrix {
 	} else {
 		slab = make(Set, rows*words)
 	}
-	return &Matrix{rows: rows, words: words, bits: slab}
+	return &Matrix{words: words, bits: slab}
 }
 
 // Release returns the matrix's slab to the arena. The matrix must not be
@@ -335,6 +281,3 @@ func (m *Matrix) Release(a *Arena) {
 
 // Row returns row i as a Set sharing the matrix's storage.
 func (m *Matrix) Row(i int) Set { return m.bits[i*m.words : (i+1)*m.words] }
-
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }

@@ -46,21 +46,6 @@ func TestWordOps(t *testing.T) {
 			t.Fatalf("And: bit %d = %v, want %v", i, and.Has(i), want)
 		}
 	}
-	andnot := New(200)
-	andnot.CopyFrom(a)
-	andnot.AndNot(b)
-	for i := 0; i < 200; i++ {
-		want := i%2 == 0 && i%3 != 0
-		if andnot.Has(i) != want {
-			t.Fatalf("AndNot: bit %d = %v, want %v", i, andnot.Has(i), want)
-		}
-	}
-	or := New(200)
-	or.CopyFrom(a)
-	or.Or(b)
-	if !or.Intersects(b) || !or.Intersects(a) {
-		t.Fatal("Or result must intersect both inputs")
-	}
 }
 
 func TestNextSet(t *testing.T) {
@@ -127,32 +112,6 @@ func TestIntersectsRange(t *testing.T) {
 	}
 }
 
-// TestAddRange cross-validates the word-parallel range fill against a
-// naive bit loop on random ranges.
-func TestAddRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
-		s := New(n)
-		want := make([]bool, n)
-		for rep := 0; rep < 5; rep++ {
-			lo := rng.Intn(n+10) - 5
-			hi := lo + rng.Intn(150) - 5
-			s.AddRange(lo, hi)
-			for i := lo; i <= hi; i++ {
-				if i >= 0 && i < n {
-					want[i] = true
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
-			if s.Has(i) != want[i] {
-				t.Fatalf("trial %d: bit %d = %v, want %v", trial, i, s.Has(i), want[i])
-			}
-		}
-	}
-}
-
 func TestArenaReuse(t *testing.T) {
 	var a Arena
 	s := a.Get(100)
@@ -175,9 +134,6 @@ func TestMatrix(t *testing.T) {
 	m.Row(3).Add(0)
 	if m.Row(2).Has(0) || !m.Row(2).Has(129) || !m.Row(3).Has(0) {
 		t.Fatal("matrix rows interfere")
-	}
-	if m.Rows() != 5 {
-		t.Fatalf("Rows = %d, want 5", m.Rows())
 	}
 	m.Release(&a)
 	m2 := NewMatrix(&a, 5, 130)

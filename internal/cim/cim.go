@@ -63,10 +63,9 @@ type Stats struct {
 	TotalTime time.Duration
 }
 
-// Record folds a finished run into tr: TotalTime under the CIM phase
-// plus the work counters. The engine's parallel screening loop calls it
-// too, so both CIM drivers meter identically; nil tr is free.
-func (st Stats) Record(tr *trace.Trace) {
+// record folds a finished run into tr: TotalTime under the CIM phase
+// plus the work counters; nil tr is free.
+func (st Stats) record(tr *trace.Trace) {
 	tr.AddDur(trace.CIM, st.TotalTime)
 	tr.Add(trace.Tests, st.Tests)
 	tr.Add(trace.TablesBuilt, st.TablesBuilt)
@@ -109,7 +108,7 @@ func MinimizeInPlace(p *pattern.Pattern, opts Options) (st Stats) {
 	start := time.Now()
 	defer func() {
 		st.TotalTime = time.Since(start)
-		st.Record(opts.Trace)
+		st.record(opts.Trace)
 	}()
 
 	if p == nil || p.Root == nil {

@@ -1,7 +1,6 @@
 package cim
 
 import (
-	"sync"
 	"time"
 
 	"tpq/internal/bitset"
@@ -59,15 +58,12 @@ import (
 // finalized. When more than half the ordinals are tombstones the index is
 // compacted and the master rebuilt (counted in Stats.TablesBuilt).
 //
-// Test is read-only on the master and safe to call from concurrent
-// goroutines; Remove, Commit, Pop and MarkNonRedundant are not, and must
-// be serialized by the caller (the screening round in internal/engine
-// tests a snapshot concurrently, then commits sequentially).
+// An Engine belongs to one run and is not safe for concurrent use.
 
 // Engine is a run-scoped incremental minimization engine over one
 // pattern. Create with NewEngine, drive with Pop/Test/Remove (or
-// Candidates/Test/Commit for screening), and Close when done to return
-// the master state to the arena.
+// Candidates/Test/Remove, as the reference drivers of internal/oracle
+// do), and Close when done to return the master state to the arena.
 type Engine struct {
 	a  *bitset.Arena
 	wl *worklist
@@ -81,7 +77,6 @@ type Engine struct {
 	master   *bitset.Matrix              // fully pruned image rows
 	changed  []bool                      // scratch for the repair sweep
 
-	mu       sync.Mutex // guards the stat counters under concurrent Test
 	removed  int
 	tests    int
 	built    int
@@ -218,15 +213,13 @@ func (e *Engine) filterRow(vi int, row bitset.Set, only []bool) bool {
 func (e *Engine) Pop() *pattern.Node { return e.wl.pop() }
 
 // Candidates returns the untested candidate leaves in MEO rank order
-// without consuming them. The screening round tests a whole snapshot
-// concurrently, then resolves each entry with Remove, Commit or
-// MarkNonRedundant.
+// without consuming them; the caller resolves each entry it tests with
+// Remove or MarkNonRedundant.
 func (e *Engine) Candidates() []*pattern.Node { return e.wl.snapshot() }
 
 // Test reports whether candidate leaf l is redundant, deriving the
-// per-leaf images table from the master instead of rebuilding it. It is
-// read-only and safe for concurrent use with other Tests (not with
-// Remove/Commit).
+// per-leaf images table from the master instead of rebuilding it. It
+// leaves the master unchanged.
 func (e *Engine) Test(l *pattern.Node) bool {
 	lid := e.id[l]
 	t0 := time.Now()
@@ -271,11 +264,9 @@ func (e *Engine) Test(l *pattern.Node) bool {
 	}
 	e.a.Put(cur)
 
-	e.mu.Lock()
 	e.tests++
 	e.derived++
 	e.tablesNS += dt
-	e.mu.Unlock()
 	return res
 }
 
@@ -284,9 +275,8 @@ func (e *Engine) Test(l *pattern.Node) bool {
 func (e *Engine) MarkNonRedundant(l *pattern.Node) { e.wl.drop(l) }
 
 // Remove commits a removal whose verdict the caller knows to be current
-// (the sequential loop calls it right after Test; the screening round may
-// use it for the first commit after a screen). It detaches l and patches
-// the master state.
+// (the minimization loop calls it right after a positive Test). It
+// detaches l and patches the master state.
 func (e *Engine) Remove(l *pattern.Node) {
 	lid := e.id[l]
 	parent := l.Parent
@@ -295,20 +285,6 @@ func (e *Engine) Remove(l *pattern.Node) {
 	e.wl.noteRemoved(parent)
 	e.removed++
 	e.patch(lid)
-}
-
-// Commit re-verifies l's redundancy against the current master and, if it
-// still holds, removes it. Screening rounds need the recheck: a leaf
-// screened redundant against the pre-round master may have lost its only
-// images to an earlier commit of the same round (two identical siblings
-// are each redundant, but only one may go). A false return means l is
-// non-redundant now — and by enhancement 1, forever.
-func (e *Engine) Commit(l *pattern.Node) bool {
-	if !e.Test(l) {
-		return false
-	}
-	e.Remove(l)
-	return true
 }
 
 // patch updates the master after the subtree at ordinal lid was detached:
@@ -377,9 +353,7 @@ func (e *Engine) patch(lid int) {
 		}
 	}
 	e.a.Put(tmp)
-	e.mu.Lock()
 	e.tablesNS += time.Since(t0).Nanoseconds()
-	e.mu.Unlock()
 }
 
 // Stats returns the counters accumulated so far. TablesTime covers master
@@ -387,8 +361,6 @@ func (e *Engine) patch(lid int) {
 // TablesBuilt counts full constructions (initial build plus compactions),
 // TablesDerived the per-leaf tables derived by masking.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return Stats{
 		Removed:       e.removed,
 		Tests:         e.tests,

@@ -79,7 +79,7 @@ func (w *worklist) pop() *pattern.Node {
 }
 
 // snapshot returns the current candidates in rank order without removing
-// them; the parallel screening round tests a whole snapshot concurrently.
+// them (Engine.Candidates).
 func (w *worklist) snapshot() []*pattern.Node {
 	out := make([]*pattern.Node, len(w.items))
 	copy(out, w.items)
@@ -94,7 +94,7 @@ func (w *worklist) snapshot() []*pattern.Node {
 }
 
 // drop removes n from the pending candidates if present (popped nodes are
-// already gone; screening resolves candidates without popping).
+// already gone; Candidates callers resolve candidates without popping).
 func (w *worklist) drop(n *pattern.Node) {
 	for i, m := range w.items {
 		if m == n {

@@ -377,8 +377,12 @@ func CheckService(q *pattern.Pattern, cs *ics.Set) *Failure {
 	}
 	ctx := context.Background()
 
-	eng := engine.New(engine.Options{Constraints: cs, Workers: 1})
-	want := eng.Minimize(q).Output
+	eng := engine.New(engine.Options{Constraints: cs})
+	r, err := eng.MinimizeContextTraced(ctx, q, nil)
+	if err != nil {
+		return fail(q, cs, "service", "direct engine: unexpected error %v", err)
+	}
+	want := r.Output
 	wantUnsat := acim.UnsatisfiableUnder(q, eng.Closed())
 
 	check := func(label string, got *pattern.Pattern, rep service.Report, err error) *Failure {
@@ -452,8 +456,11 @@ func CheckStore(q *pattern.Pattern, cs *ics.Set) *Failure {
 	ctx := context.Background()
 
 	// The ground truth the reloaded entry must be byte-identical to.
-	eng := engine.New(engine.Options{Constraints: cs, Workers: 1})
-	fresh := eng.Minimize(q).Output
+	r, err := engine.New(engine.Options{Constraints: cs}).MinimizeContextTraced(ctx, q, nil)
+	if err != nil {
+		return fail(q, cs, "store", "direct engine: unexpected error %v", err)
+	}
+	fresh := r.Output
 
 	dir, err := os.MkdirTemp("", "difffuzz-store-")
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"tpq/internal/acim"
 	"tpq/internal/data"
-	"tpq/internal/engine"
 	"tpq/internal/ics"
 	"tpq/internal/match"
 	"tpq/internal/match/stream"
@@ -21,16 +20,17 @@ import (
 // duplicate-free, and equal the union of the disjuncts' answer sets under
 // oracle.BindingsMap, on every disjunct's canonical database and on a
 // generated forest.
-// Minimization: the per-disjunct pipeline plus absorption pruning
-// (engine.MinimizeDisjunction) must preserve the union — certified by
-// per-disjunct-pair containment both ways: every satisfiable input
-// disjunct is contained in some output disjunct, and every output
-// disjunct is contained in some input disjunct. The output must carry no
-// absorbable disjunct (none contained in another) and each output
-// disjunct must be individually minimal. The serving layer's disjunctive
-// path must agree with the direct engine run, and serve a repeat of the
-// same union from its or-cache unchanged. On a forest satisfying the
-// constraints, the input and minimized unions must produce the same
+// Minimization: the service's cold disjunctive path (per-disjunct
+// pipeline over its worker pool, then absorption pruning) must preserve
+// the union — certified by per-disjunct-pair containment both ways:
+// every satisfiable input disjunct is contained in some output disjunct,
+// and every output disjunct is contained in some input disjunct. The
+// output must carry no absorbable disjunct (none contained in another)
+// and no unsatisfiable one unless the whole union is flagged, each output
+// disjunct must be individually minimal, and the report must account for
+// every input disjunct (unsat + absorbed + kept). A repeat of the same
+// union must be served from the cache unchanged. On a forest satisfying
+// the constraints, the input and minimized unions must produce the same
 // answers. cs may be nil.
 func CheckOr(d *pattern.Disjunction, cs *ics.Set) *Failure {
 	if d == nil || len(d.Disjuncts) == 0 || d.Validate() != nil {
@@ -109,21 +109,25 @@ func CheckOr(d *pattern.Disjunction, cs *ics.Set) *Failure {
 		}
 	}
 
-	// Minimization: per-disjunct pipeline + absorption, then the pairwise
-	// containment certificate in both directions.
-	m := engine.New(engine.Options{Constraints: cs, Workers: 1})
-	r, err := m.MinimizeDisjunction(ctx, d)
+	// Minimization: the service's cold run, then the pairwise containment
+	// certificate in both directions.
+	svc := service.New(service.Options{Constraints: cs, Workers: 2})
+	out, rep, err := svc.MinimizeDisjunction(ctx, d)
 	if err != nil {
 		return fail(rq, cs, "or", "MinimizeDisjunction: %v (union %s)", err, d)
 	}
-	out := r.Output
 	if len(out.Disjuncts) == 0 {
 		return fail(rq, cs, "or", "minimized union is empty (union %s)", d)
 	}
 	if err := out.Validate(); err != nil {
 		return fail(rq, cs, "or", "minimized union invalid: %v (union %s)", err, d)
 	}
-	if r.Unsatisfiable {
+	if rep.Disjuncts != len(d.Disjuncts) || rep.Kept != len(out.Disjuncts) ||
+		rep.Unsat+rep.Absorbed+rep.Kept != rep.Disjuncts {
+		return fail(rq, cs, "or", "report %+v does not account for %d input and %d output disjuncts (union %s)",
+			rep, len(d.Disjuncts), len(out.Disjuncts), d)
+	}
+	if rep.Unsatisfiable {
 		if len(out.Disjuncts) != 1 {
 			return fail(rq, cs, "or", "all-unsat union kept %d disjuncts (union %s)", len(out.Disjuncts), d)
 		}
@@ -133,6 +137,13 @@ func CheckOr(d *pattern.Disjunction, cs *ics.Set) *Failure {
 			}
 		}
 	} else {
+		// Unsatisfiable disjuncts were dropped: none survives in a union
+		// that is not flagged as a whole.
+		for _, o := range out.Disjuncts {
+			if acim.UnsatisfiableUnder(o, closed) {
+				return fail(rq, cs, "or", "output disjunct %s is unsatisfiable but the union is not flagged (output %s)", o, out)
+			}
+		}
 		// Forward: every satisfiable input disjunct is contained in some
 		// output disjunct — nothing was lost.
 		for _, p := range d.Disjuncts {
@@ -183,33 +194,17 @@ func CheckOr(d *pattern.Disjunction, cs *ics.Set) *Failure {
 		}
 	}
 
-	// Serving parity: the service's disjunctive path (per-disjunct through
-	// its cache, absorption, or-cache) agrees with the direct engine run,
-	// and a repeat of the same union is an or-cache hit with the same
-	// result. Singletons take the conjunctive path; oracle 5 owns those.
-	if len(d.Disjuncts) > 1 {
-		svc := service.New(service.Options{Constraints: cs, Workers: 1})
-		got, srep, err := svc.MinimizeDisjunction(ctx, d)
-		if err != nil {
-			return fail(rq, cs, "or", "service MinimizeDisjunction: %v (union %s)", err, d)
-		}
-		if got.Canonical() != out.Canonical() {
-			return fail(rq, cs, "or", "service produced %s, direct engine %s (union %s)", got, out, d)
-		}
-		if srep.Unsatisfiable != r.Unsatisfiable || srep.Kept != len(out.Disjuncts) {
-			return fail(rq, cs, "or", "service report %+v disagrees with engine result (kept %d, unsat %v)",
-				srep, len(out.Disjuncts), r.Unsatisfiable)
-		}
-		hot, hotRep, err := svc.MinimizeDisjunction(ctx, d.Clone())
-		if err != nil {
-			return fail(rq, cs, "or", "service repeat: %v (union %s)", err, d)
-		}
-		if !hotRep.CacheHit {
-			return fail(rq, cs, "or", "repeat union missed the or-cache (union %s)", d)
-		}
-		if hot.Canonical() != out.Canonical() {
-			return fail(rq, cs, "or", "or-cache served %s, engine %s (union %s)", hot, out, d)
-		}
+	// A repeat of the same union is a cache hit with the same result: the
+	// or-cache for a union, the conjunctive cache for a singleton.
+	hot, hotRep, err := svc.MinimizeDisjunction(ctx, d.Clone())
+	if err != nil {
+		return fail(rq, cs, "or", "repeat: %v (union %s)", err, d)
+	}
+	if !hotRep.CacheHit {
+		return fail(rq, cs, "or", "repeat union missed the cache (union %s)", d)
+	}
+	if hot.Canonical() != out.Canonical() {
+		return fail(rq, cs, "or", "cache served %s, cold run %s (union %s)", hot, out, d)
 	}
 
 	// On a forest satisfying the constraints, the minimized union answers

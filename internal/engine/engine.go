@@ -1,22 +1,16 @@
-// Package engine runs minimization over batches of queries. A query
-// optimizer minimizes every incoming pattern, so throughput — queries
-// minimized per second across a stream — matters as much as the latency of
-// one minimization. The Minimizer fans a slice of queries out to a fixed
-// pool of workers; each worker routes the bitset rows of its redundancy
-// tests through its own scratch arena, so the hot allocation path is
-// contention-free and the steady state allocates nothing.
-//
-// Minimization never fails, so results carry no errors; they arrive in
-// input order regardless of completion order.
+// Package engine runs the paper's minimization pipeline on one query:
+// CDM as a constraint-dependent local pre-filter, then ACIM (Theorem 5.3
+// makes the combination exact), or one of the single algorithms. The
+// Minimizer closes its constraint set once and shares it read-only, so
+// one Minimizer may serve any number of concurrent calls. It starts no
+// goroutine of its own: fanning queries and union disjuncts out to
+// workers is the serving layer's job (internal/service).
 package engine
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"tpq/internal/acim"
-	"tpq/internal/bitset"
 	"tpq/internal/cdm"
 	"tpq/internal/chase"
 	"tpq/internal/cim"
@@ -25,8 +19,8 @@ import (
 	"tpq/internal/trace"
 )
 
-// Algo selects the minimization algorithm applied to each query of a
-// batch. The names match cmd/tpqmin's -algo flag.
+// Algo selects the minimization algorithm. The names match cmd/tpqmin's
+// -algo flag.
 type Algo string
 
 const (
@@ -44,31 +38,22 @@ const (
 
 // Options configure a Minimizer.
 type Options struct {
-	// Workers is the number of concurrent minimizations; <= 0 means
-	// runtime.GOMAXPROCS(0).
-	Workers int
-	// Algo is the per-query algorithm; empty means Auto.
+	// Algo is the pipeline; empty means Auto.
 	Algo Algo
 	// Constraints are the integrity constraints minimized under. The set
-	// is closed once at construction and shared read-only by all workers.
+	// is closed once at construction and shared read-only by every call.
 	// Nil means no constraints.
 	Constraints *ics.Set
 }
 
-// Result is the outcome of minimizing one query of a batch.
+// Result is the outcome of minimizing one query.
 type Result struct {
-	// Input is the query as given (never mutated).
-	Input *pattern.Pattern
 	// Output is the minimized query.
 	Output *pattern.Pattern
-	// Removed is the number of nodes eliminated.
-	Removed int
-	// CDMRemoved and ACIMRemoved split Removed between the local
-	// pre-filter and the global phase (both zero outside the Auto
-	// pipeline except for the phase that ran).
+	// CDMRemoved and ACIMRemoved split the removed nodes between the
+	// local pre-filter and the global phase; a single-algorithm pipeline
+	// reports only its own phase (CIM counts as the global phase).
 	CDMRemoved, ACIMRemoved int
-	// Tests is the number of leaf-redundancy tests run (zero for CDM).
-	Tests int
 	// TablesBuilt and TablesDerived report the images-table reuse of the
 	// run: full constructions vs tables derived from a master state by
 	// interval masking (see cim.Stats). The serving layer exports their
@@ -76,181 +61,69 @@ type Result struct {
 	TablesBuilt, TablesDerived int
 }
 
-// Minimizer minimizes batches of queries over a worker pool. It is safe
-// for concurrent use; a single Minimizer may serve many batches.
+// Minimizer minimizes queries under one closed constraint set. It is
+// safe for concurrent use.
 type Minimizer struct {
-	workers int
-	algo    Algo
-	closed  *ics.Set
-	// arenas recycles bitset scratch across single-query Minimize calls;
-	// batch workers hold a private arena for their whole batch instead.
-	arenas sync.Pool
+	algo   Algo
+	closed *ics.Set
 }
 
 // New returns a Minimizer with the given options.
 func New(opts Options) *Minimizer {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	if opts.Algo == "" {
 		opts.Algo = Auto
 	}
-	cs := opts.Constraints
-	if cs == nil {
-		cs = ics.NewSet()
-	}
-	m := &Minimizer{workers: opts.Workers, algo: opts.Algo, closed: cs.Closure()}
+	m := &Minimizer{algo: opts.Algo, closed: opts.Constraints.Closure()}
 	// Warm the chase-plan registry: compiling the plan at construction
 	// means the first request pays a cache hit like every later one.
 	chase.PlanFor(m.closed)
-	m.arenas.New = func() interface{} { return new(bitset.Arena) }
 	return m
 }
 
 // Closed returns the minimizer's constraint set, closed once at
-// construction and shared read-only by every worker. Callers must not
+// construction and shared read-only by every call. Callers must not
 // modify it.
 func (m *Minimizer) Closed() *ics.Set { return m.closed }
 
-// Workers returns the configured worker-pool size.
-func (m *Minimizer) Workers() int { return m.workers }
-
-// Minimize minimizes a single query through the configured pipeline,
-// recycling scratch memory across calls. Safe for concurrent use. With
-// more than one worker configured, the CIM phase screens candidate
-// leaves in parallel against the shared master state (see screen.go);
-// batch runs keep their per-query parallelism instead.
-func (m *Minimizer) Minimize(q *pattern.Pattern) Result {
-	return m.MinimizeTraced(q, nil)
-}
-
-// MinimizeTraced is Minimize recording per-phase spans and work counters
-// into tr (see internal/trace): CDM, and ACIM with its nested Chase, CIM
-// and Compact sub-phases. tr may be nil, in which case the run pays one
-// nil check per phase and nothing else.
-func (m *Minimizer) MinimizeTraced(q *pattern.Pattern, tr *trace.Trace) Result {
-	a := m.arenas.Get().(*bitset.Arena)
-	r := m.minimizeOne(q, a, m.workers > 1, tr)
-	m.arenas.Put(a)
-	return r
-}
-
-// MinimizeContext is Minimize with cancellation between the pipeline
-// phases: the context is checked on entry and again between the CDM
-// pre-filter and the ACIM phase (the expensive part), so a caller whose
-// deadline fires during CDM pays nothing for ACIM. A phase that has
-// started always runs to completion; on cancellation the zero-output
-// Result carries only the input.
-func (m *Minimizer) MinimizeContext(ctx context.Context, q *pattern.Pattern) (Result, error) {
-	return m.MinimizeContextTraced(ctx, q, nil)
-}
-
-// MinimizeContextTraced is MinimizeContext recording per-phase spans and
-// work counters into tr, which may be nil.
+// MinimizeContextTraced minimizes q through the configured pipeline,
+// recording per-phase spans and work counters into tr (see
+// internal/trace): CDM, and ACIM with its nested Chase, CIM and Compact
+// sub-phases. tr may be nil, in which case the run pays one nil check
+// per phase and nothing else. q is never mutated.
+//
+// The context is checked on entry and, on the Auto pipeline, again
+// between the CDM pre-filter and the ACIM phase (the expensive part), so
+// a caller whose deadline fires during CDM pays nothing for ACIM. A phase
+// that has started always runs to completion; on cancellation the Result
+// is zero.
 func (m *Minimizer) MinimizeContextTraced(ctx context.Context, q *pattern.Pattern, tr *trace.Trace) (Result, error) {
 	if err := ctx.Err(); err != nil {
-		return Result{Input: q}, err
+		return Result{}, err
 	}
-	if m.algo != Auto {
-		// Single-phase pipelines have no boundary to interrupt at.
-		return m.MinimizeTraced(q, tr), nil
-	}
-	a := m.arenas.Get().(*bitset.Arena)
-	defer m.arenas.Put(a)
-	r := Result{Input: q}
-	pre := q.Clone()
-	stPre := cdm.MinimizeInPlaceTraced(pre, m.closed, tr)
-	if err := ctx.Err(); err != nil {
-		return Result{Input: q}, err
-	}
-	out, st := m.runACIM(pre, cim.Options{Arena: a, Trace: tr}, m.workers > 1, tr)
-	r.Output, r.Tests = out, st.Tests
-	r.TablesBuilt, r.TablesDerived = st.TablesBuilt, st.TablesDerived
-	r.CDMRemoved, r.ACIMRemoved = stPre.Removed, st.Removed
-	r.Removed = stPre.Removed + st.Removed
-	return r, nil
-}
-
-// runCIM minimizes q in place through the incremental engine, screening
-// candidates in parallel when screen is set.
-func (m *Minimizer) runCIM(q *pattern.Pattern, opts cim.Options, screen bool) cim.Stats {
-	if screen {
-		return screenMinimize(q, opts, m.workers)
-	}
-	return cim.MinimizeInPlace(q, opts)
-}
-
-// runACIM is the ACIM pipeline with the CIM phase routed through runCIM.
-// The CIM-phase metering travels inside opts.Trace (both runCIM branches
-// call cim.Stats.Record); tr meters the enclosing ACIM span.
-func (m *Minimizer) runACIM(q *pattern.Pattern, opts cim.Options, screen bool, tr *trace.Trace) (*pattern.Pattern, acim.Stats) {
-	return acim.MinimizeWithRunnerTraced(q, m.closed, tr, func(aug *pattern.Pattern) cim.Stats {
-		return m.runCIM(aug, opts, screen)
-	})
-}
-
-// MinimizeBatch minimizes every query and returns the results in input
-// order. Input patterns are cloned, never mutated.
-func (m *Minimizer) MinimizeBatch(queries []*pattern.Pattern) []Result {
-	out := make([]Result, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	workers := m.workers
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker scratch: every redundancy test this worker runs
-			// recycles rows here, with no cross-worker pool contention.
-			var arena bitset.Arena
-			for i := range jobs {
-				// No intra-query screening here: the batch already keeps
-				// every worker busy with its own query.
-				out[i] = m.minimizeOne(queries[i], &arena, false, nil)
-			}
-		}()
-	}
-	for i := range queries {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return out
-}
-
-func (m *Minimizer) minimizeOne(q *pattern.Pattern, a *bitset.Arena, screen bool, tr *trace.Trace) Result {
-	r := Result{Input: q}
-	cimOpts := cim.Options{Arena: a, Trace: tr}
+	var r Result
 	switch m.algo {
 	case CIM:
 		out := q.Clone()
-		st := m.runCIM(out, cimOpts, screen)
-		r.Output, r.Removed, r.Tests = out, st.Removed, st.Tests
+		st := cim.MinimizeInPlace(out, cim.Options{Trace: tr})
+		r.Output, r.ACIMRemoved = out, st.Removed
 		r.TablesBuilt, r.TablesDerived = st.TablesBuilt, st.TablesDerived
-		r.ACIMRemoved = st.Removed
-	case CDM:
-		out := q.Clone()
-		st := cdm.MinimizeInPlaceTraced(out, m.closed, tr)
-		r.Output, r.Removed = out, st.Removed
-		r.CDMRemoved = st.Removed
-	case ACIM:
-		out, st := m.runACIM(q, cimOpts, screen, tr)
-		r.Output, r.Removed, r.Tests = out, st.Removed, st.Tests
-		r.TablesBuilt, r.TablesDerived = st.TablesBuilt, st.TablesDerived
-		r.ACIMRemoved = st.Removed
-	default: // Auto
+		return r, nil
+	case CDM, Auto:
 		pre := q.Clone()
-		stPre := cdm.MinimizeInPlaceTraced(pre, m.closed, tr)
-		out, st := m.runACIM(pre, cimOpts, screen, tr)
-		r.Output, r.Removed, r.Tests = out, stPre.Removed+st.Removed, st.Tests
-		r.TablesBuilt, r.TablesDerived = st.TablesBuilt, st.TablesDerived
-		r.CDMRemoved, r.ACIMRemoved = stPre.Removed, st.Removed
+		r.CDMRemoved = cdm.MinimizeInPlaceTraced(pre, m.closed, tr).Removed
+		if m.algo == CDM {
+			r.Output = pre
+			return r, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
+		q = pre
 	}
-	return r
+	out, st := acim.MinimizeWithRunnerTraced(q, m.closed, tr, func(aug *pattern.Pattern) cim.Stats {
+		return cim.MinimizeInPlace(aug, cim.Options{Trace: tr})
+	})
+	r.Output, r.ACIMRemoved = out, st.Removed
+	r.TablesBuilt, r.TablesDerived = st.TablesBuilt, st.TablesDerived
+	return r, nil
 }

@@ -7,13 +7,13 @@ import (
 
 	"tpq/internal/acim"
 	"tpq/internal/cdm"
-	"tpq/internal/cim"
 	"tpq/internal/genquery"
 	"tpq/internal/ics"
 	"tpq/internal/pattern"
+	"tpq/internal/trace"
 )
 
-// workload builds a mixed batch of generated queries with redundancy.
+// workload builds a mixed set of generated queries with redundancy.
 func workload(t *testing.T, n int) []*pattern.Pattern {
 	t.Helper()
 	var qs []*pattern.Pattern
@@ -35,152 +35,82 @@ func workload(t *testing.T, n int) []*pattern.Pattern {
 	return qs
 }
 
-// TestBatchMatchesSequential checks that every worker count produces
-// exactly the per-query sequential result, for every algorithm.
-func TestBatchMatchesSequential(t *testing.T) {
-	qs := workload(t, 24)
-	cs := ics.NewSet(ics.Child("t0", "t1"), ics.Desc("t1", "t2"))
+var algos = []Algo{Auto, CIM, CDM, ACIM}
 
-	for _, algo := range []Algo{Auto, CIM, CDM, ACIM} {
-		var want []string
-		closed := cs.Closure()
-		for _, q := range qs {
-			var out *pattern.Pattern
-			switch algo {
-			case CIM:
-				out = cim.Minimize(q)
-			case CDM:
-				out = q.Clone()
-				cdm.MinimizeInPlace(out, closed)
-			case ACIM:
-				out = acim.Minimize(q, closed)
-			default:
-				pre := q.Clone()
-				cdm.MinimizeInPlace(pre, closed)
-				out = acim.Minimize(pre, closed)
-			}
-			want = append(want, out.String())
-		}
-
-		for _, workers := range []int{1, 3, 8} {
-			m := New(Options{Workers: workers, Algo: algo, Constraints: cs})
-			results := m.MinimizeBatch(qs)
-			if len(results) != len(qs) {
-				t.Fatalf("algo=%s workers=%d: %d results for %d queries", algo, workers, len(results), len(qs))
-			}
-			for i, r := range results {
-				if r.Input != qs[i] {
-					t.Fatalf("algo=%s workers=%d: result %d out of order", algo, workers, i)
-				}
-				if got := r.Output.String(); got != want[i] {
-					t.Errorf("algo=%s workers=%d query %d:\n got  %s\n want %s", algo, workers, i, got, want[i])
-				}
-			}
-		}
+// run minimizes q through MinimizeContextTraced with a live context.
+func run(t *testing.T, m *Minimizer, q *pattern.Pattern, tr *trace.Trace) Result {
+	t.Helper()
+	r, err := m.MinimizeContextTraced(context.Background(), q, tr)
+	if err != nil {
+		t.Fatalf("MinimizeContextTraced(%s): %v", q, err)
 	}
+	return r
 }
 
-// TestInputNotMutated checks that batch minimization leaves the input
-// patterns untouched.
+// TestInputNotMutated checks that minimization leaves the input pattern
+// untouched, whatever the algorithm.
 func TestInputNotMutated(t *testing.T) {
 	qs := workload(t, 8)
-	var before []string
-	for _, q := range qs {
-		before = append(before, q.String())
-	}
-	New(Options{Workers: 4}).MinimizeBatch(qs)
-	for i, q := range qs {
-		if q.String() != before[i] {
-			t.Fatalf("query %d mutated:\n was  %s\n now  %s", i, before[i], q.String())
+	cs := ics.NewSet(ics.Child("t0", "t1"), ics.Desc("t1", "t2"))
+	for _, algo := range algos {
+		m := New(Options{Algo: algo, Constraints: cs})
+		for i, q := range qs {
+			before := q.String()
+			run(t, m, q, nil)
+			if q.String() != before {
+				t.Fatalf("%s: query %d mutated:\n was  %s\n now  %s", algo, i, before, q.String())
+			}
 		}
 	}
 }
 
-// TestEmptyAndSmallBatches exercises the pool edge cases.
-func TestEmptyAndSmallBatches(t *testing.T) {
-	m := New(Options{Workers: 8})
-	if got := m.MinimizeBatch(nil); len(got) != 0 {
-		t.Fatalf("nil batch: %d results", len(got))
-	}
-	one := m.MinimizeBatch([]*pattern.Pattern{genquery.Redundant(8, 2, 2)})
-	if len(one) != 1 || one[0].Output == nil {
-		t.Fatal("single-query batch failed")
-	}
-	if one[0].Removed == 0 {
-		t.Error("Redundant(5,2) should lose nodes")
-	}
-}
-
-// TestRemovedCounts checks the reported Removed against the size delta.
+// TestRemovedCounts checks the reported removals against the size delta:
+// every algorithm reports what it removed, split between its phases.
 func TestRemovedCounts(t *testing.T) {
 	qs := workload(t, 12)
-	for _, r := range New(Options{Algo: CIM}).MinimizeBatch(qs) {
-		if want := r.Input.Size() - r.Output.Size(); r.Removed != want {
-			t.Errorf("Removed = %d, size delta = %d for %s", r.Removed, want, r.Input)
+	cs := ics.NewSet(ics.Child("t0", "t1"), ics.Desc("t1", "t2"))
+	for _, algo := range algos {
+		m := New(Options{Algo: algo, Constraints: cs})
+		for _, q := range qs {
+			r := run(t, m, q, nil)
+			if got, want := r.CDMRemoved+r.ACIMRemoved, q.Size()-r.Output.Size(); got != want {
+				t.Errorf("%s: removed CDM %d + ACIM %d, size delta %d for %s", algo, r.CDMRemoved, r.ACIMRemoved, want, q)
+			}
+			if (algo == CIM || algo == ACIM) && r.CDMRemoved != 0 || algo == CDM && r.ACIMRemoved != 0 {
+				t.Errorf("%s: removals reported for a phase that did not run: %+v", algo, r)
+			}
 		}
 	}
 }
 
 func ExampleMinimizer() {
-	qs := []*pattern.Pattern{
-		pattern.MustParse("a*[/b, /b[/c], //c]"),
-		pattern.MustParse("x*[//y, //y[//z]]"),
-	}
-	m := New(Options{Workers: 2, Algo: CIM})
-	for _, r := range m.MinimizeBatch(qs) {
-		fmt.Printf("%s -> %s (removed %d)\n", r.Input, r.Output, r.Removed)
-	}
+	m := New(Options{Constraints: ics.MustParseSet("Section => Paragraph")})
+	q := pattern.MustParse("Articles/Article*[//Paragraph, /Section//Paragraph]")
+	r, _ := m.MinimizeContextTraced(context.Background(), q, nil)
+	fmt.Printf("%s -> %s (CDM removed %d, ACIM %d)\n", q, r.Output, r.CDMRemoved, r.ACIMRemoved)
 	// Output:
-	// a*[//c, /b, /b/c] -> a*/b/c (removed 2)
-	// x*[//y, //y//z] -> x*//y//z (removed 1)
+	// Articles/Article*[//Paragraph, /Section//Paragraph] -> Articles/Article*/Section (CDM removed 2, ACIM 0)
 }
 
-// TestSingleMinimizeMatchesBatch checks that the single-query entry point
-// agrees with the batch path for every algorithm.
-func TestSingleMinimizeMatchesBatch(t *testing.T) {
-	qs := workload(t, 12)
-	cs := ics.NewSet(ics.Child("t0", "t1"), ics.Desc("t1", "t2"))
-	for _, algo := range []Algo{Auto, CIM, CDM, ACIM} {
-		m := New(Options{Algo: algo, Constraints: cs})
-		batch := m.MinimizeBatch(qs)
-		for i, q := range qs {
-			one := m.Minimize(q)
-			if !pattern.Isomorphic(one.Output, batch[i].Output) {
-				t.Errorf("%s: query %d: single %s != batch %s", algo, i, one.Output, batch[i].Output)
-			}
-			if one.Removed != batch[i].Removed ||
-				one.CDMRemoved != batch[i].CDMRemoved ||
-				one.ACIMRemoved != batch[i].ACIMRemoved {
-				t.Errorf("%s: query %d: stats diverge: single %+v batch %+v", algo, i, one, batch[i])
-			}
-			if one.Removed != one.CDMRemoved+one.ACIMRemoved {
-				t.Errorf("%s: query %d: Removed=%d but CDM=%d + ACIM=%d", algo, i,
-					one.Removed, one.CDMRemoved, one.ACIMRemoved)
-			}
-		}
-	}
-}
-
-// TestMinimizeContext checks the phase-boundary cancellation contract: a
-// live context minimizes normally, a cancelled one returns the error
-// without an output.
+// TestMinimizeContext checks the cancellation contract: a live context
+// minimizes exactly like the paper's pipeline run by hand, a cancelled
+// one returns the error without an output.
 func TestMinimizeContext(t *testing.T) {
 	q := genquery.Redundant(12, 3, 2)
 	cs := ics.NewSet(ics.Child("t0", "t1"))
 	m := New(Options{Constraints: cs})
 
-	r, err := m.MinimizeContext(context.Background(), q)
-	if err != nil {
-		t.Fatalf("MinimizeContext: %v", err)
-	}
-	want := m.Minimize(q)
-	if !pattern.Isomorphic(r.Output, want.Output) {
-		t.Errorf("context path output %s != plain %s", r.Output, want.Output)
+	r := run(t, m, q, nil)
+	closed := cs.Closure()
+	pre := q.Clone()
+	cdm.MinimizeInPlace(pre, closed)
+	if want := acim.Minimize(pre, closed); !pattern.Isomorphic(r.Output, want) {
+		t.Errorf("output %s != CDM then ACIM %s", r.Output, want)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r, err = m.MinimizeContext(ctx, q)
+	r, err := m.MinimizeContextTraced(ctx, q, nil)
 	if err == nil {
 		t.Fatalf("cancelled context: want error, got result %+v", r)
 	}

@@ -1,98 +1,23 @@
 package engine
 
 import (
-	"context"
-
 	"tpq/internal/acim"
 	"tpq/internal/pattern"
 )
 
-// Disjunctive minimization. The pipeline's theorems (4.1/5.1/5.3) cover
-// conjunctive TPQs only, so a Disjunction is minimized per disjunct —
-// each through the full CDM+ACIM pipeline over the batch worker pool,
-// all sharing this Minimizer's closed constraint set and therefore one
-// compiled chase plan — and then pruned by absorption: a disjunct
-// contained in another (under the constraints) contributes nothing to
-// the union and is dropped. The result is equivalent to the input by
-// construction — every kept disjunct is the minimization of an input
-// disjunct, every dropped one is contained in a kept one — a certificate
-// that does not rely on completeness of disjunct-wise union containment.
-// Cross-disjunct rewriting (merging two disjuncts into one smaller
-// pattern) is out of scope: containment beyond the conjunctive fragment
-// changes complexity class (Gottlob, Koch & Schulz), so there is no
-// uniqueness theorem to aim at there.
-
-// DisjunctionResult is the outcome of minimizing one Disjunction.
-type DisjunctionResult struct {
-	// Output is the minimized union: per-disjunct minimal, deduplicated,
-	// absorption-pruned, canon-sorted.
-	Output *pattern.Disjunction
-	// Disjuncts is the input disjunct count; Absorbed counts disjuncts
-	// dropped because another disjunct contains them (isomorphic
-	// duplicates arising after minimization included), and Unsat those
-	// dropped as unsatisfiable under the constraints.
-	Disjuncts, Absorbed, Unsat int
-	// CDMRemoved, ACIMRemoved, Tests, TablesBuilt and TablesDerived are
-	// the per-disjunct pipeline counters, summed.
-	CDMRemoved, ACIMRemoved, Tests, TablesBuilt, TablesDerived int
-	// Unsatisfiable is set when every disjunct is unsatisfiable — the
-	// union can never produce an answer. Output still carries one
-	// minimized disjunct so callers always get a well-formed query.
-	Unsatisfiable bool
-}
-
-// MinimizeDisjunction minimizes d under the Minimizer's constraints:
-// every disjunct through the conjunctive pipeline (batched over the
-// worker pool, sharing the precompiled chase plan), then unsatisfiable
-// disjuncts dropped, then absorption pruning via the constraint-aware
-// containment test. d is never mutated. The context is checked between
-// the batch and the pruning phase.
-func (m *Minimizer) MinimizeDisjunction(ctx context.Context, d *pattern.Disjunction) (DisjunctionResult, error) {
-	r := DisjunctionResult{Disjuncts: len(d.Disjuncts)}
-	if len(d.Disjuncts) == 0 {
-		r.Output = &pattern.Disjunction{}
-		return r, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return r, err
-	}
-	results := m.MinimizeBatch(d.Disjuncts)
-	for _, res := range results {
-		r.CDMRemoved += res.CDMRemoved
-		r.ACIMRemoved += res.ACIMRemoved
-		r.Tests += res.Tests
-		r.TablesBuilt += res.TablesBuilt
-		r.TablesDerived += res.TablesDerived
-	}
-	if err := ctx.Err(); err != nil {
-		return r, err
-	}
-
-	// Drop unsatisfiable disjuncts: they contribute nothing to the union.
-	// If every disjunct is unsatisfiable, keep the first minimized one so
-	// the output stays a valid query, and flag the whole union.
-	sat := make([]*pattern.Pattern, 0, len(results))
-	for _, res := range results {
-		if acim.UnsatisfiableUnder(res.Input, m.closed) {
-			r.Unsat++
-			continue
-		}
-		sat = append(sat, res.Output)
-	}
-	if len(sat) == 0 {
-		r.Unsatisfiable = true
-		r.Unsat--
-		sat = append(sat, results[0].Output)
-	}
-
-	kept, absorbed := AbsorbDisjuncts(sat, m)
-	r.Absorbed = absorbed
-	r.Output = pattern.NewDisjunction(kept...)
-	// NewDisjunction dedups isomorphic disjuncts; count those as absorbed
-	// too (mutual containment is absorption in both directions).
-	r.Absorbed += len(kept) - len(r.Output.Disjuncts)
-	return r, nil
-}
+// Absorption pruning for disjunctive minimization. The pipeline's
+// theorems (4.1/5.1/5.3) cover conjunctive TPQs only, so a union is
+// minimized per disjunct (the serving layer fans the disjuncts out over
+// its worker pool, see internal/service) and then pruned here: a
+// disjunct contained in another (under the constraints) contributes
+// nothing to the union and is dropped. The result is equivalent to the
+// input by construction — every kept disjunct is the minimization of an
+// input disjunct, every dropped one is contained in a kept one — a
+// certificate that does not rely on completeness of disjunct-wise union
+// containment. Cross-disjunct rewriting (merging two disjuncts into one
+// smaller pattern) is out of scope: containment beyond the conjunctive
+// fragment changes complexity class (Gottlob, Koch & Schulz), so there
+// is no uniqueness theorem to aim at there.
 
 // AbsorbDisjuncts prunes every pattern contained (under m's constraints)
 // in another: in a union, di ⊆ dj means di ∪ dj = dj. Isomorphic

@@ -19,8 +19,8 @@ func TestMinimizeTracedPopulatesPhases(t *testing.T) {
 	m := New(Options{Constraints: cs})
 
 	tr := trace.New()
-	r := m.MinimizeTraced(q, tr)
-	plain := m.Minimize(q)
+	r := run(t, m, q, tr)
+	plain := run(t, m, q, nil)
 	if r.Output.Canonical() != plain.Output.Canonical() {
 		t.Fatalf("traced output differs from untraced:\n%s\n%s", r.Output, plain.Output)
 	}
@@ -63,7 +63,7 @@ func TestMinimizeTracedCountsWitnesses(t *testing.T) {
 	q := pattern.MustParse("Articles/Article*[//Paragraph, /Section//Paragraph]")
 	m := New(Options{Constraints: ics.MustParseSet("Section => Paragraph"), Algo: ACIM})
 	tr := trace.New()
-	r := m.MinimizeTraced(q, tr)
+	r := run(t, m, q, tr)
 	if r.Output.Size() != 3 {
 		t.Fatalf("output size %d, want 3:\n%s", r.Output.Size(), r.Output)
 	}
@@ -80,12 +80,12 @@ func TestMinimizeTracedCountsWitnesses(t *testing.T) {
 func TestMinimizeTracedNilTrace(t *testing.T) {
 	q := genquery.Redundant(12, 2, 2)
 	m := New(Options{Constraints: ics.NewSet(ics.Child("t0", "t1"))})
-	traced := m.MinimizeTraced(q, trace.New())
-	nilTraced := m.MinimizeTraced(q, nil)
-	if traced.Output.Canonical() != nilTraced.Output.Canonical() {
+	withTrace := run(t, m, q, trace.New())
+	nilTraced := run(t, m, q, nil)
+	if withTrace.Output.Canonical() != nilTraced.Output.Canonical() {
 		t.Fatal("nil trace changed the minimization result")
 	}
-	if traced.CDMRemoved != nilTraced.CDMRemoved || traced.ACIMRemoved != nilTraced.ACIMRemoved {
-		t.Fatalf("nil trace changed the report: %+v vs %+v", traced, nilTraced)
+	if withTrace.CDMRemoved != nilTraced.CDMRemoved || withTrace.ACIMRemoved != nilTraced.ACIMRemoved {
+		t.Fatalf("nil trace changed the report: %+v vs %+v", withTrace, nilTraced)
 	}
 }

@@ -400,8 +400,12 @@ func (s *Set) Clone() *Set {
 // closed is returned as itself — closed sets are shared read-only
 // throughout the pipeline, and memoizing the closure here is what lets
 // hot paths call Closure defensively for free. Callers must therefore
-// not mutate the result.
+// not mutate the result. A nil set means no constraints: its closure is
+// a fresh empty closed set.
 func (s *Set) Closure() *Set {
+	if s == nil {
+		return NewSet().Closure()
+	}
 	if s.closed {
 		s.sealNow()
 		return s

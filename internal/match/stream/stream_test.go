@@ -355,3 +355,40 @@ func TestDeepPathFeasibility(t *testing.T) {
 		t.Fatalf("streamed %v, reference %v", ids(got), want)
 	}
 }
+
+// TestUnionAnswers checks the union merge against the per-query answer
+// sets merged by hand, for zero, one (the direct path, no merge) and
+// several queries: document order, no duplicates, nothing lost.
+func TestUnionAnswers(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 100; i++ {
+		f := randomForest(rng, 1+rng.Intn(60), 4)
+		idx := match.NewForestIndex(f)
+		qs := make([]*Query, i%4)
+		seen := map[int]bool{}
+		for k := range qs {
+			q := randomQuery(rng, 1+rng.Intn(5), 4)
+			sq, err := Compile(q, idx, Options{})
+			if err != nil {
+				t.Fatalf("case %d: compile %s: %v", i, q, err)
+			}
+			qs[k] = sq
+			for _, id := range ids(collect(sq, context.Background())) {
+				seen[id] = true
+			}
+		}
+		var want []int
+		for _, v := range f.Nodes() {
+			if seen[v.ID] {
+				want = append(want, v.ID)
+			}
+		}
+		var got []int
+		for v := range UnionAnswers(context.Background(), qs) {
+			got = append(got, v.ID)
+		}
+		if !equalIDs(want, got) {
+			t.Fatalf("case %d: %d queries: merged answers %v, streamed union %v", i, len(qs), want, got)
+		}
+	}
+}

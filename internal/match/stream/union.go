@@ -14,8 +14,13 @@ import (
 // (document order), so the union is a k-way merge that advances every
 // stream sitting on the yielded ID — an answer produced by several
 // disjuncts is delivered once. Laziness is preserved: breaking out of the
-// range, or canceling ctx, stops all per-query evaluation work.
+// range, or canceling ctx, stops all per-query evaluation work. A single
+// query needs no merge: its own iterator is returned, with no coroutine
+// switch per answer.
 func UnionAnswers(ctx context.Context, qs []*Query) iter.Seq[*data.Node] {
+	if len(qs) == 1 {
+		return qs[0].Answers(ctx)
+	}
 	return func(yield func(*data.Node) bool) {
 		next := make([]func() (*data.Node, bool), len(qs))
 		heads := make([]*data.Node, len(qs))

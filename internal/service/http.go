@@ -365,7 +365,7 @@ func (h *handler) minimizeOr(w http.ResponseWriter, ctx context.Context, d *patt
 		return
 	}
 	resp := minimizeResponse{
-		Output:        e.text,
+		Output:        e.render(),
 		InputSize:     rep.InputSize,
 		OutputSize:    rep.OutputSize,
 		CDMRemoved:    rep.CDMRemoved,
@@ -484,45 +484,25 @@ func (h *handler) match(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	start := time.Now()
 	// Minimize first (through the cache tiers), then evaluate the minimal
-	// form: a conjunctive query streams as before, a union streams the
-	// document-order merge of its minimized disjuncts.
-	var (
-		answers  iter.Seq[*data.Node]
-		outText  string
-		outSize  int
-		cacheHit bool
-	)
-	if p := d.Singleton(); p != nil {
-		out, rep, err := h.svc.Minimize(ctx, p)
-		if err != nil {
-			writeServiceError(w, err)
-			return
-		}
-		q, err := stream.Compile(out, idx, stream.Options{})
+	// form: the document-order merge of its disjuncts' answer streams (a
+	// conjunctive query is one disjunct and streams directly). The shared
+	// entry is only read: compiling does not mutate a pattern.
+	e, rep, err := h.svc.minimizeDisjunctionEntry(ctx, d)
+	if err != nil {
+		writeServiceError(w, err)
+		return
+	}
+	qs := make([]*stream.Query, 0, len(e.out.Disjuncts))
+	for _, p := range e.out.Disjuncts {
+		q, err := stream.Compile(p, idx, stream.Options{})
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		answers = q.Answers(ctx)
-		outText, outSize, cacheHit = out.String(), rep.OutputSize, rep.CacheHit
-	} else {
-		out, rep, err := h.svc.MinimizeDisjunction(ctx, d)
-		if err != nil {
-			writeServiceError(w, err)
-			return
-		}
-		qs := make([]*stream.Query, 0, len(out.Disjuncts))
-		for _, p := range out.Disjuncts {
-			q, err := stream.Compile(p, idx, stream.Options{})
-			if err != nil {
-				writeError(w, http.StatusBadRequest, err.Error())
-				return
-			}
-			qs = append(qs, q)
-		}
-		answers = stream.UnionAnswers(ctx, qs)
-		outText, outSize, cacheHit = out.String(), rep.OutputSize, rep.CacheHit
+		qs = append(qs, q)
 	}
+	answers := stream.UnionAnswers(ctx, qs)
+	outText, outSize, cacheHit := e.render(), rep.OutputSize, rep.CacheHit
 	if req.Stream {
 		h.streamMatch(w, ctx, answers, req.Limit, outText, cacheHit, start)
 		return

@@ -10,9 +10,11 @@ import (
 )
 
 // Disjunctive serving. A disjunctive request is minimized per disjunct —
-// each disjunct routed through Minimize and therefore through every tier
-// the conjunctive path has (LRU, singleflight, persistent store) — then
-// absorption-pruned and reassembled. The assembled union is
+// the disjuncts fanned out over the service's worker pool, each routed
+// through every tier the conjunctive path has (LRU, singleflight,
+// persistent store) — then absorption-pruned and reassembled. This is the
+// only union assembly: tpq.MinimizeDisjunction, the HTTP handlers and the
+// command-line tools all reach it. The assembled union is
 // cached in its own small LRU keyed on the disjunction's canonical form
 // (disjunct-sorted, so every spelling of the same union shares one key)
 // plus the constraint fingerprint: a repeat disjunctive request costs one
@@ -47,11 +49,22 @@ type OrReport struct {
 
 // orEntry is one cached disjunctive result: the assembled union (shared
 // read-only — its disjuncts alias conjunctive cache entries), its report
-// with per-request flags unset, and the rendered text.
+// with per-request flags unset, and the rendered text. As for entry, the
+// text is rendered once when the entry is shared through a cache, and
+// left empty on a request-local entry.
 type orEntry struct {
 	out  *pattern.Disjunction
 	rep  OrReport
 	text string
+}
+
+// render returns the output text: the pre-rendered one when the entry
+// was cached, a fresh rendering otherwise.
+func (e *orEntry) render() string {
+	if e.text != "" {
+		return e.text
+	}
+	return e.out.String()
 }
 
 // orCache is the small LRU over assembled unions. One lock: disjunctive
@@ -110,10 +123,17 @@ func (c *orCache) len() int {
 // hierarchy, unsatisfiable disjuncts dropped, the rest absorption-pruned.
 // The returned Disjunction is always a private copy. A singleton behaves
 // exactly like Minimize on its one disjunct (same counters, same cache).
+// The disjuncts of a union are minimized concurrently over the service's
+// worker pool.
 func (s *Service) MinimizeDisjunction(ctx context.Context, d *pattern.Disjunction) (*pattern.Disjunction, OrReport, error) {
 	e, rep, err := s.minimizeDisjunctionEntry(ctx, d)
 	if err != nil {
 		return nil, OrReport{}, err
+	}
+	if len(s.shards) == 0 {
+		// Caching disabled: the entry and the disjuncts it holds are
+		// request-local, so the copy would be waste (as in Minimize).
+		return e.out, rep, nil
 	}
 	return e.out.Clone(), rep, nil
 }
@@ -142,14 +162,10 @@ func (s *Service) minimizeDisjunctionEntry(ctx context.Context, d *pattern.Disju
 			Unsatisfiable: rep.Unsatisfiable,
 			CacheHit:      rep.CacheHit,
 		}
-		text := e.text
-		if text == "" {
-			text = e.out.String()
-		}
 		return &orEntry{
 			out:  &pattern.Disjunction{Disjuncts: []*pattern.Pattern{e.out}},
 			rep:  orep,
-			text: text,
+			text: e.text,
 		}, orep, nil
 	}
 
@@ -177,34 +193,27 @@ func (s *Service) minimizeDisjunctionEntry(ctx context.Context, d *pattern.Disju
 		}
 	}
 
-	rep := OrReport{Disjuncts: len(d.Disjuncts), InputSize: d.Size()}
-	outs := make([]*pattern.Pattern, len(d.Disjuncts))
-	unsat := make([]bool, len(d.Disjuncts))
-	for i, p := range d.Disjuncts {
-		e, r, err := s.minimizeEntry(ctx, p)
-		if err != nil {
-			return nil, OrReport{}, err
-		}
-		outs[i] = e.out
-		unsat[i] = r.Unsatisfiable
-		rep.CDMRemoved += r.CDMRemoved
-		rep.ACIMRemoved += r.ACIMRemoved
+	es, reps, err := s.minimizeEntries(ctx, d.Disjuncts)
+	if err != nil {
+		return nil, OrReport{}, err
 	}
-
+	rep := OrReport{Disjuncts: len(d.Disjuncts), InputSize: d.Size()}
 	// Drop unsatisfiable disjuncts; if every disjunct is unsatisfiable,
 	// keep the first minimized one so the output stays a valid query.
-	sat := make([]*pattern.Pattern, 0, len(outs))
-	for i, out := range outs {
-		if unsat[i] {
+	sat := make([]*pattern.Pattern, 0, len(es))
+	for i, e := range es {
+		rep.CDMRemoved += reps[i].CDMRemoved
+		rep.ACIMRemoved += reps[i].ACIMRemoved
+		if reps[i].Unsatisfiable {
 			rep.Unsat++
 			continue
 		}
-		sat = append(sat, out)
+		sat = append(sat, e.out)
 	}
 	if len(sat) == 0 {
 		rep.Unsatisfiable = true
 		rep.Unsat--
-		sat = append(sat, outs[0])
+		sat = append(sat, es[0].out)
 	}
 
 	kept, absorbed := engine.AbsorbDisjuncts(sat, s.eng)
@@ -216,8 +225,9 @@ func (s *Service) minimizeDisjunctionEntry(ctx context.Context, d *pattern.Disju
 	s.stats.orAbsorbed.Add(int64(rep.Absorbed))
 	s.stats.orUnsat.Add(int64(rep.Unsat))
 
-	e := &orEntry{out: out, rep: rep, text: out.String()}
+	e := &orEntry{out: out, rep: rep}
 	if s.orcache != nil {
+		e.text = out.String()
 		s.orcache.add(key, e)
 	}
 	return e, rep, nil

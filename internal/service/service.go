@@ -28,6 +28,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,8 +58,9 @@ type Options struct {
 	// under; nil means none. The closure is computed once here, never per
 	// request.
 	Constraints *ics.Set
-	// Workers bounds the concurrency of batch minimization; <= 0 means
-	// GOMAXPROCS.
+	// Workers sizes the service's worker pool, which minimizes the
+	// queries of a batch and the disjuncts of a union concurrently; <= 0
+	// means GOMAXPROCS.
 	Workers int
 	// CacheSize is the LRU capacity in cached queries: 0 picks
 	// DefaultCacheSize, negative disables caching entirely — every request
@@ -127,11 +129,12 @@ type entry struct {
 // Service is a long-lived minimization server. It is safe for concurrent
 // use.
 type Service struct {
-	eng    *engine.Minimizer
-	closed *ics.Set
-	fp     string
-	start  time.Time
-	stats  Stats
+	eng     *engine.Minimizer
+	closed  *ics.Set
+	fp      string
+	workers int
+	start   time.Time
+	stats   Stats
 
 	mu       sync.Mutex // guards closing
 	closing  bool
@@ -181,15 +184,15 @@ type Service struct {
 // New returns a Service with the given options. The constraint closure is
 // computed here, once.
 func New(opts Options) *Service {
-	eng := engine.New(engine.Options{
-		Workers:     opts.Workers,
-		Algo:        opts.Algo,
-		Constraints: opts.Constraints,
-	})
+	eng := engine.New(engine.Options{Algo: opts.Algo, Constraints: opts.Constraints})
 	s := &Service{
-		eng:    eng,
-		closed: eng.Closed(),
-		start:  time.Now(),
+		eng:     eng,
+		closed:  eng.Closed(),
+		workers: opts.Workers,
+		start:   time.Now(),
+	}
+	if s.workers <= 0 {
+		s.workers = runtime.GOMAXPROCS(0)
 	}
 	s.fp = s.closed.Fingerprint()
 	if opts.SlowLogThreshold > 0 {
@@ -251,7 +254,7 @@ func (s *Service) Stats() Snapshot {
 	}
 	snap.Constraints = s.closed.Len()
 	snap.ConstraintFingerprint = s.fp
-	snap.Workers = s.eng.Workers()
+	snap.Workers = s.workers
 	snap.UptimeSeconds = time.Since(s.start).Seconds()
 	return snap
 }
@@ -346,14 +349,17 @@ func (s *Service) Minimize(ctx context.Context, p *pattern.Pattern) (*pattern.Pa
 	if err != nil {
 		return nil, Report{}, err
 	}
-	out := e.out
+	return s.private(e), rep, nil
+}
+
+// private returns e's output for a caller that may mutate it. A cached
+// entry is (or may be) shared, so the caller gets a copy; with caching
+// disabled the entry is request-local and the copy would be waste.
+func (s *Service) private(e *entry) *pattern.Pattern {
 	if len(s.shards) > 0 {
-		// The entry is (or may be) shared through the cache; hand the
-		// caller a private copy. With caching disabled the entry is
-		// request-local and the copy would be waste.
-		out = out.Clone()
+		return e.out.Clone()
 	}
-	return out, rep, nil
+	return e.out
 }
 
 // minimizeEntry is the package-internal form of Minimize: it returns the
@@ -606,53 +612,57 @@ func (s *Service) compute(ctx context.Context, p *pattern.Pattern) (*entry, erro
 	}, nil
 }
 
-// MinimizeBatch minimizes every query concurrently over the engine's
-// worker budget, with each query going through the cache and singleflight
+// MinimizeBatch minimizes every query concurrently over the service's
+// worker pool, with each query going through the cache and singleflight
 // individually — duplicates inside one batch share a single minimization.
 // Results are in input order. On error (cancellation or shutdown) the
 // whole batch fails.
 func (s *Service) MinimizeBatch(ctx context.Context, queries []*pattern.Pattern) ([]*pattern.Pattern, []Report, error) {
 	s.stats.batches.Add(1)
-	outs := make([]*pattern.Pattern, len(queries))
+	es, reps, err := s.minimizeEntries(ctx, queries)
+	if err != nil {
+		return nil, nil, err
+	}
+	outs := make([]*pattern.Pattern, len(es))
+	for i, e := range es {
+		outs[i] = s.private(e)
+	}
+	return outs, reps, nil
+}
+
+// minimizeEntries is the service's worker pool: it runs minimizeEntry on
+// every query, at most s.workers at a time (the caller's goroutine is one
+// of them), and returns the entries and reports in input order. Both
+// batches and the disjuncts of a union fan out through it. On failure it
+// returns the error of the first failed query in input order.
+func (s *Service) minimizeEntries(ctx context.Context, queries []*pattern.Pattern) ([]*entry, []Report, error) {
+	es := make([]*entry, len(queries))
 	reps := make([]Report, len(queries))
-	if len(queries) == 0 {
-		return outs, reps, nil
+	errs := make([]error, len(queries))
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(queries) {
+				return
+			}
+			es[i], reps[i], errs[i] = s.minimizeEntry(ctx, queries[i])
+		}
 	}
-	workers := s.eng.Workers()
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	jobs := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 1; w < min(s.workers, len(queries)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				out, rep, err := s.Minimize(ctx, queries[i])
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					continue
-				}
-				outs[i], reps[i] = out, rep
-			}
+			work()
 		}()
 	}
-	for i := range queries {
-		jobs <- i
-	}
-	close(jobs)
+	work()
 	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
 	}
-	return outs, reps, nil
+	return es, reps, nil
 }

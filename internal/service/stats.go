@@ -222,7 +222,7 @@ type Snapshot struct {
 
 	Constraints           int     `json:"constraints" metric:"tpq_constraints" help:"Size of the closed constraint set."`
 	ConstraintFingerprint string  `json:"constraintFingerprint"`
-	Workers               int     `json:"workers" metric:"tpq_workers" help:"Worker-pool size of the engine."`
+	Workers               int     `json:"workers" metric:"tpq_workers" help:"Worker-pool size of batch and union minimization."`
 	UptimeSeconds         float64 `json:"uptimeSeconds" metric:"tpq_uptime_seconds" help:"Seconds since the service was constructed."`
 
 	LatencyCount      int64           `json:"latencyCount"`

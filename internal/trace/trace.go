@@ -15,9 +15,9 @@
 //     atomics; starting and ending a span allocates nothing (Span is a
 //     small value), so tracing a request costs one Trace allocation
 //     total and the ≤2% overhead budget on the Fig 7(b) benchmark holds.
-//  3. Safe under concurrency. Phase durations and counters are atomics:
-//     the engine's parallel candidate screening and the service's
-//     histogram merge may touch a Trace from several goroutines.
+//  3. Safe under concurrency. Phase durations and counters are atomics,
+//     so a Trace may be read (the service's histogram merge) while
+//     another goroutine records into it.
 //
 // Spans nest: the ACIM phase wraps the Chase, CIM and Compact
 // sub-phases, so Dur(ACIM) ≥ Dur(Chase)+Dur(CIM)+Dur(Compact) while the
@@ -46,8 +46,7 @@ const (
 	// and Compact.
 	ACIM
 	// CIM is the constraint-independent minimization loop, whichever
-	// kernel runs it (incremental engine, map oracle, or the engine
-	// package's parallel screening).
+	// kernel runs it (the incremental engine, or the map oracle).
 	CIM
 	// Compact is the temporary-node strip after CIM (pattern.StripTemp).
 	Compact

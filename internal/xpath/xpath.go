@@ -216,6 +216,12 @@ func isNameByte(b byte) bool {
 
 func (p *xparser) parseName() (string, error) {
 	p.skipSpace()
+	if strings.HasPrefix(p.src[p.pos:], ".") {
+		// "." is the self step, outside the fragment: a name may contain
+		// dots but not start with one, or "a/.//b" would read "." as an
+		// element and render back as the different "a[.//b]".
+		return "", p.errorf("expected an element name, found %q", p.rest())
+	}
 	start := p.pos
 	for p.pos < len(p.src) && isNameByte(p.src[p.pos]) {
 		p.pos++

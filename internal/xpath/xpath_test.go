@@ -55,6 +55,7 @@ func TestFromXPathErrors(t *testing.T) {
 	for _, bad := range []string{
 		"", "a/b", "//", "//a[", "//a[]", "//a[b", "//a]b",
 		"//a[@p?3]", "//a[@p<]", ".//a", "//a[/b]", "//a/b/",
+		"/a/./b", "//a[b/.//c]", "//.a",
 	} {
 		if _, err := FromXPath(bad); err == nil {
 			t.Errorf("FromXPath(%q) succeeded", bad)

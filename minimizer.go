@@ -14,8 +14,9 @@ type MinimizerOptions struct {
 	// Minimizer is built — not per call, as the package-level functions
 	// must.
 	Constraints *Constraints
-	// Workers bounds the concurrency of MinimizeBatch; <= 0 means all
-	// CPUs.
+	// Workers sizes the worker pool that minimizes the queries of
+	// MinimizeBatch and the disjuncts of MinimizeDisjunction concurrently;
+	// <= 0 means all CPUs.
 	Workers int
 	// CacheSize is the capacity, in queries, of the built-in result cache:
 	// 0 picks a default (1024), negative disables caching. The cache is
@@ -91,10 +92,11 @@ func (m *Minimizer) MinimizeReport(p *Pattern) (*Pattern, Report) {
 type OrReport = service.OrReport
 
 // MinimizeDisjunction minimizes a disjunctive query under the Minimizer's
-// constraints: every disjunct through the conjunctive cache individually,
-// unsatisfiable disjuncts dropped, the rest absorption-pruned, and the
-// assembled union cached under its disjunct-sorted canonical form. A nil
-// or empty disjunction returns nil and a zero report.
+// constraints: every disjunct through the conjunctive cache individually
+// (concurrently, over the worker pool), unsatisfiable disjuncts dropped,
+// the rest absorption-pruned, and the assembled union cached under its
+// disjunct-sorted canonical form. A nil or empty disjunction returns nil
+// and a zero report.
 func (m *Minimizer) MinimizeDisjunction(d *Disjunction) (*Disjunction, OrReport) {
 	out, rep, err := m.svc.MinimizeDisjunction(context.Background(), d)
 	if err != nil {

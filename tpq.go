@@ -163,9 +163,6 @@ func ForbidDescendant(from, to Type) Constraint { return ics.ForbidDesc(from, to
 // from a ~ b, b !=> c) counts even though no stated constraint mentions
 // it.
 func Unsatisfiable(p *Pattern, cs *Constraints) bool {
-	if cs == nil {
-		return false
-	}
 	return acim.UnsatisfiableUnder(p, cs.Closure())
 }
 
@@ -241,9 +238,9 @@ func MinimizeReport(p *Pattern, cs *Constraints) (*Pattern, Report) {
 // pool of workers goroutines (0 means all CPUs), using the same CDM+ACIM
 // pipeline as MinimizeUnderConstraints. Results are returned in input
 // order; the inputs are never modified. Use it to minimize a workload of
-// queries — throughput scales with the worker count, each worker reuses
-// its own scratch memory across queries, and duplicate queries within the
-// batch share a single minimization.
+// queries: it runs on a throwaway Minimizer, whose worker pool minimizes
+// up to workers queries at once under one shared closure, and duplicate
+// queries within the batch share a single minimization.
 func MinimizeBatch(queries []*Pattern, cs *Constraints, workers int) []*Pattern {
 	m := NewMinimizer(MinimizerOptions{Constraints: cs, Workers: workers})
 	outs, _, _ := m.MinimizeBatch(context.Background(), queries)
@@ -252,17 +249,17 @@ func MinimizeBatch(queries []*Pattern, cs *Constraints, workers int) []*Pattern 
 
 // MinimizeDisjunction returns the minimized form of a disjunctive query
 // under cs (which may be nil): each disjunct minimized through the
-// CDM+ACIM pipeline (over a worker pool sharing one compiled chase
-// plan), unsatisfiable disjuncts dropped, and disjuncts absorbed by
-// another — contained in it under the constraints, hence redundant in
-// the union — pruned. The result is equivalent to d by construction; no
-// cross-disjunct rewriting is attempted (containment beyond the
-// conjunctive fragment has no uniqueness theorem to aim at). d is never
-// mutated.
+// CDM+ACIM pipeline (concurrently, over the worker pool of a throwaway
+// uncached Minimizer, sharing one compiled chase plan), unsatisfiable
+// disjuncts dropped, and disjuncts absorbed by another — contained in it
+// under the constraints, hence redundant in the union — pruned. The
+// result is equivalent to d by construction; no cross-disjunct rewriting
+// is attempted (containment beyond the conjunctive fragment has no
+// uniqueness theorem to aim at). d is never mutated; a nil or empty
+// disjunction returns nil.
 func MinimizeDisjunction(d *Disjunction, cs *Constraints) *Disjunction {
-	m := engine.New(engine.Options{Constraints: cs})
-	r, _ := m.MinimizeDisjunction(context.Background(), d)
-	return r.Output
+	out, _ := NewMinimizer(MinimizerOptions{Constraints: cs, CacheSize: -1}).MinimizeDisjunction(d)
+	return out
 }
 
 // Contains reports whether p contains q: on every database, q's answers

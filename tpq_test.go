@@ -193,3 +193,51 @@ func TestSchemaHelpers(t *testing.T) {
 		t.Error("schema child helpers wrong")
 	}
 }
+
+// TestNilConstraints calls every facade function that takes a
+// *Constraints with nil, which means "no constraints" everywhere: none
+// may panic, and each must answer as under the empty set. It is also the
+// facade's test of MinimizeDisjunction: or(a*/b, a*//b) keeps only the
+// disjunct that absorbs the other.
+func TestNilConstraints(t *testing.T) {
+	q := MustParse("a*[/b, //b]")
+	want := MustParse("a*/b")
+	if got := MinimizeUnderConstraints(q, nil); !Isomorphic(got, want) {
+		t.Errorf("MinimizeUnderConstraints = %s, want %s", got, want)
+	}
+	if got, rep := MinimizeReport(q, nil); !Isomorphic(got, want) || rep.Unsatisfiable {
+		t.Errorf("MinimizeReport = %s %+v, want %s", got, rep, want)
+	}
+	if got := MinimizeBatch([]*Pattern{q, want}, nil, 2); len(got) != 2 || !Isomorphic(got[0], want) || !Isomorphic(got[1], want) {
+		t.Errorf("MinimizeBatch = %v, want [%s %s]", got, want, want)
+	}
+	d, err := ParseDisjunctive("or(a*/b, a*//b)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := MinimizeDisjunction(d, nil); got.String() != "a*//b" {
+		t.Errorf("MinimizeDisjunction(%s) = %s, want a*//b", d, got)
+	}
+	if Unsatisfiable(q, nil) {
+		t.Error("Unsatisfiable under no constraints")
+	}
+	if !ContainsUnder(MustParse("a*//b"), want, nil) || ContainsUnder(want, MustParse("a*//b"), nil) {
+		t.Error("ContainsUnder disagrees with Contains")
+	}
+	if !EquivalentUnder(q, want, nil) {
+		t.Errorf("EquivalentUnder(%s, %s) = false", q, want)
+	}
+	f := NewForest(NewDataNode("a"))
+	if !SatisfiesConstraints(f, nil) {
+		t.Error("a forest violates no constraints")
+	}
+	if err := RepairConstraints(f, nil); err != nil || f.Size() != 1 {
+		t.Errorf("RepairConstraints: %v, forest size %d", err, f.Size())
+	}
+	if _, err := GenerateForest(rand.New(rand.NewSource(1)), 10, []Type{"a", "b"}, nil); err != nil {
+		t.Errorf("GenerateForest: %v", err)
+	}
+	if got := NewMinimizer(MinimizerOptions{}).Minimize(q); !Isomorphic(got, want) {
+		t.Errorf("Minimizer.Minimize = %s, want %s", got, want)
+	}
+}
