@@ -358,3 +358,23 @@ func TestPanelWork(t *testing.T) {
 		}
 	})
 }
+
+// TestMatchAllocShare pins the match figure's memory claim on its exact
+// alloc_kb counters at the quick 10k point: the streamed evaluation
+// allocates at most a quarter of what the materialized kernel does, at
+// equal answer counts.
+func TestMatchAllocShare(t *testing.T) {
+	s := bySeries(run(t, "match", fast))
+	if len(s["stream"]) == 0 {
+		t.Fatal("no streamed results")
+	}
+	for x, stream := range s["stream"] {
+		mat := s["materialized"][x]
+		if stream.Counters["answers"] == 0 || stream.Counters["answers"] != mat.Counters["answers"] {
+			t.Fatalf("%s: answers %v, materialized %v", stream.Name, stream.Counters, mat.Counters)
+		}
+		if got, ceil := stream.Counters["alloc_kb"], mat.Counters["alloc_kb"]; got*4 > ceil {
+			t.Errorf("%s: alloc_kb %d above a quarter of materialized %d", stream.Name, got, ceil)
+		}
+	}
+}

@@ -132,42 +132,6 @@ func (s Set) IntersectsRange(lo, hi int) bool {
 	return s[hiW]&hiMask != 0
 }
 
-// AndIntersectsRange reports whether s ∧ t contains any member in the
-// inclusive range [lo, hi], without materializing the intersection. The
-// streaming matcher's leaf test is exactly this shape — "does any node in
-// v's subtree interval carry every required type" — and a d-edge leaf with
-// one extra type would otherwise need a scratch row per probe.
-func (s Set) AndIntersectsRange(t Set, lo, hi int) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	n := len(s)
-	if len(t) < n {
-		n = len(t)
-	}
-	if lo > hi || lo >= n*wordBits {
-		return false
-	}
-	if max := n*wordBits - 1; hi > max {
-		hi = max
-	}
-	loW, hiW := lo/wordBits, hi/wordBits
-	loMask := ^Word(0) << (uint(lo) % wordBits)
-	hiMask := ^Word(0) >> (wordBits - 1 - uint(hi)%wordBits)
-	if loW == hiW {
-		return s[loW]&t[loW]&loMask&hiMask != 0
-	}
-	if s[loW]&t[loW]&loMask != 0 {
-		return true
-	}
-	for w := loW + 1; w < hiW; w++ {
-		if s[w]&t[w] != 0 {
-			return true
-		}
-	}
-	return s[hiW]&t[hiW]&hiMask != 0
-}
-
 // RemoveRange deletes every integer in the inclusive range [lo, hi],
 // word-parallel. The incremental images-table engine uses it to mask a
 // tested leaf's excluded subtree interval and to clear the columns of a

@@ -185,38 +185,3 @@ func TestEqual(t *testing.T) {
 		t.Fatal("identical sets not equal")
 	}
 }
-
-// TestAndIntersectsRange cross-validates the fused and-plus-range probe
-// against a naive bit loop over two random sets.
-func TestAndIntersectsRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(300)
-		s, u := New(n), New(n+rng.Intn(64))
-		for i := 0; i < n; i++ {
-			if rng.Intn(6) == 0 {
-				s.Add(i)
-			}
-			if rng.Intn(6) == 0 {
-				u.Add(i)
-			}
-		}
-		for rep := 0; rep < 20; rep++ {
-			lo := rng.Intn(n+10) - 5
-			hi := lo + rng.Intn(90) - 5
-			naive := false
-			for i := lo; i <= hi; i++ {
-				if i >= 0 && i < n && s.Has(i) && u.Has(i) {
-					naive = true
-					break
-				}
-			}
-			if got := s.AndIntersectsRange(u, lo, hi); got != naive {
-				t.Fatalf("AndIntersectsRange(%d,%d) = %v, want %v (n=%d)", lo, hi, got, naive, n)
-			}
-			if got := u.AndIntersectsRange(s, lo, hi); got != naive {
-				t.Fatalf("flipped AndIntersectsRange(%d,%d) = %v, want %v", lo, hi, got, naive)
-			}
-		}
-	}
-}

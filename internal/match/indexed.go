@@ -26,11 +26,14 @@ import (
 type ForestIndex struct {
 	forest *data.Forest
 	byType map[pattern.Type][]*data.Node
+	none   bitset.Set // the all-zero row of every type the forest lacks
 
 	// mu guards bits, which caches per type the bitset over node IDs of
 	// byType[t]. Rows are filled lazily, on the first TypeBits call for a
 	// type: an inline document may carry as many distinct types as nodes,
-	// so one eager row per type would cost types × nodes bits.
+	// so one eager row per type would cost types × nodes bits. Only types
+	// present in byType are cached, so queries naming absent types cannot
+	// grow a shared index.
 	mu   sync.Mutex
 	bits map[pattern.Type]bitset.Set
 }
@@ -40,6 +43,7 @@ func NewForestIndex(f *data.Forest) *ForestIndex {
 	idx := &ForestIndex{
 		forest: f,
 		byType: make(map[pattern.Type][]*data.Node),
+		none:   bitset.New(f.Size()),
 		bits:   make(map[pattern.Type]bitset.Set),
 	}
 	for _, n := range f.Nodes() {
@@ -54,17 +58,22 @@ func NewForestIndex(f *data.Forest) *ForestIndex {
 func (idx *ForestIndex) Forest() *data.Forest { return idx.forest }
 
 // TypeBits returns the bitset over node IDs of the nodes carrying t,
-// built on first use and cached. The returned set is owned by the index:
-// callers must treat it as read-only. The streaming engine uses it for its
-// existence fast path (one AndIntersectsRange probe per subtree interval).
+// built on first use and cached; a type no node carries gets one shared
+// all-zero row. The returned set is owned by the index: callers must
+// treat it as read-only. The streaming engine builds every pattern node's
+// admission set from these rows.
 func (idx *ForestIndex) TypeBits(t pattern.Type) bitset.Set {
+	nodes, ok := idx.byType[t]
+	if !ok {
+		return idx.none
+	}
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	if s, ok := idx.bits[t]; ok {
 		return s
 	}
 	s := bitset.New(idx.forest.Size())
-	for _, v := range idx.byType[t] {
+	for _, v := range nodes {
 		s.Add(v.ID)
 	}
 	idx.bits[t] = s

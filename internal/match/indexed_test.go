@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -135,5 +136,24 @@ func TestDescendantFilterProperty(t *testing.T) {
 		if got := filterIsDescendantOf(list, others); !sameNodes(got, wantUnder) {
 			t.Fatalf("trial %d: filterIsDescendantOf mismatch:\ngot  %v\nwant %v", trial, got, wantUnder)
 		}
+	}
+}
+
+// TestTypeBitsAbsentTypes pins that rows are cached only for types the
+// forest carries: a shared index serves every query's type names, so a
+// cached row per absent name would grow the heap for good.
+func TestTypeBitsAbsentTypes(t *testing.T) {
+	idx := NewForestIndex(library())
+	book := idx.TypeBits("Book")
+	if book.Count() != 2 {
+		t.Fatalf("TypeBits(Book) has %d members, want 2", book.Count())
+	}
+	for i := 0; i < 1000; i++ {
+		if s := idx.TypeBits(pattern.Type(fmt.Sprintf("Zz%d", i))); s.Any() || len(s) != len(book) {
+			t.Fatalf("absent type %d: row of %d words with members %v", i, len(s), s.Any())
+		}
+	}
+	if len(idx.bits) != 1 {
+		t.Fatalf("cache holds %d rows after 1,000 absent types, want 1", len(idx.bits))
 	}
 }

@@ -21,33 +21,7 @@ func (q *Query) Answers(ctx context.Context) iter.Seq[*data.Node] {
 		if q == nil || len(q.nodes) == 0 {
 			return
 		}
-		r := q.newRun(ctx)
-		emit := func(v *data.Node) bool {
-			if r.pollCancel() {
-				return false
-			}
-			if !q.answer(r, v) || r.done {
-				return !r.done
-			}
-			return yield(v)
-		}
-		rep := &q.repr[q.star]
-		if rep.list != nil {
-			for _, v := range rep.list {
-				if !emit(v) {
-					return
-				}
-			}
-			return
-		}
-		for id := rep.bits.NextSet(0); id >= 0; id = rep.bits.NextSet(id + 1) {
-			if rep.extra != nil && !rep.extra.Has(id) {
-				continue
-			}
-			if !emit(q.nodes[id]) {
-				return
-			}
-		}
+		answers(ctx, []*Query{q}, yield)
 	}
 }
 
@@ -132,18 +106,7 @@ func (q *Query) Embeddings(ctx context.Context) iter.Seq[Embedding] {
 			}
 			rep := &q.repr[i]
 			if i == 0 {
-				if rep.list != nil {
-					for _, w := range rep.list {
-						if !try(w) {
-							return false
-						}
-					}
-					return true
-				}
-				for id := rep.bits.NextSet(0); id >= 0; id = rep.bits.NextSet(id + 1) {
-					if rep.extra != nil && !rep.extra.Has(id) {
-						continue
-					}
+				for id := rep.cand.NextSet(0); id >= 0; id = rep.cand.NextSet(id + 1) {
 					if !try(q.nodes[id]) {
 						return false
 					}
@@ -169,10 +132,7 @@ func (q *Query) Embeddings(ctx context.Context) iter.Seq[Embedding] {
 				}
 				return true
 			}
-			for id := rep.bits.NextInRange(lo, hi); id >= 0; id = rep.bits.NextInRange(id+1, hi) {
-				if rep.extra != nil && !rep.extra.Has(id) {
-					continue
-				}
+			for id := rep.cand.NextInRange(lo, hi); id >= 0; id = rep.cand.NextInRange(id+1, hi) {
 				if !try(q.nodes[id]) {
 					return false
 				}

@@ -11,10 +11,12 @@
 // with preorder-interval arithmetic rather than stack copies — subtree
 // membership over preorder IDs is a contiguous interval, so "does this
 // pattern child have an image below v" is a binary search on a candidate
-// list or one bitset range probe (bitset.AndIntersectsRange for two-type
-// leaves, with no intersection materialized).
+// list or, for a leaf, one bitset range probe.
 //
-// Answers walks the output node's candidate stream in document order; each
+// Compile gives every pattern node an admission set: the bitset over data
+// IDs of the nodes satisfying its local test (all types, all conditions),
+// built from the index's per-type rows, so no probe compares type names.
+// Answers walks the output node's admission set in document order; each
 // candidate is admitted by two memoized relations:
 //
 //   - sat(u, v): the pattern subtree rooted at u embeds at v — computed
@@ -24,17 +26,22 @@
 //     root-to-output path — its off-path subtrees embed below e and the
 //     path prefix above continues through e's ancestors.
 //
+// Both memos are dense: one row per internal pattern node and one per
+// path position above the output, each a (known, verdict) bitset pair
+// indexed by data ID and allocated on its first write.
+//
 // Embeddings enumerates full assignments in pattern preorder with sat as
 // an admission filter, which makes the search polynomial-delay: every
 // partial assignment admitted by sat extends to at least one embedding,
 // so no time is spent on dead ends between two yields.
 //
-// Memory ceiling: the memo tables are the only state that grows with the
-// result of a run, and they are bounded by Options.MemoryLimit — when an
-// insert would cross the ceiling the tables are dropped and rebuilt from
+// Memory ceiling: the memo rows are the only state that grows with a run,
+// and they are bounded by Options.MemoryLimit — when allocating a row
+// would cross the ceiling every row is dropped and the run goes on from
 // empty (a shed). Shedding affects only time, never results: every memo
-// entry is recomputable. Compile-time state (candidate slices, one merged
-// extra-type bitset per multi-extra leaf) is bounded by the index itself.
+// verdict is recomputable. Compile-time state (candidate slices, one
+// admission row per node with extra types or conditions) is bounded by
+// the index itself.
 package stream
 
 import (
@@ -55,10 +62,6 @@ import (
 // recomputation instead of unbounded growth.
 const DefaultMemoryLimit = 64 << 20
 
-// memoEntryBytes is the accounted cost of one memo entry: a uint64 key and
-// a bool in a Go map, bucket overhead included.
-const memoEntryBytes = 32
-
 // cancelCheckMask amortizes context polls: the run's work counter is
 // checked against ctx once per this many probes.
 const cancelCheckMask = 1024 - 1
@@ -66,9 +69,10 @@ const cancelCheckMask = 1024 - 1
 // Options configure a compiled Query.
 type Options struct {
 	// MemoryLimit bounds, in bytes, the auxiliary memo state of one
-	// iteration (the sat and path-feasibility tables). 0 picks
+	// iteration: the sat and path-feasibility rows, each a pair of
+	// bitsets over the forest's node IDs (2 × 8 × ⌈n/64⌉ bytes). 0 picks
 	// DefaultMemoryLimit; negative means unlimited. Crossing the limit
-	// sheds the tables (see MemoSheds) — results are unaffected.
+	// sheds the rows (see MemoSheds) — results are unaffected.
 	MemoryLimit int
 }
 
@@ -86,21 +90,23 @@ type Query struct {
 	repr  []nodeRepr
 	par   []int   // pattern parent IDs, -1 at the root
 	kids  [][]int // pattern children IDs, preorder
+	words int     // words of one memo bitset: ⌈n/64⌉
 	limit int     // memo byte budget; <0 unlimited
 
 	sheds atomic.Int64
 }
 
-// nodeRepr is one pattern node's candidate representation. Internal nodes
-// and condition-bearing leaves carry the document-ordered candidate slice;
-// plain leaves stay as shared per-type bitsets, so their existence probes
-// are interval tests with no per-query candidate materialization.
+// nodeRepr is one pattern node's compiled candidates. cand is the
+// admission set — the data IDs passing match.TypesOK(node, ·) — shared
+// with the index for a node with no extra types or conditions. Internal
+// nodes also keep the document-ordered candidate slice, so a d-edge probe
+// touches only the candidates inside the subtree interval; a leaf's probe
+// is one range test on cand.
 type nodeRepr struct {
-	node  *pattern.Node
-	leaf  bool
-	list  []*data.Node // nil for bitset-represented leaves
-	bits  bitset.Set   // primary-type membership (owned by the index)
-	extra bitset.Set   // conjunction of extra-type memberships, nil if none
+	node *pattern.Node
+	leaf bool
+	cand bitset.Set
+	list []*data.Node // nil for leaves
 }
 
 // Compile prepares p for streaming evaluation over idx. The pattern must
@@ -119,6 +125,7 @@ func Compile(p *pattern.Pattern, idx *match.ForestIndex, opts Options) (*Query, 
 	}
 	pidx := pattern.NewIndex(p)
 	k := pidx.Size()
+	n := idx.Forest().Size()
 	q := &Query{
 		idx:   idx,
 		nodes: idx.Forest().Nodes(),
@@ -128,31 +135,36 @@ func Compile(p *pattern.Pattern, idx *match.ForestIndex, opts Options) (*Query, 
 		repr:  make([]nodeRepr, k),
 		par:   make([]int, k),
 		kids:  make([][]int, k),
+		words: bitset.WordsFor(n),
 		limit: opts.MemoryLimit,
 	}
 	if q.limit == 0 {
 		q.limit = DefaultMemoryLimit
 	}
-	n := idx.Forest().Size()
 	for i := 0; i < k; i++ {
 		u := pidx.NodeAt(i)
 		rp := nodeRepr{node: u, leaf: len(u.Children) == 0}
-		if rp.leaf && len(u.Conds) == 0 {
-			rp.bits = idx.TypeBits(u.Type)
-			switch len(u.Extra) {
-			case 0:
-			case 1:
-				rp.extra = idx.TypeBits(u.Extra[0])
-			default:
-				ex := bitset.New(n)
-				ex.CopyFrom(idx.TypeBits(u.Extra[0]))
-				for _, t := range u.Extra[1:] {
-					ex.And(idx.TypeBits(t))
-				}
-				rp.extra = ex
+		var list []*data.Node
+		if !rp.leaf || len(u.Conds) > 0 {
+			list = idx.Candidates(u)
+		}
+		switch {
+		case len(u.Conds) > 0:
+			rp.cand = bitset.New(n)
+			for _, v := range list {
+				rp.cand.Add(v.ID)
 			}
-		} else {
-			rp.list = idx.Candidates(u)
+		case len(u.Extra) > 0:
+			rp.cand = bitset.New(n)
+			rp.cand.CopyFrom(idx.TypeBits(u.Type))
+			for _, t := range u.Extra {
+				rp.cand.And(idx.TypeBits(t))
+			}
+		default:
+			rp.cand = idx.TypeBits(u.Type)
+		}
+		if !rp.leaf {
+			rp.list = list
 		}
 		q.repr[i] = rp
 		q.par[i] = pidx.ParentID(i)
@@ -173,24 +185,34 @@ func Compile(p *pattern.Pattern, idx *match.ForestIndex, opts Options) (*Query, 
 func (q *Query) Size() int { return q.k }
 
 // MemoSheds returns how many times iterations of this query dropped their
-// memo tables to stay under the memory ceiling — cumulative across runs.
+// memo rows to stay under the memory ceiling — cumulative across runs.
 // Nonzero sheds mean the limit traded time for memory, never answers.
 func (q *Query) MemoSheds() int64 { return q.sheds.Load() }
 
-// run is the private per-iteration state: the memo tables, their byte
+// memo is one memo row: the data IDs with a recorded verdict, and the
+// verdict of each. Both are nil until the row's first write.
+type memo struct {
+	known, val bitset.Set
+}
+
+// run is the private per-iteration state: the memo rows, their byte
 // accounting, and the amortized cancellation poll.
 type run struct {
 	q    *Query
-	ctx  context.Context
-	sat  map[uint64]bool // key: pattern ID <<32 | data ID
-	up   map[uint64]bool // key: path position <<32 | data ID
+	stop <-chan struct{} // ctx.Done(); nil when ctx can never be canceled
+	sat  []memo          // by pattern ID
+	up   []memo          // by path position
 	used int             // accounted memo bytes
 	tick int
 	done bool // context canceled; stop yielding, never memoize
 }
 
 func (q *Query) newRun(ctx context.Context) *run {
-	r := &run{q: q, ctx: ctx, sat: map[uint64]bool{}, up: map[uint64]bool{}}
+	rows := make([]memo, q.k+len(q.path))
+	r := &run{q: q, sat: rows[:q.k], up: rows[q.k:]}
+	if ctx != nil {
+		r.stop = ctx.Done()
+	}
 	r.pollCancel()
 	return r
 }
@@ -199,15 +221,13 @@ func (q *Query) newRun(ctx context.Context) *run {
 // per-candidate checkpoints, where the poll is cheap relative to the work
 // it guards. Inner probes go through the amortized canceled instead.
 func (r *run) pollCancel() bool {
-	if r.done {
-		return true
+	if r.done || r.stop == nil {
+		return r.done
 	}
-	if r.ctx != nil {
-		select {
-		case <-r.ctx.Done():
-			r.done = true
-		default:
-		}
+	select {
+	case <-r.stop:
+		r.done = true
+	default:
 	}
 	return r.done
 }
@@ -219,41 +239,55 @@ func (r *run) canceled() bool {
 		return true
 	}
 	r.tick++
-	if r.tick&cancelCheckMask == 0 && r.ctx != nil {
-		select {
-		case <-r.ctx.Done():
-			r.done = true
-		default:
-		}
+	if r.tick&cancelCheckMask == 0 {
+		return r.pollCancel()
 	}
-	return r.done
+	return false
 }
 
-// put records a memo verdict, shedding both tables first when the insert
-// would cross the byte ceiling.
-func (r *run) put(m *map[uint64]bool, key uint64, val bool) {
-	if r.q.limit >= 0 && r.used+memoEntryBytes > r.q.limit {
-		r.sat = map[uint64]bool{}
-		r.up = map[uint64]bool{}
-		r.used = 0
-		r.q.sheds.Add(1)
+// get returns the recorded verdict for data ID id, if any.
+func (m *memo) get(id int) (val, ok bool) {
+	if m.known == nil || !m.known.Has(id) {
+		return false, false
 	}
-	(*m)[key] = val
-	r.used += memoEntryBytes
+	return m.val.Has(id), true
+}
+
+// put records a memo verdict in row m, one of r.sat or r.up. Allocating a
+// row pair that would cross the byte ceiling first sheds every row.
+func (r *run) put(m *memo, id int, val bool) {
+	if m.known == nil {
+		w := r.q.words
+		size := 2 * 8 * w
+		if r.q.limit >= 0 && r.used+size > r.q.limit {
+			clear(r.sat)
+			clear(r.up)
+			r.used = 0
+			r.q.sheds.Add(1)
+		}
+		pair := make(bitset.Set, 2*w)
+		m.known, m.val = pair[:w:w], pair[w:]
+		r.used += size
+	}
+	m.known.Add(id)
+	if val {
+		m.val.Add(id)
+	}
 }
 
 // sat reports whether the pattern subtree rooted at node ui embeds at v
-// with ui ↦ v. Leaf verdicts are the local type/condition test; internal
-// verdicts are memoized.
+// with ui ↦ v. Leaf verdicts are the admission test; internal verdicts
+// are memoized.
 func (q *Query) sat(r *run, ui int, v *data.Node) bool {
-	if !match.TypesOK(q.repr[ui].node, v) {
+	rep := &q.repr[ui]
+	if !rep.cand.Has(v.ID) {
 		return false
 	}
-	if q.repr[ui].leaf {
+	if rep.leaf {
 		return true
 	}
-	key := uint64(uint32(ui))<<32 | uint64(uint32(v.ID))
-	if res, ok := r.sat[key]; ok {
+	m := &r.sat[ui]
+	if res, ok := m.get(v.ID); ok {
 		return res
 	}
 	if r.canceled() {
@@ -269,14 +303,14 @@ func (q *Query) sat(r *run, ui int, v *data.Node) bool {
 	if r.done {
 		return false
 	}
-	r.put(&r.sat, key, res)
+	r.put(m, v.ID, res)
 	return res
 }
 
 // exists reports whether pattern child ci has at least one valid image
 // under v respecting its edge kind: a satisfying child of v for a c-edge,
-// a satisfying node inside v's subtree interval for a d-edge. Plain-leaf
-// d-children resolve to one interval probe on the shared type bitsets.
+// a satisfying node inside v's subtree interval for a d-edge. Leaf
+// d-children resolve to one interval probe on their admission set.
 func (q *Query) exists(r *run, ci int, v *data.Node) bool {
 	rep := &q.repr[ci]
 	if rep.node.Edge == pattern.Child {
@@ -291,11 +325,8 @@ func (q *Query) exists(r *run, ci int, v *data.Node) bool {
 		return false
 	}
 	lo, hi := v.ID+1, v.SubtreeEnd()
-	if rep.list == nil {
-		if rep.extra == nil {
-			return rep.bits.IntersectsRange(lo, hi)
-		}
-		return rep.bits.AndIntersectsRange(rep.extra, lo, hi)
+	if rep.leaf {
+		return rep.cand.IntersectsRange(lo, hi)
 	}
 	i := sort.Search(len(rep.list), func(i int) bool { return rep.list[i].ID >= lo })
 	for ; i < len(rep.list) && rep.list[i].ID <= hi; i++ {
@@ -321,15 +352,19 @@ func (q *Query) answer(r *run, v *data.Node) bool {
 
 // upOK reports whether the path prefix above position i can be embedded,
 // given path[i] ↦ d: a c-edge pins the parent image, a d-edge tries every
-// proper ancestor.
+// proper ancestor that passes path[i-1]'s admission test.
 func (q *Query) upOK(r *run, i int, d *data.Node) bool {
 	if i == 0 {
 		return true
 	}
+	cand := q.repr[q.path[i-1]].cand
 	if q.repr[q.path[i]].node.Edge == pattern.Child {
-		return d.Parent != nil && q.pathFits(r, i-1, d.Parent)
+		return d.Parent != nil && cand.Has(d.Parent.ID) && q.pathFits(r, i-1, d.Parent)
 	}
 	for e := d.Parent; e != nil; e = e.Parent {
+		if !cand.Has(e.ID) {
+			continue
+		}
 		if q.pathFits(r, i-1, e) {
 			return true
 		}
@@ -340,17 +375,14 @@ func (q *Query) upOK(r *run, i int, d *data.Node) bool {
 	return false
 }
 
-// pathFits reports whether e is a feasible image of path[i]: local types
-// hold, every off-path child subtree embeds under e, and the path above
+// pathFits reports whether e, admitted for path[i], is a feasible image of
+// it: every off-path child subtree embeds under e, and the path above
 // continues. Memoized per (path position, data node) — the same ancestor
 // is probed by many answer candidates.
 func (q *Query) pathFits(r *run, i int, e *data.Node) bool {
 	pi := q.path[i]
-	if !match.TypesOK(q.repr[pi].node, e) {
-		return false
-	}
-	key := uint64(uint32(i))<<32 | uint64(uint32(e.ID))
-	if res, ok := r.up[key]; ok {
+	m := &r.up[i]
+	if res, ok := m.get(e.ID); ok {
 		return res
 	}
 	if r.canceled() {
@@ -373,6 +405,6 @@ func (q *Query) pathFits(r *run, i int, e *data.Node) bool {
 	if r.done {
 		return false
 	}
-	r.put(&r.up, key, res)
+	r.put(m, e.ID, res)
 	return res
 }

@@ -2,10 +2,13 @@ package stream
 
 import (
 	"context"
+	"iter"
 	"math/big"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"tpq/internal/bitset"
 	"tpq/internal/data"
 	"tpq/internal/genquery"
 	"tpq/internal/match"
@@ -226,8 +229,11 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestMemoryCeiling runs a memo-hungry workload under a ceiling small
-// enough to force sheds and checks the answers are unaffected.
+// TestMemoryCeiling checks the memo accounting in row pairs: a ceiling
+// below one row pair sheds on every row allocation and leaves the answers
+// unchanged, and a ceiling of one row pair per internal pattern node and
+// per path position above the output — every row a run can write — never
+// sheds.
 func TestMemoryCeiling(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := data.GeneratePublishing(rng, 60)
@@ -237,7 +243,8 @@ func TestMemoryCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := Compile(q, idx, Options{MemoryLimit: 4 * memoEntryBytes})
+	pair := 2 * 8 * bitset.WordsFor(f.Size())
+	tiny, err := Compile(q, idx, Options{MemoryLimit: pair - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +254,33 @@ func TestMemoryCeiling(t *testing.T) {
 		t.Fatalf("ceiling changed answers: %v vs %v", want, got)
 	}
 	if tiny.MemoSheds() == 0 {
-		t.Fatal("tiny ceiling never shed its memo tables")
+		t.Fatal("tiny ceiling never shed its memo rows")
 	}
 	if ref.MemoSheds() != 0 {
-		t.Fatal("unlimited run shed memo tables")
+		t.Fatal("unlimited run shed memo rows")
 	}
 	if len(want) == 0 {
 		t.Fatal("workload produced no answers")
+	}
+
+	internal := 0
+	q.Walk(func(u *pattern.Node) {
+		if len(u.Children) > 0 {
+			internal++
+		}
+	})
+	rows := internal + len(ref.path) - 1
+	exact, err := Compile(q, idx, Options{MemoryLimit: rows * pair})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(collect(exact, context.Background())); !equalIDs(want, got) {
+		t.Fatalf("%d-row ceiling changed answers: %v vs %v", rows, want, got)
+	}
+	for range exact.Embeddings(context.Background()) {
+	}
+	if n := exact.MemoSheds(); n != 0 {
+		t.Fatalf("a ceiling of %d row pairs shed %d times", rows, n)
 	}
 }
 
@@ -283,6 +310,22 @@ func TestEmptyForest(t *testing.T) {
 	}
 	for range sq.Embeddings(context.Background()) {
 		t.Fatal("empty forest yielded an embedding")
+	}
+}
+
+// TestAbsentType compiles a query naming a type the forest lacks: its
+// admission set is the index's shared empty row, so nothing answers.
+func TestAbsentType(t *testing.T) {
+	f := data.GeneratePublishing(rand.New(rand.NewSource(3)), 10)
+	idx := match.NewForestIndex(f)
+	for _, src := range []string{"Zz*", "Article//Zz*", "Article*[//Zz]", "Article*[/Title{Zz}]"} {
+		sq, err := Compile(pattern.MustParse(src), idx, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if n := sq.Count(context.Background()); n != 0 {
+			t.Fatalf("%s: %d answers over a forest without Zz", src, n)
+		}
 	}
 }
 
@@ -391,4 +434,55 @@ func TestUnionAnswers(t *testing.T) {
 			t.Fatalf("case %d: %d queries: merged answers %v, streamed union %v", i, len(qs), want, got)
 		}
 	}
+}
+
+// TestUnionAnswersConcurrent ranges over UnionAnswers and Answers of the
+// same compiled queries from several goroutines at once: every range owns
+// its run state, so each must see the serial answers. Run it under -race.
+func TestUnionAnswersConcurrent(t *testing.T) {
+	f := data.GeneratePublishing(rand.New(rand.NewSource(5)), 40)
+	idx := match.NewForestIndex(f)
+	var qs []*Query
+	for _, src := range []string{"Article[/Title]//Paragraph*", "Section*[/Paragraph]", "Article//Section*//Paragraph"} {
+		sq, err := Compile(pattern.MustParse(src), idx, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, sq)
+	}
+	drain := func(seq iter.Seq[*data.Node]) []int {
+		var out []int
+		for v := range seq {
+			out = append(out, v.ID)
+		}
+		return out
+	}
+	ctx := context.Background()
+	wantUnion := drain(UnionAnswers(ctx, qs))
+	want := make([][]int, len(qs))
+	for i, q := range qs {
+		want[i] = drain(q.Answers(ctx))
+	}
+	if len(wantUnion) == 0 {
+		t.Fatal("workload produced no answers")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				if got := drain(UnionAnswers(ctx, qs)); !equalIDs(got, wantUnion) {
+					t.Errorf("goroutine %d: union %v, serial %v", g, got, wantUnion)
+					return
+				}
+				i := (g + rep) % len(qs)
+				if got := drain(qs[i].Answers(ctx)); !equalIDs(got, want[i]) {
+					t.Errorf("goroutine %d: query %d answers %v, serial %v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

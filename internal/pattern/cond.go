@@ -370,6 +370,11 @@ func ParseCondition(src string) (Condition, error) {
 		if attr == "" {
 			return Condition{}, fmt.Errorf("pattern: condition %q: empty attribute", src)
 		}
+		// An operator character in the name would re-split differently
+		// once String drops the spaces: "@a! =0" is not "@a!=0".
+		if strings.ContainsAny(attr, "<>!=") {
+			return Condition{}, fmt.Errorf("pattern: condition %q: operator character in attribute %q", src, attr)
+		}
 		return Condition{Attr: attr, Op: op.op, Value: v}, nil
 	}
 	return Condition{}, fmt.Errorf("pattern: condition %q: no comparison operator", src)

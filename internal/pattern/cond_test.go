@@ -39,7 +39,7 @@ func TestParseCondition(t *testing.T) {
 			t.Errorf("round trip of %v gave %v (%v)", got, back, err)
 		}
 	}
-	for _, bad := range []string{"", "price<100", "@<100", "@price", "@price<abc", "@price~3"} {
+	for _, bad := range []string{"", "price<100", "@<100", "@price", "@price<abc", "@price~3", "@0! =0", "@a>b<1"} {
 		if _, err := ParseCondition(bad); err == nil {
 			t.Errorf("ParseCondition(%q) succeeded", bad)
 		}

@@ -20,9 +20,11 @@ type MatcherOptions struct {
 	// does); when nil, the Matcher builds its own from Forest.
 	Index *MatchIndex
 	// MemoryLimit bounds, in bytes, the per-iteration memo state of the
-	// streaming engine. 0 picks the engine default (64 MiB), negative
-	// means unlimited. Crossing the ceiling sheds the memo tables —
-	// evaluation slows down but answers are unaffected.
+	// streaming engine: rows of two bitsets over the forest's node IDs,
+	// one row per internal pattern node and per output-path position.
+	// 0 picks the engine default (64 MiB), negative means unlimited.
+	// Crossing the ceiling sheds the memo rows — evaluation slows down
+	// but answers are unaffected.
 	MemoryLimit int
 }
 
