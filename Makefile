@@ -50,7 +50,8 @@ store-fault:
 # oracles (the conjunctive eight plus the disjunctive union oracle; the
 # kernel, augment, match and union oracles compare against the references
 # in internal/oracle), then 10s of coverage-guided mutation per fuzz
-# target on top of the checked-in seed corpora. Open-ended hunting: go test
+# target on top of the checked-in seed corpora (FuzzDecodeStored holds the
+# store record decoder to its re-encode property). Open-ended hunting: go test
 # -fuzz=<target> with no -fuzztime, or cmd/tpqfuzz for
 # sweep/triage/replay.
 fuzz-smoke:
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/pattern
 	$(GO) test -fuzz='^FuzzParseCondition$$' -fuzztime=10s ./internal/pattern
 	$(GO) test -fuzz='^FuzzFromXPath$$' -fuzztime=10s ./internal/xpath
+	$(GO) test -fuzz='^FuzzDecodeStored$$' -fuzztime=10s ./internal/service
 
 # One-iteration run of the Figure 7(b) incremental-engine benchmark: the
 # benchmark b.Fatals if its output diverges from ACIM with the nested-map

@@ -47,6 +47,7 @@ import (
 	"tpq"
 	"tpq/internal/acim"
 	"tpq/internal/cdm"
+	"tpq/internal/chase"
 	"tpq/internal/cim"
 	"tpq/internal/data"
 	"tpq/internal/ics"
@@ -276,7 +277,7 @@ func (sh *shell) exec(line string) {
 		})
 	case "sat":
 		sh.withQuery(rest, func(q *pattern.Pattern) {
-			if acim.UnsatisfiableUnder(q, sh.cs) {
+			if chase.PlanFor(sh.cs).Unsatisfiable(q) {
 				fmt.Fprintln(sh.out, "unsatisfiable under the loaded constraints")
 			} else {
 				fmt.Fprintln(sh.out, "satisfiable")

@@ -1,6 +1,7 @@
 // Package acim implements Algorithm ACIM (Section 5.2-5.3 of the paper):
 // constraint-dependent minimization of a tree pattern query by
-// augmentation followed by constraint-independent minimization.
+// augmentation followed by constraint-independent minimization. The
+// unsatisfiability check of Section 7 is chase.(*Plan).Unsatisfiable.
 //
 // ACIM runs three steps:
 //
@@ -82,17 +83,24 @@ func MinimizeWithRunner(p *pattern.Pattern, cs *ics.Set, run func(*pattern.Patte
 }
 
 // MinimizeWithRunnerTraced is MinimizeWithRunner recording the run into
-// tr: the whole pipeline under the ACIM phase, augmentation under the
-// nested Chase phase, the temporary strip under Compact, and removals
-// under the ACIMRemoved counter. The runner is expected to meter the CIM
-// phase itself (cim.MinimizeInPlace does, given cim.Options.Trace), so
-// Chase + CIM + Compact nest inside — and sum to at most — ACIM. tr may be nil (then it is exactly
+// tr (see MinimizeInPlaceTraced). tr may be nil (then it is exactly
 // MinimizeWithRunner).
 func MinimizeWithRunnerTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace, run func(*pattern.Pattern) cim.Stats) (*pattern.Pattern, Stats) {
+	q := p.Clone()
+	return q, MinimizeInPlaceTraced(q, cs, tr, run)
+}
+
+// MinimizeInPlaceTraced is the ACIM core: it minimizes q itself, for a
+// caller that owns a private copy (the engine runs it on CDM's output).
+// It records the run under the ACIM phase of tr, augmentation under the
+// nested Chase phase, the temporary strip under Compact, and removals
+// under ACIMRemoved. The runner is expected to meter the CIM phase
+// itself (cim.MinimizeInPlace does, given cim.Options.Trace), so Chase +
+// CIM + Compact nest inside — and sum to at most — ACIM. tr may be nil.
+func MinimizeInPlaceTraced(q *pattern.Pattern, cs *ics.Set, tr *trace.Trace, run func(*pattern.Pattern) cim.Stats) Stats {
 	var st Stats
 	sp := tr.Start(trace.ACIM)
 	start := time.Now()
-	q := p.Clone()
 	if cs == nil {
 		cs = ics.NewSet()
 	}
@@ -119,7 +127,7 @@ func MinimizeWithRunnerTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace, 
 	st.TotalTime = time.Since(start)
 	sp.End()
 	tr.Add(trace.ACIMRemoved, st.Removed)
-	return q, st
+	return st
 }
 
 // EquivalentUnder reports whether a and b are equivalent under cs

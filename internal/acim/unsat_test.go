@@ -3,6 +3,7 @@ package acim
 import (
 	"testing"
 
+	"tpq/internal/chase"
 	"tpq/internal/data"
 	"tpq/internal/ics"
 	"tpq/internal/oracle"
@@ -93,6 +94,9 @@ func TestEmptyTypes(t *testing.T) {
 	}
 }
 
+// TestUnsatisfiableUnder runs one table against both the production check
+// (the chase plan's rows) and its reference, internal/oracle's pairwise
+// UnsatisfiableUnder.
 func TestUnsatisfiableUnder(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -144,9 +148,12 @@ func TestUnsatisfiableUnder(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := UnsatisfiableUnder(mp(c.q), ics.NewSet(c.cs...))
-			if got != c.unsat {
-				t.Errorf("UnsatisfiableUnder(%s, %v) = %v, want %v", c.q, c.cs, got, c.unsat)
+			cs := ics.NewSet(c.cs...)
+			if got := chase.PlanFor(cs).Unsatisfiable(mp(c.q)); got != c.unsat {
+				t.Errorf("plan: Unsatisfiable(%s) under %v = %v, want %v", c.q, c.cs, got, c.unsat)
+			}
+			if got := oracle.UnsatisfiableUnder(mp(c.q), cs); got != c.unsat {
+				t.Errorf("oracle: UnsatisfiableUnder(%s, %v) = %v, want %v", c.q, c.cs, got, c.unsat)
 			}
 		})
 	}
@@ -157,7 +164,7 @@ func TestUnsatQueriesReallyMatchNothing(t *testing.T) {
 	// answers for a query flagged unsatisfiable.
 	q := mp("a*/x//b")
 	cs := ics.NewSet(ics.ForbidDesc("a", "b"))
-	if !UnsatisfiableUnder(q, cs) {
+	if !chase.PlanFor(cs).Unsatisfiable(q) {
 		t.Fatal("expected unsatisfiable")
 	}
 	// Build a forest with a, x, b placed legally: b never below a.

@@ -58,6 +58,24 @@ func (s Set) And(t Set) {
 	}
 }
 
+// Or unites t into s in place. The sets must have equal length.
+func (s Set) Or(t Set) {
+	for i := range s {
+		s[i] |= t[i]
+	}
+}
+
+// Intersects reports whether s and t share a member. Equal lengths
+// required.
+func (s Set) Intersects(t Set) bool {
+	for i := range s {
+		if s[i]&t[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // CopyFrom overwrites s with t. Equal lengths required.
 func (s Set) CopyFrom(t Set) { copy(s, t) }
 

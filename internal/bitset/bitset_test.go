@@ -46,6 +46,25 @@ func TestWordOps(t *testing.T) {
 			t.Fatalf("And: bit %d = %v, want %v", i, and.Has(i), want)
 		}
 	}
+	or := New(200)
+	or.CopyFrom(a)
+	or.Or(b)
+	for i := 0; i < 200; i++ {
+		want := i%2 == 0 || i%3 == 0
+		if or.Has(i) != want {
+			t.Fatalf("Or: bit %d = %v, want %v", i, or.Has(i), want)
+		}
+	}
+	if !a.Intersects(b) {
+		t.Fatal("Intersects: multiples of 6 are in both sets")
+	}
+	odd := New(200)
+	for i := 1; i < 200; i += 2 {
+		odd.Add(i)
+	}
+	if a.Intersects(odd) || odd.Intersects(a) {
+		t.Fatal("Intersects: evens and odds share nothing")
+	}
 }
 
 func TestNextSet(t *testing.T) {

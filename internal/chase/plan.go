@@ -48,7 +48,8 @@ type Plan struct {
 	deep        bool
 	fingerprint string
 	setTypes    []pattern.Type
-	isSetType   map[pattern.Type]bool
+	typeID      map[pattern.Type]int // dense numbering of setTypes
+	unsat       *unsatRows           // nil without forbidden forms
 	// triggeredBy inverts the trigger relation of WantedWitnessTypes:
 	// triggeredBy[x] lists the types b whose witnesses become wanted when
 	// x occurs in the query — b itself, sources reaching x through
@@ -94,15 +95,15 @@ func Compile(cs *ics.Set) *Plan {
 		deep:        cs.AcyclicRequired(),
 		fingerprint: cs.Fingerprint(),
 		setTypes:    setTypes,
-		isSetType:   make(map[pattern.Type]bool, len(setTypes)),
+		typeID:      make(map[pattern.Type]int, len(setTypes)),
 		triggeredBy: make(map[pattern.Type][]pattern.Type, len(setTypes)),
 		descOnly:    make(map[pattern.Type][]pattern.Type),
 		inst:        make(map[string]*list.Element),
 		ll:          list.New(),
 		instCap:     instanceCacheCap,
 	}
-	for _, t := range setTypes {
-		pl.isSetType[t] = true
+	for i, t := range setTypes {
+		pl.typeID[t] = i
 	}
 	for _, t := range setTypes {
 		var dOnly []pattern.Type
@@ -143,6 +144,7 @@ func Compile(cs *ics.Set) *Plan {
 		}
 	}
 	pl.compileTriggers()
+	pl.unsat = compileUnsat(cs, setTypes, pl.typeID)
 	return pl
 }
 
@@ -279,7 +281,7 @@ func (pl *Plan) augment(p *pattern.Pattern) int {
 func (pl *Plan) Specialize(base map[pattern.Type]bool) *Instance {
 	rest := make([]pattern.Type, 0, len(base))
 	for t := range base {
-		if pl.isSetType[t] {
+		if _, ok := pl.typeID[t]; ok {
 			rest = append(rest, t)
 		}
 	}

@@ -383,7 +383,7 @@ func CheckService(q *pattern.Pattern, cs *ics.Set) *Failure {
 		return fail(q, cs, "service", "direct engine: unexpected error %v", err)
 	}
 	want := r.Output
-	wantUnsat := acim.UnsatisfiableUnder(q, eng.Closed())
+	wantUnsat := oracle.UnsatisfiableUnder(q, eng.Closed())
 
 	check := func(label string, got *pattern.Pattern, rep service.Report, err error) *Failure {
 		if err != nil {

@@ -132,7 +132,7 @@ func CheckOr(d *pattern.Disjunction, cs *ics.Set) *Failure {
 			return fail(rq, cs, "or", "all-unsat union kept %d disjuncts (union %s)", len(out.Disjuncts), d)
 		}
 		for _, p := range d.Disjuncts {
-			if !acim.UnsatisfiableUnder(p, closed) {
+			if !oracle.UnsatisfiableUnder(p, closed) {
 				return fail(rq, cs, "or", "union flagged unsatisfiable but disjunct %s is satisfiable", p)
 			}
 		}
@@ -140,14 +140,14 @@ func CheckOr(d *pattern.Disjunction, cs *ics.Set) *Failure {
 		// Unsatisfiable disjuncts were dropped: none survives in a union
 		// that is not flagged as a whole.
 		for _, o := range out.Disjuncts {
-			if acim.UnsatisfiableUnder(o, closed) {
+			if oracle.UnsatisfiableUnder(o, closed) {
 				return fail(rq, cs, "or", "output disjunct %s is unsatisfiable but the union is not flagged (output %s)", o, out)
 			}
 		}
 		// Forward: every satisfiable input disjunct is contained in some
 		// output disjunct — nothing was lost.
 		for _, p := range d.Disjuncts {
-			if acim.UnsatisfiableUnder(p, closed) {
+			if oracle.UnsatisfiableUnder(p, closed) {
 				continue
 			}
 			covered := false

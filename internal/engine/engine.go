@@ -100,27 +100,27 @@ func (m *Minimizer) MinimizeContextTraced(ctx context.Context, q *pattern.Patter
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
+	// Every pipeline minimizes one private copy of q in place: ACIM runs
+	// on CDM's output rather than copying it again.
+	out := q.Clone()
 	var r Result
 	switch m.algo {
 	case CIM:
-		out := q.Clone()
 		st := cim.MinimizeInPlace(out, cim.Options{Trace: tr})
 		r.Output, r.ACIMRemoved = out, st.Removed
 		r.TablesBuilt, r.TablesDerived = st.TablesBuilt, st.TablesDerived
 		return r, nil
 	case CDM, Auto:
-		pre := q.Clone()
-		r.CDMRemoved = cdm.MinimizeInPlaceTraced(pre, m.closed, tr).Removed
+		r.CDMRemoved = cdm.MinimizeInPlaceTraced(out, m.closed, tr).Removed
 		if m.algo == CDM {
-			r.Output = pre
+			r.Output = out
 			return r, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		q = pre
 	}
-	out, st := acim.MinimizeWithRunnerTraced(q, m.closed, tr, func(aug *pattern.Pattern) cim.Stats {
+	st := acim.MinimizeInPlaceTraced(out, m.closed, tr, func(aug *pattern.Pattern) cim.Stats {
 		return cim.MinimizeInPlace(aug, cim.Options{Trace: tr})
 	})
 	r.Output, r.ACIMRemoved = out, st.Removed

@@ -11,7 +11,7 @@ import (
 // implementation therefore uses them for what is always sound regardless:
 // detecting that a query (or a whole type) is unsatisfiable — equivalent
 // to the empty answer on every database meeting the constraints. See
-// acim.UnsatisfiableUnder for the query-level check.
+// chase.(*Plan).Unsatisfiable for the query-level check.
 //
 //	A !-> B    no A node has a c-child of type B
 //	A !=> B    no A node has a descendant of type B

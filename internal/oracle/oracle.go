@@ -17,6 +17,8 @@
 //     information-content propagation.
 //   - acim: the reduction step and the {A, R, M} strategy algebra of §5.3
 //     (Reduce, ApplyStrategy), so Lemmas 5.2-5.4 can be checked.
+//   - unsatisfiability: the node-pair check on the constraint set's maps
+//     (UnsatisfiableUnder) that chase.(*Plan).Unsatisfiable compiles.
 //   - match: the literal embedding definition on per-node boolean slices
 //     with full-forest scans (BindingsMap for answer sets,
 //     CountEmbeddingsMap for embedding counts). It imports neither

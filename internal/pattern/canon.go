@@ -2,7 +2,6 @@ package pattern
 
 import (
 	"bytes"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -168,14 +167,31 @@ func Isomorphic(p, q *Pattern) bool {
 	return p.Canonical() == q.Canonical()
 }
 
-// sortedChildren returns n's children ordered by canonical key, for
-// deterministic printing.
+// sortedChildren returns n's children ordered by edge marker plus
+// canonical key, for deterministic printing; each child's key is encoded
+// once, and equal keys keep their original order.
 func sortedChildren(n *Node) []*Node {
+	if len(n.Children) < 2 {
+		return n.Children
+	}
 	kids := append([]*Node(nil), n.Children...)
-	sort.SliceStable(kids, func(i, j int) bool {
-		ki := kids[i].Edge.String() + canonKey(kids[i])
-		kj := kids[j].Edge.String() + canonKey(kids[j])
-		return ki < kj
-	})
+	s := canonPool.Get().(*canonScratch)
+	base := len(s.stack)
+	for _, c := range kids {
+		b := appendCanon(appendEdge(s.get(), c.Edge), c, s)
+		s.stack = append(s.stack, b)
+	}
+	keys := s.stack[base:]
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && bytes.Compare(keys[j-1], keys[j]) > 0; j-- {
+			keys[j-1], keys[j] = keys[j], keys[j-1]
+			kids[j-1], kids[j] = kids[j], kids[j-1]
+		}
+	}
+	for _, k := range keys {
+		s.put(k)
+	}
+	s.stack = s.stack[:base]
+	canonPool.Put(s)
 	return kids
 }

@@ -16,8 +16,32 @@ func refCanon(n *Node) string {
 	return b.String()
 }
 
+// refLabel is the reference label: types, star marker and conditions in
+// the text syntax, built from strings rather than appendLabel's bytes.
+func refLabel(n *Node) string {
+	label := string(n.Type)
+	if len(n.Extra) > 0 {
+		extras := make([]string, len(n.Extra))
+		for i, t := range n.Extra {
+			extras[i] = string(t)
+		}
+		label += "{" + strings.Join(extras, ",") + "}"
+	}
+	if n.Star {
+		label += "*"
+	}
+	if len(n.Conds) > 0 {
+		conds := make([]string, len(n.Conds))
+		for i, c := range n.Conds {
+			conds[i] = c.String()
+		}
+		label += "(" + strings.Join(conds, ",") + ")"
+	}
+	return label
+}
+
 func refWriteCanon(b *strings.Builder, n *Node) {
-	b.WriteString(n.label())
+	b.WriteString(refLabel(n))
 	if n.Temp {
 		b.WriteByte('!')
 	}
@@ -82,6 +106,40 @@ func TestAppendCanonicalMatchesReference(t *testing.T) {
 		}
 		if got := string(p.AppendCanonical(nil)); got != want {
 			t.Fatalf("case %d: AppendCanonical = %q, reference = %q", i, got, want)
+		}
+	}
+}
+
+// refString is the reference text rendering: each node's reference label,
+// children stably sorted by edge marker plus reference canonical key.
+func refString(n *Node) string {
+	kids := append([]*Node(nil), n.Children...)
+	sort.SliceStable(kids, func(i, j int) bool {
+		return kids[i].Edge.String()+refCanon(kids[i]) < kids[j].Edge.String()+refCanon(kids[j])
+	})
+	s := refLabel(n)
+	switch len(kids) {
+	case 0:
+	case 1:
+		s += kids[0].Edge.String() + refString(kids[0])
+	default:
+		parts := make([]string, len(kids))
+		for i, c := range kids {
+			parts[i] = c.Edge.String() + refString(c)
+		}
+		s += "[" + strings.Join(parts, ", ") + "]"
+	}
+	return s
+}
+
+// TestStringMatchesReference pins String byte for byte against the
+// reference rendering, so the one-key-per-child sort keeps every order.
+func TestStringMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		p := randomCanonPattern(rng, 1+rng.Intn(14))
+		if got, want := p.String(), refString(p.Root); got != want {
+			t.Fatalf("case %d: String = %q, reference = %q", i, got, want)
 		}
 	}
 }

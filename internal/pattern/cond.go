@@ -328,19 +328,6 @@ func (n *Node) CondsEntail(m *Node) bool {
 	return Entails(n.Conds, m.Conds)
 }
 
-// condsLabel renders the condition list for label/canonical printing, e.g.
-// "(@price<100,@year>=1990)". Empty when there are no conditions.
-func (n *Node) condsLabel() string {
-	if len(n.Conds) == 0 {
-		return ""
-	}
-	parts := make([]string, len(n.Conds))
-	for i, c := range n.Conds {
-		parts[i] = c.String()
-	}
-	return "(" + strings.Join(parts, ",") + ")"
-}
-
 // ParseCondition reads one condition from text, e.g. "@price < 100".
 func ParseCondition(src string) (Condition, error) {
 	s := strings.TrimSpace(src)

@@ -38,7 +38,8 @@ type Disjunction struct {
 // or(alt1, alt2, ...) nodes (see the grammar in Parse) and returns its
 // distributed form. A source with no or-node yields a single-disjunct
 // Disjunction, so callers can treat every query uniformly; Singleton
-// recovers the conjunctive fast path.
+// recovers the conjunctive fast path; it is the parsed tree itself, not
+// a distributed copy.
 func ParseDisjunctive(src string) (*Disjunction, error) {
 	p := &parser{src: src, allowOr: true}
 	root, err := p.parseNode()
@@ -48,6 +49,13 @@ func ParseDisjunctive(src string) (*Disjunction, error) {
 	p.skipSpace()
 	if p.pos != len(p.src) {
 		return nil, p.errorf("unexpected %q after pattern", p.rest())
+	}
+	if !p.sawOr {
+		pat := &Pattern{Root: root}
+		if err := pat.Validate(); err != nil {
+			return nil, err
+		}
+		return &Disjunction{Disjuncts: []*Pattern{pat}}, nil
 	}
 	return Distribute(root)
 }
@@ -181,7 +189,7 @@ var errTooManyDisjuncts = fmt.Errorf("pattern: or-distribution produces more tha
 // copyLabel clones one node's label fields (everything but the tree
 // links).
 func copyLabel(n *Node) *Node {
-	c := &Node{Type: n.Type, Star: n.Star, Temp: n.Temp, Edge: n.Edge}
+	c := &Node{Type: n.Type, Star: n.Star, Temp: n.Temp, Or: n.Or, Edge: n.Edge}
 	if len(n.Extra) > 0 {
 		c.Extra = append([]Type(nil), n.Extra...)
 	}
@@ -197,10 +205,13 @@ func copyLabel(n *Node) *Node {
 // cloneSubtree deep-copies the subtree at n (parent link left nil).
 func cloneSubtree(n *Node) *Node {
 	c := copyLabel(n)
-	for _, ch := range n.Children {
-		cc := cloneSubtree(ch)
-		cc.Parent = c
-		c.Children = append(c.Children, cc)
+	if len(n.Children) > 0 {
+		c.Children = make([]*Node, len(n.Children))
+		for i, ch := range n.Children {
+			cc := cloneSubtree(ch)
+			cc.Parent = c
+			c.Children[i] = cc
+		}
 	}
 	return c
 }

@@ -29,7 +29,7 @@ func parseFloat(s string) (float64, error) {
 //	child    := edge? node
 //	chain    := edge node            // sugar: one more child
 //	edge     := '//' | '/'           // default '/'
-//	name     := letter (letter|digit|'_'|'-'|'.')*
+//	name     := ('#'|'_'|letter) (letter|digit|'_'|'-'|'.')*
 //
 // ParseDisjunctive (see or.go) extends node with one more production:
 //
@@ -87,6 +87,9 @@ type parser struct {
 	// ParseDisjunctive sets it. The conjunctive Parse rejects or-nodes
 	// with a pointer at ParseDisjunctive instead.
 	allowOr bool
+	// sawOr records that an or-node was read, so ParseDisjunctive can
+	// skip distribution for the plain patterns that are most queries.
+	sawOr bool
 }
 
 func (p *parser) errorf(format string, args ...interface{}) error {
@@ -125,12 +128,14 @@ func (p *parser) accept(s string) bool {
 	return false
 }
 
+// isNameStart admits the first byte of a name; '#' reads the root of an
+// anchored XPath expression (xpath.DocumentRoot, "#document").
 func isNameStart(b byte) bool {
-	return b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
+	return b == '#' || b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
 }
 
 func isNameByte(b byte) bool {
-	return isNameStart(b) || b == '-' || b == '.' || (b >= '0' && b <= '9')
+	return b == '_' || b == '-' || b == '.' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
 }
 
 func (p *parser) parseName() (string, error) {
@@ -139,6 +144,7 @@ func (p *parser) parseName() (string, error) {
 	if p.pos >= len(p.src) || !isNameStart(p.src[p.pos]) {
 		return "", p.errorf("expected a type name, found %q", p.rest())
 	}
+	p.pos++
 	for p.pos < len(p.src) && isNameByte(p.src[p.pos]) {
 		p.pos++
 	}
@@ -305,6 +311,7 @@ func (p *parser) orAhead() bool {
 // (see or.go) stays a pure cross product.
 func (p *parser) parseOrNode() (*Node, error) {
 	p.accept("(")
+	p.sawOr = true
 	n := &Node{Or: true}
 	for {
 		p.skipSpace()
@@ -348,28 +355,29 @@ func (p *Pattern) String() string {
 	if p == nil || p.Root == nil {
 		return "<empty>"
 	}
-	var b strings.Builder
-	writeNode(&b, p.Root)
-	return b.String()
+	return string(appendText(nil, p.Root))
 }
 
-func writeNode(b *strings.Builder, n *Node) {
-	b.WriteString(n.label())
+// appendText appends the text of the subtree at n: its label (the same
+// bytes the canonical form uses), then its children in canonical order.
+func appendText(dst []byte, n *Node) []byte {
+	dst = appendLabel(dst, n)
 	kids := sortedChildren(n)
 	switch len(kids) {
 	case 0:
 	case 1:
-		b.WriteString(kids[0].Edge.String())
-		writeNode(b, kids[0])
+		dst = appendEdge(dst, kids[0].Edge)
+		dst = appendText(dst, kids[0])
 	default:
-		b.WriteByte('[')
+		dst = append(dst, '[')
 		for i, c := range kids {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			b.WriteString(c.Edge.String())
-			writeNode(b, c)
+			dst = appendEdge(dst, c.Edge)
+			dst = appendText(dst, c)
 		}
-		b.WriteByte(']')
+		dst = append(dst, ']')
 	}
+	return dst
 }

@@ -125,6 +125,7 @@ func TestStringRoundTrip(t *testing.T) {
 		"Articles/Article*[/Section//Paragraph, /Title, //Paragraph]",
 		"a{p,q}*[/b{r}//c, /b]",
 		"a*[/b[/c, //d], /b[/c, //d]]",
+		"#document/a/b*", // the root of an anchored XPath expression
 	}
 	for _, src := range srcs {
 		p := MustParse(src)

@@ -23,7 +23,6 @@ package pattern
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Type is a node type (an XML element name, an LDAP object class, ...).
@@ -279,28 +278,6 @@ func (n *Node) Depth() int {
 	return d
 }
 
-// label renders the node's own label (types plus star marker) in the text
-// syntax: primary type, an optional {extra,types} group, an optional "*".
-func (n *Node) label() string {
-	var b strings.Builder
-	b.WriteString(string(n.Type))
-	if len(n.Extra) > 0 {
-		b.WriteByte('{')
-		for i, t := range n.Extra {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(string(t))
-		}
-		b.WriteByte('}')
-	}
-	if n.Star {
-		b.WriteByte('*')
-	}
-	b.WriteString(n.condsLabel())
-	return b.String()
-}
-
 // Pattern is a tree pattern query: a rooted tree of Nodes. The zero value
 // is an empty pattern; most code builds patterns via Parse or NewNode +
 // AddChild and wraps the root with New.
@@ -403,43 +380,29 @@ func (p *Pattern) TypeSet() map[Type]bool {
 // Clone returns a deep copy of the pattern. The copy shares no nodes with
 // the original.
 func (p *Pattern) Clone() *Pattern {
-	q, _ := p.CloneMap()
-	return q
+	if p == nil || p.Root == nil {
+		return &Pattern{}
+	}
+	return &Pattern{Root: cloneSubtree(p.Root)}
 }
 
 // CloneMap returns a deep copy together with the mapping from original
 // nodes to their copies, which callers use to carry node-level bookkeeping
 // (candidate sets, protected sets) across the copy.
 func (p *Pattern) CloneMap() (*Pattern, map[*Node]*Node) {
+	q := p.Clone()
 	m := make(map[*Node]*Node)
-	if p == nil || p.Root == nil {
-		return &Pattern{}, m
-	}
-	var rec func(*Node) *Node
-	rec = func(n *Node) *Node {
-		c := &Node{
-			Type:  n.Type,
-			Star:  n.Star,
-			Temp:  n.Temp,
-			Or:    n.Or,
-			Edge:  n.Edge,
-			Extra: append([]Type(nil), n.Extra...),
-		}
-		if len(n.Conds) > 0 {
-			c.Conds = append([]Condition(nil), n.Conds...)
-		}
-		if len(n.TempExtra) > 0 {
-			c.TempExtra = append([]Type(nil), n.TempExtra...)
-		}
+	var rec func(n, c *Node)
+	rec = func(n, c *Node) {
 		m[n] = c
-		for _, ch := range n.Children {
-			cc := rec(ch)
-			cc.Parent = c
-			c.Children = append(c.Children, cc)
+		for i, ch := range n.Children {
+			rec(ch, c.Children[i])
 		}
-		return c
 	}
-	return &Pattern{Root: rec(p.Root)}, m
+	if q.Root != nil {
+		rec(p.Root, q.Root)
+	}
+	return q, m
 }
 
 // StripTemp removes every temporary node (with its subtree; temporary nodes

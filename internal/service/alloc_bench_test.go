@@ -3,11 +3,15 @@ package service
 import (
 	"context"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 
+	"tpq/internal/data"
+	"tpq/internal/ics"
 	"tpq/internal/pattern"
+	"tpq/internal/store"
 )
 
 // nullResponseWriter discards the response, reusing one header map, so
@@ -65,6 +69,60 @@ func BenchmarkServiceHitAllocs(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			req.Body = io.NopCloser(strings.NewReader(body))
 			h.ServeHTTP(w, req)
+		}
+	})
+}
+
+// BenchmarkServiceMissAllocs pins the cost of a cold /minimize miss: each
+// iteration sends a never-seen 18-22-node query over the publishing
+// types, under the publishing constraints plus Title !-> Section, through
+// the full HTTP handler with a store open — parse, canonical key, the
+// CDM+ACIM engine, the unsatisfiability check, the store record and the
+// response. bench_results.txt records its before/after counts.
+func BenchmarkServiceMissAllocs(b *testing.B) {
+	b.Run("miss", func(b *testing.B) {
+		cs := data.PublishingConstraints()
+		cs.Add(ics.ForbidChild("Title", "Section"))
+		st, err := store.Open(b.TempDir(), store.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		svc := New(Options{Constraints: cs, Store: st})
+		defer svc.Close(context.Background())
+		h := NewHandler(svc, HandlerOptions{})
+
+		types := []pattern.Type{"Title", "Articles", "Article", "Title", "Author", "LastName", "FirstName", "Section", "Paragraph"}
+		rng := rand.New(rand.NewSource(1))
+		seen := make(map[string]bool, b.N)
+		bodies := make([]string, 0, b.N)
+		for len(bodies) < b.N {
+			nodes := []*pattern.Node{pattern.NewNode(types[rng.Intn(len(types))])}
+			for size := 18 + rng.Intn(5); len(nodes) < size; {
+				child := pattern.NewNode(types[rng.Intn(len(types))])
+				nodes = append(nodes, nodes[rng.Intn(len(nodes))].AddChild(pattern.EdgeKind(rng.Intn(2)), child))
+			}
+			nodes[rng.Intn(len(nodes))].Star = true
+			q := pattern.New(nodes[0])
+			if canon := q.Canonical(); !seen[canon] {
+				seen[canon] = true
+				bodies = append(bodies, `{"query": "`+q.String()+`"}`)
+			}
+		}
+		w := &nullResponseWriter{h: make(http.Header)}
+		req, err := http.NewRequest(http.MethodPost, "/minimize", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req.Body = io.NopCloser(strings.NewReader(bodies[i]))
+			h.ServeHTTP(w, req)
+		}
+		b.StopTimer()
+		if got := svc.Stats().Minimizations; got != int64(b.N) {
+			b.Fatalf("%d minimizations for %d requests: every request must be a computed miss", got, b.N)
 		}
 	})
 }

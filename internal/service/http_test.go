@@ -187,6 +187,11 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"no query", `{}`, http.StatusBadRequest},
 		{"parse error", `{"query": "a*[/"}`, http.StatusBadRequest},
 		{"bad xpath", `{"xpath": "???"}`, http.StatusBadRequest},
+		// XPath names must start like text-grammar names, so that a
+		// reply's output can be sent back as a query.
+		{"xpath digit name", `{"xpath": "//0/1"}`, http.StatusBadRequest},
+		{"xpath dash name", `{"xpath": "//a/-b"}`, http.StatusBadRequest},
+		{"xpath digit-led step", `{"xpath": "//Article/9lives"}`, http.StatusBadRequest},
 		{"mixed forms", `{"query": "a*", "queries": ["b*"]}`, http.StatusBadRequest},
 		{"oversized batch", `{"queries": ["a*", "b*", "c*"]}`, http.StatusRequestEntityTooLarge},
 		{"bad batch member", `{"queries": ["a*", "[["]}`, http.StatusBadRequest},

@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tpq/internal/acim"
 	"tpq/internal/chase"
 	"tpq/internal/engine"
 	"tpq/internal/ics"
@@ -131,6 +130,7 @@ type entry struct {
 type Service struct {
 	eng     *engine.Minimizer
 	closed  *ics.Set
+	plan    *chase.Plan // the closed set's plan: the unsatisfiability check
 	fp      string
 	workers int
 	start   time.Time
@@ -188,6 +188,7 @@ func New(opts Options) *Service {
 	s := &Service{
 		eng:     eng,
 		closed:  eng.Closed(),
+		plan:    chase.PlanFor(eng.Closed()),
 		workers: opts.Workers,
 		start:   time.Now(),
 	}
@@ -584,7 +585,7 @@ func (s *Service) compute(ctx context.Context, p *pattern.Pattern) (*entry, erro
 	if err != nil {
 		return nil, err
 	}
-	unsat := acim.UnsatisfiableUnder(p, s.closed)
+	unsat := s.plan.Unsatisfiable(p)
 	elapsed := time.Since(start)
 	s.stats.observePhases(tr)
 	s.stats.minimizations.Add(1)

@@ -12,6 +12,7 @@ import (
 	"tpq/internal/cdm"
 	"tpq/internal/genquery"
 	"tpq/internal/ics"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
 
@@ -25,7 +26,7 @@ func referenceMinimize(p *pattern.Pattern, closed *ics.Set) (*pattern.Pattern, R
 	out, ast := acim.MinimizeWithStats(pre, closed)
 	rep.ACIMRemoved = ast.Removed
 	rep.OutputSize = out.Size()
-	rep.Unsatisfiable = acim.UnsatisfiableUnder(p, closed)
+	rep.Unsatisfiable = oracle.UnsatisfiableUnder(p, closed)
 	return out, rep
 }
 

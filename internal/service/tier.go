@@ -2,9 +2,12 @@ package service
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"tpq/internal/pattern"
@@ -19,11 +22,21 @@ import (
 // recomputation after a restart, nothing more.
 const storeQueueDepth = 256
 
-// storedEntry is the persisted form of one cache entry. Canon is the
-// full canonical form, not just its fingerprint: it lets warm-start
-// rebuild the exact LRU key and lets every decode path reject a
-// fingerprint collision (or a corrupt record that slipped past the
-// CRC) by comparing canonical forms directly.
+// A store record is one cache entry: the version byte 1, then uvarints
+// tick, InputSize, OutputSize, CDMRemoved, ACIMRemoved and flags (bit 0
+// Unsatisfiable), then the length-prefixed canon and output text. canon
+// is the input's full canonical form, not its fingerprint: warm-start
+// rebuilds the exact LRU key from it, and every lookup rejects a
+// fingerprint collision by comparing canonical forms. text is the output
+// in the Parse syntax, exactly as the entry serves it. A record whose
+// first byte is '{' is a JSON record (storedEntry) of earlier versions.
+const storedV1 byte = 1
+
+// errStoredRecord reports a record that does not decode.
+var errStoredRecord = errors.New("service: malformed store record")
+
+// storedEntry is the JSON store record of earlier versions, kept for
+// decoding only: new records use the binary layout above.
 type storedEntry struct {
 	Canon         string          `json:"canon"`
 	Output        json.RawMessage `json:"output"`
@@ -32,62 +45,109 @@ type storedEntry struct {
 	CDMRemoved    int             `json:"cdmRemoved"`
 	ACIMRemoved   int             `json:"acimRemoved"`
 	Unsatisfiable bool            `json:"unsatisfiable,omitempty"`
-	// Tick is the service-global write ticket, assigned at enqueue time.
-	// Warm-start ranks recency by tick: the store's own append sequence
-	// does not survive Compact, which rewrites the snapshot in key order.
-	// Zero on entries written before ticks existed.
-	Tick uint64 `json:"tick,omitempty"`
+	Tick          uint64          `json:"tick,omitempty"` // write ticket: warm-start recency
 }
 
-// encodeStored serializes one cache entry for the persistent tier,
-// stamped with its write ticket.
-func encodeStored(e *entry, tick uint64) ([]byte, error) {
-	out, err := json.Marshal(e.out)
-	if err != nil {
-		return nil, err
+// encodeStored serializes one cache entry for the persistent tier as a
+// version-1 record, stamped with its write ticket. The output text is
+// the one finalize rendered; an entry not yet finalized is rendered here.
+func encodeStored(e *entry, tick uint64) []byte {
+	text := e.text
+	if text == "" {
+		text = e.out.String()
 	}
-	return json.Marshal(storedEntry{
-		Canon:         e.canon,
-		Output:        out,
-		InputSize:     e.rep.InputSize,
-		OutputSize:    e.rep.OutputSize,
-		CDMRemoved:    e.rep.CDMRemoved,
-		ACIMRemoved:   e.rep.ACIMRemoved,
-		Unsatisfiable: e.rep.Unsatisfiable,
-		Tick:          tick,
-	})
+	var flags uint64
+	if e.rep.Unsatisfiable {
+		flags = 1
+	}
+	buf := make([]byte, 0, 1+8*binary.MaxVarintLen64+len(e.canon)+len(text))
+	buf = append(buf, storedV1)
+	for _, v := range []uint64{tick, uint64(e.rep.InputSize), uint64(e.rep.OutputSize),
+		uint64(e.rep.CDMRemoved), uint64(e.rep.ACIMRemoved), flags, uint64(len(e.canon))} {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	buf = append(buf, e.canon...)
+	buf = binary.AppendUvarint(buf, uint64(len(text)))
+	return append(buf, text...)
 }
 
-// decodeStored is the inverse of encodeStored. The pattern decode
-// validates structure (pattern.UnmarshalJSON rejects malformed trees),
-// so a successfully decoded entry is always a servable one.
+// decodeStored is the inverse of encodeStored. It also reads the JSON
+// records of earlier versions, held to the same rules: the JSON decode
+// alone admits type names the text grammar rejects. A decoded entry is
+// always a servable one, its output parsed and rendered back to the
+// stored text.
 func decodeStored(val []byte) (*entry, error) {
-	var se storedEntry
-	if err := json.Unmarshal(val, &se); err != nil {
-		return nil, err
+	if len(val) > 0 && val[0] == '{' {
+		var se storedEntry
+		p := &pattern.Pattern{}
+		if err := json.Unmarshal(val, &se); err != nil {
+			return nil, err
+		}
+		if err := json.Unmarshal(se.Output, p); err != nil {
+			return nil, err
+		}
+		return storedEntryOf(se.Canon, p.String(), Report{InputSize: se.InputSize, OutputSize: se.OutputSize,
+			CDMRemoved: se.CDMRemoved, ACIMRemoved: se.ACIMRemoved, Unsatisfiable: se.Unsatisfiable})
 	}
-	if se.Canon == "" || len(se.Output) == 0 {
-		return nil, fmt.Errorf("service: stored entry missing canon or output")
+	if len(val) == 0 || val[0] != storedV1 {
+		return nil, errStoredRecord
 	}
-	p := &pattern.Pattern{}
-	if err := json.Unmarshal(se.Output, p); err != nil {
-		return nil, err
+	rest := val[1:]
+	var f [6]uint64 // tick, InputSize, OutputSize, CDMRemoved, ACIMRemoved, flags
+	for i := range f {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return nil, errStoredRecord
+		}
+		f[i], rest = v, rest[n:]
 	}
-	e := &entry{
-		canon: se.Canon,
-		out:   p,
-		rep: Report{
-			InputSize:     se.InputSize,
-			OutputSize:    se.OutputSize,
-			CDMRemoved:    se.CDMRemoved,
-			ACIMRemoved:   se.ACIMRemoved,
-			Unsatisfiable: se.Unsatisfiable,
-		},
+	var s [2]string // canon, text
+	for i := range s {
+		l, n := binary.Uvarint(rest)
+		if n <= 0 || l > uint64(len(rest)-n) {
+			return nil, errStoredRecord
+		}
+		s[i], rest = string(rest[n:n+int(l)]), rest[n+int(l):]
 	}
-	// Decoded entries are about to be cached and served as hits; render
-	// their serving state once, here.
-	e.finalize()
+	if len(rest) > 0 || f[5] > 1 {
+		return nil, errStoredRecord
+	}
+	return storedEntryOf(s[0], s[1], Report{InputSize: int(f[1]), OutputSize: int(f[2]),
+		CDMRemoved: int(f[3]), ACIMRemoved: int(f[4]), Unsatisfiable: f[5] == 1})
+}
+
+// storedEntryOf builds the servable entry of a decoded record. It parses
+// the output text and rejects a record whose pattern does not render
+// back to that text, or whose counts are out of range, so a record that
+// slipped past the CRC is served as a miss, never as a wrong answer.
+func storedEntryOf(canon, text string, rep Report) (*entry, error) {
+	for _, v := range []int{rep.InputSize, rep.OutputSize, rep.CDMRemoved, rep.ACIMRemoved} {
+		if v < 0 || v > math.MaxInt32 {
+			return nil, errStoredRecord
+		}
+	}
+	p, err := pattern.Parse(text)
+	if err != nil || canon == "" {
+		return nil, errStoredRecord
+	}
+	e := &entry{canon: canon, out: p, rep: rep}
+	if e.finalize(); e.text != text {
+		return nil, fmt.Errorf("service: stored output %q renders as %q", text, e.text)
+	}
 	return e, nil
+}
+
+// storedTick returns a record's write ticket without decoding the rest.
+// A record that does not decode ranks as tick 0; decodeStored rejects it
+// if warm-start picks it.
+func storedTick(val []byte) uint64 {
+	if len(val) > 0 && val[0] == storedV1 {
+		tick, _ := binary.Uvarint(val[1:])
+		return tick
+	}
+	var se storedEntry
+	_ = json.Unmarshal(val, &se)
+	return se.Tick
 }
 
 // storeKey builds the fixed-size persistent key for a canonical form:
@@ -125,11 +185,7 @@ func (s *Service) storeEnqueue(e *entry) {
 	if s.storeQ == nil {
 		return
 	}
-	val, err := encodeStored(e, s.writeTick.Add(1))
-	if err != nil {
-		s.stats.storeErrors.Add(1)
-		return
-	}
+	val := encodeStored(e, s.writeTick.Add(1))
 	select {
 	case s.storeQ <- storeWrite{key: s.storeKey(e.canon), val: val}:
 	default:
@@ -177,15 +233,10 @@ func (s *Service) loadStore(limit int) {
 	var cands []cand
 	maxTick := uint64(0)
 	s.store.Scan(s.fpRaw, func(_, val []byte, seq uint64) bool {
-		var meta struct {
-			Tick uint64 `json:"tick"`
-		}
-		// A record that does not decode ranks as tick 0; decodeStored
-		// rejects it below if it is picked.
-		_ = json.Unmarshal(val, &meta)
-		maxTick = max(maxTick, meta.Tick)
+		tick := storedTick(val)
+		maxTick = max(maxTick, tick)
 		if limit > 0 {
-			cands = append(cands, cand{val: val, tick: meta.Tick, seq: seq})
+			cands = append(cands, cand{val: val, tick: tick, seq: seq})
 		}
 		return true
 	})

@@ -238,7 +238,8 @@ func TestOneWriteBehindGoroutine(t *testing.T) {
 }
 
 // TestStoreRoundTripCodec pins the persisted encoding: encode → decode
-// is the identity on everything the serving layer needs.
+// is the identity on everything the serving layer needs. The entry is
+// not finalized, so the encoder must render its output itself.
 func TestStoreRoundTripCodec(t *testing.T) {
 	q := pattern.MustParse("a*[/b, //c]")
 	e := &entry{
@@ -248,15 +249,15 @@ func TestStoreRoundTripCodec(t *testing.T) {
 			InputSize: 4, OutputSize: 3, CDMRemoved: 1, ACIMRemoved: 0, Unsatisfiable: true,
 		},
 	}
-	val, err := encodeStored(e, 7)
-	if err != nil {
-		t.Fatal(err)
+	val := encodeStored(e, 7)
+	if val[0] != storedV1 || storedTick(val) != 7 {
+		t.Fatalf("record %q: want version %d and tick 7", val, storedV1)
 	}
 	got, err := decodeStored(val)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.canon != e.canon || got.out.Canonical() != q.Canonical() || got.rep != e.rep {
+	if got.canon != e.canon || got.out.Canonical() != q.Canonical() || got.rep != e.rep || got.text != q.String() {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, e)
 	}
 	for _, bad := range [][]byte{nil, []byte("{}"), []byte(`{"canon":"x"}`), []byte(`{"canon":"x","output":{"bad":1}}`)} {

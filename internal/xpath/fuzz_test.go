@@ -27,6 +27,16 @@ func FuzzFromXPath(f *testing.F) {
 		if vErr := p.Validate(); vErr != nil {
 			t.Fatalf("FromXPath accepted invalid pattern for %q: %v", src, vErr)
 		}
+		// Cross-syntax: the text rendering of an accepted expression is
+		// text the pattern grammar reads back to the same query, so a
+		// client may send a reply's output back as a query.
+		text, err := pattern.Parse(p.String())
+		if err != nil {
+			t.Fatalf("FromXPath(%q) renders as %q, which Parse rejects: %v", src, p.String(), err)
+		}
+		if !pattern.Isomorphic(p, text) {
+			t.Fatalf("text round trip of FromXPath(%q) not isomorphic: %s vs %s", src, p, text)
+		}
 		// Accepted expressions round-trip through ToXPath (up to
 		// isomorphism of the resulting patterns; the rendering may be a
 		// terser equivalent).

@@ -209,25 +209,27 @@ func (p *xparser) accept(s string) bool {
 	return false
 }
 
-func isNameByte(b byte) bool {
-	return b == '_' || b == '-' || b == '.' ||
-		(b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
+// isNameStart admits the first byte of a name: a letter or '_', as in
+// XML and in the text grammar. In XPath "0" is a number and "." the self
+// step ("a/.//b" must not render back as the different "a[.//b]").
+func isNameStart(b byte) bool {
+	return b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z')
 }
 
+func isNameByte(b byte) bool {
+	return isNameStart(b) || b == '-' || b == '.' || (b >= '0' && b <= '9')
+}
+
+// parseName reads an element or attribute name, one the text grammar
+// reads back too.
 func (p *xparser) parseName() (string, error) {
 	p.skipSpace()
-	if strings.HasPrefix(p.src[p.pos:], ".") {
-		// "." is the self step, outside the fragment: a name may contain
-		// dots but not start with one, or "a/.//b" would read "." as an
-		// element and render back as the different "a[.//b]".
+	if p.pos >= len(p.src) || !isNameStart(p.src[p.pos]) {
 		return "", p.errorf("expected an element name, found %q", p.rest())
 	}
 	start := p.pos
 	for p.pos < len(p.src) && isNameByte(p.src[p.pos]) {
 		p.pos++
-	}
-	if p.pos == start {
-		return "", p.errorf("expected an element name, found %q", p.rest())
 	}
 	return p.src[start:p.pos], nil
 }

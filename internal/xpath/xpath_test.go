@@ -56,6 +56,9 @@ func TestFromXPathErrors(t *testing.T) {
 		"", "a/b", "//", "//a[", "//a[]", "//a[b", "//a]b",
 		"//a[@p?3]", "//a[@p<]", ".//a", "//a[/b]", "//a/b/",
 		"/a/./b", "//a[b/.//c]", "//.a",
+		// Names the text grammar cannot read back: an XML name starts
+		// with a letter or '_', and in XPath 0 is a number.
+		"//0/1", "//a/-b", "//Article/9lives", "//a[@9p<3]",
 	} {
 		if _, err := FromXPath(bad); err == nil {
 			t.Errorf("FromXPath(%q) succeeded", bad)

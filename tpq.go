@@ -41,6 +41,7 @@ import (
 	"sync"
 
 	"tpq/internal/acim"
+	"tpq/internal/chase"
 	"tpq/internal/containment"
 	"tpq/internal/data"
 	"tpq/internal/engine"
@@ -161,9 +162,10 @@ func ForbidDescendant(from, to Type) Constraint { return ics.ForbidDesc(from, to
 // contradictory. The verdict is taken against the closure of cs, exactly
 // as MinimizeReport takes it: a conflict the closure derives (say a !=> c
 // from a ~ b, b !=> c) counts even though no stated constraint mentions
-// it.
+// it. It runs the check tpqd's /minimize reports, on the closed set's
+// cached chase plan.
 func Unsatisfiable(p *Pattern, cs *Constraints) bool {
-	return acim.UnsatisfiableUnder(p, cs.Closure())
+	return chase.PlanFor(cs.Closure()).Unsatisfiable(p)
 }
 
 // NewSchema returns an empty schema; use Declare/DeclareIsA to populate it
