@@ -1,7 +1,6 @@
 // Package bitset provides the dense set substrate of the integer-indexed
 // execution layer: fixed-capacity sets of small integers packed into
-// uint64 words, plus a sync.Pool-backed arena that recycles rows across
-// the thousands of redundancy tests a minimization run performs.
+// uint64 words, and flat matrices of such rows.
 //
 // The minimization and matching dynamic programs all reduce to the same
 // two primitives over node-ID sets — "intersect a row with a candidate
@@ -12,14 +11,11 @@
 //
 // Sets are plain slices, not structs: the capacity is fixed at creation
 // and callers index only within it. All binary operations require equal
-// lengths, which the execution layer guarantees by allocating every row of
-// one DP table from the same arena.
+// lengths, which the execution layer guarantees by carving every row of
+// one DP table from the same slab.
 package bitset
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // Word is the machine word a Set is packed into.
 type Word = uint64
@@ -43,13 +39,6 @@ func (s Set) Add(i int) { s[i/wordBits] |= 1 << (uint(i) % wordBits) }
 
 // Remove deletes i.
 func (s Set) Remove(i int) { s[i/wordBits] &^= 1 << (uint(i) % wordBits) }
-
-// Reset clears every bit, keeping the capacity.
-func (s Set) Reset() {
-	for i := range s {
-		s[i] = 0
-	}
-}
 
 // And intersects s with t in place. The sets must have equal length.
 func (s Set) And(t Set) {
@@ -198,67 +187,18 @@ func (s Set) NextInRange(lo, hi int) int {
 	return i
 }
 
-// Arena recycles word slices across DP-table builds. A minimization run
-// performs one redundancy test per candidate leaf, each needing O(n) rows
-// of O(n/64) words; routing the rows through an arena makes the steady
-// state allocation-free. Arenas are safe for concurrent use.
-//
-// The zero Arena is ready to use.
-type Arena struct {
-	pool sync.Pool
-}
-
-// Get returns a zeroed Set with capacity for n bits, reusing a recycled
-// slice when one is large enough.
-func (a *Arena) Get(n int) Set {
-	words := WordsFor(n)
-	if v := a.pool.Get(); v != nil {
-		s := v.(Set)
-		if cap(s) >= words {
-			s = s[:words]
-			s.Reset()
-			return s
-		}
-	}
-	return make(Set, words)
-}
-
-// Put returns a set to the arena for reuse. The caller must not use s
-// afterwards.
-func (a *Arena) Put(s Set) {
-	if s != nil {
-		a.pool.Put(s) //nolint:staticcheck // Set is a slice; boxing is fine here
-	}
-}
-
 // Matrix is a dense table of equal-length rows allocated in one slab —
-// the images tables and DP tables of the execution layer. Row i is the
+// the feasibility table of a containment-mapping search. Row i is the
 // bit-set over columns for node ID i.
 type Matrix struct {
 	words int
 	bits  Set // rows * words
 }
 
-// NewMatrix allocates a rows x cols bit matrix from the arena (a may be
-// nil for a plain allocation).
-func NewMatrix(a *Arena, rows, cols int) *Matrix {
+// NewMatrix allocates a zeroed rows x cols bit matrix.
+func NewMatrix(rows, cols int) *Matrix {
 	words := WordsFor(cols)
-	var slab Set
-	if a != nil {
-		slab = a.Get(rows * words * wordBits)
-	} else {
-		slab = make(Set, rows*words)
-	}
-	return &Matrix{words: words, bits: slab}
-}
-
-// Release returns the matrix's slab to the arena. The matrix must not be
-// used afterwards.
-func (m *Matrix) Release(a *Arena) {
-	if a != nil && m.bits != nil {
-		a.Put(m.bits)
-	}
-	m.bits = nil
+	return &Matrix{words: words, bits: make(Set, rows*words)}
 }
 
 // Row returns row i as a Set sharing the matrix's storage.

@@ -23,10 +23,6 @@ func TestBasicOps(t *testing.T) {
 	if s.Has(64) {
 		t.Fatal("Has(64) true after Remove")
 	}
-	s.Reset()
-	if s.Any() || s.Count() != 0 {
-		t.Fatal("Reset did not clear")
-	}
 }
 
 func TestWordOps(t *testing.T) {
@@ -131,34 +127,16 @@ func TestIntersectsRange(t *testing.T) {
 	}
 }
 
-func TestArenaReuse(t *testing.T) {
-	var a Arena
-	s := a.Get(100)
-	s.Add(7)
-	a.Put(s)
-	r := a.Get(90)
-	if r.Has(7) {
-		t.Fatal("recycled set not zeroed")
-	}
-	big := a.Get(10000)
-	if len(big) != WordsFor(10000) {
-		t.Fatalf("Get(10000) len = %d words, want %d", len(big), WordsFor(10000))
-	}
-}
-
 func TestMatrix(t *testing.T) {
-	var a Arena
-	m := NewMatrix(&a, 5, 130)
+	m := NewMatrix(5, 130)
 	m.Row(2).Add(129)
 	m.Row(3).Add(0)
 	if m.Row(2).Has(0) || !m.Row(2).Has(129) || !m.Row(3).Has(0) {
 		t.Fatal("matrix rows interfere")
 	}
-	m.Release(&a)
-	m2 := NewMatrix(&a, 5, 130)
-	for i := 0; i < 5; i++ {
-		if m2.Row(i).Any() {
-			t.Fatal("recycled matrix not zeroed")
+	for _, i := range []int{0, 1, 4} {
+		if m.Row(i).Any() {
+			t.Fatalf("row %d not zero", i)
 		}
 	}
 }

@@ -36,6 +36,12 @@
 // O(min(n·maxd·maxf, n²)) time, and feeding its output to ACIM still
 // yields the unique global minimum (Theorem 5.3). Its value is as a cheap
 // pre-filter that shrinks the query before the more expensive ACIM runs.
+//
+// The sweep runs on the closed set's chase plan: types are symbols of the
+// plan's alphabet, the rules read the plan's rows instead of the
+// constraint set's hash indexes, and the query is flattened once per run
+// into pooled scratch (see run). InfoContent and DebugDump keep the
+// literal Info maps for tests and teaching material.
 package cdm
 
 import (
@@ -45,6 +51,8 @@ import (
 	"strings"
 	"time"
 
+	"tpq/internal/bitset"
+	"tpq/internal/chase"
 	"tpq/internal/ics"
 	"tpq/internal/pattern"
 	"tpq/internal/trace"
@@ -136,10 +144,10 @@ type Stats struct {
 	// last pass deletes nothing).
 	Passes int
 	// Probes is the number of lookups the minimization rules made into
-	// the constraint set's hash indexes: target and source lists and
-	// co-occurrence tests. It is the run's work count — it depends on the
-	// query and on the constraints the lookups return, not on how many
-	// constraints the set stores, nor on the clock.
+	// the chase plan's rows of the constraint set: target and source
+	// lists and co-occurrence tests. It is the run's work count — it
+	// depends on the query and on the constraints the lookups return, not
+	// on how many constraints the set stores, nor on the clock.
 	Probes int
 	// TotalTime is the wall-clock time of the run.
 	TotalTime time.Duration
@@ -174,18 +182,15 @@ func MinimizeInPlaceTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace) (st
 		st.Passes = 1
 		return st
 	}
-	if !cs.IsClosed() {
-		cs = cs.Closure()
+	pl := chase.PlanFor(cs)
+	s := chase.GetScratch(pl)
+	defer s.Release()
+	s.Flatten(p)
+	r := newRun(pl, s)
+	for st.Passes = 1; r.sweep() > 0; st.Passes++ {
 	}
-	for {
-		st.Passes++
-		removed, probes := sweep(p, cs)
-		st.Removed += removed
-		st.Probes += probes
-		if removed == 0 {
-			return st
-		}
-	}
+	st.Removed, st.Probes = r.removed, r.probes
+	return st
 }
 
 // InfoContent computes the information content of every node of p without
@@ -245,169 +250,198 @@ func propagate(edge pattern.EdgeKind, a Arg) Arg {
 	}
 }
 
-// argCounter is the merged per-type count of argument contributions below
-// the node being minimized, backed by the sweep's interned type ids so
-// deletable probes it without hashing strings.
-type argCounter struct {
-	ids   map[pattern.Type]int32
-	count []int32
+// run is one CDM run over a query flattened into pooled scratch: nodes
+// are preorder ordinals, types are symbols of the chase plan's alphabet,
+// and a deleted leaf keeps its ordinal, marked dead.
+//
+// A node's information content is a block of six bitsets over the
+// alphabet, one per ArgKind, w words each, on a stack. Its first
+// non-leaf child's block becomes its accumulator, the others are merged
+// in and popped, and children are visited largest subtree first, so at
+// most log2(n)+2 blocks are live at once. A leaf child holds no block:
+// its contribution is its own types under its edge's kind, counted per
+// symbol in count while its parent's rules run and cleared through the
+// same symbols after, so a run's memory is linear in the query.
+type run struct {
+	pl      *chase.Plan
+	s       *chase.Scratch
+	w       int
+	blocks  []bitset.Word
+	count   []int32 // per symbol: occurrences among the leaf children
+	kids    []int32 // child ordinals, one frame per open node
+	dead    []bool
+	probes  int
+	removed int
 }
 
-// at returns the count for t; a type absent from the pattern (hence from
-// the id table) has necessarily no arguments below any node.
-func (a argCounter) at(t pattern.Type) int32 {
-	if id, ok := a.ids[t]; ok {
-		return a.count[id]
-	}
-	return 0
+func newRun(pl *chase.Plan, s *chase.Scratch) *run {
+	n, nsym := len(s.Nodes), s.Alphabet()
+	r := &run{pl: pl, s: s, w: bitset.WordsFor(nsym), dead: s.Flags(n)}
+	ints := s.Ints(nsym + n)
+	r.count, r.kids = ints[:nsym:nsym], ints[nsym:nsym]
+	r.blocks = s.Words((bits.Len(uint(n)) + 2) * 6 * r.w)[:0]
+	return r
 }
 
 // sweep performs one bottom-up propagation-plus-minimization pass and
-// returns the number of nodes removed and of constraint lookups made.
-//
-// Information contents are represented as six per-kind bitsets over the
-// pattern's interned types rather than as Info maps: every argument's
-// type is the type of some pattern node, so the universe is known up
-// front, and the Figure 4 propagation rules map whole kinds to kinds —
-// a handful of word-ORs per edge instead of one string-hashing map
-// insert per argument. On chain-shaped queries the per-node content is
-// O(depth) arguments, which made map-based propagation the dominant cost
-// of the whole pipeline once the chase was precompiled.
-func sweep(p *pattern.Pattern, cs *ics.Set) (removed, probes int) {
-	r := &rules{cs: cs}
-	// Intern every type occurring in the pattern. Arguments only carry
-	// node types, so this is the full universe of the pass.
-	ids := make(map[pattern.Type]int32)
-	var typeList []pattern.Type
-	p.Walk(func(n *pattern.Node) {
-		for _, t := range n.Types() {
-			if _, ok := ids[t]; !ok {
-				ids[t] = int32(len(typeList))
-				typeList = append(typeList, t)
+// returns the number of nodes removed.
+func (r *run) sweep() int {
+	before := r.removed
+	r.blocks = r.blocks[:0]
+	r.visit(0)
+	return r.removed - before
+}
+
+// visit sweeps the subtree of ordinal i and returns the offset of the
+// block holding i's information content, or -1 when i is a leaf.
+func (r *run) visit(i int32) int {
+	s := r.s
+	if len(s.Nodes[i].Children) == 0 {
+		return -1
+	}
+	base, heavy := len(r.kids), -1
+	for c := i + 1; c <= s.End[i]; c = s.End[c] + 1 {
+		if !r.dead[c] {
+			if heavy < 0 || s.End[c]-c > s.End[r.kids[heavy]]-r.kids[heavy] {
+				heavy = len(r.kids)
+			}
+			r.kids = append(r.kids, c)
+		}
+	}
+	end := len(r.kids)
+	acc := r.fold(-1, r.kids[heavy])
+	for j := base; j < end; j++ {
+		if j != heavy {
+			acc = r.fold(acc, r.kids[j])
+		}
+	}
+	for _, c := range r.kids[base:end] {
+		if len(s.Nodes[c].Children) == 0 {
+			for _, t := range s.Syms(int(c)) {
+				r.count[t]++
 			}
 		}
-	})
-	// One bitset per ArgKind, W words each, packed kind-major into a
-	// single slice per node.
-	W := (len(typeList) + 63) / 64
-	newBits := func() []uint64 { return make([]uint64, 6*W) }
-	block := func(b []uint64, k ArgKind) []uint64 { return b[int(k)*W : (int(k)+1)*W] }
-	orInto := func(dst, src []uint64) {
-		for i, w := range src {
-			dst[i] |= w
+	}
+
+	// Minimization step: delete locally redundant leaf children, in
+	// n.Children order, until none is left. Each deletion changes the
+	// merged view, so the candidate scan restarts; fanout is small in
+	// practice and bounded work matches the paper's analysis.
+	for j := base; j < end; {
+		y := s.Nodes[r.kids[j]]
+		if y.Star || y.Temp || len(y.Children) != 0 || !r.deletable(i, r.kids[j], r.kids[base:end], acc) {
+			j++
+			continue
+		}
+		for _, t := range s.Syms(int(r.kids[j])) {
+			r.count[t]--
+		}
+		y.Detach()
+		r.dead[r.kids[j]] = true
+		copy(r.kids[j:end], r.kids[j+1:end])
+		end, j = end-1, base
+		r.removed++
+	}
+
+	// Assemble i's own information content from the survivors.
+	kids := r.kids[base:end]
+	r.kids = r.kids[:base]
+	if len(kids) == 0 {
+		if acc >= 0 {
+			r.blocks = r.blocks[:acc]
+		}
+		return -1
+	}
+	if acc < 0 {
+		acc = len(r.blocks)
+		r.blocks = append(r.blocks, make([]bitset.Word, 6*r.w)...)
+	}
+	for _, c := range kids {
+		if len(s.Nodes[c].Children) == 0 {
+			kind := AncU
+			if s.Nodes[c].Edge == pattern.Child {
+				kind = ParU
+			}
+			for _, t := range s.Syms(int(c)) {
+				r.count[t] = 0
+				r.set(acc, kind, t)
+			}
 		}
 	}
-	setBit := func(b []uint64, k ArgKind, id int32) {
-		block(b, k)[id/64] |= 1 << (uint(id) % 64)
+	for _, t := range s.Syms(int(i)) {
+		r.set(acc, SelfC, t)
 	}
-	// propagate is Figure 4 on whole kinds: across a d-edge T stays
-	// unconstrained (aT) and everything else collapses to a~T; across a
-	// c-edge T and ~T keep their flavor as pT/p~T and the rest collapses
-	// to a~T.
-	propagateBits := func(dst, src []uint64, edge pattern.EdgeKind) {
+	return acc
+}
+
+// fold visits child c and merges its contribution into the block acc,
+// or adopts c's block as acc when acc is -1. It returns acc.
+func (r *run) fold(acc int, c int32) int {
+	b := r.visit(c)
+	if b < 0 {
+		return acc
+	}
+	if acc < 0 {
+		acc = b
+	}
+	r.propagate(acc, b, r.s.Nodes[c].Edge)
+	if acc != b {
+		r.blocks = r.blocks[:b]
+	}
+	return acc
+}
+
+// propagate is Figure 4 on whole kinds: across a d-edge T stays
+// unconstrained (aT) and everything else collapses to a~T; across a
+// c-edge T and ~T keep their flavor as pT/p~T and the rest collapses to
+// a~T. It ORs the contribution of block src into block dst, or turns
+// src into its contribution when dst == src.
+func (r *run) propagate(dst, src int, edge pattern.EdgeKind) {
+	w := r.w
+	d, b := r.blocks[dst:dst+6*w], r.blocks[src:src+6*w]
+	for x := 0; x < w; x++ {
+		su, sc := b[int(SelfU)*w+x], b[int(SelfC)*w+x]
+		var out [6]bitset.Word
+		out[AncC] = b[int(AncU)*w+x] | b[int(AncC)*w+x] | b[int(ParU)*w+x] | b[int(ParC)*w+x]
 		if edge == pattern.Descendant {
-			orInto(block(dst, AncU), block(src, SelfU))
+			out[AncU], out[AncC] = su, out[AncC]|sc
 		} else {
-			orInto(block(dst, ParU), block(src, SelfU))
-			orInto(block(dst, ParC), block(src, SelfC))
+			out[ParU], out[ParC] = su, sc
 		}
-		anc := block(dst, AncC)
-		if edge == pattern.Descendant {
-			orInto(anc, block(src, SelfC))
-		}
-		orInto(anc, block(src, AncU))
-		orInto(anc, block(src, AncC))
-		orInto(anc, block(src, ParU))
-		orInto(anc, block(src, ParC))
-	}
-	addCounts := func(count []int32, b []uint64, delta int32) {
-		for i, w := range b {
-			base := int32(i%W) * 64
-			for ; w != 0; w &= w - 1 {
-				count[base+int32(bits.TrailingZeros64(w))] += delta
+		for k, o := range out {
+			if dst == src {
+				d[k*w+x] = o
+			} else {
+				d[k*w+x] |= o
 			}
 		}
 	}
-
-	var rec func(n *pattern.Node) []uint64
-	rec = func(n *pattern.Node) []uint64 {
-		// Process children first, keeping each child's contributed
-		// (already propagated) arguments so they can be merged afterwards.
-		kids := append([]*pattern.Node(nil), n.Children...)
-		contrib := make([][]uint64, len(kids))
-		for i, c := range kids {
-			up := newBits()
-			propagateBits(up, rec(c), c.Edge)
-			contrib[i] = up
-		}
-
-		// Merged count of argument types below n (any a/p kind); the
-		// deep-witness probes of deletable consult it in O(1) per
-		// candidate type.
-		ac := argCounter{ids: ids, count: make([]int32, len(typeList))}
-		for _, up := range contrib {
-			addCounts(ac.count, up, +1)
-		}
-
-		// Minimization step: delete locally redundant leaf children until
-		// none is left. Each deletion invalidates the merged view, so the
-		// candidate scan restarts; fanout is small in practice and bounded
-		// work matches the paper's analysis.
-		for {
-			victim := -1
-			for _, y := range n.Children {
-				if y.Star || y.Temp || !y.IsLeaf() {
-					continue
-				}
-				if r.deletable(n, y, ac) {
-					for i, c := range kids {
-						if c == y {
-							victim = i
-							break
-						}
-					}
-					break
-				}
-			}
-			if victim < 0 {
-				break
-			}
-			addCounts(ac.count, contrib[victim], -1)
-			kids[victim].Detach()
-			contrib[victim] = nil
-			removed++
-		}
-
-		// Assemble n's own information content from the survivors.
-		in := newBits()
-		for _, up := range contrib {
-			if up != nil {
-				orInto(in, up)
-			}
-		}
-		selfKind := SelfC
-		if len(n.Children) == 0 {
-			selfKind = SelfU
-		}
-		for _, t := range n.Types() {
-			setBit(in, selfKind, ids[t])
-		}
-		return in
-	}
-	rec(p.Root)
-	return removed, r.probes
 }
 
-// rules applies the minimization rules under one closed constraint set
-// and counts the lookups they make into its indexes (Stats.Probes).
-type rules struct {
-	cs     *ics.Set
-	probes int
+func (r *run) set(b int, k ArgKind, t int32) {
+	r.blocks[b+int(k)*r.w+int(t)/64] |= 1 << (uint(t) % 64)
 }
 
-// deletable decides whether the leaf child y of n is locally redundant
-// under the closed constraint set — the minimization rules of Figure 6,
-// generalized soundly to type sets:
+// present reports whether an argument of type u lies below the node
+// being minimized other than the candidate leaf y's own: in a non-leaf
+// child's contribution (block acc) or among the other leaf children.
+func (r *run) present(u, y int32, acc int) bool {
+	w, x, bit := r.w, int(u)/64, bitset.Word(1)<<(uint(u)%64)
+	if b := r.blocks; acc >= 0 && (b[acc+int(AncU)*w+x]|b[acc+int(AncC)*w+x]|b[acc+int(ParU)*w+x]|b[acc+int(ParC)*w+x])&bit != 0 {
+		return true
+	}
+	c := r.count[u]
+	for _, t := range r.s.Syms(int(y)) {
+		if t == u {
+			c--
+		}
+	}
+	return c > 0
+}
+
+// deletable decides whether the leaf child y of node i is locally
+// redundant under the closed constraint set — the minimization rules of
+// Figure 6, generalized soundly to type sets:
 //
 //	arg1      arg2  constraint   effect
 //	~T1(self) pT2   T1 -> T2     delete the c-child leaf   (rule 2)
@@ -418,78 +452,70 @@ type rules struct {
 //
 // "Covering" accounts for extra types on the leaf: a witness of type B
 // satisfies the leaf's requirement {t...} iff B ~ t holds (or B == t) for
-// every required t.
-func (r *rules) deletable(n, y *pattern.Node, ac argCounter) bool {
-	need := y.Types()
+// every required t. kids are i's live children; acc is the block of
+// their non-leaf contributions.
+func (r *run) deletable(i, y int32, kids []int32, acc int) bool {
+	s, pl := r.s, r.pl
+	yn := s.Nodes[y]
+	need := s.Syms(int(y))
 	// A leaf carrying value conditions (Section 7 extension) can only be
 	// discharged by a sibling witness whose conditions entail them;
 	// constraint-guaranteed witnesses are condition-free.
-	condFree := len(y.Conds) == 0
+	condFree := len(yn.Conds) == 0
 
 	// Rules 1 and 2: a constraint on one of the parent's own types.
-	for _, pt := range n.Types() {
-		if !condFree {
-			break
-		}
-		r.probes++
-		var targets []pattern.Type
-		if y.Edge == pattern.Child {
-			targets = r.cs.ChildTargets(pt)
-		} else {
-			targets = r.cs.DescTargets(pt)
-		}
-		for _, b := range targets {
-			if r.covers(b, need) {
-				return true
+	if condFree {
+		for _, pt := range s.Syms(int(i)) {
+			r.probes++
+			targets := pl.DescTargets(pt)
+			if yn.Edge == pattern.Child {
+				targets = pl.ChildTargets(pt)
+			}
+			for _, b := range targets {
+				if r.covers(b, need) {
+					return true
+				}
 			}
 		}
 	}
 
-	if y.Edge == pattern.Child {
+	if yn.Edge == pattern.Child {
 		// Rules 5/6 for a c-child: a sibling c-child whose types jointly
 		// cover the leaf's requirement — and whose conditions entail the
 		// leaf's. (The witness must itself be a c-child: only a child can
 		// satisfy a child edge.)
-		for _, z := range n.Children {
-			if z == y || z.Edge != pattern.Child {
-				continue
-			}
-			if r.jointlyCovers(z.Types(), need) && z.CondsEntail(y) {
+		for _, z := range kids {
+			if z != y && s.Nodes[z].Edge == pattern.Child && r.jointlyCovers(s.Syms(int(z)), need) && s.Nodes[z].CondsEntail(yn) {
 				return true
 			}
 		}
 		return false
 	}
 
-	// d-child: any node below n — sibling or deeper, represented by the
-	// merged argument types — can witness, either directly via
-	// co-occurrence (rules 5/6) or through a required-descendant
-	// constraint on its type (rules 3/4). Candidate covering types are
-	// found through the constraint set's reverse indexes, so each check is
-	// a couple of hash probes — the efficiency the information content
-	// exists to enable (ablation-cdm quantifies it against direct
-	// tree-walking).
+	// d-child: any node below i — sibling or deeper, represented by the
+	// merged arguments — can witness, either directly via co-occurrence
+	// (rules 5/6) or through a required-descendant constraint on its type
+	// (rules 3/4). Candidate covering types come from the plan's source
+	// rows, so each check is a few row reads — the efficiency the
+	// information content exists to enable (ablation-cdm quantifies it
+	// against direct tree-walking).
 	if condFree {
-		present := func(u pattern.Type) bool {
-			c := ac.at(u)
-			if y.HasType(u) {
-				c-- // y's own contribution does not witness its deletion
-			}
-			return c > 0
-		}
-		t0 := need[0]
+		t0, srcs := need[0], pl.CoSources(need[0])
 		r.probes++
-		cands := append(r.cs.CoSources(t0), t0)
-		for _, u := range cands {
+		for j := 0; j <= len(srcs); j++ {
+			u := t0
+			if j < len(srcs) {
+				u = srcs[j]
+			}
 			if !r.covers(u, need) {
 				continue
 			}
-			if present(u) {
+			if r.present(u, y, acc) {
 				return true
 			}
 			r.probes++
-			for _, t1 := range r.cs.DescSources(u) {
-				if present(t1) {
+			for _, t1 := range pl.DescSources(u) {
+				if r.present(t1, y, acc) {
 					return true
 				}
 			}
@@ -497,8 +523,8 @@ func (r *rules) deletable(n, y *pattern.Node, ac argCounter) bool {
 	}
 	// Siblings jointly (multi-typed witnesses are not decomposable into
 	// single-type arguments).
-	for _, z := range n.Children {
-		if z != y && r.jointlyCovers(z.Types(), need) && z.CondsEntail(y) {
+	for _, z := range kids {
+		if z != y && r.jointlyCovers(s.Syms(int(z)), need) && s.Nodes[z].CondsEntail(yn) {
 			return true
 		}
 	}
@@ -507,10 +533,10 @@ func (r *rules) deletable(n, y *pattern.Node, ac argCounter) bool {
 
 // covers reports whether a guaranteed node of type b satisfies every type
 // in need, via co-occurrence in the closed set.
-func (r *rules) covers(b pattern.Type, need []pattern.Type) bool {
+func (r *run) covers(b int32, need []int32) bool {
 	for _, t := range need {
 		r.probes++
-		if !r.cs.HasCo(b, t) {
+		if !r.pl.HasCo(b, t) {
 			return false
 		}
 	}
@@ -519,12 +545,12 @@ func (r *rules) covers(b pattern.Type, need []pattern.Type) bool {
 
 // jointlyCovers reports whether a witness carrying all of have satisfies
 // every type in need.
-func (r *rules) jointlyCovers(have, need []pattern.Type) bool {
+func (r *run) jointlyCovers(have, need []int32) bool {
 	for _, t := range need {
 		ok := false
 		for _, h := range have {
 			r.probes++
-			if r.cs.HasCo(h, t) {
+			if r.pl.HasCo(h, t) {
 				ok = true
 				break
 			}

@@ -29,11 +29,11 @@ package chase
 
 import (
 	"container/list"
-	"sort"
-	"strings"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
+	"tpq/internal/bitset"
 	"tpq/internal/ics"
 	"tpq/internal/pattern"
 	"tpq/internal/trace"
@@ -48,8 +48,11 @@ type Plan struct {
 	deep        bool
 	fingerprint string
 	setTypes    []pattern.Type
-	typeID      map[pattern.Type]int // dense numbering of setTypes
-	unsat       *unsatRows           // nil without forbidden forms
+	// typeID numbers setTypes densely: the symbols 0..k-1 of the engine's
+	// alphabet (scratch.go numbers a query's other types above them).
+	typeID map[pattern.Type]int32
+	rules  []typeRules // by symbol
+	unsat  *unsatRows  // nil without forbidden forms
 	// triggeredBy inverts the trigger relation of WantedWitnessTypes:
 	// triggeredBy[x] lists the types b whose witnesses become wanted when
 	// x occurs in the query — b itself, sources reaching x through
@@ -68,7 +71,8 @@ type Plan struct {
 	// candidate is wanted. Built only when chains are grown (deep).
 	coverers map[pattern.Type]map[pattern.Type][]pattern.Type
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// inst caches instances by the bytes of the query's set-type row.
 	inst    map[string]*list.Element
 	ll      *list.List
 	instCap int
@@ -95,7 +99,7 @@ func Compile(cs *ics.Set) *Plan {
 		deep:        cs.AcyclicRequired(),
 		fingerprint: cs.Fingerprint(),
 		setTypes:    setTypes,
-		typeID:      make(map[pattern.Type]int, len(setTypes)),
+		typeID:      make(map[pattern.Type]int32, len(setTypes)),
 		triggeredBy: make(map[pattern.Type][]pattern.Type, len(setTypes)),
 		descOnly:    make(map[pattern.Type][]pattern.Type),
 		inst:        make(map[string]*list.Element),
@@ -103,7 +107,26 @@ func Compile(cs *ics.Set) *Plan {
 		instCap:     instanceCacheCap,
 	}
 	for i, t := range setTypes {
-		pl.typeID[t] = i
+		pl.typeID[t] = int32(i)
+	}
+	pl.rules = make([]typeRules, len(setTypes))
+	syms := func(ts []pattern.Type) []int32 {
+		out := make([]int32, len(ts))
+		for i, t := range ts {
+			out[i] = pl.typeID[t]
+		}
+		return out
+	}
+	for i, t := range setTypes {
+		r := &pl.rules[i]
+		if co := cs.CoTargets(t); len(co) > 0 {
+			r.co = bitset.New(len(setTypes))
+			for _, b := range syms(co) {
+				r.co.Add(int(b))
+			}
+		}
+		r.childT, r.descT = syms(cs.ChildTargets(t)), syms(cs.DescTargets(t))
+		r.coSrc, r.descSrc = syms(cs.CoSources(t)), syms(cs.DescSources(t))
 	}
 	for _, t := range setTypes {
 		var dOnly []pattern.Type
@@ -147,6 +170,44 @@ func Compile(cs *ics.Set) *Plan {
 	pl.unsat = compileUnsat(cs, setTypes, pl.typeID)
 	return pl
 }
+
+// typeRules are the relations of one set type that the CDM minimization
+// rules (Figure 6) read, over the plan alphabet: the co-occurrence
+// targets as a bit row (nil when there are none), and the target and
+// source lists in the closed set's sorted order, which is ascending
+// symbol order. A symbol above the set's range has no rules: its type is
+// in no constraint.
+type typeRules struct {
+	co                            bitset.Set
+	childT, descT, coSrc, descSrc []int32
+}
+
+var noRules typeRules
+
+func (pl *Plan) rulesOf(s int32) *typeRules {
+	if int(s) < len(pl.rules) {
+		return &pl.rules[s]
+	}
+	return &noRules
+}
+
+// HasCo reports b ~ t on symbols (true when b == t).
+func (pl *Plan) HasCo(b, t int32) bool {
+	co := pl.rulesOf(b).co
+	return b == t || co != nil && int(t) < len(pl.rules) && co.Has(int(t))
+}
+
+// ChildTargets returns the symbols b with s -> b.
+func (pl *Plan) ChildTargets(s int32) []int32 { return pl.rulesOf(s).childT }
+
+// DescTargets returns the symbols b with s => b.
+func (pl *Plan) DescTargets(s int32) []int32 { return pl.rulesOf(s).descT }
+
+// CoSources returns the symbols u with u ~ s.
+func (pl *Plan) CoSources(s int32) []int32 { return pl.rulesOf(s).coSrc }
+
+// DescSources returns the symbols u with u => s.
+func (pl *Plan) DescSources(s int32) []int32 { return pl.rulesOf(s).descSrc }
 
 // compileTriggers computes triggeredBy. triggers(b) — the set of query
 // types whose presence makes b's witnesses wanted — is b itself, b's
@@ -241,9 +302,22 @@ func (pl *Plan) augment(p *pattern.Pattern) int {
 	if p == nil || p.Root == nil {
 		return 0
 	}
-	in := pl.Specialize(p.TypeSet())
+	// The flattened query lists the nodes to visit before any witness is
+	// attached, and its symbols give the set-type row that keys the
+	// instance and each node's primary symbol.
+	s := GetScratch(pl)
+	defer s.Release()
+	s.Flatten(p)
+	k := int32(len(pl.setTypes))
+	row := bitset.Set(s.Words(bitset.WordsFor(int(k))))
+	for _, t := range s.syms {
+		if t < k {
+			row.Add(int(t))
+		}
+	}
+	in := pl.instance(row)
 	added := 0
-	for _, n := range p.Nodes() {
+	for i, n := range s.Nodes {
 		if n.Temp {
 			continue
 		}
@@ -259,15 +333,12 @@ func (pl *Plan) augment(p *pattern.Pattern) int {
 				}
 			}
 		}
-		var childT, descT []pattern.Type
-		if single {
-			s := in.specOf(n.Type)
-			childT, descT = s.childT, s.descT
-		} else {
-			childT, descT = WitnessTargets(pl.cs, n.Types(), in.wanted, pl.deep)
+		targets := in.specAt(s.Syms(i)[0]).children
+		if !single {
+			targets = in.targets(WitnessTargets(pl.cs, n.Types(), in.wanted, pl.deep))
 		}
-		if len(childT)+len(descT) > 0 {
-			added += in.attach(n, childT, descT)
+		if len(targets) > 0 {
+			added += in.attach(n, targets)
 		}
 	}
 	return added
@@ -279,24 +350,25 @@ func (pl *Plan) augment(p *pattern.Pattern) int {
 // the constraint set's types, so queries differing only in types the
 // constraints never mention share an instance.
 func (pl *Plan) Specialize(base map[pattern.Type]bool) *Instance {
-	rest := make([]pattern.Type, 0, len(base))
+	row := bitset.New(len(pl.setTypes))
 	for t := range base {
-		if _, ok := pl.typeID[t]; ok {
-			rest = append(rest, t)
+		if id, ok := pl.typeID[t]; ok {
+			row.Add(int(id))
 		}
 	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-	var sb strings.Builder
-	for i, t := range rest {
-		if i > 0 {
-			sb.WriteByte(0)
-		}
-		sb.WriteString(string(t))
-	}
-	key := sb.String()
+	return pl.instance(row)
+}
 
+// instance returns the instance of a query's set-type row, keyed by the
+// row's bytes.
+func (pl *Plan) instance(row bitset.Set) *Instance {
+	var buf [64]byte
+	key := buf[:0]
+	for _, w := range row {
+		key = binary.LittleEndian.AppendUint64(key, w)
+	}
 	pl.mu.Lock()
-	if el, ok := pl.inst[key]; ok {
+	if el, ok := pl.inst[string(key)]; ok {
 		pl.ll.MoveToFront(el)
 		in := el.Value.(*instItem).in
 		pl.mu.Unlock()
@@ -304,15 +376,20 @@ func (pl *Plan) Specialize(base map[pattern.Type]bool) *Instance {
 	}
 	pl.mu.Unlock()
 
+	rest := make([]pattern.Type, 0, row.Count())
+	for i := row.NextSet(0); i >= 0; i = row.NextSet(i + 1) {
+		rest = append(rest, pl.setTypes[i])
+	}
 	in := pl.newInstance(rest)
 
 	pl.mu.Lock()
-	if el, ok := pl.inst[key]; ok {
+	if el, ok := pl.inst[string(key)]; ok {
 		// Lost a build race; adopt the published instance.
 		pl.ll.MoveToFront(el)
 		in = el.Value.(*instItem).in
 	} else {
-		pl.inst[key] = pl.ll.PushFront(&instItem{key: key, in: in})
+		k := string(key)
+		pl.inst[k] = pl.ll.PushFront(&instItem{key: k, in: in})
 		for pl.ll.Len() > pl.instCap {
 			last := pl.ll.Back()
 			pl.ll.Remove(last)
@@ -335,21 +412,20 @@ type Instance struct {
 	plan   *Plan
 	base   map[pattern.Type]bool // query types ∩ set types
 	wanted map[pattern.Type]bool // restricted to set types
-	spec   map[pattern.Type]*typeSpec
+	spec   []*typeSpec           // by set symbol
 }
 
-// typeSpec is the per-type specialization: the witness targets a node of
-// the type spawns, and — when chains are grown — the chain below a fresh
+// typeSpec is the per-type specialization: the witnesses a node of the
+// type spawns and — when chains are grown — the chain below a fresh
 // witness of the type, with precomputed node and extra-type counts for
 // arena sizing.
 type typeSpec struct {
-	childT []pattern.Type // wanted child-witness targets
-	descT  []pattern.Type // wanted descendant-witness targets, coverage-pruned when deep
-	extras []pattern.Type // temporary co-occurrence types of a fresh witness
-	// children is the resolved chain below a fresh witness of the type:
-	// child targets then descendant targets, mirroring instantiation
-	// order of the per-call chase (internal/oracle).
+	// children lists the wanted witness targets, child targets then
+	// descendant targets (coverage-pruned when deep), mirroring the
+	// instantiation order of the per-call chase (internal/oracle). When
+	// chains are grown each carries the spec of the chain below it.
 	children []chainChild
+	extras   []pattern.Type // temporary co-occurrence types of a fresh witness
 	// nodes and extrasTotal size the chain below one witness of the type:
 	// nodes added and extra-type associations (excluding the witness's
 	// own extras), so attach can arena-allocate in one batch.
@@ -359,9 +435,9 @@ type typeSpec struct {
 
 var emptySpec = &typeSpec{}
 
-// chainChild is one compiled witness-chain edge: a witness spawns a
-// temporary child of this type over this edge kind, with sub continuing
-// the chain.
+// chainChild is one compiled witness edge: a node spawns a temporary
+// child of this type over this edge kind, with sub continuing the chain
+// below it (nil when chains are not grown).
 type chainChild struct {
 	edge pattern.EdgeKind
 	typ  pattern.Type
@@ -373,7 +449,7 @@ func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
 		plan:   pl,
 		base:   make(map[pattern.Type]bool, len(rest)),
 		wanted: make(map[pattern.Type]bool, len(rest)),
-		spec:   make(map[pattern.Type]*typeSpec, len(pl.setTypes)),
+		spec:   make([]*typeSpec, len(pl.setTypes)),
 	}
 	for _, t := range rest {
 		in.base[t] = true
@@ -387,7 +463,7 @@ func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
 	building := make(map[pattern.Type]bool)
 	var build func(t pattern.Type) *typeSpec
 	build = func(t pattern.Type) *typeSpec {
-		if s, ok := in.spec[t]; ok {
+		if s := in.spec[pl.typeID[t]]; s != nil {
 			return s
 		}
 		if building[t] {
@@ -397,7 +473,7 @@ func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
 		s := &typeSpec{}
 		for _, b := range cs.ChildTargets(t) {
 			if in.wanted[b] {
-				s.childT = append(s.childT, b)
+				s.children = append(s.children, chainChild{edge: pattern.Child, typ: b})
 			}
 		}
 		for _, d := range pl.descOnly[t] {
@@ -416,7 +492,7 @@ func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
 					continue
 				}
 			}
-			s.descT = append(s.descT, d)
+			s.children = append(s.children, chainChild{edge: pattern.Descendant, typ: d})
 		}
 		if pl.deep {
 			for _, b := range cs.CoTargets(t) {
@@ -424,13 +500,9 @@ func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
 					s.extras = append(s.extras, b)
 				}
 			}
-			for _, b := range s.childT {
-				s.children = append(s.children, chainChild{edge: pattern.Child, typ: b, sub: build(b)})
-			}
-			for _, b := range s.descT {
-				s.children = append(s.children, chainChild{edge: pattern.Descendant, typ: b, sub: build(b)})
-			}
-			for _, c := range s.children {
+			for i := range s.children {
+				c := &s.children[i]
+				c.sub = build(c.typ)
 				s.nodes++
 				if c.sub != nil {
 					s.nodes += c.sub.nodes
@@ -439,7 +511,7 @@ func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
 			}
 		}
 		delete(building, t)
-		in.spec[t] = s
+		in.spec[pl.typeID[t]] = s
 		return s
 	}
 	for _, t := range pl.setTypes {
@@ -448,18 +520,29 @@ func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
 	return in
 }
 
-func (in *Instance) specOf(t pattern.Type) *typeSpec {
-	if s, ok := in.spec[t]; ok {
-		return s
+// specAt returns the spec of a type by its symbol.
+func (in *Instance) specAt(sym int32) *typeSpec {
+	if int(sym) < len(in.spec) {
+		return in.spec[sym]
 	}
 	return emptySpec
 }
 
-// newTarget is one witness to create at a real node during attach.
-type newTarget struct {
-	edge pattern.EdgeKind
-	typ  pattern.Type
-	sp   *typeSpec
+// targets lists the witnesses of a node whose targets WitnessTargets
+// computed, each with its spec when chains are grown.
+func (in *Instance) targets(childT, descT []pattern.Type) []chainChild {
+	out := make([]chainChild, 0, len(childT)+len(descT))
+	for i, b := range append(childT, descT...) {
+		c := chainChild{edge: pattern.Child, typ: b}
+		if i >= len(childT) {
+			c.edge = pattern.Descendant
+		}
+		if in.plan.deep {
+			c.sub = in.spec[in.plan.typeID[b]] // b is a set type
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
 // attach creates the missing temporary witnesses for the given targets
@@ -468,30 +551,12 @@ type newTarget struct {
 // chase idempotent: targets already witnessed by an existing temporary
 // child are skipped (the scan runs only when n has
 // temporary children at all — a freshly cloned query has none).
-func (in *Instance) attach(n *pattern.Node, childT, descT []pattern.Type) int {
-	hasTemp := false
+func (in *Instance) attach(n *pattern.Node, targets []chainChild) int {
 	for _, c := range n.Children {
 		if c.Temp {
-			hasTemp = true
+			targets = unwitnessed(n, targets)
 			break
 		}
-	}
-	targets := make([]newTarget, 0, len(childT)+len(descT))
-	consider := func(edge pattern.EdgeKind, b pattern.Type) {
-		if hasTemp {
-			for _, c := range n.Children {
-				if c.Temp && c.Type == b && c.Edge == edge {
-					return
-				}
-			}
-		}
-		targets = append(targets, newTarget{edge: edge, typ: b, sp: in.specOf(b)})
-	}
-	for _, b := range childT {
-		consider(pattern.Child, b)
-	}
-	for _, b := range descT {
-		consider(pattern.Descendant, b)
 	}
 	if len(targets) == 0 {
 		return 0
@@ -499,9 +564,12 @@ func (in *Instance) attach(n *pattern.Node, childT, descT []pattern.Type) int {
 
 	var nNodes, nPtrs, nTypes int
 	for _, tg := range targets {
-		nNodes += 1 + tg.sp.nodes
-		nPtrs += tg.sp.nodes
-		nTypes += len(tg.sp.extras) + tg.sp.extrasTotal
+		nNodes++
+		if tg.sub != nil {
+			nNodes += tg.sub.nodes
+			nPtrs += tg.sub.nodes
+			nTypes += len(tg.sub.extras) + tg.sub.extrasTotal
+		}
 	}
 	ar := &arena{nodes: make([]pattern.Node, nNodes)}
 	if nPtrs > 0 {
@@ -518,11 +586,26 @@ func (in *Instance) attach(n *pattern.Node, childT, descT []pattern.Type) int {
 		w.Type, w.Temp, w.Edge, w.Parent = tg.typ, true, tg.edge, n
 		n.Children = append(n.Children, w)
 		added++
-		if in.plan.deep {
-			added += ar.emit(w, tg.sp)
+		if tg.sub != nil {
+			added += ar.emit(w, tg.sub)
 		}
 	}
 	return added
+}
+
+// unwitnessed returns the targets no temporary child of n witnesses yet.
+func unwitnessed(n *pattern.Node, targets []chainChild) []chainChild {
+	var out []chainChild
+next:
+	for _, tg := range targets {
+		for _, c := range n.Children {
+			if c.Temp && c.Type == tg.typ && c.Edge == tg.edge {
+				continue next
+			}
+		}
+		out = append(out, tg)
+	}
+	return out
 }
 
 // arena is the batch allocation backing one attach call: every chain

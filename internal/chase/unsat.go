@@ -14,7 +14,7 @@ import (
 
 // unsatRows are the rows of the check over the set's own types, numbered
 // by Plan.typeID, each one word per 64 types. Types outside the set
-// appear in no constraint, so a query's other types are skipped.
+// appear in no constraint, so a query's other symbols are skipped.
 type unsatRows struct {
 	words int
 	empty bitset.Set // EmptyTypes, computed once
@@ -31,31 +31,31 @@ type typeRows struct {
 // compileUnsat builds the rows of a closed set, or nil when the set has
 // no forbidden form: required and co-occurrence constraints alone can
 // always be satisfied by growing the database.
-func compileUnsat(cs *ics.Set, setTypes []pattern.Type, id map[pattern.Type]int) *unsatRows {
+func compileUnsat(cs *ics.Set, setTypes []pattern.Type, id map[pattern.Type]int32) *unsatRows {
 	if !cs.HasForbidden() {
 		return nil
 	}
 	k := len(setTypes)
 	u := &unsatRows{words: bitset.WordsFor(k), empty: bitset.New(k), rows: make([]typeRows, k)}
 	for t := range cs.EmptyTypes() {
-		u.empty.Add(id[t])
+		u.empty.Add(int(id[t]))
 	}
 	for i, t := range setTypes {
 		r := typeRows{eff: bitset.New(k), below: bitset.New(k), forbidChild: bitset.New(k), forbidDesc: bitset.New(k)}
 		r.eff.Add(i)
 		for _, c := range cs.CoTargets(t) {
-			r.eff.Add(id[c])
+			r.eff.Add(int(id[c]))
 		}
 		for m := r.eff.NextSet(0); m >= 0; m = r.eff.NextSet(m + 1) {
 			r.below.Add(m)
 			for _, d := range cs.DescTargets(setTypes[m]) {
-				r.below.Add(id[d])
+				r.below.Add(int(id[d]))
 			}
 			for _, b := range cs.ForbidChildTargets(setTypes[m]) {
-				r.forbidChild.Add(id[b])
+				r.forbidChild.Add(int(id[b]))
 			}
 			for _, b := range cs.ForbidDescTargets(setTypes[m]) {
-				r.forbidDesc.Add(id[b])
+				r.forbidDesc.Add(int(id[b]))
 			}
 		}
 		u.rows[i] = r
@@ -64,58 +64,41 @@ func compileUnsat(cs *ics.Set, setTypes []pattern.Type, id map[pattern.Type]int)
 }
 
 // Unsatisfiable reports whether p can never produce an answer on any
-// database satisfying the plan's constraint set. It walks p once, top
-// down, carrying the union of the ancestors' forbidDesc rows. A node
-// conflicts when its effective row meets the empty types, when the
-// carried row meets its below row (an ancestor forbids, as a descendant,
-// one of its types or a type it requires below itself), or when it is a
-// c-child whose effective row meets its parent's forbidChild row.
+// database satisfying the plan's constraint set. It walks the flattened
+// query once, in preorder, keeping two rows per node: the union of the
+// forbidDesc rows of its and its ancestors' types, and the forbidChild
+// row of its types. A node conflicts when its effective row meets the
+// empty types, when its parent's carried row meets its below row (an
+// ancestor forbids, as a descendant, one of its types or a type it
+// requires below itself), or when it is a c-child whose effective row
+// meets its parent's forbidChild row.
 func (pl *Plan) Unsatisfiable(p *pattern.Pattern) bool {
 	if pl.unsat == nil || p == nil || p.Root == nil {
 		return false
 	}
-	w := &unsatWalk{plan: pl, buf: make([]bitset.Word, 2*pl.unsat.words, 32*pl.unsat.words)}
-	return w.conflict(p.Root, 0)
-}
-
-// unsatWalk is the state of one check. buf holds two rows per depth d:
-// the union of the forbidDesc rows above depth d, then the forbidChild
-// row of the parent; siblings share their slot.
-type unsatWalk struct {
-	plan *Plan
-	buf  []bitset.Word
-}
-
-func (w *unsatWalk) conflict(n *pattern.Node, d int) bool {
-	u := w.plan.unsat
-	k := u.words
-	if need := (d + 2) * 2 * k; len(w.buf) < need {
-		w.buf = append(w.buf, make([]bitset.Word, need-len(w.buf))...)
-	}
-	carried, parentFC := bitset.Set(w.buf[2*d*k:(2*d+1)*k]), bitset.Set(w.buf[(2*d+1)*k:(2*d+2)*k])
-	nextCarried, nextFC := bitset.Set(w.buf[(2*d+2)*k:(2*d+3)*k]), bitset.Set(w.buf[(2*d+3)*k:(2*d+4)*k])
-	nextCarried.CopyFrom(carried)
-	nextFC.Reset()
-	child := n.Parent != nil && n.Edge == pattern.Child
-	for i := -1; i < len(n.Extra); i++ {
-		t := n.Type
-		if i >= 0 {
-			t = n.Extra[i]
-		}
-		id, ok := w.plan.typeID[t]
-		if !ok {
-			continue
-		}
-		r := &u.rows[id]
-		if r.eff.Intersects(u.empty) || carried.Intersects(r.below) || (child && parentFC.Intersects(r.eff)) {
-			return true
-		}
-		nextCarried.Or(r.forbidDesc)
-		nextFC.Or(r.forbidChild)
-	}
-	for _, c := range n.Children {
-		if w.conflict(c, d+1) {
-			return true
+	u, k := pl.unsat, pl.unsat.words
+	s := GetScratch(pl)
+	defer s.Release()
+	s.Flatten(p)
+	// Pair j+1 holds ordinal j's rows; pair 0, the root's parent, is empty.
+	rows := s.Words(2 * k * (len(s.Nodes) + 1))
+	row := func(j, half int) bitset.Set { return rows[(2*j+half)*k : (2*j+half+1)*k] }
+	for i, n := range s.Nodes {
+		par := int(s.Parent[i]) + 1
+		carried, parentFC := row(par, 0), row(par, 1)
+		desc, fc := row(i+1, 0), row(i+1, 1)
+		desc.CopyFrom(carried)
+		child := i > 0 && n.Edge == pattern.Child
+		for _, t := range s.Syms(i) {
+			if int(t) >= len(u.rows) {
+				continue // a type outside the set is in no constraint
+			}
+			r := &u.rows[t]
+			if r.eff.Intersects(u.empty) || carried.Intersects(r.below) || (child && parentFC.Intersects(r.eff)) {
+				return true
+			}
+			desc.Or(r.forbidDesc)
+			fc.Or(r.forbidChild)
 		}
 	}
 	return false

@@ -35,7 +35,7 @@ package cim
 import (
 	"time"
 
-	"tpq/internal/bitset"
+	"tpq/internal/chase"
 	"tpq/internal/pattern"
 	"tpq/internal/trace"
 )
@@ -80,11 +80,6 @@ type Options struct {
 	// this to exercise different maximal elimination orderings.
 	Order map[*pattern.Node]int
 
-	// Arena, if non-nil, supplies the bitset rows of the images tables.
-	// The batch minimizer gives each worker its own arena; nil falls back
-	// to a package-level shared arena.
-	Arena *bitset.Arena
-
 	// Trace, if non-nil, receives the run's CIM-phase span and work
 	// counters (tests, tables built/derived). Nil costs one predictable
 	// branch at the end of the run.
@@ -104,7 +99,15 @@ func Minimize(p *pattern.Pattern) *pattern.Pattern {
 // (temporary subtrees hanging under a removed node go with it). The run
 // uses the incremental images-table engine: master state built once,
 // per-leaf tables derived from it (see incremental.go).
-func MinimizeInPlace(p *pattern.Pattern, opts Options) (st Stats) {
+func MinimizeInPlace(p *pattern.Pattern, opts Options) Stats {
+	return MinimizeOnPlan(p, nil, opts)
+}
+
+// MinimizeOnPlan is MinimizeInPlace with p's types numbered by pl's
+// alphabet, as the engine's ACIM phase runs it on a query augmented
+// through pl: the set types are then looked up, not numbered per run.
+// pl may be nil.
+func MinimizeOnPlan(p *pattern.Pattern, pl *chase.Plan, opts Options) (st Stats) {
 	start := time.Now()
 	defer func() {
 		st.TotalTime = time.Since(start)
@@ -114,13 +117,11 @@ func MinimizeInPlace(p *pattern.Pattern, opts Options) (st Stats) {
 	if p == nil || p.Root == nil {
 		return st
 	}
-	e := NewEngine(p, opts)
+	e := newEngine(p, pl, opts)
 	defer e.Close()
-	for l := e.Pop(); l != nil; l = e.Pop() {
-		if e.Test(l) {
-			e.Remove(l)
-		} else {
-			e.MarkNonRedundant(l)
+	for l := e.wl.pop(); l >= 0; l = e.wl.pop() {
+		if e.test(l) {
+			e.remove(l)
 		}
 	}
 	es := e.Stats()

@@ -41,11 +41,10 @@ func TestIncrementalVerdictsMatchScratch(t *testing.T) {
 // imageNodes reads a master row back as a set of image nodes, so states
 // built over different exec indices (different ordinals) compare.
 func imageNodes(e *Engine, v *pattern.Node) map[*pattern.Node]bool {
-	vi := e.id[v]
-	row := e.master.Row(int(e.rowOf[vi]))
+	row := e.masterRow(e.ordinal(v))
 	out := make(map[*pattern.Node]bool)
 	for mi := row.NextSet(0); mi >= 0; mi = row.NextSet(mi + 1) {
-		out[e.idx.NodeAt(mi)] = true
+		out[e.s.Nodes[mi]] = true
 	}
 	return out
 }

@@ -1,46 +1,51 @@
 package cim
 
 import (
+	"slices"
 	"sort"
 
 	"tpq/internal/pattern"
 )
 
-// worklist maintains the candidate leaves of a minimization run so the
-// next candidate is picked without re-walking the whole pattern (a walk is
-// O(augmented size) per pick, dominated by temporary witness subtrees that
-// can never contain a candidate). internal/oracle's NextCandidate is that
-// walk, kept as the reference for this order.
+// worklist maintains the candidate leaves of a minimization run, as
+// ordinals, so the next candidate is picked without re-walking the whole
+// pattern (a walk is O(augmented size) per pick, dominated by temporary
+// witness subtrees that can never contain a candidate). internal/oracle's
+// NextCandidate is that walk, kept as the reference for this order.
 //
 // A node is a candidate when it is an effective leaf (no permanent
 // children), permanent, not an output node, and not yet proven
 // non-redundant. Candidates leave the list when popped or dropped; a node
 // enters after construction only when the removal of its last permanent
-// child turns it into an effective leaf — which the caller reports via
-// noteRemoved.
+// child turns it into an effective leaf (add).
 //
-// The rank is the node's preorder position, or its entry in the
-// Options.Order map with unmapped nodes ranked after every mapped one
-// (assuming, as every caller does, order values below 1<<20). Preorder
-// positions are assigned once at construction; deletions keep the
-// relative order of survivors, which is all min-rank selection needs.
+// The rank of an ordinal is its 1-based preorder position at
+// construction, or its entry in the Options.Order map with unmapped nodes
+// ranked after every mapped one (assuming, as every caller does, order
+// values below 1<<20); the map is read once, at construction. Ties break
+// toward the smaller ordinal, which is the earlier preorder position:
+// compaction renumbers ordinals but keeps their relative order.
 type worklist struct {
-	order map[*pattern.Node]int
-	pos   map[*pattern.Node]int // 1-based preorder position at construction
-	items []*pattern.Node       // current candidates, unordered
+	rank  []int32 // by ordinal
+	items []int32 // current candidates, unordered
 }
 
-func newWorklist(p *pattern.Pattern, order map[*pattern.Node]int) *worklist {
-	w := &worklist{order: order, pos: make(map[*pattern.Node]int)}
-	i := 0
-	p.Walk(func(n *pattern.Node) {
-		i++
-		w.pos[n] = i
-		if candidateLeaf(n) {
-			w.items = append(w.items, n)
+func (w *worklist) init(nodes []*pattern.Node, order map[*pattern.Node]int, rank, items []int32) {
+	w.rank, w.items = rank, items
+	for i, n := range nodes {
+		r := int32(i + 1)
+		if order != nil {
+			if o, ok := order[n]; ok {
+				r = int32(o)
+			} else {
+				r += 1 << 20
+			}
 		}
-	})
-	return w
+		w.rank[i] = r
+		if candidateLeaf(n) {
+			w.items = append(w.items, int32(i))
+		}
+	}
 }
 
 // candidateLeaf reports whether n may be tested for redundancy: a
@@ -49,68 +54,64 @@ func candidateLeaf(n *pattern.Node) bool {
 	return !n.Star && !n.Temp && effectiveLeaf(n)
 }
 
-func (w *worklist) rank(n *pattern.Node) int {
-	if w.order != nil {
-		if r, ok := w.order[n]; ok {
-			return r
-		}
-		return w.pos[n] + 1<<20
-	}
-	return w.pos[n]
+func (w *worklist) less(a, b int32) bool {
+	return w.rank[a] < w.rank[b] || (w.rank[a] == w.rank[b] && a < b)
 }
 
-// pop removes and returns the best-ranked candidate, or nil when none is
-// left. Ties break toward the earlier preorder position.
-func (w *worklist) pop() *pattern.Node {
+// pop removes and returns the best-ranked candidate, or -1 when none is
+// left.
+func (w *worklist) pop() int {
 	if len(w.items) == 0 {
-		return nil
+		return -1
 	}
 	best := 0
 	for i := 1; i < len(w.items); i++ {
-		ri, rb := w.rank(w.items[i]), w.rank(w.items[best])
-		if ri < rb || (ri == rb && w.pos[w.items[i]] < w.pos[w.items[best]]) {
+		if w.less(w.items[i], w.items[best]) {
 			best = i
 		}
 	}
 	n := w.items[best]
 	w.items[best] = w.items[len(w.items)-1]
 	w.items = w.items[:len(w.items)-1]
-	return n
+	return int(n)
 }
 
-// snapshot returns the current candidates in rank order without removing
-// them (Engine.Candidates).
-func (w *worklist) snapshot() []*pattern.Node {
-	out := make([]*pattern.Node, len(w.items))
-	copy(out, w.items)
-	sort.Slice(out, func(i, j int) bool {
-		ri, rj := w.rank(out[i]), w.rank(out[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return w.pos[out[i]] < w.pos[out[j]]
-	})
+// snapshot returns the nodes of the current candidates in rank order
+// without removing them (Engine.Candidates).
+func (w *worklist) snapshot(nodes []*pattern.Node) []*pattern.Node {
+	ids := slices.Clone(w.items)
+	sort.Slice(ids, func(i, j int) bool { return w.less(ids[i], ids[j]) })
+	out := make([]*pattern.Node, len(ids))
+	for j, i := range ids {
+		out[j] = nodes[i]
+	}
 	return out
 }
 
-// drop removes n from the pending candidates if present (popped nodes are
-// already gone; Candidates callers resolve candidates without popping).
-func (w *worklist) drop(n *pattern.Node) {
-	for i, m := range w.items {
-		if m == n {
-			w.items[i] = w.items[len(w.items)-1]
+// drop removes ordinal i from the pending candidates if present (popped
+// nodes are already gone; Candidates callers resolve candidates without
+// popping).
+func (w *worklist) drop(i int) {
+	for j, m := range w.items {
+		if int(m) == i {
+			w.items[j] = w.items[len(w.items)-1]
 			w.items = w.items[:len(w.items)-1]
 			return
 		}
 	}
 }
 
-// noteRemoved reports that a candidate was removed; parent is the removed
-// node's former parent. If the removal turned the parent into an
-// effective leaf it becomes a candidate now (it cannot have been tested
-// before: it had a permanent child until this very removal).
-func (w *worklist) noteRemoved(parent *pattern.Node) {
-	if parent != nil && candidateLeaf(parent) {
-		w.items = append(w.items, parent)
+func (w *worklist) add(i int) { w.items = append(w.items, int32(i)) }
+
+// renumber moves the worklist onto compacted ordinals: remap[i] is the
+// new ordinal of live ordinal i, never larger than i.
+func (w *worklist) renumber(remap []int32) {
+	for i, r := range remap {
+		if r >= 0 {
+			w.rank[r] = w.rank[i]
+		}
+	}
+	for j, i := range w.items {
+		w.items[j] = remap[i]
 	}
 }

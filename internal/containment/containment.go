@@ -34,9 +34,6 @@ import (
 // the nodes of another.
 type Mapping map[*pattern.Node]*pattern.Node
 
-// arena recycles feasibility-row storage across mapping searches.
-var arena bitset.Arena
-
 // Exists reports whether a containment mapping from p to q exists.
 func Exists(p, q *pattern.Pattern) bool {
 	return FindMapping(p, q) != nil
@@ -62,8 +59,7 @@ func FindMapping(p, q *pattern.Pattern) Mapping {
 	pIdx := pattern.NewExecIndex(p)
 	np, nq := pIdx.Size(), qIdx.Size()
 
-	rows := bitset.NewMatrix(&arena, np, nq)
-	defer rows.Release(&arena)
+	rows := bitset.NewMatrix(np, nq)
 
 	// Reverse preorder visits every node after all of its descendants.
 	for ui := np - 1; ui >= 0; ui-- {

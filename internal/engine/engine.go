@@ -66,6 +66,7 @@ type Result struct {
 type Minimizer struct {
 	algo   Algo
 	closed *ics.Set
+	plan   *chase.Plan // closed's chase plan: ACIM's CIM phase numbers types by its alphabet
 }
 
 // New returns a Minimizer with the given options.
@@ -76,7 +77,7 @@ func New(opts Options) *Minimizer {
 	m := &Minimizer{algo: opts.Algo, closed: opts.Constraints.Closure()}
 	// Warm the chase-plan registry: compiling the plan at construction
 	// means the first request pays a cache hit like every later one.
-	chase.PlanFor(m.closed)
+	m.plan = chase.PlanFor(m.closed)
 	return m
 }
 
@@ -121,7 +122,7 @@ func (m *Minimizer) MinimizeContextTraced(ctx context.Context, q *pattern.Patter
 		}
 	}
 	st := acim.MinimizeInPlaceTraced(out, m.closed, tr, func(aug *pattern.Pattern) cim.Stats {
-		return cim.MinimizeInPlace(aug, cim.Options{Trace: tr})
+		return cim.MinimizeOnPlan(aug, m.plan, cim.Options{Trace: tr})
 	})
 	r.Output, r.ACIMRemoved = out, st.Removed
 	r.TablesBuilt, r.TablesDerived = st.TablesBuilt, st.TablesDerived

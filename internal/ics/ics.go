@@ -146,8 +146,6 @@ type sealInfo struct {
 	child       map[pattern.Type][]pattern.Type
 	desc        map[pattern.Type][]pattern.Type
 	co          map[pattern.Type][]pattern.Type
-	rco         map[pattern.Type][]pattern.Type
-	rdesc       map[pattern.Type][]pattern.Type
 }
 
 // sealNow computes and installs the seal. Called exactly when closedness
@@ -164,8 +162,6 @@ func (s *Set) sealNow() {
 		child:       sortedTable(s.child),
 		desc:        sortedTable(s.desc),
 		co:          sortedTable(s.co),
-		rco:         sortedTable(s.rco),
-		rdesc:       sortedTable(s.rdesc),
 	}
 	si.fingerprint = fingerprintOf(si.constraints)
 	s.seal.Store(si)
@@ -313,24 +309,14 @@ func (s *Set) CoTargets(a pattern.Type) []pattern.Type {
 	return sortedKeys(s.co[a])
 }
 
-// CoSources returns the types u with u ~ b — b's subtypes — sorted. This
-// is a reverse index maintained by Add, so the lookup is a single hash
-// probe; CDM's minimization rules depend on it being cheap.
-func (s *Set) CoSources(b pattern.Type) []pattern.Type {
-	if si := s.seal.Load(); si != nil {
-		return si.rco[b]
-	}
-	return sortedKeys(s.rco[b])
-}
+// CoSources returns the types u with u ~ b — b's subtypes — sorted, from
+// a reverse index maintained by Add. The chase plan compiles it into
+// CDM's rule rows, so it is not cached on closed sets.
+func (s *Set) CoSources(b pattern.Type) []pattern.Type { return sortedKeys(s.rco[b]) }
 
-// DescSources returns the types u with u => b, sorted; reverse index like
-// CoSources.
-func (s *Set) DescSources(b pattern.Type) []pattern.Type {
-	if si := s.seal.Load(); si != nil {
-		return si.rdesc[b]
-	}
-	return sortedKeys(s.rdesc[b])
-}
+// DescSources returns the types u with u => b, sorted; a reverse index
+// like CoSources.
+func (s *Set) DescSources(b pattern.Type) []pattern.Type { return sortedKeys(s.rdesc[b]) }
 
 func sortedKeys(m map[pattern.Type]bool) []pattern.Type {
 	out := make([]pattern.Type, 0, len(m))

@@ -524,9 +524,8 @@ func (p *Pattern) Validate() error {
 // layer: every node gets a stable dense ID (its 0-based preorder
 // position), subtree membership becomes a contiguous ID interval
 // [i+1, SubtreeEnd(i)], and per-label candidate lists enumerate the nodes
-// carrying a type. The dense DP kernels in containment and cim address
-// their bitset rows by these IDs, as match.CountEmbeddings does its flat
-// rows.
+// carrying a type. containment.FindMapping addresses its bitset rows by
+// these IDs, as match.CountEmbeddings does its flat rows.
 type Index struct {
 	In, Out map[*Node]int
 	Order   []*Node // preorder; Order[i] has ID i
@@ -535,14 +534,6 @@ type Index struct {
 	end    []int          // end[i]: largest ID in subtree(Order[i])
 	parent []int          // parent[i]: ID of Order[i]'s parent, -1 at root
 	byType map[Type][]int // type -> ascending IDs of nodes carrying it
-
-	// dead[i] marks a tombstoned ID: the node was deleted from the pattern
-	// but keeps its ordinal so interval-addressed state built on the index
-	// (images tables, candidate rows) stays valid. Nil until the first
-	// RemoveSubtree. Tombstoning always covers whole subtree intervals.
-	dead     []bool
-	deadN    int
-	liveRoot int // smallest live ID, 0 until the root itself is removed
 }
 
 // NewIndex builds the full preorder interval index for p: the dense
@@ -616,112 +607,7 @@ func (idx *Index) SubtreeEnd(i int) int { return idx.end[i] }
 // ParentID returns the ID of node i's parent, or -1 for the root.
 func (idx *Index) ParentID(i int) int { return idx.parent[i] }
 
-// IsDescendantID reports whether ID m is a proper descendant of ID n.
-func (idx *Index) IsDescendantID(m, n int) bool { return n < m && m <= idx.end[n] }
-
 // Candidates returns the IDs of the nodes carrying type t (primary or
 // extra), in ascending preorder. The returned slice is owned by the index
-// and must not be modified. The list may include tombstoned IDs after
-// RemoveSubtree; interval-aware callers filter with Alive.
+// and must not be modified.
 func (idx *Index) Candidates(t Type) []int { return idx.byType[t] }
-
-// Alive reports whether ID i has not been tombstoned by RemoveSubtree.
-func (idx *Index) Alive(i int) bool { return idx.dead == nil || !idx.dead[i] }
-
-// RemoveSubtree tombstones the node with ID i and its whole subtree
-// interval. IDs, subtree intervals and parent links of the surviving nodes
-// are unchanged, so bitset state addressed by this index stays valid; the
-// caller is responsible for detaching the node from the pattern itself.
-// Removing an already-dead subtree is a no-op.
-func (idx *Index) RemoveSubtree(i int) {
-	if idx.dead == nil {
-		idx.dead = make([]bool, len(idx.Order))
-	}
-	for j := i; j <= idx.end[i]; j++ {
-		if !idx.dead[j] {
-			idx.dead[j] = true
-			idx.deadN++
-		}
-	}
-	for idx.liveRoot < len(idx.Order) && idx.dead[idx.liveRoot] {
-		idx.liveRoot++
-	}
-}
-
-// LiveSize returns the number of non-tombstoned nodes.
-func (idx *Index) LiveSize() int { return len(idx.Order) - idx.deadN }
-
-// DeadCount returns the number of tombstoned IDs.
-func (idx *Index) DeadCount() int { return idx.deadN }
-
-// LiveRoot returns the smallest live ID (the root, until it is removed).
-// If every node is dead it returns Size().
-func (idx *Index) LiveRoot() int { return idx.liveRoot }
-
-// NextAlive returns the smallest live ID >= i, or -1 if there is none.
-func (idx *Index) NextAlive(i int) int {
-	for ; i < len(idx.Order); i++ {
-		if idx.dead == nil || !idx.dead[i] {
-			return i
-		}
-	}
-	return -1
-}
-
-// Compact rebuilds a fresh, tombstone-free exec index over the live nodes.
-// Node IDs are renumbered to the live preorder; any state addressed by the
-// old ordinals must be rebuilt against the returned index. The receiver is
-// left unchanged (callers typically drop it). Compact assumes the live
-// nodes still form one tree, i.e. the pattern root was never removed.
-func (idx *Index) Compact() *Index {
-	out := &Index{byType: make(map[Type][]int)}
-	n := idx.LiveSize()
-	out.Order = make([]*Node, 0, n)
-	out.end = make([]int, 0, n)
-	out.parent = make([]int, 0, n)
-	// Walk the old preorder, skipping dead intervals; the relative order of
-	// live nodes is already preorder for the surviving tree. Map old parent
-	// IDs to new ones as we go.
-	remap := make([]int, len(idx.Order))
-	stack := make([]int, 0, 16) // new IDs whose subtrees are still open, with old ends
-	ends := make([]int, 0, 16)
-	for i := 0; i < len(idx.Order); i++ {
-		if idx.dead != nil && idx.dead[i] {
-			continue
-		}
-		for len(ends) > 0 && ends[len(ends)-1] < i {
-			stack, ends = stack[:len(stack)-1], ends[:len(ends)-1]
-		}
-		ni := len(out.Order)
-		remap[i] = ni
-		parent := -1
-		if len(stack) > 0 {
-			parent = stack[len(stack)-1]
-		}
-		out.Order = append(out.Order, idx.Order[i])
-		out.end = append(out.end, ni)
-		out.parent = append(out.parent, parent)
-		for _, typ := range idx.Order[i].Types() {
-			out.byType[typ] = append(out.byType[typ], ni)
-		}
-		stack = append(stack, ni)
-		ends = append(ends, idx.end[i])
-	}
-	// Close subtree ends: new end of ni is the new ID of the last live node
-	// in its old interval. prevLive[j] = largest live ID <= j (or -1).
-	prevLive := make([]int, len(idx.Order))
-	last := -1
-	for j := 0; j < len(idx.Order); j++ {
-		if idx.dead == nil || !idx.dead[j] {
-			last = j
-		}
-		prevLive[j] = last
-	}
-	for i := 0; i < len(idx.Order); i++ {
-		if idx.dead != nil && idx.dead[i] {
-			continue
-		}
-		out.end[remap[i]] = remap[prevLive[idx.end[i]]]
-	}
-	return out
-}

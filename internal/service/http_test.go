@@ -64,6 +64,36 @@ func TestHTTPMinimize(t *testing.T) {
 	}
 }
 
+// TestHTTPRepliesCompact: a miss reply and the exact-text hit reply of the
+// same query are each one line, and they agree on everything but the
+// cache flag and the clock.
+func TestHTTPRepliesCompact(t *testing.T) {
+	_, ts := newTestServer(t,
+		Options{Constraints: ics.MustParseSet("Section => Paragraph")}, HandlerOptions{})
+	body := `{"query": "Articles/Article*[//Paragraph, /Section//Paragraph]"}`
+	var replies [2]minimizeResponse
+	for i := range replies {
+		resp, data := postJSON(t, ts.URL+"/minimize", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("reply %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		if line := bytes.TrimSuffix(data, []byte("\n")); bytes.Contains(line, []byte("\n")) {
+			t.Errorf("reply %d is not one compact line: %q", i, data)
+		}
+		if err := json.Unmarshal(data, &replies[i]); err != nil {
+			t.Fatalf("decoding %s: %v", data, err)
+		}
+	}
+	miss, hit := replies[0], replies[1]
+	if miss.CacheHit || !hit.CacheHit {
+		t.Fatalf("want a miss then a hit, got %+v then %+v", miss, hit)
+	}
+	hit.CacheHit, hit.Micros = miss.CacheHit, miss.Micros
+	if hit != miss {
+		t.Errorf("hit reply %+v differs from miss reply %+v", hit, miss)
+	}
+}
+
 func TestHTTPMinimizeXPath(t *testing.T) {
 	_, ts := newTestServer(t, Options{}, HandlerOptions{})
 	resp, data := postJSON(t, ts.URL+"/minimize", `{"xpath": "/a[b]/b"}`)
