@@ -15,9 +15,9 @@
 // disjunct and absorption-prunes the union before evaluating.
 //
 // Output: one line per answer with the node's document position and its
-// path from the root, followed by a summary. Answers stream as they are
-// found; -limit N stops the evaluation after N answers. With -count only
-// the number of answers prints.
+// path from the root, followed by a summary, in document order; -limit N
+// prints the first N answers. With -count only the number of answers
+// prints.
 package main
 
 import (
@@ -48,7 +48,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	asXPath := fs.Bool("xpath", false, "parse the query as abbreviated XPath")
 	minimize := fs.Bool("minimize", false, "minimize the query before evaluating (CDM + ACIM)")
 	countOnly := fs.Bool("count", false, "print only the number of answers")
-	limit := fs.Int("limit", 0, "stop after this many answers (0 = all); evaluation stops with the stream")
+	limit := fs.Int("limit", 0, "print at most this many answers (0 = all)")
 	var consFlags constraintFlags
 	fs.Var(&consFlags, "c", "integrity constraint for -minimize (repeatable)")
 	fs.Usage = func() {
@@ -113,11 +113,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		d = out
 	}
 
-	// Evaluation streams: answers print as they are found, and -limit
-	// stops the matcher early instead of materializing the full set. Every
-	// disjunct compiles to one matcher and UnionAnswers merges their
-	// streams in document order, deduplicating answers shared between
-	// disjuncts (a plain query streams its one matcher directly).
+	// Every disjunct compiles to one query and UnionAnswers yields the
+	// union of their answers in document order, once each (a plain
+	// query yields its own answers directly); -limit stops the printing.
 	idx := match.NewForestIndex(forest)
 	qs := make([]*stream.Query, 0, len(d.Disjuncts))
 	for _, p := range d.Disjuncts {

@@ -8,6 +8,8 @@ package tpq
 import (
 	"math/rand"
 	"testing"
+
+	"tpq/internal/oracle"
 )
 
 var publishingCorpus = []struct {
@@ -98,10 +100,9 @@ func TestDirectoryCorpusEndToEnd(t *testing.T) {
 		if len(Match(q, forest)) != len(Match(min, forest)) {
 			t.Fatalf("%s: answer count changed", src)
 		}
-		// The indexed engine agrees.
-		idx := NewMatchIndex(forest)
-		if len(MatchIndexed(min, idx)) != len(Match(min, forest)) {
-			t.Fatalf("%s: engines disagree", src)
+		// The reference bindings agree.
+		if len(oracle.BindingsMap(min, forest)[min.OutputNode()]) != len(Match(min, forest)) {
+			t.Fatalf("%s: engine and reference disagree", src)
 		}
 	}
 }

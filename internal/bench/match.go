@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -16,15 +15,13 @@ import (
 )
 
 // matchQueryText is the pinned evaluation workload for the match figure:
-// a twig with one c-edge filter and a //-descendant output, the shape
-// where streaming pays off most — the materialized kernel builds the
-// full answer slice plus per-node candidate lists, while the streamed
-// engine walks the output candidates once with O(memo) extra state.
+// a twig with one c-edge filter and a //-descendant output — one
+// bottom-up lift and one top-down descendant step over the forest's rows.
 const matchQueryText = "Article[/Title]//Paragraph*"
 
 // matchForest builds the deterministic publishing forest of about x
 // nodes (the generator averages ~16 nodes per article) and its inverted
-// index, built once, outside every measured op — both kernels share it.
+// index, built once, outside every measured op.
 func matchForest(x int) (*data.Forest, *match.ForestIndex) {
 	f := data.GeneratePublishing(rand.New(rand.NewSource(7)), x/16)
 	return f, match.NewForestIndex(f)
@@ -55,24 +52,20 @@ func allocBytes(f func()) int64 {
 	return int64(after.TotalAlloc - before.TotalAlloc)
 }
 
-// matchFigure is the streamed-vs-materialized evaluation figure (the
-// Section-6-style curve for the match engine): wall time of one full
-// evaluation of the pinned twig query on a forest of about x nodes, one
-// series per kernel. The stream series visits every answer through
-// Query.Count without materializing the set; the materialized series is
-// AnswersIndexed. Every result carries the match-phase duration (so the
-// compare tool gates the evaluation phase like any pipeline phase) and
-// two exact counters — answers (identical across series by
-// construction; a diff means the engines diverged) and alloc_kb, the
-// peak heap growth of one evaluation in KiB. The memory claim lives in
-// that counter pair: at the 1M-node point the streamed alloc_kb must
-// stay well under the materialized one (≤25%) at equal answer counts.
+// matchFigure is the evaluation figure (the Section-6-style curve for the
+// match engine): wall time of one full evaluation of the pinned twig
+// query, Query.Count on the twig engine, on a forest of about x nodes.
+// Every result carries the match-phase duration (so the compare tool
+// gates the evaluation phase like any pipeline phase) and two exact
+// counters: answers, which pins the answer set's size, and alloc_kb, the
+// heap growth of one evaluation from an empty row pool in KiB — the
+// engine's row bound, ⌊log₂ k⌋ + 4 rows of ⌈n/64⌉ words, caps it.
 var matchFigure = Figure{
 	ID:     "match",
-	Title:  "match: streamed vs materialized evaluation — " + matchQueryText,
+	Title:  "match: twig evaluation on bitset rows — " + matchQueryText,
 	XLabel: "nodes",
 	YLabel: "evaluation",
-	Shape:  "both linear in forest size; streamed allocates several times less than materialized",
+	Shape:  "linear in forest size; allocation a few rows of one bit per node",
 	Full:   []int{10_000, 100_000, 1_000_000},
 	Quick:  []int{10_000},
 	Pinned: true,
@@ -85,42 +78,26 @@ var matchFigure = Figure{
 			panic(err)
 		}
 		// Generating a million-node forest leaves a heap full of garbage;
-		// collect it now so the timed runs measure the kernels, not the
+		// collect it now so the timed runs measure the engine, not the
 		// collector digging out from under the generator. The last forest
 		// is collected on the way out for the same reason.
 		runtime.GC()
 		defer runtime.GC()
-		var out []benchjson.Result
-		var answers []int
-		for _, s := range []struct {
-			series string
-			eval   func() int
-		}{
-			{"stream", func() int { return sq.Count(ctx) }},
-			{"materialized", func() int { return len(match.AnswersIndexed(q, idx)) }},
-		} {
-			var n int
-			m := measure(opts, traced(func(tr *trace.Trace) {
-				sp := tr.Start(trace.Match)
-				n = s.eval()
-				sp.End()
-			}))
-			answers = append(answers, n)
-			alloc := allocBytes(func() { s.eval() })
-			out = append(out, m.result("fig-match/"+s.series+"/n="+sizeLabel(x), s.series, float64(forest.Size()),
-				map[string]string{
-					"query":    matchQueryText,
-					"n":        sizeLabel(x),
-					"nodes":    strconv.Itoa(forest.Size()),
-					"articles": strconv.Itoa(x / 16),
-					"kernel":   s.series,
-				},
-				map[string]int64{"answers": int64(n), "alloc_kb": alloc / 1024}))
-		}
-		if answers[0] != answers[1] {
-			panic(fmt.Sprintf("bench: match kernels diverged at n=%s: streamed %d answers, materialized %d",
-				sizeLabel(x), answers[0], answers[1]))
-		}
-		return out
+		var n int
+		m := measure(opts, traced(func(tr *trace.Trace) {
+			sp := tr.Start(trace.Match)
+			n = sq.Count(ctx)
+			sp.End()
+		}))
+		alloc := allocBytes(func() { sq.Count(ctx) })
+		return []benchjson.Result{m.result("fig-match/stream/n="+sizeLabel(x), "stream", float64(forest.Size()),
+			map[string]string{
+				"query":    matchQueryText,
+				"n":        sizeLabel(x),
+				"nodes":    strconv.Itoa(forest.Size()),
+				"articles": strconv.Itoa(x / 16),
+				"kernel":   "stream",
+			},
+			map[string]int64{"answers": int64(n), "alloc_kb": alloc / 1024})}
 	},
 }

@@ -167,6 +167,33 @@ func (s Set) RemoveRange(lo, hi int) {
 	s[hiW] &^= hiMask
 }
 
+// CopyRange overwrites the inclusive range [lo, hi] of s with t's bits
+// there, word-parallel, leaving s outside the range untouched. Equal
+// lengths required. The streaming matcher uses it to keep a candidate
+// row inside the subtree intervals of a descendant step.
+func (s Set) CopyRange(t Set, lo, hi int) {
+	if lo < 0 {
+		lo = 0
+	}
+	if max := len(s)*wordBits - 1; hi > max {
+		hi = max
+	}
+	if lo > hi {
+		return
+	}
+	loW, hiW := lo/wordBits, hi/wordBits
+	loMask := ^Word(0) << (uint(lo) % wordBits)
+	hiMask := ^Word(0) >> (wordBits - 1 - uint(hi)%wordBits)
+	if loW == hiW {
+		m := loMask & hiMask
+		s[loW] = s[loW]&^m | t[loW]&m
+		return
+	}
+	s[loW] = s[loW]&^loMask | t[loW]&loMask
+	copy(s[loW+1:hiW], t[loW+1:hiW])
+	s[hiW] = s[hiW]&^hiMask | t[hiW]&hiMask
+}
+
 // Equal reports whether s and t contain exactly the same members. Equal
 // lengths required.
 func (s Set) Equal(t Set) bool {

@@ -168,6 +168,36 @@ func TestRemoveRange(t *testing.T) {
 	}
 }
 
+func TestCopyRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(200)
+		s, src := New(n), New(n)
+		want := make([]bool, n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				s.Add(i)
+				want[i] = true
+			}
+			if rng.Intn(2) == 0 {
+				src.Add(i)
+			}
+		}
+		lo := rng.Intn(n+20) - 10
+		hi := lo + rng.Intn(n+20) - 5
+		s.CopyRange(src, lo, hi)
+		for i := 0; i < n; i++ {
+			if i >= lo && i <= hi {
+				want[i] = src.Has(i)
+			}
+			if s.Has(i) != want[i] {
+				t.Fatalf("trial %d: CopyRange(%d,%d): bit %d = %v, want %v",
+					trial, lo, hi, i, s.Has(i), want[i])
+			}
+		}
+	}
+}
+
 func TestEqual(t *testing.T) {
 	a, b := New(130), New(130)
 	if !a.Equal(b) {

@@ -1,4 +1,4 @@
-package match
+package match_test
 
 import (
 	"testing"
@@ -31,7 +31,7 @@ func TestMatchWithConditions(t *testing.T) {
 			p := pattern.MustParse(c.q)
 			got := answers(p, f)
 			if len(got) != c.want {
-				t.Errorf("AnswersIndexed(%q) = %d, want %d", c.q, len(got), c.want)
+				t.Errorf("answers(%q) = %d, want %d", c.q, len(got), c.want)
 			}
 			naive := answersNaive(p, f)
 			if len(naive) != len(got) {

@@ -1,4 +1,4 @@
-package match
+package match_test
 
 import (
 	"math/big"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tpq/internal/data"
+	"tpq/internal/match"
 	"tpq/internal/pattern"
 )
 
@@ -25,9 +26,9 @@ func TestCountEmbeddingsBasic(t *testing.T) {
 		{"Title*", 2},
 	}
 	for _, c := range cases {
-		got := CountEmbeddings(pattern.MustParse(c.src), NewForestIndex(f))
+		got := match.CountEmbeddings(pattern.MustParse(c.src), match.NewForestIndex(f))
 		if got.Cmp(big.NewInt(c.want)) != 0 {
-			t.Errorf("CountEmbeddings(%q) = %s, want %d", c.src, got, c.want)
+			t.Errorf("match.CountEmbeddings(%q) = %s, want %d", c.src, got, c.want)
 		}
 	}
 }
@@ -43,13 +44,13 @@ func TestCountEmbeddingsMultiplies(t *testing.T) {
 		root.Child("c")
 	}
 	f := data.NewForest(root)
-	got := CountEmbeddings(pattern.MustParse("a*[/b, /c]"), NewForestIndex(f))
+	got := match.CountEmbeddings(pattern.MustParse("a*[/b, /c]"), match.NewForestIndex(f))
 	if got.Cmp(big.NewInt(6)) != 0 {
 		t.Errorf("count = %s, want 6", got)
 	}
 	// Redundant duplicate branches square the count without changing the
 	// answers — the blow-up minimization avoids.
-	got2 := CountEmbeddings(pattern.MustParse("a*[/b, /b, /c]"), NewForestIndex(f))
+	got2 := match.CountEmbeddings(pattern.MustParse("a*[/b, /b, /c]"), match.NewForestIndex(f))
 	if got2.Cmp(big.NewInt(18)) != 0 {
 		t.Errorf("count with duplicate branch = %s, want 18", got2)
 	}
@@ -61,7 +62,7 @@ func TestCountEmbeddingsAgainstBruteForce(t *testing.T) {
 		f := randomForest(rng, 1+rng.Intn(12))
 		p := randomQuery(rng, 1+rng.Intn(4))
 		want := bruteForceEmbeddings(p, f)
-		got := CountEmbeddings(p, NewForestIndex(f))
+		got := match.CountEmbeddings(p, match.NewForestIndex(f))
 		if got.Cmp(big.NewInt(int64(want))) != 0 {
 			t.Fatalf("iter %d: CountEmbeddings = %s, brute force %d\npattern %s\ndata:\n%s",
 				i, got, want, p, f)
@@ -73,7 +74,7 @@ func TestCountEmbeddingsAgainstBruteForce(t *testing.T) {
 func bruteForceEmbeddings(p *pattern.Pattern, f *data.Forest) int {
 	var countAt func(u *pattern.Node, v *data.Node) int
 	countAt = func(u *pattern.Node, v *data.Node) int {
-		if !TypesOK(u, v) {
+		if !match.TypesOK(u, v) {
 			return 0
 		}
 		prod := 1
@@ -108,10 +109,10 @@ func bruteForceEmbeddings(p *pattern.Pattern, f *data.Forest) int {
 }
 
 func TestCountEmbeddingsEmpty(t *testing.T) {
-	if CountEmbeddings(&pattern.Pattern{}, NewForestIndex(library())).Sign() != 0 {
+	if match.CountEmbeddings(&pattern.Pattern{}, match.NewForestIndex(library())).Sign() != 0 {
 		t.Error("empty pattern counted embeddings")
 	}
-	if CountEmbeddings(pattern.MustParse("a*"), NewForestIndex(data.NewForest())).Sign() != 0 {
+	if match.CountEmbeddings(pattern.MustParse("a*"), match.NewForestIndex(data.NewForest())).Sign() != 0 {
 		t.Error("empty forest counted embeddings")
 	}
 }
@@ -130,7 +131,7 @@ func TestCountEmbeddingsExponentialBlowup(t *testing.T) {
 		src += ", //b"
 	}
 	src += "]"
-	got := CountEmbeddings(pattern.MustParse(src), NewForestIndex(f))
+	got := match.CountEmbeddings(pattern.MustParse(src), match.NewForestIndex(f))
 	want := new(big.Int).Exp(big.NewInt(4), big.NewInt(10), nil)
 	if got.Cmp(want) != 0 {
 		t.Errorf("count = %s, want 4^10 = %s", got, want)

@@ -1,12 +1,10 @@
-// Package match holds what the match engines share: the inverted type
-// index over a data forest (ForestIndex) with its per-type bitset rows,
-// the per-node admission test (TypesOK), the embedding counter
-// (CountEmbeddings), and the structural-join kernel AnswersIndexed that
-// the fig-match figure keeps as the streaming engine's comparison
-// baseline. Evaluation itself runs on the streaming twig join in
-// match/stream. Evaluation cost is what motivates minimization (Section 1
-// of the paper): it grows with pattern size, so a minimized pattern
-// matches faster.
+// Package match holds what evaluation shares: the inverted type index
+// over a data forest (ForestIndex) with its per-type bitset rows and
+// preorder arrays, the per-node admission test (TypesOK), and the
+// embedding counter (CountEmbeddings). Evaluation itself runs on the twig
+// engine in match/stream. Evaluation cost is what motivates minimization
+// (Section 1 of the paper): it grows with pattern size, so a minimized
+// pattern matches faster.
 //
 // Embeddings are non-anchored: the pattern root may bind to any data node.
 // An embedding e maps pattern nodes to data nodes such that every type
@@ -22,8 +20,7 @@ import (
 
 // TypesOK reports whether data node v satisfies pattern node u's local
 // requirements: every required type (primary and extra) and every value
-// condition. It is the per-node admission test of the kernels in this
-// package (Candidates filters through it). The streaming matcher in
+// condition. Candidates filters through it. The twig engine in
 // match/stream does not call it per probe: it compiles the same test into
 // one bitset per pattern node, from TypeBits rows and Candidates.
 func TypesOK(u *pattern.Node, v *data.Node) bool {

@@ -1,11 +1,14 @@
-package match
+package match_test
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"tpq/internal/data"
+	"tpq/internal/match"
+	"tpq/internal/match/stream"
 	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
@@ -21,9 +24,17 @@ func library() *data.Forest {
 	return data.NewForest(lib)
 }
 
-// answers is the answer set of p over f on the structural-join kernel.
+// answers is the answer set of p over f on the twig engine.
 func answers(p *pattern.Pattern, f *data.Forest) []*data.Node {
-	return AnswersIndexed(p, NewForestIndex(f))
+	q, err := stream.Compile(p, match.NewForestIndex(f), stream.Options{})
+	if err != nil {
+		return nil
+	}
+	var out []*data.Node
+	for v := range q.Answers(context.Background()) {
+		out = append(out, v)
+	}
+	return out
 }
 
 func count(p *pattern.Pattern, f *data.Forest) int { return len(answers(p, f)) }
@@ -59,7 +70,7 @@ func TestAnswersBasic(t *testing.T) {
 			p := pattern.MustParse(c.src)
 			got := answers(p, f)
 			if len(got) != c.want {
-				t.Errorf("AnswersIndexed(%q) = %v (%d), want %d", c.src, typesOf(got), len(got), c.want)
+				t.Errorf("answers(%q) = %v (%d), want %d", c.src, typesOf(got), len(got), c.want)
 			}
 			naive := answersNaive(p, f)
 			if len(naive) != len(got) {
@@ -197,7 +208,7 @@ func TestAnswersAgainstNaiveOracle(t *testing.T) {
 		p := randomQuery(rng, 1+rng.Intn(5))
 		slow := answersNaive(p, f)
 		for name, fast := range map[string][]*data.Node{
-			"AnswersIndexed":     answers(p, f),
+			"stream":             answers(p, f),
 			"oracle.BindingsMap": oracle.BindingsMap(p, f)[p.OutputNode()],
 		} {
 			if len(fast) != len(slow) {
@@ -225,7 +236,7 @@ func answersNaive(p *pattern.Pattern, f *data.Forest) []*data.Node {
 	// embed reports whether subtree(u) embeds with u ↦ v.
 	var embed func(u *pattern.Node, v *data.Node) bool
 	embed = func(u *pattern.Node, v *data.Node) bool {
-		if !TypesOK(u, v) {
+		if !match.TypesOK(u, v) {
 			return false
 		}
 		for _, c := range u.Children {

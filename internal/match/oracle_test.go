@@ -1,4 +1,4 @@
-package match
+package match_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 
 	"tpq/internal/data"
 	"tpq/internal/genquery"
+	"tpq/internal/match"
 	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
@@ -31,7 +32,7 @@ func TestCountEmbeddingsDenseMatchesMap(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		f := denseForest(t, rng, 30+rng.Intn(150))
 		q := genquery.Random(rng, 1+rng.Intn(8), 4)
-		got := CountEmbeddings(q, NewForestIndex(f))
+		got := match.CountEmbeddings(q, match.NewForestIndex(f))
 		want := oracle.CountEmbeddingsMap(q, f)
 		if got.Cmp(want) != 0 {
 			t.Fatalf("trial %d: %s vs %s embeddings\nquery = %s", trial, got, want, q)
@@ -39,15 +40,16 @@ func TestCountEmbeddingsDenseMatchesMap(t *testing.T) {
 	}
 }
 
-// TestAnswersIndexedMatchesOracle cross-validates the structural-join
-// kernel against the reference bindings of internal/oracle.
+// TestAnswersIndexedMatchesOracle cross-validates evaluation over a
+// ForestIndex, on the twig engine, against the reference bindings of
+// internal/oracle.
 func TestAnswersIndexedMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 80; trial++ {
 		f := denseForest(t, rng, 30+rng.Intn(200))
 		q := genquery.Random(rng, 1+rng.Intn(10), 4)
 		want := oracle.BindingsMap(q, f)[q.OutputNode()]
-		joined := AnswersIndexed(q, NewForestIndex(f))
+		joined := answers(q, f)
 		if len(want) != len(joined) {
 			t.Fatalf("trial %d: %d vs %d answers\nquery = %s", trial, len(want), len(joined), q)
 		}

@@ -3,7 +3,6 @@ package stream
 import (
 	"context"
 	"iter"
-	"sort"
 
 	"tpq/internal/data"
 	"tpq/internal/pattern"
@@ -11,26 +10,39 @@ import (
 
 // Answers returns a document-ordered, duplicate-free iterator over the
 // answer set: the data nodes the pattern's output node binds to in at
-// least one embedding. The sequence is computed lazily — breaking out of
-// the range stops all matching work — and is cut short when ctx is
-// canceled; callers that must distinguish exhaustion from cancellation
-// check ctx.Err() after the loop. The iterator may be ranged over many
-// times and from several goroutines; each range is an independent run.
+// least one embedding. Evaluation runs when the range starts: the two
+// passes compute the whole answer row, O(k·n) for a k-node pattern over
+// an n-node forest, before the first yield. Yields are then lazy, in
+// document order; breaking out of the range stops the yielding, so a
+// prefix of the answers costs the evaluation plus the prefix. ctx is
+// polled between pattern nodes, every 1,024 words inside a pass and
+// before each yield; a canceled run yields nothing more, and callers that
+// must distinguish exhaustion from cancellation check ctx.Err() after the
+// loop. The iterator may be ranged over many times and from several
+// goroutines; each range is an independent run.
 func (q *Query) Answers(ctx context.Context) iter.Seq[*data.Node] {
 	return func(yield func(*data.Node) bool) {
-		if q == nil || len(q.nodes) == 0 {
-			return
-		}
-		answers(ctx, []*Query{q}, yield)
+		qs := [1]*Query{q}
+		answers(ctx, qs[:], yield)
 	}
 }
 
-// Count drains Answers and returns the answer count — the streaming
-// equivalent of match.CountIndexed.
+// Count returns the number of answers: the popcount of the answer row,
+// with no per-answer work. A run canceled before its row is complete
+// counts 0; check ctx.Err() to tell that from an empty answer set.
 func (q *Query) Count(ctx context.Context) int {
-	n := 0
-	for range q.Answers(ctx) {
-		n++
+	if q == nil || len(q.nodes) == 0 {
+		return 0
+	}
+	r := newRun(ctx, q)
+	defer r.release()
+	row, owned := r.answerRow()
+	if r.done {
+		return 0
+	}
+	n := row.Count()
+	if owned {
+		r.put(row)
 	}
 	return n
 }
@@ -76,69 +88,68 @@ func (e Embedding) Clone() Embedding { return Embedding{q: e.q, nodes: e.Nodes()
 // the forest, in lexicographic order of the pattern-preorder assignment
 // vector (document order on the first differing pattern node). The count
 // can be exponential in the pattern size, but the enumeration is
-// polynomial-delay: sat-admission at every assignment guarantees each
-// partial assignment completes, so breaking out early — the first
-// embedding, the first thousand — does no work past the break. The yielded
-// Embedding's storage is reused; Clone it to retain it. Cancellation
-// follows the same contract as Answers.
+// polynomial-delay: it admits an image of pattern node u only from S(u),
+// the row of data nodes where u's subtree embeds, so every partial
+// assignment completes and no time goes to dead ends between two yields.
+// Those rows cost memory: one row of ⌈n/64⌉ words per internal pattern
+// node, computed when the range starts, where Answers holds O(log k). The
+// yielded Embedding's storage is reused; Clone it to retain it.
+// Cancellation follows the same contract as Answers.
 func (q *Query) Embeddings(ctx context.Context) iter.Seq[Embedding] {
 	return func(yield func(Embedding) bool) {
 		if q == nil || len(q.nodes) == 0 {
 			return
 		}
-		r := q.newRun(ctx)
+		r := newRun(ctx, q)
+		defer r.release()
+		rows := r.allRows()
+		if r.done {
+			return
+		}
 		assign := make([]*data.Node, q.k)
+		img := make([]int, q.k)
 		e := Embedding{q: q, nodes: assign}
 		var rec func(i int) bool
 		rec = func(i int) bool {
-			if r.canceled() {
-				return false
-			}
 			if i == q.k {
-				return yield(e)
+				return !r.poll() && yield(e)
 			}
-			try := func(w *data.Node) bool {
-				if !q.sat(r, i, w) {
-					return !r.done
-				}
-				assign[i] = w
-				return rec(i + 1)
-			}
-			rep := &q.repr[i]
+			row := rows[i]
 			if i == 0 {
-				for id := rep.cand.NextSet(0); id >= 0; id = rep.cand.NextSet(id + 1) {
-					if !try(q.nodes[id]) {
+				for v := row.NextSet(0); v >= 0; v = row.NextSet(v + 1) {
+					img[0], assign[0] = v, q.nodes[v]
+					if !rec(1) {
 						return false
 					}
 				}
 				return true
 			}
-			parentImg := assign[q.par[i]]
-			if rep.node.Edge == pattern.Child {
-				for _, ch := range parentImg.Children {
-					if !try(ch) {
-						return false
+			p := img[q.par[i]]
+			hi := int(q.end[p])
+			if q.repr[i].node.Edge == pattern.Child {
+				for c := p + 1; c <= hi; c = int(q.end[c]) + 1 {
+					if row.Has(c) {
+						img[i], assign[i] = c, q.nodes[c]
+						if !rec(i + 1) {
+							return false
+						}
 					}
 				}
 				return true
 			}
-			lo, hi := parentImg.ID+1, parentImg.SubtreeEnd()
-			if rep.list != nil {
-				j := sort.Search(len(rep.list), func(j int) bool { return rep.list[j].ID >= lo })
-				for ; j < len(rep.list) && rep.list[j].ID <= hi; j++ {
-					if !try(rep.list[j]) {
-						return false
-					}
-				}
-				return true
-			}
-			for id := rep.cand.NextInRange(lo, hi); id >= 0; id = rep.cand.NextInRange(id+1, hi) {
-				if !try(q.nodes[id]) {
+			for v := row.NextInRange(p+1, hi); v >= 0; v = row.NextInRange(v+1, hi) {
+				img[i], assign[i] = v, q.nodes[v]
+				if !rec(i + 1) {
 					return false
 				}
 			}
 			return true
 		}
 		rec(0)
+		for u, row := range rows {
+			if len(q.kids[u]) > 0 {
+				r.put(row)
+			}
+		}
 	}
 }

@@ -1,0 +1,346 @@
+package stream
+
+import (
+	"context"
+	"math"
+	"math/bits"
+	"sync"
+
+	"tpq/internal/bitset"
+	"tpq/internal/data"
+	"tpq/internal/pattern"
+)
+
+// pollMask amortizes context polls inside a pass: once per 1,024 row
+// words, or per 1,024 subtree intervals of a descendant step.
+const pollMask = 1024 - 1
+
+// maxPooledWords bounds the row storage a pooled scratch keeps, 8 MiB: a
+// run that allocated more (Embeddings' k rows over a large forest) drops
+// its scratch at release, so one large run cannot pin memory in the pool.
+const maxPooledWords = 1 << 20
+
+// scratch is the row storage of one run. Rows are ⌈n/64⌉ words for the
+// forest the run evaluates over; released rows wait in free for the next
+// request. One sync.Pool of *scratch recycles them across runs.
+type scratch struct {
+	words int
+	free  []bitset.Set
+	held  int // words allocated, free or in use
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// run is the private state of one evaluation: the query being evaluated,
+// the scratch its rows come from, and the context poll.
+type run struct {
+	q    *Query
+	s    *scratch
+	stop <-chan struct{} // ctx.Done(); nil when ctx can never be canceled
+	done bool            // context canceled: stop, yield nothing more
+}
+
+// newRun takes a scratch for rows of q's forest and polls ctx once.
+func newRun(ctx context.Context, q *Query) run {
+	s := scratchPool.Get().(*scratch)
+	if s.words != q.words {
+		clear(s.free)
+		*s = scratch{words: q.words, free: s.free[:0]}
+	}
+	r := run{q: q, s: s}
+	if ctx != nil {
+		r.stop = ctx.Done()
+	}
+	r.poll()
+	return r
+}
+
+// release returns the scratch to the pool, or drops it when it grew past
+// maxPooledWords. Nothing read from the run's rows may be used after it.
+func (r *run) release() {
+	if r.s.held <= maxPooledWords {
+		scratchPool.Put(r.s)
+	}
+}
+
+// row returns a scratch row with arbitrary content: every caller
+// overwrites all of it.
+func (r *run) row() bitset.Set {
+	s := r.s
+	if n := len(s.free); n > 0 {
+		row := s.free[n-1]
+		s.free = s.free[:n-1]
+		return row
+	}
+	s.held += s.words
+	return make(bitset.Set, s.words)
+}
+
+// put gives a scratch row back for reuse within the run.
+func (r *run) put(row bitset.Set) { r.s.free = append(r.s.free, row) }
+
+// poll checks the context; after the first observed cancellation every
+// call reports true.
+func (r *run) poll() bool {
+	if !r.done && r.stop != nil {
+		select {
+		case <-r.stop:
+			r.done = true
+		default:
+		}
+	}
+	return r.done
+}
+
+// answerRow computes the answer row of r.q — C(pₘ) of the package doc —
+// and reports whether it is a scratch row the caller must put back
+// rather than an admission row it must not write.
+//
+// The path is walked top-down in one row: each step rewrites C(pᵢ) in
+// place into pᵢ₊₁'s admission row intersected with the children or
+// descendants of C(pᵢ), then folds in pᵢ₊₁'s off-path children. A fold
+// holds that row plus the off-path subtree's bottom-up rows, at most
+// ⌊log₂ k⌋ + 1 (see fold), so a run holds at most ⌊log₂ k⌋ + 2 rows
+// however long the path is; a union holds one more.
+func (r *run) answerRow() (row bitset.Set, owned bool) {
+	q := r.q
+	for i, pi := range q.path {
+		next := -1
+		if i+1 < len(q.path) {
+			next = q.path[i+1]
+		}
+		cand := q.repr[pi].cand
+		if i == 0 {
+			row = cand
+		} else {
+			if !owned {
+				own := r.row()
+				copy(own, row)
+				row, owned = own, true
+			}
+			if q.repr[pi].node.Edge == pattern.Child {
+				r.belowChild(row, cand)
+			} else {
+				r.belowDesc(row, cand)
+			}
+		}
+		row, owned = r.fold(row, owned, pi, next)
+		if r.done {
+			return nil, false
+		}
+	}
+	return row, owned
+}
+
+// fold intersects row — u's admission row, or a scratch row within it
+// when owned — with the lift of S(c) for every child c of u but skip (-1
+// for none), and returns the result: S(u) without skip's branch.
+//
+// Children come largest subtree first. The first child's row, when it is
+// a scratch row, is rewritten in place into u's; otherwise u's row is
+// allocated only then. Each later child's row is put back once folded.
+// So while a later child c is evaluated, u holds one row, and c's subtree
+// is at most half of u's: the rows held grow with log₂ of the subtree
+// size, at most ⌊log₂ size(u)⌋ + 1, not with its depth.
+func (r *run) fold(row bitset.Set, owned bool, u, skip int) (bitset.Set, bool) {
+	q := r.q
+	if r.poll() {
+		return nil, false
+	}
+	for _, c := range q.kids[u] {
+		if c == skip {
+			continue
+		}
+		s, sOwned := r.fold(q.repr[c].cand, false, c, -1)
+		if r.done {
+			return nil, false
+		}
+		switch {
+		case owned:
+			r.lift(row, row, s, c)
+			if sOwned {
+				r.put(s)
+			}
+		case sOwned:
+			r.lift(s, row, s, c)
+			row, owned = s, true
+		default:
+			dst := r.row()
+			r.lift(dst, row, s, c)
+			row, owned = dst, true
+		}
+	}
+	return row, owned
+}
+
+// allRows computes S(u) for every pattern node u, bottom-up in reverse
+// preorder: k rows at most, one per internal node (a leaf's S is its
+// admission row). Embeddings admits assignments through them.
+func (r *run) allRows() []bitset.Set {
+	q := r.q
+	rows := make([]bitset.Set, q.k)
+	for u := q.k - 1; u >= 0; u-- {
+		if r.poll() {
+			return nil
+		}
+		row := q.repr[u].cand
+		for j, c := range q.kids[u] {
+			if j == 0 {
+				dst := r.row()
+				r.lift(dst, row, rows[c], c)
+				row = dst
+			} else {
+				r.lift(row, row, rows[c], c)
+			}
+		}
+		rows[u] = row
+	}
+	return rows
+}
+
+// lift sets dst to mask ∩ lift(src) along pattern node c's edge: the
+// parents of src's members for a c-edge, their proper ancestors for a
+// d-edge. dst may alias mask or src.
+func (r *run) lift(dst, mask, src bitset.Set, c int) {
+	if r.q.repr[c].node.Edge == pattern.Child {
+		r.liftChild(dst, mask, src)
+	} else {
+		r.liftDesc(dst, mask, src)
+	}
+}
+
+// liftChild sets dst to the members of mask with a child in src, probing
+// each member's children v+1, end[v+1]+1, … in place. Children follow
+// their parent in preorder, so an ascending pass reads src only at words
+// it has not yet written: dst may alias mask or src.
+func (r *run) liftChild(dst, mask, src bitset.Set) {
+	end := r.q.end
+	for wi := range dst {
+		if wi&pollMask == 0 && r.poll() {
+			return
+		}
+		m, cur := mask[wi], src[wi]
+		var out bitset.Word
+		for m != 0 {
+			b := bits.TrailingZeros64(m)
+			m &= m - 1
+			v := wi<<6 | b
+			for c, e := v+1, int(end[v]); c <= e; c = int(end[c]) + 1 {
+				w := cur
+				if cw := c >> 6; cw != wi {
+					w = src[cw]
+				}
+				if w&(1<<(uint(c)&63)) != 0 {
+					out |= 1 << uint(b)
+					break
+				}
+			}
+		}
+		dst[wi] = out
+	}
+}
+
+// liftDesc sets dst to the members v of mask with a member of src in
+// (v, end[v]]. A descending pass keeps next, the smallest member of src
+// above the current position, so each v is one comparison: no range scan
+// grows with subtree size. It reads src's word before writing dst's:
+// dst may alias mask or src.
+func (r *run) liftDesc(dst, mask, src bitset.Set) {
+	end := r.q.end
+	next := math.MaxInt
+	for wi := len(dst) - 1; wi >= 0; wi-- {
+		if wi&pollMask == 0 && r.poll() {
+			return
+		}
+		m, sw := mask[wi], src[wi]
+		var out bitset.Word
+		if m == 0 {
+			if sw != 0 {
+				next = wi<<6 | bits.TrailingZeros64(sw)
+			}
+			dst[wi] = 0
+			continue
+		}
+		for all := m | sw; all != 0; {
+			b := 63 - bits.LeadingZeros64(all)
+			bit := bitset.Word(1) << uint(b)
+			all &^= bit
+			v := wi<<6 | b
+			if m&bit != 0 && next <= int(end[v]) {
+				out |= bit
+			}
+			if sw&bit != 0 {
+				next = v
+			}
+		}
+		dst[wi] = out
+	}
+}
+
+// belowChild rewrites row, in place, to the members of cand whose parent
+// is in row. A parent precedes its children in preorder, so a descending
+// pass reads row only at words it has not yet written.
+func (r *run) belowChild(row, cand bitset.Set) {
+	parent := r.q.parent
+	for wi := len(row) - 1; wi >= 0; wi-- {
+		if wi&pollMask == 0 && r.poll() {
+			return
+		}
+		c, cur := cand[wi], row[wi]
+		var out bitset.Word
+		for c != 0 {
+			b := bits.TrailingZeros64(c)
+			c &= c - 1
+			p := int(parent[wi<<6|b])
+			if p < 0 {
+				continue
+			}
+			w := cur
+			if pw := p >> 6; pw != wi {
+				w = row[pw]
+			}
+			if w&(1<<(uint(p)&63)) != 0 {
+				out |= 1 << uint(b)
+			}
+		}
+		row[wi] = out
+	}
+}
+
+// belowDesc rewrites row, in place, to the members of cand that are
+// proper descendants of a member of row. Subtree intervals nest, so one
+// ascending merge suffices: jump to the next member a at or after pos,
+// clear [pos, a], copy cand over (a, end[a]] — members nested there add
+// nothing — and go on from end[a]+1, where row is still unwritten.
+func (r *run) belowDesc(row, cand bitset.Set) {
+	end := r.q.end
+	pos, tick := 0, 0
+	for a := row.NextSet(0); a >= 0; a = row.NextSet(pos) {
+		if tick++; tick&pollMask == 0 && r.poll() {
+			return
+		}
+		e := int(end[a])
+		row.RemoveRange(pos, a)
+		row.CopyRange(cand, a+1, e)
+		pos = e + 1
+	}
+	row.RemoveRange(pos, len(row)*64-1)
+}
+
+// each yields the members of row in document order, polling the context
+// before each.
+func (r *run) each(row bitset.Set, yield func(*data.Node) bool) {
+	nodes := r.q.nodes
+	for wi, w := range row {
+		for w != 0 {
+			if r.poll() {
+				return
+			}
+			b := bits.TrailingZeros64(w)
+			w &= w - 1
+			if !yield(nodes[wi<<6|b]) {
+				return
+			}
+		}
+	}
+}

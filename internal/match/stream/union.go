@@ -4,18 +4,19 @@ import (
 	"context"
 	"iter"
 
+	"tpq/internal/bitset"
 	"tpq/internal/data"
 )
 
-// UnionAnswers merges the answer streams of several queries compiled
-// against the same index into one document-ordered, duplicate-free
-// stream: the evaluation semantics of a disjunctive pattern, where a data
-// node answers iff it answers some disjunct. The merge runs on cursors
-// over the queries' output-node candidates (see answers), so an answer
-// produced by several disjuncts is delivered once and no query runs in a
-// coroutine of its own. Laziness is preserved: breaking out of the range,
-// or canceling ctx, stops all per-query evaluation work. A single query
-// needs no merge: its own iterator is returned.
+// UnionAnswers yields the answers of several queries compiled against the
+// same index as one document-ordered, duplicate-free stream: the
+// evaluation semantics of a disjunctive pattern, where a data node
+// answers iff it answers some disjunct. The union's answer row is the OR
+// of the disjuncts' answer rows, so an answer produced by several
+// disjuncts is delivered once. The contract is Answers': evaluation runs
+// when the range starts, yields are lazy, and breaking out of the range
+// or canceling ctx stops them. A single query needs no union: its own
+// iterator is returned.
 func UnionAnswers(ctx context.Context, qs []*Query) iter.Seq[*data.Node] {
 	if len(qs) == 1 {
 		return qs[0].Answers(ctx)
@@ -26,45 +27,39 @@ func UnionAnswers(ctx context.Context, qs []*Query) iter.Seq[*data.Node] {
 }
 
 // answers yields, in document order and once each, the data nodes that
-// answer at least one of qs. It keeps one cursor per query over its
-// output node's admission set. Each step takes the smallest candidate ID
-// among the cursors, runs answer on each query whose cursor sits on it
-// until one admits it, and advances those cursors; the node is yielded
-// if any query admitted it.
+// answer at least one of qs. It computes each query's answer row in turn
+// and ORs it into the first's, holding one row beyond a single query's
+// run.
 func answers(ctx context.Context, qs []*Query, yield func(*data.Node) bool) {
-	runs := make([]*run, len(qs))
-	at := make([]int, len(qs)) // each cursor's candidate ID, -1 once exhausted
-	for i, q := range qs {
-		runs[i] = q.newRun(ctx)
-		at[i] = q.repr[q.star].cand.NextSet(0)
+	if len(qs) == 0 || qs[0] == nil || len(qs[0].nodes) == 0 {
+		return
 	}
-	for {
-		id := -1
-		for _, a := range at {
-			if a >= 0 && (id < 0 || a < id) {
-				id = a
-			}
-		}
-		if id < 0 {
+	r := newRun(ctx, qs[0])
+	defer r.release()
+	var union bitset.Set
+	owned := false
+	for i, q := range qs {
+		r.q = q
+		row, rowOwned := r.answerRow()
+		if r.done {
 			return
 		}
-		hit := false
-		for i, q := range qs {
-			if at[i] != id {
-				continue
-			}
-			r := runs[i]
-			if r.pollCancel() {
-				return
-			}
-			hit = hit || q.answer(r, q.nodes[id])
-			if r.done {
-				return
-			}
-			at[i] = q.repr[q.star].cand.NextSet(id + 1)
+		if i == 0 {
+			union, owned = row, rowOwned
+			continue
 		}
-		if hit && !yield(qs[0].nodes[id]) {
-			return
+		if !owned {
+			own := r.row()
+			copy(own, union)
+			union, owned = own, true
 		}
+		union.Or(row)
+		if rowOwned {
+			r.put(row)
+		}
+	}
+	r.each(union, yield)
+	if owned {
+		r.put(union)
 	}
 }

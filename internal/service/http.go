@@ -51,12 +51,13 @@ type HandlerOptions struct {
 //	GET  /healthz   "ok", or 503 once shutdown has begun
 //	POST /match     {"query": ...} minimized (through the cache), then
 //	                evaluated against the loaded document — or against an
-//	                inline {"document": "<xml...>"} — by the streaming
-//	                engine. {"limit": n} truncates the answer set;
+//	                inline {"document": "<xml...>"} — by the twig
+//	                engine. {"limit": n} truncates the answers
+//	                reported (the evaluation itself runs in full);
 //	                {"stream": true} switches the response to NDJSON:
-//	                one {"id", "types"} line per answer as it is found
-//	                (flushed incrementally), then a {"done": true, ...}
-//	                summary line.
+//	                one {"id", "types"} line per answer in document
+//	                order (flushed incrementally), then a
+//	                {"done": true, ...} summary line.
 //
 // Responses are JSON; errors arrive as {"error": "..."} with a matching
 // status code (400 malformed input, 413 oversized body, batch or
@@ -166,7 +167,7 @@ const NDJSONContentType = "application/x-ndjson"
 // lines, or sooner once streamFlushInterval has passed since the last
 // flush — bounded latency for slow producers, bounded syscall overhead
 // for fast ones. The write path itself applies backpressure: a slow
-// reader blocks the matcher, which holds only its bounded memo state.
+// reader blocks the answer walk, which holds only its answer row.
 const (
 	streamFlushEvery    = 64
 	streamFlushInterval = 100 * time.Millisecond
@@ -447,10 +448,16 @@ func (h *handler) match(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a JSON body")
 		return
 	}
-	var req matchRequest
-	body := http.MaxBytesReader(w, r.Body, h.opts.MaxBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	buf, release, err := readBody(w, r, h.opts.MaxBody)
+	if err != nil {
 		writeDecodeError(w, err)
+		return
+	}
+	var req matchRequest
+	err = json.Unmarshal(buf, &req)
+	release()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return
 	}
 	if req.Limit < 0 {
@@ -532,8 +539,8 @@ func (h *handler) match(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamMatch writes the NDJSON mode of /match: one answer line per
-// match as the streaming engine finds it, flushed incrementally, then a
-// summary line. The status is committed before evaluation starts, so a
+// match in document order, flushed incrementally, then a summary line.
+// The status is committed before evaluation starts, so a
 // mid-stream cancellation surfaces as an "error" field on the summary
 // line instead of a status code. The answer source is an iterator so
 // conjunctive queries and disjunctive unions stream identically.

@@ -241,6 +241,22 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp, data := postJSON(t, ts.URL+"/match", oversized); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized /match body: status %d, want 413 (%s)", resp.StatusCode, data)
 	}
+	// /match reads its body as /minimize does: one JSON value and nothing
+	// after it. The valid body answers, so the rejections are the trailers'.
+	const one = `{"xpath":"//a","document":"<a/>"}`
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"one value", one, http.StatusOK},
+		{"trailing bytes", one + ` trailing`, http.StatusBadRequest},
+		{"second value", one + `{"xpath":"//b"}`, http.StatusBadRequest},
+	} {
+		resp, data := postJSON(t, ts.URL+"/match", tc.body)
+		if resp.StatusCode != tc.want {
+			t.Errorf("/match %s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, data)
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/minimize")
 	if err != nil {

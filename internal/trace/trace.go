@@ -51,7 +51,7 @@ const (
 	// Compact is the temporary-node strip after CIM (pattern.StripTemp).
 	Compact
 	// Match is pattern evaluation over a database — the serving layer's
-	// /match endpoint, on the streaming twig-join engine.
+	// /match endpoint, on the twig engine of match/stream.
 	Match
 	// NumPhases bounds arrays indexed by Phase.
 	NumPhases

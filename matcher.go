@@ -19,13 +19,6 @@ type MatcherOptions struct {
 	// share one index between a Matcher and other consumers (cmd/tpqd
 	// does); when nil, the Matcher builds its own from Forest.
 	Index *MatchIndex
-	// MemoryLimit bounds, in bytes, the per-iteration memo state of the
-	// streaming engine: rows of two bitsets over the forest's node IDs,
-	// one row per internal pattern node and per output-path position.
-	// 0 picks the engine default (64 MiB), negative means unlimited.
-	// Crossing the ceiling sheds the memo rows — evaluation slows down
-	// but answers are unaffected.
-	MemoryLimit int
 }
 
 // MatchQuery is a pattern compiled for streaming evaluation; see
@@ -39,14 +32,15 @@ type MatchQuery = stream.Query
 type Embedding = stream.Embedding
 
 // Matcher is a long-lived evaluation instance over one database: an
-// inverted type index shared by every query, feeding a streaming
-// twig-join engine that yields answers and embeddings incrementally
-// under a memory ceiling. It is safe for concurrent use. Prefer it over
-// the package-level Match helpers whenever more than a handful of
+// inverted type index shared by every query, feeding a twig engine that
+// evaluates set-at-a-time on bitset rows over preorder IDs and yields
+// answers and embeddings through iterators. A run costs O(k·n) for a
+// k-node pattern over an n-node database and holds O(log k) rows of n
+// bits, bounded by construction. It is safe for concurrent use. Prefer it
+// over the package-level Match helpers whenever more than a handful of
 // queries run against the same forest.
 type Matcher struct {
-	idx  *MatchIndex
-	opts stream.Options
+	idx *MatchIndex
 }
 
 // NewMatcher returns a Matcher with the given options.
@@ -59,7 +53,7 @@ func NewMatcher(opts MatcherOptions) *Matcher {
 		}
 		idx = match.NewForestIndex(f)
 	}
-	return &Matcher{idx: idx, opts: stream.Options{MemoryLimit: opts.MemoryLimit}}
+	return &Matcher{idx: idx}
 }
 
 // Index returns the Matcher's inverted index, for sharing with other
@@ -74,13 +68,15 @@ func (m *Matcher) Forest() *Forest { return m.idx.Forest() }
 // the way to evaluate one query repeatedly without re-deriving its
 // candidate representation.
 func (m *Matcher) Compile(p *Pattern) (*MatchQuery, error) {
-	return stream.Compile(p, m.idx, m.opts)
+	return stream.Compile(p, m.idx, stream.Options{})
 }
 
-// Answers returns a lazy, document-ordered, duplicate-free iterator over
-// the answer set of p: the database nodes the output node binds to in at
-// least one embedding. Breaking out of the range stops all matching
-// work; canceling ctx cuts the sequence short (check ctx.Err() after the
+// Answers returns a document-ordered, duplicate-free iterator over the
+// answer set of p: the database nodes the output node binds to in at
+// least one embedding. Evaluation runs when the range starts and costs
+// O(k·n) whatever number of answers is taken; yields are then lazy, in
+// document order, and breaking out of the range stops them. Canceling
+// ctx stops the evaluation and the yields (check ctx.Err() after the
 // loop to distinguish exhaustion from cancellation). An invalid pattern
 // yields nothing — use Compile to observe the error.
 func (m *Matcher) Answers(ctx context.Context, p *Pattern) iter.Seq[*DataNode] {
@@ -93,8 +89,9 @@ func (m *Matcher) Answers(ctx context.Context, p *Pattern) iter.Seq[*DataNode] {
 
 // Embeddings returns a lazy iterator over every embedding of p, in
 // lexicographic pattern-preorder order. The enumeration is
-// polynomial-delay: taking the first k embeddings of a potentially
-// exponential set does work proportional to k. The yielded Embedding's
+// polynomial-delay: after one O(k·n) pass that keeps a row per internal
+// pattern node, taking the first j embeddings of a potentially
+// exponential set does work proportional to j. The yielded Embedding's
 // storage is reused between yields — Clone it to retain it. Cancellation
 // and invalid patterns behave as in Answers.
 func (m *Matcher) Embeddings(ctx context.Context, p *Pattern) iter.Seq[Embedding] {
@@ -105,10 +102,10 @@ func (m *Matcher) Embeddings(ctx context.Context, p *Pattern) iter.Seq[Embedding
 	return q.Embeddings(ctx)
 }
 
-// AnswersDisjunction returns a lazy, document-ordered, duplicate-free
-// iterator over the answer set of a disjunctive query: the union of the
-// disjuncts' answer sets, streamed as a k-way merge over per-disjunct
-// iterators with dedup by answer node. Cancellation and invalid
+// AnswersDisjunction returns a document-ordered, duplicate-free iterator
+// over the answer set of a disjunctive query: the union of the
+// disjuncts' answer sets, the OR of their answer rows, yielded as in
+// Answers. Cancellation and invalid
 // disjuncts behave as in Answers (a disjunct that fails to compile
 // yields nothing; compile the disjuncts individually to observe errors).
 func (m *Matcher) AnswersDisjunction(ctx context.Context, d *Disjunction) iter.Seq[*DataNode] {
@@ -144,13 +141,13 @@ func (m *Matcher) Match(p *Pattern) []*DataNode {
 	return out
 }
 
-// Count returns the number of answers of p.
+// Count returns the number of answers of p, 0 for an invalid pattern.
 func (m *Matcher) Count(p *Pattern) int {
-	n := 0
-	for range m.Answers(context.Background(), p) {
-		n++
+	q, err := m.Compile(p)
+	if err != nil {
+		return 0
 	}
-	return n
+	return q.Count(context.Background())
 }
 
 // CountEmbeddings returns the number of distinct full embeddings of p as

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"tpq/internal/oracle"
 )
 
 func TestMatcherAgainstMatch(t *testing.T) {
@@ -120,15 +122,18 @@ func TestMatcherIterators(t *testing.T) {
 	}
 }
 
+// TestMatchIndexedCompat pins evaluation over a prebuilt MatchIndex — a
+// Matcher sharing the index, and the Match helper that builds its own —
+// against the reference bindings of internal/oracle.
 func TestMatchIndexedCompat(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	f := SampleDirectoryForest(rng, 6)
 	idx := NewMatchIndex(f)
 	p := MustParse("OrgUnit//Employee*")
-	want := Match(p, f)
-	got := MatchIndexed(p, idx)
-	if len(want) != len(got) {
-		t.Fatalf("MatchIndexed found %d answers, Match %d", len(got), len(want))
+	want := oracle.BindingsMap(p, f)[p.OutputNode()]
+	got := NewMatcher(MatcherOptions{Index: idx}).Match(p)
+	if len(want) != len(got) || len(Match(p, f)) != len(want) {
+		t.Fatalf("indexed Matcher found %d answers, reference %d", len(got), len(want))
 	}
 	for i := range want {
 		if want[i] != got[i] {

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"tpq/internal/oracle"
 )
 
 func deepChain(depth int) *Pattern {
@@ -87,9 +89,8 @@ func TestDeepDataMatching(t *testing.T) {
 	if got := MatchCount(q, f); got != 5000 {
 		t.Fatalf("MatchCount = %d, want 5000", got)
 	}
-	idx := NewMatchIndex(f)
-	if got := len(MatchIndexed(q, idx)); got != 5000 {
-		t.Fatalf("indexed MatchCount = %d", got)
+	if got := len(oracle.BindingsMap(q, f)[q.OutputNode()]); got != 5000 {
+		t.Fatalf("reference bindings = %d", got)
 	}
 }
 
@@ -99,13 +100,18 @@ func TestLargeForestConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := NewMatchIndex(f)
+	m := NewMatcher(MatcherOptions{Index: NewMatchIndex(f)})
 	for _, src := range []string{"a*[/b, //c]", "e*//e", "a/b/c*"} {
 		q := MustParse(src)
-		dense := Match(q, f)
-		fast := MatchIndexed(q, idx)
-		if len(dense) != len(fast) {
-			t.Fatalf("%s: dense %d vs indexed %d", src, len(dense), len(fast))
+		got := m.Match(q)
+		want := oracle.BindingsMap(q, f)[q.OutputNode()]
+		if len(got) != len(want) {
+			t.Fatalf("%s: matcher %d vs reference %d", src, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: answer %d differs", src, i)
+			}
 		}
 	}
 }

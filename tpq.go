@@ -22,11 +22,12 @@
 //   - Contains / Equivalent — containment and equivalence tests via
 //     containment mappings, and ContainsUnder / EquivalentUnder for the
 //     constraint-aware versions;
-//   - Matcher — a streaming evaluation instance over a tree database:
-//     Answers and Embeddings yield results incrementally as iterators,
-//     with context cancellation and a memory ceiling; Match / MatchCount
-//     are one-shot wrappers over it (package-level forest constructors
-//     and an XML importer are provided).
+//   - Matcher — an evaluation instance over a tree database: Answers
+//     and Embeddings yield results as iterators, with context
+//     cancellation, from an evaluation linear in data × query that holds
+//     O(log k) rows of one bit per node; Match / MatchCount are one-shot
+//     wrappers over it (package-level forest constructors and an XML
+//     importer are provided).
 //
 // The subpackages under internal/ expose the individual algorithms to the
 // library's own commands, examples and benchmarks; external code should
@@ -313,18 +314,6 @@ type MatchIndex = match.ForestIndex
 // NewMatchIndex builds an inverted type index over f, shareable between a
 // Matcher (via MatcherOptions.Index) and other consumers.
 func NewMatchIndex(f *Forest) *MatchIndex { return match.NewForestIndex(f) }
-
-// MatchIndexed evaluates p over an indexed forest; same answers as Match.
-//
-// Deprecated: build a Matcher over the index and use its Match method —
-// or, better, its Answers iterator, which streams the answer set instead
-// of materializing it:
-//
-//	m := tpq.NewMatcher(tpq.MatcherOptions{Index: idx})
-//	for v := range m.Answers(ctx, p) { ... }
-func MatchIndexed(p *Pattern, idx *MatchIndex) []*DataNode {
-	return NewMatcher(MatcherOptions{Index: idx}).Match(p)
-}
 
 // NewForest builds a database from data trees; construct nodes with
 // NewDataNode and DataNode.Child.
