@@ -28,13 +28,13 @@ package chase
 // plan path never diverges from the reference.
 
 import (
-	"container/list"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
 	"tpq/internal/bitset"
 	"tpq/internal/ics"
+	"tpq/internal/lru"
 	"tpq/internal/pattern"
 	"tpq/internal/trace"
 )
@@ -73,9 +73,7 @@ type Plan struct {
 
 	mu sync.Mutex
 	// inst caches instances by the bytes of the query's set-type row.
-	inst    map[string]*list.Element
-	ll      *list.List
-	instCap int
+	inst *lru.Cache[*Instance]
 }
 
 // instanceCacheCap bounds the per-plan cache of type-set
@@ -102,9 +100,7 @@ func Compile(cs *ics.Set) *Plan {
 		typeID:      make(map[pattern.Type]int32, len(setTypes)),
 		triggeredBy: make(map[pattern.Type][]pattern.Type, len(setTypes)),
 		descOnly:    make(map[pattern.Type][]pattern.Type),
-		inst:        make(map[string]*list.Element),
-		ll:          list.New(),
-		instCap:     instanceCacheCap,
+		inst:        lru.New[*Instance](instanceCacheCap),
 	}
 	for i, t := range setTypes {
 		pl.typeID[t] = int32(i)
@@ -368,41 +364,27 @@ func (pl *Plan) instance(row bitset.Set) *Instance {
 		key = binary.LittleEndian.AppendUint64(key, w)
 	}
 	pl.mu.Lock()
-	if el, ok := pl.inst[string(key)]; ok {
-		pl.ll.MoveToFront(el)
-		in := el.Value.(*instItem).in
-		pl.mu.Unlock()
+	in, ok := pl.inst.GetBytes(key)
+	pl.mu.Unlock()
+	if ok {
 		return in
 	}
-	pl.mu.Unlock()
 
 	rest := make([]pattern.Type, 0, row.Count())
 	for i := row.NextSet(0); i >= 0; i = row.NextSet(i + 1) {
 		rest = append(rest, pl.setTypes[i])
 	}
-	in := pl.newInstance(rest)
+	in = pl.newInstance(rest)
 
 	pl.mu.Lock()
-	if el, ok := pl.inst[string(key)]; ok {
+	if won, ok := pl.inst.GetBytes(key); ok {
 		// Lost a build race; adopt the published instance.
-		pl.ll.MoveToFront(el)
-		in = el.Value.(*instItem).in
+		in = won
 	} else {
-		k := string(key)
-		pl.inst[k] = pl.ll.PushFront(&instItem{key: k, in: in})
-		for pl.ll.Len() > pl.instCap {
-			last := pl.ll.Back()
-			pl.ll.Remove(last)
-			delete(pl.inst, last.Value.(*instItem).key)
-		}
+		pl.inst.Add(string(key), in)
 	}
 	pl.mu.Unlock()
 	return in
-}
-
-type instItem struct {
-	key string
-	in  *Instance
 }
 
 // Instance is a plan specialized to one query type-set shape: the wanted
@@ -658,29 +640,18 @@ func (ar *arena) emit(w *pattern.Node, sp *typeSpec) int {
 // schema compiles its plan exactly once; plans for retired schemas age
 // out at capacity.
 type Registry struct {
-	capacity int
-
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	mu    sync.Mutex // guards plans; held across compilation
+	plans *lru.Cache[*Plan]
 
 	compiled  atomic.Int64
 	hits      atomic.Int64
 	evictions atomic.Int64
 }
 
-type regItem struct {
-	key string
-	pl  *Plan
-}
-
 // NewRegistry returns a registry holding at most capacity plans
 // (minimum 1).
 func NewRegistry(capacity int) *Registry {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Registry{capacity: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+	return &Registry{plans: lru.New[*Plan](max(capacity, 1))}
 }
 
 // PlanFor returns the plan for cs, compiling and caching it on first
@@ -701,20 +672,13 @@ func (r *Registry) planFor(cs *ics.Set) (pl *Plan, fresh bool) {
 	fp := cs.Fingerprint()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if el, ok := r.items[fp]; ok {
-		r.ll.MoveToFront(el)
+	if pl, ok := r.plans.Get(fp); ok {
 		r.hits.Add(1)
-		return el.Value.(*regItem).pl, false
+		return pl, false
 	}
 	pl = Compile(cs)
 	r.compiled.Add(1)
-	r.items[fp] = r.ll.PushFront(&regItem{key: fp, pl: pl})
-	for r.ll.Len() > r.capacity {
-		last := r.ll.Back()
-		r.ll.Remove(last)
-		delete(r.items, last.Value.(*regItem).key)
-		r.evictions.Add(1)
-	}
+	r.evictions.Add(int64(r.plans.Add(fp, pl)))
 	return pl, true
 }
 
@@ -730,14 +694,13 @@ type RegistryStats struct {
 // Stats returns the registry's counters.
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
-	n := r.ll.Len()
-	r.mu.Unlock()
+	defer r.mu.Unlock()
 	return RegistryStats{
 		Compiled:  r.compiled.Load(),
 		Hits:      r.hits.Load(),
 		Evictions: r.evictions.Load(),
-		Len:       n,
-		Cap:       r.capacity,
+		Len:       r.plans.Len(),
+		Cap:       r.plans.Cap(),
 	}
 }
 

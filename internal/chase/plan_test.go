@@ -98,6 +98,50 @@ func TestSpecializeCachesInstances(t *testing.T) {
 	}
 }
 
+// TestInstanceCacheEviction fills a plan's instance cache with
+// instanceCacheCap distinct type-set shapes, refreshes the oldest, and
+// checks that one shape more evicts the least recently used instance —
+// the second shape built — and nothing else.
+func TestInstanceCacheEviction(t *testing.T) {
+	var cons []ics.Constraint
+	for i := 0; i < 6; i++ {
+		cons = append(cons, ics.Child(pattern.Type(fmt.Sprintf("t%d", i)), "u"))
+	}
+	pl := Compile(ics.NewSet(cons...).Closure())
+	// shape(m) is the type set {t_i : bit i of m set}: 64 distinct shapes.
+	shape := func(m int) map[pattern.Type]bool {
+		base := map[pattern.Type]bool{}
+		for i := 0; i < 6; i++ {
+			if m&(1<<i) != 0 {
+				base[pattern.Type(fmt.Sprintf("t%d", i))] = true
+			}
+		}
+		return base
+	}
+	built := make([]*Instance, instanceCacheCap+1)
+	for m := 0; m < instanceCacheCap; m++ {
+		built[m] = pl.Specialize(shape(m))
+	}
+	if again := pl.Specialize(shape(0)); again != built[0] {
+		t.Fatal("refreshing shape 0 built a second instance")
+	}
+	built[instanceCacheCap] = pl.Specialize(shape(instanceCacheCap))
+	if n := pl.inst.Len(); n != instanceCacheCap {
+		t.Fatalf("instance cache holds %d, want %d", n, instanceCacheCap)
+	}
+	for m := 0; m <= instanceCacheCap; m++ {
+		if m == 1 {
+			continue
+		}
+		if again := pl.Specialize(shape(m)); again != built[m] {
+			t.Errorf("shape %d was evicted, want it cached", m)
+		}
+	}
+	if again := pl.Specialize(shape(1)); again == built[1] {
+		t.Error("shape 1, the least recently used, survived the insert past capacity")
+	}
+}
+
 func TestPlanForTracedCounters(t *testing.T) {
 	// Fresh, never-before-seen set: first traced lookup compiles, second
 	// hits. Uses the default registry deliberately — that is what the

@@ -65,9 +65,17 @@ func (e Embedding) At(i int) *data.Node { return e.nodes[i] }
 // PatternNode returns the pattern node with preorder ID i.
 func (e Embedding) PatternNode(i int) *pattern.Node { return e.q.repr[i].node }
 
-// Binding returns the image of pattern node u, which must belong to the
-// compiled pattern.
-func (e Embedding) Binding(u *pattern.Node) *data.Node { return e.nodes[e.q.pidx.ID(u)] }
+// Binding returns the image of pattern node u, or nil when u is not a
+// node of the compiled pattern. It scans the compiled nodes; At is the
+// constant-time form.
+func (e Embedding) Binding(u *pattern.Node) *data.Node {
+	for i := range e.q.repr {
+		if e.q.repr[i].node == u {
+			return e.nodes[i]
+		}
+	}
+	return nil
+}
 
 // Answer returns the image of the output node.
 func (e Embedding) Answer() *data.Node { return e.nodes[e.q.star] }

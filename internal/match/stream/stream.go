@@ -61,7 +61,6 @@ type Query struct {
 	nodes  []*data.Node // forest preorder; nodes[i].ID == i
 	parent []int32      // the index's preorder arrays
 	end    []int32
-	pidx   *pattern.Index
 	k      int
 	star   int   // pattern preorder ID of the output node
 	path   []int // pattern IDs, root (path[0]) to output node
@@ -86,64 +85,99 @@ func Compile(p *pattern.Pattern, idx *match.ForestIndex, _ Options) (*Query, err
 	if p == nil || p.Root == nil {
 		return nil, errors.New("stream: empty pattern")
 	}
-	star := p.OutputNode()
-	if star == nil {
-		return nil, errors.New("stream: pattern has no output node")
-	}
 	if idx == nil {
 		return nil, errors.New("stream: nil forest index")
 	}
-	pidx := pattern.NewIndex(p)
-	k := pidx.Size()
+	k := countNodes(p.Root)
 	n := idx.Forest().Size()
 	q := &Query{
 		nodes:  idx.Forest().Nodes(),
 		parent: idx.Parents(),
 		end:    idx.Ends(),
-		pidx:   pidx,
 		k:      k,
-		star:   pidx.ID(star),
-		repr:   make([]nodeRepr, k),
-		par:    make([]int, k),
+		star:   -1,
+		repr:   make([]nodeRepr, 0, k),
+		par:    make([]int, 0, k),
 		kids:   make([][]int, k),
 		words:  bitset.WordsFor(n),
 	}
-	for i := 0; i < k; i++ {
-		u := pidx.NodeAt(i)
-		rp := nodeRepr{node: u}
-		switch {
-		case len(u.Conds) > 0:
-			rp.cand = bitset.New(n)
-			for _, v := range idx.Candidates(u) {
-				rp.cand.Add(v.ID)
-			}
-		case len(u.Extra) > 0:
-			rp.cand = bitset.New(n)
-			rp.cand.CopyFrom(idx.TypeBits(u.Type))
-			for _, t := range u.Extra {
-				rp.cand.And(idx.TypeBits(t))
-			}
-		default:
-			rp.cand = idx.TypeBits(u.Type)
+	// One preorder walk numbers the pattern nodes, compiles their
+	// admission rows and records parents and subtree ends.
+	ends := make([]int, k)
+	var walk func(u *pattern.Node, parent int)
+	walk = func(u *pattern.Node, parent int) {
+		i := len(q.repr)
+		q.repr = append(q.repr, nodeRepr{node: u, cand: admission(u, idx, n)})
+		q.par = append(q.par, parent)
+		if u.Star && q.star < 0 {
+			q.star = i
 		}
-		q.repr[i] = rp
-		q.par[i] = pidx.ParentID(i)
-		if pid := q.par[i]; pid >= 0 {
-			q.kids[pid] = append(q.kids[pid], i)
+		for _, c := range u.Children {
+			walk(c, i)
 		}
+		ends[i] = len(q.repr) - 1
 	}
-	// Largest child subtree first: the bottom-up pass folds a node's
-	// first child without holding a row of its own, which is what bounds
-	// a run's rows by ⌊log₂ k⌋ rather than by the pattern's depth.
-	size := func(i int) int { return pidx.SubtreeEnd(i) - i }
+	walk(p.Root, -1)
+	if q.star < 0 {
+		return nil, errors.New("stream: pattern has no output node")
+	}
+	// Children in one shared backing array, largest subtree first: the
+	// bottom-up pass folds a node's first child without holding a row of
+	// its own, which is what bounds a run's rows by ⌊log₂ k⌋ rather than
+	// by the pattern's depth.
+	kids := make([]int, 0, k-1)
+	for i := range q.kids {
+		from := len(kids)
+		for c := i + 1; c <= ends[i]; c = ends[c] + 1 {
+			kids = append(kids, c)
+		}
+		q.kids[i] = kids[from:len(kids):len(kids)]
+	}
 	for _, ks := range q.kids {
-		slices.SortStableFunc(ks, func(a, b int) int { return cmp.Compare(size(b), size(a)) })
+		slices.SortStableFunc(ks, func(a, b int) int { return cmp.Compare(ends[b]-b, ends[a]-a) })
 	}
+	depth := 0
 	for i := q.star; i >= 0; i = q.par[i] {
-		q.path = append(q.path, i)
+		depth++
 	}
-	slices.Reverse(q.path)
+	q.path = make([]int, depth)
+	for i := q.star; i >= 0; i = q.par[i] {
+		depth--
+		q.path[depth] = i
+	}
 	return q, nil
+}
+
+// countNodes returns the size of the subtree rooted at u.
+func countNodes(u *pattern.Node) int {
+	n := 1
+	for _, c := range u.Children {
+		n += countNodes(c)
+	}
+	return n
+}
+
+// admission returns u's admission row over the index's n nodes: the
+// index's own type row when u has no extra types or conditions, a
+// private row otherwise.
+func admission(u *pattern.Node, idx *match.ForestIndex, n int) bitset.Set {
+	switch {
+	case len(u.Conds) > 0:
+		row := bitset.New(n)
+		for _, v := range idx.Candidates(u) {
+			row.Add(v.ID)
+		}
+		return row
+	case len(u.Extra) > 0:
+		row := bitset.New(n)
+		row.CopyFrom(idx.TypeBits(u.Type))
+		for _, t := range u.Extra {
+			row.And(idx.TypeBits(t))
+		}
+		return row
+	default:
+		return idx.TypeBits(u.Type)
+	}
 }
 
 // Size returns the compiled pattern's node count.

@@ -23,6 +23,40 @@ func (w *nullResponseWriter) Header() http.Header         { return w.h }
 func (w *nullResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nullResponseWriter) WriteHeader(int)             {}
 
+// TestHitPathAllocs pins the cache-hit paths at zero allocations: the
+// in-process entry lookup (key build in pooled scratch, shard pick, LRU
+// hit) and the exact-text probe of the HTTP fast path (text index, then
+// the result shard). BenchmarkServiceHitAllocs measures the same paths
+// and the HTTP round trip around them.
+func TestHitPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch under -race")
+	}
+	const src = "a*[/b, //c[/d], /b/e]"
+	p := pattern.MustParse(src)
+	svc := New(Options{})
+	defer closeService(t, svc)
+	ctx := context.Background()
+	e, _, err := svc.minimizeEntry(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.registerText(src, e)
+	entry := testing.AllocsPerRun(100, func() {
+		if _, rep, err := svc.minimizeEntry(ctx, p); err != nil || !rep.CacheHit {
+			t.Fatalf("minimizeEntry: %+v, %v; want a hit", rep, err)
+		}
+	})
+	text := testing.AllocsPerRun(100, func() {
+		if _, _, ok := svc.hitText(src); !ok {
+			t.Fatal("hitText missed a registered text")
+		}
+	})
+	if entry != 0 || text != 0 {
+		t.Errorf("hit paths allocate: minimizeEntry %v, hitText %v per call; want 0", entry, text)
+	}
+}
+
 // BenchmarkServiceHitAllocs pins the allocation count of the cached-hit
 // path at two layers: the in-process entry lookup (minimizeEntry — key
 // build, shard pick, LRU hit), the public Minimize API (which must keep

@@ -19,6 +19,7 @@ import (
 
 	"tpq/internal/data"
 	"tpq/internal/engine"
+	"tpq/internal/hdr"
 	"tpq/internal/ics"
 	"tpq/internal/pattern"
 	"tpq/internal/trace"
@@ -216,7 +217,7 @@ func TestPrometheusHistogramShape(t *testing.T) {
 	scrape := parsePrometheus(t, buf.Bytes())
 
 	var bounds []float64
-	for _, ns := range latencyBoundsNanos {
+	for _, ns := range hdr.DefaultLayout.Bounds() {
 		bounds = append(bounds, float64(ns)/1e9)
 	}
 	prev := 0.0

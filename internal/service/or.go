@@ -1,9 +1,7 @@
 package service
 
 import (
-	"container/list"
 	"context"
-	"sync"
 
 	"tpq/internal/engine"
 	"tpq/internal/pattern"
@@ -65,57 +63,6 @@ func (e *orEntry) render() string {
 		return e.text
 	}
 	return e.out.String()
-}
-
-// orCache is the small LRU over assembled unions. One lock: disjunctive
-// traffic does not justify sharding.
-type orCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List
-	items map[string]*list.Element
-}
-
-type orCacheItem struct {
-	key string
-	e   *orEntry
-}
-
-func newOrCache(capacity int) *orCache {
-	return &orCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element, capacity)}
-}
-
-func (c *orCache) get(key string) (*orEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*orCacheItem).e, true
-}
-
-func (c *orCache) add(key string, e *orEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*orCacheItem).e = e
-		return
-	}
-	c.items[key] = c.ll.PushFront(&orCacheItem{key: key, e: e})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.items, back.Value.(*orCacheItem).key)
-	}
-}
-
-func (c *orCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // MinimizeDisjunction returns the minimal union equivalent to d under the
@@ -185,7 +132,10 @@ func (s *Service) minimizeDisjunctionEntry(ctx context.Context, d *pattern.Disju
 	var key string
 	if s.orcache != nil {
 		key = d.Canonical() + "\x00" + s.fp
-		if e, ok := s.orcache.get(key); ok {
+		s.orMu.Lock()
+		e, ok := s.orcache.Get(key)
+		s.orMu.Unlock()
+		if ok {
 			s.stats.orCacheHits.Add(1)
 			rep := e.rep
 			rep.CacheHit = true
@@ -228,7 +178,9 @@ func (s *Service) minimizeDisjunctionEntry(ctx context.Context, d *pattern.Disju
 	e := &orEntry{out: out, rep: rep}
 	if s.orcache != nil {
 		e.text = out.String()
-		s.orcache.add(key, e)
+		s.orMu.Lock()
+		s.orcache.Add(key, e)
+		s.orMu.Unlock()
 	}
 	return e, rep, nil
 }

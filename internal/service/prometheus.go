@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tpq/internal/hdr"
 	"tpq/internal/trace"
 )
 
@@ -27,10 +28,10 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 func (s *Service) WritePrometheus(w io.Writer) {
 	writeSeries(w, reflect.ValueOf(s.Stats()), "")
 	writeHistogram(w, "tpq_request_duration_seconds",
-		"End-to-end Minimize latency (cache hits included).", "", &s.stats.lat)
+		"End-to-end Minimize latency (cache hits included).", "", s.stats.lat)
 	help := "Time spent per pipeline phase (chase/cim/compact nest inside acim)."
 	for _, p := range trace.Phases() {
-		writeHistogram(w, "tpq_phase_duration_seconds", help, fmt.Sprintf("phase=%q", p), &s.stats.phase[p])
+		writeHistogram(w, "tpq_phase_duration_seconds", help, fmt.Sprintf("phase=%q", p), s.stats.phase[p])
 		help = "" // one header per family
 	}
 }
@@ -79,22 +80,23 @@ func writeSeries(w io.Writer, v reflect.Value, family string) string {
 // then sum and count. help == "" suppresses the HELP/TYPE header (for
 // the later series of a labeled family); labels ("phase=\"cim\"") are
 // merged with the le label.
-func writeHistogram(w io.Writer, name, help, labels string, h *latencyHist) {
+func writeHistogram(w io.Writer, name, help, labels string, h *hdr.Histogram) {
 	if help != "" {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
 	}
-	counts, total, sumNanos := h.load()
+	counts, total, sumNanos := h.Counts(), h.Count(), h.Sum().Nanoseconds()
 	sep := ""
 	if labels != "" {
 		sep = ","
 	}
 	cum := int64(0)
-	for i, bound := range latencyBoundsNanos {
+	bounds := h.Bounds()
+	for i, bound := range bounds {
 		cum += counts[i]
 		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n",
 			name, labels, sep, strconv.FormatFloat(float64(bound)/1e9, 'g', -1, 64), cum)
 	}
-	cum += counts[len(latencyBoundsNanos)]
+	cum += counts[len(bounds)]
 	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
 	if labels != "" {
 		fmt.Fprintf(w, "%s_sum{%s} %s\n", name, labels,

@@ -33,21 +33,23 @@ func goldenJSONRecords(t *testing.T) [][]byte {
 	return recs
 }
 
+// record is one raw store record and the query whose canon keys it.
+type record struct {
+	query string
+	val   []byte
+}
+
 // putRecords writes raw records into the store under dir, keyed as a
-// service with cs would key their canons, and closes the store.
-func putRecords(t *testing.T, dir string, cs *ics.Set, recs ...[]byte) {
+// service with cs would key their queries, and closes the store.
+func putRecords(t *testing.T, dir string, cs *ics.Set, recs ...record) {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc := New(Options{Constraints: cs, Store: st, WarmStart: 0})
-	for _, rec := range recs {
-		e, err := decodeStored(rec)
-		if err != nil {
-			t.Fatalf("decodeStored(%q): %v", rec, err)
-		}
-		if err := st.Put(svc.storeKey(e.canon), rec); err != nil {
+	for _, r := range recs {
+		if err := st.Put(svc.storeKey(pattern.MustParse(r.query).Canonical()), r.val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,93 +57,99 @@ func putRecords(t *testing.T, dir string, cs *ics.Set, recs ...[]byte) {
 	st.Close()
 }
 
-// TestStoreJSONRecordGolden pins backward compatibility: records written
-// by the JSON encoder of earlier versions still decode, serve as store
-// hits and warm-start.
+// TestStoreJSONRecordGolden pins what becomes of the JSON records written
+// by earlier versions: they do not decode, rank as tick 0, are not
+// warm-started, and their queries are served as computed misses whose
+// fresh version-1 records overwrite them.
 func TestStoreJSONRecordGolden(t *testing.T) {
 	recs := goldenJSONRecords(t)
 	want := []struct {
 		query, output string
-		rep           Report
+		unsat         bool
 	}{
-		{"a*[/b, /b]", "a*/b", Report{InputSize: 3, OutputSize: 2, CDMRemoved: 1}},
-		{"x*/y", "x*/y", Report{InputSize: 2, OutputSize: 2, Unsatisfiable: true}},
+		{"a*[/b, /b]", "a*/b", false},
+		{"x*/y", "x*/y", true},
 	}
-	for i, w := range want {
-		e, err := decodeStored(recs[i])
-		if err != nil {
-			t.Fatal(err)
+	for i, rec := range recs {
+		if e, err := decodeStored(rec); err == nil {
+			t.Errorf("record %d decodes to %+v, want an error", i, e)
 		}
-		if e.canon != pattern.MustParse(w.query).Canonical() || e.text != w.output || e.rep != w.rep {
-			t.Errorf("record %d decodes to canon %q, text %q, report %+v", i, e.canon, e.text, e.rep)
-		}
-		if got := storedTick(recs[i]); got != uint64(2*i+1) {
-			t.Errorf("record %d: tick %d, want %d", i, got, 2*i+1)
+		if got := storedTick(rec); got != 0 {
+			t.Errorf("record %d: tick %d, want 0", i, got)
 		}
 	}
 
 	dir := t.TempDir()
-	putRecords(t, dir, goldenConstraints(), recs...)
+	putRecords(t, dir, goldenConstraints(), record{want[0].query, recs[0]}, record{want[1].query, recs[1]})
 
-	// Store hit: no warm-start, the store answers the LRU miss.
-	svc := New(Options{Constraints: goldenConstraints(), Store: openStore(t, dir), WarmStart: 0})
+	svc := New(Options{Constraints: goldenConstraints(), Store: openStore(t, dir), WarmStart: -1})
+	if snap := svc.Stats(); snap.WarmStarted != 0 || snap.StoreErrors != 2 {
+		t.Fatalf("WarmStarted=%d StoreErrors=%d, want 0, 2", snap.WarmStarted, snap.StoreErrors)
+	}
+	if got := svc.writeTick.Load(); got != 0 {
+		t.Errorf("write tick seeded at %d, want 0", got)
+	}
 	for _, w := range want {
 		out, rep, err := svc.Minimize(context.Background(), pattern.MustParse(w.query))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.CacheHit || out.String() != w.output || rep.Unsatisfiable != w.rep.Unsatisfiable {
-			t.Errorf("%s: served %s with %+v, want the stored %s as a hit", w.query, out, rep, w.output)
+		if rep.CacheHit || out.String() != w.output || rep.Unsatisfiable != w.unsat {
+			t.Errorf("%s: served %s with %+v, want a computed %s", w.query, out, rep, w.output)
 		}
 	}
-	if snap := svc.Stats(); snap.StoreHits != 2 || snap.StoreErrors != 0 || snap.Minimizations != 0 {
-		t.Errorf("StoreHits=%d StoreErrors=%d Minimizations=%d, want 2, 0, 0", snap.StoreHits, snap.StoreErrors, snap.Minimizations)
+	if snap := svc.Stats(); snap.StoreHits != 0 || snap.StoreErrors != 4 || snap.Minimizations != 2 {
+		t.Errorf("StoreHits=%d StoreErrors=%d Minimizations=%d, want 0, 4, 2", snap.StoreHits, snap.StoreErrors, snap.Minimizations)
 	}
-	closeService(t, svc)
+	closeService(t, svc) // drains the write-behind queue
 
-	// Warm start: both preloaded, the write ticket resumes after tick 3.
+	// The recomputed entries replaced the JSON records.
 	svc = New(Options{Constraints: goldenConstraints(), Store: openStore(t, dir), WarmStart: -1})
 	defer closeService(t, svc)
 	if snap := svc.Stats(); snap.WarmStarted != 2 || snap.StoreErrors != 0 {
-		t.Fatalf("WarmStarted=%d StoreErrors=%d, want 2, 0", snap.WarmStarted, snap.StoreErrors)
-	}
-	if got := svc.writeTick.Load(); got != 3 {
-		t.Errorf("write tick seeded at %d, want 3", got)
+		t.Fatalf("after rewrite: WarmStarted=%d StoreErrors=%d, want 2, 0", snap.WarmStarted, snap.StoreErrors)
 	}
 }
 
 // TestStoreMixedRecordsWarmStart pins warm-start recency across a store
-// holding both layouts: JSON records at ticks 1 and 3, version-1 records
-// at ticks 2 and 4. Warm-starting two entries must pick ticks 4 and 3,
-// one of each layout.
+// holding both layouts: JSON records, which rank as tick 0 and do not
+// decode, and version-1 records at ticks 2 and 4. Warm-starting two
+// entries must pick the two version-1 records; warm-starting all of them
+// counts the JSON records as store errors and skips them.
 func TestStoreMixedRecordsWarmStart(t *testing.T) {
 	cs := goldenConstraints()
 	recs := goldenJSONRecords(t)
-	v1 := func(src string, tick uint64) []byte {
+	v1 := func(src string, tick uint64) record {
 		e, _, err := New(Options{Constraints: cs}).minimizeEntry(context.Background(), pattern.MustParse(src))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return encodeStored(e, tick)
+		return record{src, encodeStored(e, tick)}
 	}
 	dir := t.TempDir()
-	putRecords(t, dir, cs, recs[0], v1("c*[//d, //d]", 2), recs[1], v1("e*/f", 4))
+	putRecords(t, dir, cs, record{"a*[/b, /b]", recs[0]}, v1("c*[//d, //d]", 2), record{"x*/y", recs[1]}, v1("e*/f", 4))
 
 	svc := New(Options{Constraints: cs, Store: openStore(t, dir), WarmStart: 2})
-	defer closeService(t, svc)
 	if snap := svc.Stats(); snap.WarmStarted != 2 || snap.StoreErrors != 0 {
 		t.Fatalf("WarmStarted=%d StoreErrors=%d, want 2, 0", snap.WarmStarted, snap.StoreErrors)
 	}
 	if got := svc.writeTick.Load(); got != 4 {
 		t.Errorf("write tick seeded at %d, want 4", got)
 	}
-	for _, src := range []string{"e*/f", "x*/y"} {
+	for _, src := range []string{"e*/f", "c*[//d, //d]"} {
 		if _, rep, err := svc.Minimize(context.Background(), pattern.MustParse(src)); err != nil || !rep.CacheHit {
 			t.Errorf("%s: rep %+v err %v, want a warm-started hit", src, rep, err)
 		}
 	}
 	if snap := svc.Stats(); snap.Hits != 2 || snap.StoreHits != 0 {
-		t.Errorf("Hits=%d StoreHits=%d, want 2, 0: ticks 4 and 3 must be the ones preloaded", snap.Hits, snap.StoreHits)
+		t.Errorf("Hits=%d StoreHits=%d, want 2, 0: ticks 4 and 2 must be the ones preloaded", snap.Hits, snap.StoreHits)
+	}
+	closeService(t, svc)
+
+	svc = New(Options{Constraints: cs, Store: openStore(t, dir), WarmStart: -1})
+	defer closeService(t, svc)
+	if snap := svc.Stats(); snap.WarmStarted != 2 || snap.StoreErrors != 2 {
+		t.Fatalf("warm-start all: WarmStarted=%d StoreErrors=%d, want 2, 2", snap.WarmStarted, snap.StoreErrors)
 	}
 }
 
@@ -244,6 +252,7 @@ func FuzzDecodeStored(f *testing.F) {
 	q := pattern.MustParse("a*[/b, //c]")
 	f.Add(encodeStored(&entry{canon: q.Canonical(), out: q, rep: Report{InputSize: 3, OutputSize: 3}}, 9))
 	f.Add(v1Record(1, [5]uint64{3, 2, 1, 0, 1}, "a*(/b,/b)", "a*/b"))
+	// A JSON record of earlier versions: rejected.
 	f.Add([]byte(`{"canon":"a*(/b,/b)","output":{"type":"a","star":true,"children":[{"type":"b","edge":"/"}]},"inputSize":3,"outputSize":2,"cdmRemoved":1,"acimRemoved":0,"tick":1}`))
 	f.Add([]byte{storedV1, 0x85})
 	f.Fuzz(func(t *testing.T, val []byte) {

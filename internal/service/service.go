@@ -36,6 +36,7 @@ import (
 	"tpq/internal/chase"
 	"tpq/internal/engine"
 	"tpq/internal/ics"
+	"tpq/internal/lru"
 	"tpq/internal/pattern"
 	"tpq/internal/store"
 	"tpq/internal/trace"
@@ -148,10 +149,13 @@ type Service struct {
 	shardMask uint64
 
 	// orcache is the disjunctive result cache (nil when caching is
-	// disabled), keyed on disjunction canon + constraint fingerprint.
-	// Per-disjunct results live in the sharded tier above; this one only
-	// saves re-assembly (absorption containment tests) of repeat unions.
-	orcache *orCache
+	// disabled), keyed on disjunction canon + constraint fingerprint and
+	// guarded by orMu. Per-disjunct results live in the sharded tier
+	// above; this one only saves re-assembly (absorption containment
+	// tests) of repeat unions. One lock: disjunctive traffic does not
+	// justify sharding.
+	orMu    sync.Mutex
+	orcache *lru.Cache[*orEntry]
 
 	slowThreshold time.Duration
 	slowMu        sync.Mutex // serializes slow-query log lines
@@ -192,6 +196,7 @@ func New(opts Options) *Service {
 		workers: opts.Workers,
 		start:   time.Now(),
 	}
+	s.stats.initHistograms()
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
@@ -210,7 +215,7 @@ func New(opts Options) *Service {
 	if cacheSize > 0 {
 		s.shards = newShards(cacheSize)
 		s.shardMask = uint64(len(s.shards) - 1)
-		s.orcache = newOrCache(DefaultOrCacheSize)
+		s.orcache = lru.New[*orEntry](DefaultOrCacheSize)
 	}
 	if opts.Store != nil && len(s.shards) > 0 {
 		s.store = opts.Store
@@ -237,7 +242,9 @@ func (s *Service) Stats() Snapshot {
 	snap.CacheLen, snap.CacheCap = s.cacheLenCap()
 	snap.CacheShards = len(s.shards)
 	if s.orcache != nil {
-		snap.OrCacheLen = s.orcache.len()
+		s.orMu.Lock()
+		snap.OrCacheLen = s.orcache.Len()
+		s.orMu.Unlock()
 	}
 	reg := chase.DefaultRegistry.Stats()
 	snap.PlanCacheLen, snap.PlanCacheCap = reg.Len, reg.Cap
@@ -264,7 +271,7 @@ func (s *Service) Stats() Snapshot {
 // happens in front of the service (the HTTP layer, shells), so the
 // front-ends report it here to complete the per-phase picture.
 func (s *Service) ObserveParse(d time.Duration) {
-	s.stats.phase[trace.Parse].observe(d)
+	s.stats.phase[trace.Parse].Observe(d)
 }
 
 // ObserveMatch records one /match evaluation: its duration (the Match
@@ -281,7 +288,7 @@ func (s *Service) ObserveMatch(d time.Duration, answers int64, streamed, limited
 	if limited {
 		s.stats.matchLimited.Add(1)
 	}
-	s.stats.phase[trace.Match].observe(d)
+	s.stats.phase[trace.Match].Observe(d)
 }
 
 // Closing reports whether Close has begun; /healthz turns 503 on it.
@@ -321,22 +328,17 @@ func (s *Service) Close(ctx context.Context) error {
 func (s *Service) cacheLenCap() (length, capacity int) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		length += sh.lru.len()
-		capacity += sh.lru.cap
+		length += sh.lru.Len()
+		capacity += sh.lru.Cap()
 		sh.mu.Unlock()
 	}
 	return length, capacity
 }
 
-// shardForKey picks the shard owning a cache key still in its scratch
-// buffer.
-func (s *Service) shardForKey(key []byte) *cacheShard {
+// shardFor picks the shard owning a key: a cache key, still in its
+// scratch buffer on the request path, or an exact request text.
+func shardFor[K string | []byte](s *Service, key K) *cacheShard {
 	return s.shards[shardHash(key)&s.shardMask]
-}
-
-// shardForString is shardForKey for slow paths holding the key string.
-func (s *Service) shardForString(key string) *cacheShard {
-	return s.shards[shardHashString(key)&s.shardMask]
 }
 
 // Minimize returns the minimal query equivalent to p under the service's
@@ -389,7 +391,7 @@ func (s *Service) minimizeEntry(ctx context.Context, p *pattern.Pattern) (*entry
 		s.stats.errors.Add(1)
 		return nil, Report{}, err
 	}
-	s.stats.lat.observe(time.Since(start))
+	s.stats.lat.Observe(time.Since(start))
 	return e, rep, nil
 }
 
@@ -403,9 +405,9 @@ func (s *Service) hitText(src string) (*entry, Report, bool) {
 	if len(s.shards) == 0 || src == "" {
 		return nil, Report{}, false
 	}
-	tsh := s.shards[shardHashString(src)&s.shardMask]
+	tsh := shardFor(s, src)
 	tsh.mu.Lock()
-	key, ok := tsh.textIdx[src]
+	key, ok := tsh.textIdx.Get(src)
 	tsh.mu.Unlock()
 	if !ok {
 		return nil, Report{}, false
@@ -420,7 +422,7 @@ func (s *Service) hitText(src string) (*entry, Report, bool) {
 	s.mu.Unlock()
 	defer s.inflight.Done()
 	start := time.Now()
-	e, ok := s.shardForString(key).get(key)
+	e, ok := shardFor(s, key).get(key)
 	if !ok {
 		return nil, Report{}, false
 	}
@@ -428,30 +430,22 @@ func (s *Service) hitText(src string) (*entry, Report, bool) {
 	s.stats.hits.Add(1)
 	rep := e.rep
 	rep.CacheHit = true
-	s.stats.lat.observe(time.Since(start))
+	s.stats.lat.Observe(time.Since(start))
 	return e, rep, true
 }
 
 // registerText records src → cache key after the slow path resolved it,
-// so the next byte-identical request takes hitText. Bounded per shard by
-// displacing an arbitrary mapping; slow-path only, so the allocation for
-// the key string is off the hot path.
+// so the next byte-identical request takes hitText. The shard's text
+// index evicts its least recently used text past capacity; slow-path
+// only, so the allocation for the key string is off the hot path.
 func (s *Service) registerText(src string, e *entry) {
 	if len(s.shards) == 0 || src == "" || e == nil || e.canon == "" {
 		return
 	}
 	key := e.canon + "\x00" + s.fp
-	tsh := s.shards[shardHashString(src)&s.shardMask]
+	tsh := shardFor(s, src)
 	tsh.mu.Lock()
-	if _, ok := tsh.textIdx[src]; !ok {
-		if len(tsh.textIdx) >= tsh.textCap {
-			for k := range tsh.textIdx {
-				delete(tsh.textIdx, k)
-				break
-			}
-		}
-		tsh.textIdx[src] = key
-	}
+	tsh.textIdx.Add(src, key)
 	tsh.mu.Unlock()
 }
 
@@ -479,7 +473,7 @@ func (s *Service) minimize(ctx context.Context, p *pattern.Pattern) (*entry, Rep
 	buf = append(buf, 0)
 	buf = append(buf, s.fp...)
 	ks.buf = buf
-	sh := s.shardForKey(buf)
+	sh := shardFor(s, buf)
 	if e, ok := sh.getBytes(buf); ok {
 		keyPool.Put(ks)
 		s.stats.hits.Add(1)
@@ -560,7 +554,7 @@ func (s *Service) minimize(ctx context.Context, p *pattern.Pattern) (*entry, Rep
 // cacheAdd admits an entry under its shard's lock.
 func (s *Service) cacheAdd(sh *cacheShard, key string, e *entry) {
 	sh.mu.Lock()
-	evicted := sh.lru.add(key, e)
+	evicted := sh.lru.Add(key, e)
 	sh.mu.Unlock()
 	if evicted > 0 {
 		s.stats.evictions.Add(int64(evicted))

@@ -14,6 +14,7 @@ import (
 	"tpq/internal/ics"
 	"tpq/internal/oracle"
 	"tpq/internal/pattern"
+	"tpq/internal/trace"
 )
 
 // referenceMinimize is the unserved pipeline — exactly what the top-level
@@ -349,60 +350,12 @@ func TestEmptyPatternRejected(t *testing.T) {
 	}
 }
 
-func TestLRU(t *testing.T) {
-	c := newLRU(2)
-	e := func(n int) *entry { return &entry{rep: Report{InputSize: n}} }
-	c.add("a", e(1))
-	c.add("b", e(2))
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	// a was refreshed, so adding c evicts b.
-	if ev := c.add("c", e(3)); ev != 1 {
-		t.Fatalf("evicted %d, want 1", ev)
-	}
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a should have survived")
-	}
-	if got, _ := c.get("c"); got.rep.InputSize != 3 {
-		t.Error("c lost its value")
-	}
-	// Refreshing an existing key neither grows nor evicts.
-	if ev := c.add("a", e(9)); ev != 0 || c.len() != 2 {
-		t.Errorf("refresh: evicted %d len %d", ev, c.len())
-	}
-	if got, _ := c.get("a"); got.rep.InputSize != 9 {
-		t.Error("refresh did not replace the value")
-	}
-}
-
-// TestLRUZeroCapacity pins the cap<=0 semantics: the cache holds
-// nothing, add is a no-op that reports no evictions (the old code
-// inserted the entry, immediately evicted it, and counted a phantom
-// eviction), and get always misses.
-func TestLRUZeroCapacity(t *testing.T) {
-	for _, capacity := range []int{0, -1} {
-		c := newLRU(capacity)
-		if ev := c.add("a", &entry{}); ev != 0 {
-			t.Errorf("cap %d: add reported %d evictions, want 0", capacity, ev)
-		}
-		if c.len() != 0 {
-			t.Errorf("cap %d: len = %d after add, want 0", capacity, c.len())
-		}
-		if _, ok := c.get("a"); ok {
-			t.Errorf("cap %d: get returned an entry from an empty cache", capacity)
-		}
-	}
-}
-
 func TestStatsSnapshotShape(t *testing.T) {
 	var st Stats
-	st.lat.observe(3 * time.Microsecond)
-	st.lat.observe(30 * time.Microsecond)
-	st.lat.observe(3 * time.Millisecond)
+	st.initHistograms()
+	st.lat.Observe(3 * time.Microsecond)
+	st.lat.Observe(30 * time.Microsecond)
+	st.lat.Observe(3 * time.Millisecond)
 	snap := st.snapshot()
 	if snap.LatencyCount != 3 {
 		t.Fatalf("count = %d", snap.LatencyCount)
@@ -419,6 +372,21 @@ func TestStatsSnapshotShape(t *testing.T) {
 	}
 	if total != 3 {
 		t.Errorf("bucket counts sum to %d", total)
+	}
+
+	// Past the last bound (1s), a quantile is the exact observed maximum,
+	// and the bucket is the +Inf one (leMicros -1).
+	st.lat.Observe(2500 * time.Millisecond)
+	st.phase[trace.CIM].Observe(1500 * time.Millisecond)
+	snap = st.snapshot()
+	if snap.LatencyP99Micros != 2.5e6 {
+		t.Errorf("p99 past the last bound = %v, want the maximum 2.5e6", snap.LatencyP99Micros)
+	}
+	if last := snap.LatencyBuckets[len(snap.LatencyBuckets)-1]; last.LEMicros != -1 || last.Count != 1 {
+		t.Errorf("last bucket %+v, want the +Inf bucket holding 1", last)
+	}
+	if ph := snap.Phases["cim"]; ph.Count != 1 || ph.P99Micros != 1.5e6 || ph.MeanMicros != 1.5e6 {
+		t.Errorf("cim phase %+v, want one observation with p99 and mean 1.5e6", ph)
 	}
 }
 

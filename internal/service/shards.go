@@ -3,6 +3,8 @@ package service
 import (
 	"runtime"
 	"sync"
+
+	"tpq/internal/lru"
 )
 
 // cacheShard is one lock domain of the sharded cache tier: its slice of
@@ -11,18 +13,17 @@ import (
 // cache lock and the flight map lock both split N ways.
 type cacheShard struct {
 	mu     sync.Mutex
-	lru    *lruCache
+	lru    *lru.Cache[*entry]
 	flight flightGroup
 
 	// textIdx maps exact request text to the cache key it resolved to,
 	// letting repeat requests with byte-identical query text skip the
 	// parse and canonicalization entirely. Sharded by text hash (its own
-	// dimension — the canon shard is usually a different one), bounded by
-	// textCap with arbitrary displacement; a stale mapping only costs a
-	// missed fast path, never a wrong answer, because the key lookup in
-	// the canon shard stays authoritative.
-	textIdx map[string]string
-	textCap int
+	// dimension — the canon shard is usually a different one), bounded at
+	// the shard's capacity (at least 1) with least-recently-used eviction;
+	// a stale mapping only costs a missed fast path, never a wrong answer,
+	// because the key lookup in the canon shard stays authoritative.
+	textIdx *lru.Cache[string]
 }
 
 // numShards picks the shard count for a cache of the given total
@@ -53,35 +54,17 @@ func newShards(totalCap int) []*cacheShard {
 		if i < extra {
 			c++
 		}
-		tc := c
-		if tc < 1 {
-			tc = 1
-		}
-		shards[i] = &cacheShard{lru: newLRU(c), textIdx: make(map[string]string), textCap: tc}
+		shards[i] = &cacheShard{lru: lru.New[*entry](c), textIdx: lru.New[string](max(c, 1))}
 	}
 	return shards
 }
 
-// shardHash spreads a cache key over the shard space: FNV-1a finalized
+// shardHash spreads a cache key, held as bytes on the request path or
+// as a string on the slow paths, over the shard space: FNV-1a finalized
 // by splitmix64 (mix64) — raw FNV of keys sharing the
 // constraint-fingerprint suffix stays correlated in the low bits, and
 // the shard index is exactly the low bits.
-func shardHash(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return mix64(h)
-}
-
-// shardHashString is shardHash for slow paths that already materialized
-// the key string.
-func shardHashString(key string) uint64 {
+func shardHash[K string | []byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -106,11 +89,10 @@ func mix64(x uint64) uint64 {
 }
 
 // getBytes returns the shard's entry for a key still in its scratch
-// buffer, refreshing recency. The []byte-keyed map lookup compiles to a
-// no-allocation access.
+// buffer, refreshing recency, without allocating.
 func (sh *cacheShard) getBytes(key []byte) (*entry, bool) {
 	sh.mu.Lock()
-	e, ok := sh.lru.getBytes(key)
+	e, ok := sh.lru.GetBytes(key)
 	sh.mu.Unlock()
 	return e, ok
 }
@@ -118,7 +100,7 @@ func (sh *cacheShard) getBytes(key []byte) (*entry, bool) {
 // get returns the shard's entry for key, refreshing recency.
 func (sh *cacheShard) get(key string) (*entry, bool) {
 	sh.mu.Lock()
-	e, ok := sh.lru.get(key)
+	e, ok := sh.lru.Get(key)
 	sh.mu.Unlock()
 	return e, ok
 }

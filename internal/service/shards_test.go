@@ -17,8 +17,8 @@ import (
 	"tpq/internal/store"
 )
 
-// TestShardHashAgreement pins that the []byte and string forms of the
-// shard hash agree — the warm-start insert path hashes key strings
+// TestShardHashAgreement pins that the []byte and string instances of
+// the shard hash agree — the warm-start insert path hashes key strings
 // while the request path hashes pooled key bytes, and any divergence
 // silently strands entries in a shard no lookup visits.
 func TestShardHashAgreement(t *testing.T) {
@@ -26,8 +26,8 @@ func TestShardHashAgreement(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		q := genquery.Random(rng, 3+rng.Intn(12), 6)
 		key := q.Canonical() + "\x00" + "deadbeef"
-		if shardHash([]byte(key)) != shardHashString(key) {
-			t.Fatalf("shardHash and shardHashString disagree on %q", key)
+		if shardHash([]byte(key)) != shardHash(key) {
+			t.Fatalf("shardHash of bytes and of string disagree on %q", key)
 		}
 	}
 }
@@ -58,6 +58,45 @@ func TestShardBalance(t *testing.T) {
 		if float64(c) < 0.5*mean || float64(c) > 1.5*mean {
 			t.Errorf("shard %d holds %d keys, outside [%.0f, %.0f] (mean %.0f): %v",
 				i, c, 0.5*mean, 1.5*mean, mean, counts)
+		}
+	}
+}
+
+// TestTextIndexEvictsLeastRecentlyUsed fills one shard's exact-text
+// index to capacity with spellings of one query, refreshes the oldest
+// through the fast path, and registers one text more: the least recently
+// used text is dropped, and every other text keeps its fast path.
+func TestTextIndexEvictsLeastRecentlyUsed(t *testing.T) {
+	svc := New(Options{CacheSize: 64})
+	defer closeService(t, svc)
+	e, _, err := svc.minimizeEntry(context.Background(), pattern.MustParse("a*/b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := svc.shards[0]
+	capacity := sh.textIdx.Cap()
+	var texts []string
+	for i := 0; len(texts) <= capacity; i++ {
+		if src := strings.Repeat(" ", i) + "a*/b"; shardFor(svc, src) == sh {
+			texts = append(texts, src)
+		}
+	}
+	for _, src := range texts[:capacity] {
+		svc.registerText(src, e)
+	}
+	if _, _, ok := svc.hitText(texts[0]); !ok {
+		t.Fatal("registered text missed")
+	}
+	svc.registerText(texts[capacity], e) // evicts texts[1]
+	if n := sh.textIdx.Len(); n != capacity {
+		t.Fatalf("text index holds %d, want its capacity %d", n, capacity)
+	}
+	if _, _, ok := svc.hitText(texts[1]); ok {
+		t.Error("the least recently used text survived an insert past capacity")
+	}
+	for i, src := range texts {
+		if _, _, ok := svc.hitText(src); !ok && i != 1 {
+			t.Errorf("text %d lost its fast path", i)
 		}
 	}
 }

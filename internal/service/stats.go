@@ -1,7 +1,6 @@
 package service
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -52,12 +51,23 @@ type Stats struct {
 
 	inflight atomic.Int64 // requests currently inside Minimize (gauge)
 
-	lat latencyHist
-	// phase holds one duration histogram per pipeline phase
-	// (parse/chase/cdm/acim/cim/compact), fed by the per-request traces of
-	// the compute path (cache hits run no phases) plus the serving layer's
-	// parse observations. Same log-linear bucketing as lat.
-	phase [trace.NumPhases]latencyHist
+	// lat is the request latency histogram; phase holds one duration
+	// histogram per pipeline phase (parse/chase/cdm/acim/cim/compact),
+	// fed by the per-request traces of the compute path (cache hits run
+	// no phases) plus the serving layer's parse and match observations.
+	// All are built by initHistograms on hdr.DefaultLayout: 64 log-linear
+	// bounds from 100ns to 1s, fine enough that µs-scale cached hits
+	// spread across real buckets.
+	lat   *hdr.Histogram
+	phase [trace.NumPhases]*hdr.Histogram
+}
+
+// initHistograms builds the request and per-phase histograms.
+func (s *Stats) initHistograms() {
+	s.lat = hdr.New(hdr.DefaultLayout)
+	for i := range s.phase {
+		s.phase[i] = hdr.New(hdr.DefaultLayout)
+	}
 }
 
 // observePhases folds one request's trace into the per-phase histograms.
@@ -69,82 +79,14 @@ func (s *Stats) observePhases(tr *trace.Trace) {
 	}
 	for _, p := range trace.Phases() {
 		if d := tr.Dur(p); d > 0 {
-			s.phase[p].observe(d)
+			s.phase[p].Observe(d)
 		}
 	}
 }
 
-// latencyLayout is the bucket layout shared by the request and per-phase
-// histograms: log-linear (HDR-style), 9 bounds per decade from 100ns to
-// 1s. The old 1-2-5 three-decade spacing put every µs-scale cached hit
-// in one bucket, which made the p50/p99 of a hot service meaningless —
-// the sub-millisecond decades are where the serving hot path lives.
-var latencyLayout = hdr.Layout{MinNanos: 100, Decades: 7, Steps: 9}
-
-// latencyBoundsNanos are the materialized bucket upper bounds, in
-// nanoseconds; an implicit +Inf bucket catches the rest.
-var latencyBoundsNanos = latencyLayout.Bounds()
-
-// numLatencyBounds keeps the bucket array a fixed-size struct field; the
-// init check pins it to the layout.
-const numLatencyBounds = 64
-
-func init() {
-	if len(latencyBoundsNanos) != numLatencyBounds {
-		panic("service: latencyLayout does not match numLatencyBounds")
-	}
-}
-
-type latencyHist struct {
-	buckets [numLatencyBounds + 1]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64 // nanoseconds
-}
-
-// load copies the histogram into plain slices for rendering. The copies
-// of the individual atomics are not mutually consistent under concurrent
-// observes — the usual monitoring tolerance.
-func (h *latencyHist) load() (counts []int64, total, sumNanos int64) {
-	counts = make([]int64, len(h.buckets))
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-	}
-	return counts, h.count.Load(), h.sum.Load()
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	h.buckets[latencyLayout.Index(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-}
-
-// quantile returns an upper bound on the q-quantile in microseconds
-// (fractional below 1µs): the bound of the first bucket at which the
-// cumulative count reaches q·total.
-func (h *latencyHist) quantile(q float64, counts []int64, total int64) float64 {
-	if total == 0 {
-		return 0
-	}
-	need := int64(math.Ceil(q * float64(total)))
-	if need < 1 {
-		need = 1
-	}
-	cum := int64(0)
-	for i, c := range counts {
-		cum += c
-		if cum >= need {
-			if i < numLatencyBounds {
-				return float64(latencyBoundsNanos[i]) / 1e3
-			}
-			return -1 // in the +Inf bucket
-		}
-	}
-	return -1
-}
+// micros converts a histogram duration to the fractional microseconds
+// of /stats.
+func micros(d time.Duration) float64 { return float64(d) / 1e3 }
 
 // LatencyBucket is one histogram bar: the count of requests that took at
 // most LEMicros microseconds (and more than the previous bound).
@@ -225,9 +167,11 @@ type Snapshot struct {
 	Workers               int     `json:"workers" metric:"tpq_workers" help:"Worker-pool size of batch and union minimization."`
 	UptimeSeconds         float64 `json:"uptimeSeconds" metric:"tpq_uptime_seconds" help:"Seconds since the service was constructed."`
 
+	// The latency quantiles are bucket upper bounds; one past the last
+	// bound (1s) is the exact observed maximum.
 	LatencyCount      int64           `json:"latencyCount"`
 	LatencyMeanMicros float64         `json:"latencyMeanMicros"`
-	LatencyP50Micros  float64         `json:"latencyP50Micros"` // -1: beyond the last bound
+	LatencyP50Micros  float64         `json:"latencyP50Micros"`
 	LatencyP90Micros  float64         `json:"latencyP90Micros"`
 	LatencyP99Micros  float64         `json:"latencyP99Micros"`
 	LatencyBuckets    []LatencyBucket `json:"latencyBuckets"`
@@ -243,7 +187,7 @@ type Snapshot struct {
 type PhaseSnapshot struct {
 	Count      int64   `json:"count"`
 	MeanMicros float64 `json:"meanMicros"`
-	P99Micros  float64 `json:"p99Micros"` // -1: beyond the last bound
+	P99Micros  float64 `json:"p99Micros"` // past the last bound (1s): the exact maximum
 }
 
 // StoreSnapshot is the persistent tier's state as seen on /stats, its
@@ -294,41 +238,37 @@ func (s *Stats) snapshot() Snapshot {
 		OrUnsat:        s.orUnsat.Load(),
 		OrCacheHits:    s.orCacheHits.Load(),
 	}
-	counts := make([]int64, len(s.lat.buckets))
-	for i := range s.lat.buckets {
-		counts[i] = s.lat.buckets[i].Load()
+	counts, bounds := s.lat.Counts(), s.lat.Bounds()
+	snap.LatencyCount = s.lat.Count()
+	if snap.LatencyCount > 0 {
+		snap.LatencyMeanMicros = micros(s.lat.Sum()) / float64(snap.LatencyCount)
 	}
-	total := s.lat.count.Load()
-	snap.LatencyCount = total
-	if total > 0 {
-		snap.LatencyMeanMicros = float64(s.lat.sum.Load()) / 1e3 / float64(total)
-	}
-	snap.LatencyP50Micros = s.lat.quantile(0.50, counts, total)
-	snap.LatencyP90Micros = s.lat.quantile(0.90, counts, total)
-	snap.LatencyP99Micros = s.lat.quantile(0.99, counts, total)
+	snap.LatencyP50Micros = micros(s.lat.Quantile(0.50))
+	snap.LatencyP90Micros = micros(s.lat.Quantile(0.90))
+	snap.LatencyP99Micros = micros(s.lat.Quantile(0.99))
 	for i, c := range counts {
 		if c == 0 {
 			continue
 		}
 		le := float64(-1)
-		if i < numLatencyBounds {
-			le = float64(latencyBoundsNanos[i]) / 1e3
+		if i < len(bounds) {
+			le = micros(time.Duration(bounds[i]))
 		}
 		snap.LatencyBuckets = append(snap.LatencyBuckets, LatencyBucket{LEMicros: le, Count: c})
 	}
 	for _, p := range trace.Phases() {
-		h := &s.phase[p]
-		counts, phTotal, sum := h.load()
-		if phTotal == 0 {
+		h := s.phase[p]
+		n := h.Count()
+		if n == 0 {
 			continue
 		}
 		if snap.Phases == nil {
 			snap.Phases = make(map[string]PhaseSnapshot, trace.NumPhases)
 		}
 		snap.Phases[p.String()] = PhaseSnapshot{
-			Count:      phTotal,
-			MeanMicros: float64(sum) / 1e3 / float64(phTotal),
-			P99Micros:  h.quantile(0.99, counts, phTotal),
+			Count:      n,
+			MeanMicros: micros(h.Sum()) / float64(n),
+			P99Micros:  micros(h.Quantile(0.99)),
 		}
 	}
 	return snap

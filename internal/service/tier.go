@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -28,25 +27,14 @@ const storeQueueDepth = 256
 // is the input's full canonical form, not its fingerprint: warm-start
 // rebuilds the exact LRU key from it, and every lookup rejects a
 // fingerprint collision by comparing canonical forms. text is the output
-// in the Parse syntax, exactly as the entry serves it. A record whose
-// first byte is '{' is a JSON record (storedEntry) of earlier versions.
+// in the Parse syntax, exactly as the entry serves it. Any other record
+// — the JSON records of earlier versions among them — does not decode:
+// the store is a cache tier, so such a record is a counted miss that is
+// recomputed and overwritten.
 const storedV1 byte = 1
 
 // errStoredRecord reports a record that does not decode.
 var errStoredRecord = errors.New("service: malformed store record")
-
-// storedEntry is the JSON store record of earlier versions, kept for
-// decoding only: new records use the binary layout above.
-type storedEntry struct {
-	Canon         string          `json:"canon"`
-	Output        json.RawMessage `json:"output"`
-	InputSize     int             `json:"inputSize"`
-	OutputSize    int             `json:"outputSize"`
-	CDMRemoved    int             `json:"cdmRemoved"`
-	ACIMRemoved   int             `json:"acimRemoved"`
-	Unsatisfiable bool            `json:"unsatisfiable,omitempty"`
-	Tick          uint64          `json:"tick,omitempty"` // write ticket: warm-start recency
-}
 
 // encodeStored serializes one cache entry for the persistent tier as a
 // version-1 record, stamped with its write ticket. The output text is
@@ -71,24 +59,12 @@ func encodeStored(e *entry, tick uint64) []byte {
 	return append(buf, text...)
 }
 
-// decodeStored is the inverse of encodeStored. It also reads the JSON
-// records of earlier versions, held to the same rules: the JSON decode
-// alone admits type names the text grammar rejects. A decoded entry is
-// always a servable one, its output parsed and rendered back to the
-// stored text.
+// decodeStored is the inverse of encodeStored. A decoded entry is
+// always a servable one: the output text is parsed, and a record whose
+// pattern does not render back to that text, or whose counts are out of
+// range, is rejected, so a record that slipped past the CRC is served as
+// a miss, never as a wrong answer.
 func decodeStored(val []byte) (*entry, error) {
-	if len(val) > 0 && val[0] == '{' {
-		var se storedEntry
-		p := &pattern.Pattern{}
-		if err := json.Unmarshal(val, &se); err != nil {
-			return nil, err
-		}
-		if err := json.Unmarshal(se.Output, p); err != nil {
-			return nil, err
-		}
-		return storedEntryOf(se.Canon, p.String(), Report{InputSize: se.InputSize, OutputSize: se.OutputSize,
-			CDMRemoved: se.CDMRemoved, ACIMRemoved: se.ACIMRemoved, Unsatisfiable: se.Unsatisfiable})
-	}
 	if len(val) == 0 || val[0] != storedV1 {
 		return nil, errStoredRecord
 	}
@@ -96,7 +72,7 @@ func decodeStored(val []byte) (*entry, error) {
 	var f [6]uint64 // tick, InputSize, OutputSize, CDMRemoved, ACIMRemoved, flags
 	for i := range f {
 		v, n := binary.Uvarint(rest)
-		if n <= 0 {
+		if n <= 0 || (i >= 1 && i <= 4 && v > math.MaxInt32) {
 			return nil, errStoredRecord
 		}
 		f[i], rest = v, rest[n:]
@@ -109,28 +85,16 @@ func decodeStored(val []byte) (*entry, error) {
 		}
 		s[i], rest = string(rest[n:n+int(l)]), rest[n+int(l):]
 	}
-	if len(rest) > 0 || f[5] > 1 {
+	canon, text := s[0], s[1]
+	if len(rest) > 0 || f[5] > 1 || canon == "" {
 		return nil, errStoredRecord
-	}
-	return storedEntryOf(s[0], s[1], Report{InputSize: int(f[1]), OutputSize: int(f[2]),
-		CDMRemoved: int(f[3]), ACIMRemoved: int(f[4]), Unsatisfiable: f[5] == 1})
-}
-
-// storedEntryOf builds the servable entry of a decoded record. It parses
-// the output text and rejects a record whose pattern does not render
-// back to that text, or whose counts are out of range, so a record that
-// slipped past the CRC is served as a miss, never as a wrong answer.
-func storedEntryOf(canon, text string, rep Report) (*entry, error) {
-	for _, v := range []int{rep.InputSize, rep.OutputSize, rep.CDMRemoved, rep.ACIMRemoved} {
-		if v < 0 || v > math.MaxInt32 {
-			return nil, errStoredRecord
-		}
 	}
 	p, err := pattern.Parse(text)
-	if err != nil || canon == "" {
+	if err != nil {
 		return nil, errStoredRecord
 	}
-	e := &entry{canon: canon, out: p, rep: rep}
+	e := &entry{canon: canon, out: p, rep: Report{InputSize: int(f[1]), OutputSize: int(f[2]),
+		CDMRemoved: int(f[3]), ACIMRemoved: int(f[4]), Unsatisfiable: f[5] == 1}}
 	if e.finalize(); e.text != text {
 		return nil, fmt.Errorf("service: stored output %q renders as %q", text, e.text)
 	}
@@ -138,16 +102,14 @@ func storedEntryOf(canon, text string, rep Report) (*entry, error) {
 }
 
 // storedTick returns a record's write ticket without decoding the rest.
-// A record that does not decode ranks as tick 0; decodeStored rejects it
-// if warm-start picks it.
+// A record that is not version 1 ranks as tick 0; decodeStored rejects
+// it if warm-start picks it.
 func storedTick(val []byte) uint64 {
 	if len(val) > 0 && val[0] == storedV1 {
 		tick, _ := binary.Uvarint(val[1:])
 		return tick
 	}
-	var se storedEntry
-	_ = json.Unmarshal(val, &se)
-	return se.Tick
+	return 0
 }
 
 // storeKey builds the fixed-size persistent key for a canonical form:
@@ -259,9 +221,9 @@ func (s *Service) loadStore(limit int) {
 			continue
 		}
 		key := e.canon + "\x00" + s.fp
-		sh := s.shardForString(key)
+		sh := shardFor(s, key)
 		sh.mu.Lock()
-		sh.lru.add(key, e)
+		sh.lru.Add(key, e)
 		sh.mu.Unlock()
 		s.stats.warmStarted.Add(1)
 	}
