@@ -17,7 +17,7 @@
 // Output: one line per answer with the node's document position and its
 // path from the root, followed by a summary, in document order; -limit N
 // prints the first N answers. With -count only the number of answers
-// prints.
+// prints, capped at -limit when one is given.
 package main
 
 import (
@@ -113,9 +113,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		d = out
 	}
 
-	// Every disjunct compiles to one query and UnionAnswers yields the
-	// union of their answers in document order, once each (a plain
-	// query yields its own answers directly); -limit stops the printing.
+	// Every disjunct compiles to one query. UnionCount counts the union
+	// of their answers; UnionAnswers yields it in document order, once
+	// each (a plain query yields its own answers directly), and -limit
+	// stops the printing.
 	idx := match.NewForestIndex(forest)
 	qs := make([]*stream.Query, 0, len(d.Disjuncts))
 	for _, p := range d.Disjuncts {
@@ -125,6 +126,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		qs = append(qs, sq)
 	}
+	if *countOnly {
+		count := stream.UnionCount(context.Background(), qs)
+		if *limit > 0 {
+			count = min(count, *limit)
+		}
+		fmt.Fprintln(stdout, count)
+		return 0
+	}
 	count, truncated := 0, false
 	for n := range stream.UnionAnswers(context.Background(), qs) {
 		if *limit > 0 && count >= *limit {
@@ -132,13 +141,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			break
 		}
 		count++
-		if !*countOnly {
-			fmt.Fprintf(stdout, "#%d  %s\n", n.ID, pathOf(n))
-		}
-	}
-	if *countOnly {
-		fmt.Fprintln(stdout, count)
-		return 0
+		fmt.Fprintf(stdout, "#%d  %s\n", n.ID, pathOf(n))
 	}
 	suffix := ""
 	if truncated {

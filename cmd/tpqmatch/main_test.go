@@ -111,6 +111,28 @@ func TestMatchUnion(t *testing.T) {
 	}
 }
 
+// TestMatchCountLimit pins -count under -limit: the printed count is
+// capped at the limit, for a single query and for a union, and a limit
+// above the answer count leaves it alone.
+func TestMatchCountLimit(t *testing.T) {
+	for _, c := range []struct {
+		query, limit, want string
+	}{
+		{"Book*", "1", "1"},
+		{"or(Book/Title*, Book/Author*)", "2", "2"},
+		{"or(Book/Title*, Book/Author*)", "3", "3"},
+		{"or(Book/Title*, Book/Author*)", "5", "3"},
+	} {
+		out, stderr, code := runCmd(t, doc, "-count", "-limit", c.limit, c.query)
+		if code != 0 {
+			t.Fatalf("%s -limit %s: exit %d, stderr %q", c.query, c.limit, code, stderr)
+		}
+		if got := strings.TrimSpace(out); got != c.want {
+			t.Errorf("%s -limit %s: count %q, want %q", c.query, c.limit, got, c.want)
+		}
+	}
+}
+
 func TestMatchUnionXPath(t *testing.T) {
 	out, _, code := runCmd(t, doc, "-xpath", "-count", "//Book[Title] | //Author")
 	if code != 0 {

@@ -521,7 +521,8 @@ func CheckStore(q *pattern.Pattern, cs *ics.Set) *Failure {
 // embedding definition. On the query's canonical database and on a
 // generated forest over the query's alphabet, the twig engine
 // (match/stream) must return exactly the answer set of
-// oracle.BindingsMap, which shares no code with it. The streamed
+// oracle.BindingsMap, which shares no code with it, and count it
+// exactly: Count is what a /match reply without answers returns. The streamed
 // embedding enumeration and the counting kernel (match.CountEmbeddings)
 // must agree with oracle.CountEmbeddingsMap, and the enumeration must
 // bind the output node to exactly the answer set. cs may be nil —
@@ -566,6 +567,10 @@ func CheckMatch(q *pattern.Pattern, cs *ics.Set) *Failure {
 		if !sameNodeLists(want, streamed) {
 			return fail(q, cs, "match", "forest %d: reference found %d answers, streaming %d",
 				fi, len(want), len(streamed))
+		}
+		if got := sq.Count(ctx); got != len(want) {
+			return fail(q, cs, "match", "forest %d: reference found %d answers, Count says %d",
+				fi, len(want), got)
 		}
 
 		wantCount := oracle.CountEmbeddingsMap(q, f)

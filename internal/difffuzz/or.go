@@ -19,7 +19,7 @@ import (
 // union (stream.UnionAnswers) must be strictly document-ordered and
 // duplicate-free, and equal the union of the disjuncts' answer sets under
 // oracle.BindingsMap, on every disjunct's canonical database and on a
-// generated forest.
+// generated forest; stream.UnionCount must equal that union's size.
 // Minimization: the service's cold disjunctive path (per-disjunct
 // pipeline over its worker pool, then absorption pruning) must preserve
 // the union — certified by per-disjunct-pair containment both ways:
@@ -76,12 +76,13 @@ func CheckOr(d *pattern.Disjunction, cs *ics.Set) *Failure {
 	}
 
 	ctx := context.Background()
-	unionAnswers := func(d *pattern.Disjunction, idx *match.ForestIndex) ([]*data.Node, *Failure) {
+	// unionAnswers returns the streamed union and the union count.
+	unionAnswers := func(d *pattern.Disjunction, idx *match.ForestIndex) ([]*data.Node, int, *Failure) {
 		qs := make([]*stream.Query, 0, len(d.Disjuncts))
 		for _, p := range d.Disjuncts {
 			sq, err := stream.Compile(p, idx, stream.Options{})
 			if err != nil {
-				return nil, fail(rq, cs, "or", "stream compile of disjunct %s: %v", p, err)
+				return nil, 0, fail(rq, cs, "or", "stream compile of disjunct %s: %v", p, err)
 			}
 			qs = append(qs, sq)
 		}
@@ -89,11 +90,11 @@ func CheckOr(d *pattern.Disjunction, cs *ics.Set) *Failure {
 		for v := range stream.UnionAnswers(ctx, qs) {
 			streamed = append(streamed, v)
 		}
-		return streamed, nil
+		return streamed, stream.UnionCount(ctx, qs), nil
 	}
 
 	for fi, f := range forests {
-		streamed, fl := unionAnswers(d, match.NewForestIndex(f))
+		streamed, count, fl := unionAnswers(d, match.NewForestIndex(f))
 		if fl != nil {
 			return fl
 		}
@@ -103,9 +104,14 @@ func CheckOr(d *pattern.Disjunction, cs *ics.Set) *Failure {
 					fi, streamed[i].ID, d)
 			}
 		}
-		if want := referenceUnion(d, f); !sameNodeLists(want, streamed) {
+		want := referenceUnion(d, f)
+		if !sameNodeLists(want, streamed) {
 			return fail(rq, cs, "or", "forest %d: reference union found %d answers, streamed union %d (union %s)",
 				fi, len(want), len(streamed), d)
+		}
+		if count != len(want) {
+			return fail(rq, cs, "or", "forest %d: reference union found %d answers, UnionCount says %d (union %s)",
+				fi, len(want), count, d)
 		}
 	}
 
@@ -211,11 +217,11 @@ func CheckOr(d *pattern.Disjunction, cs *ics.Set) *Failure {
 	// exactly like the input union — equivalence observed end to end.
 	if constrained != nil {
 		idx := match.NewForestIndex(constrained)
-		want, fl := unionAnswers(d, idx)
+		want, _, fl := unionAnswers(d, idx)
 		if fl != nil {
 			return fl
 		}
-		got, fl := unionAnswers(out, idx)
+		got, _, fl := unionAnswers(out, idx)
 		if fl != nil {
 			return fl
 		}

@@ -1,9 +1,18 @@
 package match
 
-// CachedTypeRows returns how many per-type rows idx has cached, for the
-// external tests.
+// CachedTypeRows returns how many rows idx has cached, type rows and
+// lift rows together, for the external tests.
 func CachedTypeRows(idx *ForestIndex) int {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	return len(idx.bits)
+	n := 0
+	for _, tr := range idx.rows {
+		n++
+		for _, l := range tr.lift {
+			if l != nil {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -28,23 +28,12 @@ func (q *Query) Answers(ctx context.Context) iter.Seq[*data.Node] {
 }
 
 // Count returns the number of answers: the popcount of the answer row,
-// with no per-answer work. A run canceled before its row is complete
-// counts 0; check ctx.Err() to tell that from an empty answer set.
+// with no per-answer work (UnionCount of q alone). A run canceled before
+// its row is complete counts 0; check ctx.Err() to tell that from an
+// empty answer set.
 func (q *Query) Count(ctx context.Context) int {
-	if q == nil || len(q.nodes) == 0 {
-		return 0
-	}
-	r := newRun(ctx, q)
-	defer r.release()
-	row, owned := r.answerRow()
-	if r.done {
-		return 0
-	}
-	n := row.Count()
-	if owned {
-		r.put(row)
-	}
-	return n
+	qs := [1]*Query{q}
+	return UnionCount(ctx, qs[:])
 }
 
 // Embedding is one full assignment of pattern nodes to data nodes, yielded

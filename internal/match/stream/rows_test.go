@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -210,19 +211,39 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRowPrimitivesAlias drives the four in-place passes directly with
-// dst aliasing an input, against the pointer-walk definitions.
+// TestRowPrimitivesAlias drives the row passes directly, on a run built
+// the way production builds one, against the pointer-walk definitions:
+// lift along a c-edge and a d-edge in every aliasing fold and allRows
+// use — the result in the mask's row (an owned mask), in S(c)'s row (an
+// owned S(c)) or in a fresh row — with every unowned input left
+// unwritten, and the two in-place top-down steps.
 func TestRowPrimitivesAlias(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 100; trial++ {
 		f := deepForest(rng, 64+rng.Intn(400), 3)
 		nodes := f.Nodes()
 		idx := match.NewForestIndex(f)
-		q, err := Compile(pattern.MustParse("t0*"), idx, Options{})
+		// The root's children are inner nodes, one per edge kind, so lift
+		// runs its kernels on them rather than a leaf's lift row.
+		q, err := Compile(pattern.MustParse("t0*[/t1/t0, //t2/t0]"), idx, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := &run{q: q}
+		inner := map[string]int{}
+		for i := 1; i < q.k; i++ {
+			if len(q.kids[i]) == 0 {
+				continue
+			}
+			if q.repr[i].node.Edge == pattern.Child {
+				inner["liftChild"] = i
+			} else {
+				inner["liftDesc"] = i
+			}
+		}
+		if len(inner) != 2 {
+			t.Fatalf("compiled pattern has inner children %v, want one per edge kind", inner)
+		}
+		r := newRun(context.Background(), q)
 		pick := func() bitset.Set {
 			s := bitset.New(len(nodes))
 			for i := range nodes {
@@ -256,31 +277,54 @@ func TestRowPrimitivesAlias(t *testing.T) {
 			}
 			want[name] = w
 		}
-		check := func(name string, got bitset.Set) {
+		check := func(name, how string, got bitset.Set) {
 			for i, w := range want[name] {
 				if got.Has(i) != w {
-					t.Fatalf("trial %d: %s: bit %d = %v, want %v", trial, name, i, got.Has(i), w)
+					t.Fatalf("trial %d: %s: bit %d = %v, want %v", trial, how, i, got.Has(i), w)
 				}
 			}
 		}
-		clone := func(s bitset.Set) bitset.Set { return append(bitset.Set(nil), s...) }
+		clone := func(s bitset.Set) bitset.Set {
+			row := r.row()
+			copy(row, s)
+			return row
+		}
+		pristineMask, pristineSrc := clone(mask), clone(src)
+		for _, name := range []string{"liftChild", "liftDesc"} {
+			for _, owned := range []bool{false, true} {
+				for _, sOwned := range []bool{false, true} {
+					row, s := mask, src
+					if owned {
+						row = clone(mask)
+					}
+					if sOwned {
+						s = clone(src)
+					}
+					got, gotOwned := r.lift(row, owned, s, sOwned, inner[name])
+					how := fmt.Sprintf("%s (mask owned %v, S(c) owned %v)", name, owned, sOwned)
+					check(name, how, got)
+					switch {
+					case !gotOwned:
+						t.Fatalf("trial %d: %s: result is not a scratch row", trial, how)
+					case owned && &got[0] != &row[0]:
+						t.Fatalf("trial %d: %s: result is not the mask's row", trial, how)
+					case !owned && sOwned && &got[0] != &s[0]:
+						t.Fatalf("trial %d: %s: result is not S(c)'s row", trial, how)
+					case !mask.Equal(pristineMask) || !src.Equal(pristineSrc):
+						t.Fatalf("trial %d: %s: wrote an unowned input", trial, how)
+					}
+					r.put(got)
+				}
+			}
+		}
 		s := clone(src)
-		r.liftChild(s, mask, s)
-		check("liftChild", s)
-		m := clone(mask)
-		r.liftChild(m, m, src)
-		check("liftChild", m)
-		s = clone(src)
-		r.liftDesc(s, mask, s)
-		check("liftDesc", s)
-		m = clone(mask)
-		r.liftDesc(m, m, src)
-		check("liftDesc", m)
-		s = clone(src)
 		r.belowChild(s, mask)
-		check("belowChild", s)
+		check("belowChild", "belowChild", s)
+		r.put(s)
 		s = clone(src)
 		r.belowDesc(s, mask)
-		check("belowDesc", s)
+		check("belowDesc", "belowDesc", s)
+		r.put(s)
+		r.release()
 	}
 }

@@ -26,23 +26,56 @@ func UnionAnswers(ctx context.Context, qs []*Query) iter.Seq[*data.Node] {
 	}
 }
 
+// UnionCount returns the number of data nodes that answer at least one
+// of qs, compiled against the same index: the popcount of the union's
+// answer row, with no per-answer work. A run canceled before its row is
+// complete counts 0; check ctx.Err() to tell that from an empty answer
+// set. Query.Count is its one-query case.
+func UnionCount(ctx context.Context, qs []*Query) int {
+	if len(qs) == 0 || qs[0] == nil || len(qs[0].nodes) == 0 {
+		return 0
+	}
+	r := newRun(ctx, qs[0])
+	defer r.release()
+	row, owned := r.unionRow(qs)
+	if r.done {
+		return 0
+	}
+	n := row.Count()
+	if owned {
+		r.put(row)
+	}
+	return n
+}
+
 // answers yields, in document order and once each, the data nodes that
-// answer at least one of qs. It computes each query's answer row in turn
-// and ORs it into the first's, holding one row beyond a single query's
-// run.
+// answer at least one of qs.
 func answers(ctx context.Context, qs []*Query, yield func(*data.Node) bool) {
 	if len(qs) == 0 || qs[0] == nil || len(qs[0].nodes) == 0 {
 		return
 	}
 	r := newRun(ctx, qs[0])
 	defer r.release()
-	var union bitset.Set
-	owned := false
+	row, owned := r.unionRow(qs)
+	if r.done {
+		return
+	}
+	r.each(row, yield)
+	if owned {
+		r.put(row)
+	}
+}
+
+// unionRow computes the answer row of the union of qs and reports
+// whether it is a scratch row the caller must put back. It computes each
+// query's answer row in turn and ORs it into the first's, holding one
+// row beyond a single query's run.
+func (r *run) unionRow(qs []*Query) (union bitset.Set, owned bool) {
 	for i, q := range qs {
 		r.q = q
 		row, rowOwned := r.answerRow()
 		if r.done {
-			return
+			return nil, false
 		}
 		if i == 0 {
 			union, owned = row, rowOwned
@@ -58,8 +91,5 @@ func answers(ctx context.Context, qs []*Query, yield func(*data.Node) bool) {
 			r.put(row)
 		}
 	}
-	r.each(union, yield)
-	if owned {
-		r.put(union)
-	}
+	return union, owned
 }

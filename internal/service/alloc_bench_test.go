@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 
 	"tpq/internal/data"
 	"tpq/internal/ics"
+	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 	"tpq/internal/store"
 )
@@ -159,4 +161,97 @@ func BenchmarkServiceMissAllocs(b *testing.B) {
 			b.Fatalf("%d minimizations for %d requests: every request must be a computed miss", got, b.N)
 		}
 	})
+}
+
+// replyWriter keeps the last response's status and body in reused
+// storage, so a benchmark can check every reply without allocating.
+type replyWriter struct {
+	h    http.Header
+	code int
+	body []byte
+}
+
+func (w *replyWriter) Header() http.Header { return w.h }
+func (w *replyWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+func (w *replyWriter) WriteHeader(code int) { w.code = code }
+
+// replyCount returns the "count" field of a /match reply, -1 when it has
+// none.
+func replyCount(body []byte) int {
+	const key = `"count":`
+	i := bytes.Index(body, []byte(key))
+	if i < 0 {
+		return -1
+	}
+	n, digits := 0, 0
+	for _, c := range body[i+len(key):] {
+		if c < '0' || c > '9' {
+			break
+		}
+		n, digits = n*10+int(c-'0'), digits+1
+	}
+	if digits == 0 {
+		return -1
+	}
+	return n
+}
+
+// BenchmarkServiceMatch measures a warmed /match request through the
+// full HTTP handler: a seeded publishing forest of 3,416 nodes
+// under the publishing constraints, the minimization served from the
+// cache, then compile and evaluation. One sub-benchmark per query shape:
+// an inner child off the root-to-output path, a leaf off the path, a
+// bare path, and a union. Every reply's count must equal the answer
+// count oracle.BindingsMap gives the query as sent, computed once.
+func BenchmarkServiceMatch(b *testing.B) {
+	f := data.GeneratePublishing(rand.New(rand.NewSource(24)), 200)
+	svc := New(Options{Constraints: data.PublishingConstraints()})
+	defer svc.Close(context.Background())
+	h := NewHandler(svc, HandlerOptions{Forest: f})
+	for _, c := range []struct{ name, query string }{
+		{"inner", "Article[/Author/FirstName]//Paragraph*"},
+		{"leaf", "Author[/FirstName]/LastName*"},
+		{"path", "Articles/Article/Section/Section*"},
+		{"union", "or(Author/FirstName*, Section/Section*[/Paragraph])"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d, err := pattern.ParseDisjunctive(c.query)
+			if err != nil {
+				b.Fatal(err)
+			}
+			answers := make(map[*data.Node]bool)
+			for _, p := range d.Disjuncts {
+				for _, v := range oracle.BindingsMap(p, f)[p.OutputNode()] {
+					answers[v] = true
+				}
+			}
+			want := len(answers)
+			if want == 0 {
+				b.Fatalf("%s has no answers over the forest", c.query)
+			}
+			body := `{"query": "` + c.query + `"}`
+			w := &replyWriter{h: make(http.Header)}
+			req, err := http.NewRequest(http.MethodPost, "/match", nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			send := func() {
+				req.Body = io.NopCloser(strings.NewReader(body))
+				w.code, w.body = http.StatusOK, w.body[:0]
+				h.ServeHTTP(w, req)
+				if got := replyCount(w.body); w.code != http.StatusOK || got != want {
+					b.Fatalf("%s: status %d, count %d, want %d: %s", c.query, w.code, got, want, w.body)
+				}
+			}
+			send() // the minimization misses once; every timed request hits
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				send()
+			}
+		})
+	}
 }

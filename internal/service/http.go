@@ -491,9 +491,9 @@ func (h *handler) match(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	start := time.Now()
 	// Minimize first (through the cache tiers), then evaluate the minimal
-	// form: the document-order merge of its disjuncts' answer streams (a
-	// conjunctive query is one disjunct and streams directly). The shared
-	// entry is only read: compiling does not mutate a pattern.
+	// form: the union of its disjuncts' answer rows (a conjunctive query is
+	// one disjunct). The shared entry is only read: compiling does not
+	// mutate a pattern.
 	e, rep, err := h.svc.minimizeDisjunctionEntry(ctx, d)
 	if err != nil {
 		writeServiceError(w, err)
@@ -508,19 +508,17 @@ func (h *handler) match(w http.ResponseWriter, r *http.Request) {
 		}
 		qs = append(qs, q)
 	}
-	answers := stream.UnionAnswers(ctx, qs)
 	outText, outSize, cacheHit := e.render(), rep.OutputSize, rep.CacheHit
 	if req.Stream {
-		h.streamMatch(w, ctx, answers, req.Limit, outText, cacheHit, start)
+		h.streamMatch(w, ctx, stream.UnionAnswers(ctx, qs), req.Limit, outText, cacheHit, start)
 		return
 	}
-	count, truncated := 0, false
-	for range answers {
-		if req.Limit > 0 && count >= req.Limit {
-			truncated = true
-			break
-		}
-		count++
+	// A reply without answers needs only their number: the popcount of
+	// the union's answer row, capped at the limit.
+	count := stream.UnionCount(ctx, qs)
+	truncated := req.Limit > 0 && count > req.Limit
+	if truncated {
+		count = req.Limit
 	}
 	elapsed := time.Since(start)
 	h.svc.ObserveMatch(elapsed, int64(count), false, truncated)

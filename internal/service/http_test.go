@@ -12,6 +12,7 @@ import (
 
 	"tpq/internal/data"
 	"tpq/internal/ics"
+	"tpq/internal/pattern"
 )
 
 func newTestServer(t *testing.T, svcOpts Options, hOpts HandlerOptions) (*Service, *httptest.Server) {
@@ -276,6 +277,27 @@ func TestHTTPTimeout(t *testing.T) {
 	}
 }
 
+// TestHTTPMatchTimeout pins that a /match whose evaluation is canceled
+// answers 504, not a count: the minimization is a cache hit, so the
+// deadline passes in the evaluation, which then counts nothing.
+func TestHTTPMatchTimeout(t *testing.T) {
+	forest, err := data.ParseXML(strings.NewReader("<lib><book><title/></book></lib>"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, ts := newTestServer(t, Options{}, HandlerOptions{Forest: forest, Timeout: time.Nanosecond})
+	if _, _, err := svc.Minimize(context.Background(), pattern.MustParse("book/title*")); err != nil {
+		t.Fatal(err)
+	}
+	resp, data := postJSON(t, ts.URL+"/match", `{"query": "book/title*"}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("status = %d, want 504 (%s)", resp.StatusCode, data)
+	}
+	if snap := svc.Stats(); snap.MatchRequests != 1 || snap.MatchAnswers != 0 {
+		t.Errorf("match counters after a canceled run: %+v", snap)
+	}
+}
+
 func TestHTTPMatchStream(t *testing.T) {
 	forest, err := data.ParseXML(strings.NewReader(
 		"<lib><book><title/><title/></book><book><title/></book></lib>"))
@@ -336,6 +358,29 @@ func TestHTTPMatchLimit(t *testing.T) {
 	if out.Count != 2 || !out.Truncated {
 		t.Errorf("limited response: %+v", out)
 	}
+	// The count is capped at the limit, and truncated only when more
+	// answers exist than the limit: not at a limit equal to the answer
+	// count or above it. A union is capped the same way.
+	for _, c := range []struct {
+		body      string
+		count     int
+		truncated bool
+	}{
+		{`{"query": "book/title*", "limit": 3}`, 3, false},
+		{`{"query": "book/title*", "limit": 10}`, 3, false},
+		{`{"query": "or(book/title*, lib/book*)", "limit": 4}`, 4, true},
+		{`{"query": "or(book/title*, lib/book*)", "limit": 5}`, 5, false},
+	} {
+		resp, body := postJSON(t, ts.URL+"/match", c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.body, resp.StatusCode, body)
+		}
+		var out matchResponse
+		json.Unmarshal(body, &out)
+		if out.Count != c.count || out.Truncated != c.truncated {
+			t.Errorf("%s: count %d, truncated %v; want %d, %v", c.body, out.Count, out.Truncated, c.count, c.truncated)
+		}
+	}
 
 	resp, body = postJSON(t, ts.URL+"/match", `{"query": "book/title*", "stream": true, "limit": 2}`)
 	if resp.StatusCode != http.StatusOK {
@@ -354,8 +399,8 @@ func TestHTTPMatchLimit(t *testing.T) {
 	if resp, body = postJSON(t, ts.URL+"/match", `{"query": "a*", "limit": -1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative limit: status %d: %s", resp.StatusCode, body)
 	}
-	if snap := svc.Stats(); snap.MatchLimited != 2 {
-		t.Errorf("matchLimited = %d, want 2", snap.MatchLimited)
+	if snap := svc.Stats(); snap.MatchLimited != 3 {
+		t.Errorf("matchLimited = %d, want 3", snap.MatchLimited)
 	}
 }
 
