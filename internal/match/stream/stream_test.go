@@ -237,6 +237,22 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := Compile(pattern.MustParse("a*"), nil, Options{}); err == nil {
 		t.Fatal("nil index compiled")
 	}
+	// A hand-built pattern may carry an edge kind that is neither child
+	// nor descendant, on a plain leaf (which would take a cached lift
+	// row), an inner node, an output node or the root: each is an error.
+	const src = "a[/b/a]/a*[/a, //b]"
+	for i := 0; i < pattern.MustParse(src).Size(); i++ {
+		p, j := pattern.MustParse(src), 0
+		p.Walk(func(u *pattern.Node) {
+			if j == i {
+				u.Edge = 5
+			}
+			j++
+		})
+		if _, err := Compile(p, idx, Options{}); err == nil {
+			t.Fatalf("node %d: a pattern with edge kind 5 compiled", i)
+		}
+	}
 }
 
 // TestCompileAllocs pins the cost of compiling one disjunct, which

@@ -63,8 +63,9 @@ func (m *Matcher) Index() *MatchIndex { return m.idx }
 // Forest returns the database the Matcher evaluates against.
 func (m *Matcher) Forest() *Forest { return m.idx.Forest() }
 
-// Compile prepares p for streaming evaluation. It fails when p is empty
-// or has no output node. The result can be iterated concurrently and is
+// Compile prepares p for streaming evaluation. It fails when p is empty,
+// has no output node or has a node whose edge kind is neither Child nor
+// Descendant. The result can be iterated concurrently and is
 // the way to evaluate one query repeatedly without re-deriving its
 // candidate representation.
 func (m *Matcher) Compile(p *Pattern) (*MatchQuery, error) {
