@@ -74,15 +74,16 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzFromXPath$$' -fuzztime=10s ./internal/xpath
 	$(GO) test -fuzz='^FuzzDecodeStored$$' -fuzztime=10s ./internal/service
 
-# One-iteration runs of the Figure 7(b) incremental-engine benchmark and
-# of the in-process /match benchmark: the first b.Fatals if its output
-# diverges from ACIM with the nested-map reference kernel of
-# internal/oracle, the second if a reply's count differs from
-# oracle.BindingsMap's, so this is a correctness gate as much as a perf
-# smoke test.
+# One-iteration runs of the Figure 7(b) incremental-engine benchmark, of
+# the in-process /match benchmark and of the cold-miss benchmark: the
+# first b.Fatals if its output diverges from ACIM with the nested-map
+# reference kernel of internal/oracle, the second if a reply's count
+# differs from oracle.BindingsMap's, and the third runs the miss path
+# (CDM, chase, CIM, unsat check, each over a flattened query) end to end
+# in process, so this is a correctness gate as much as a perf smoke test.
 bench-smoke:
 	$(GO) test -run xxx -bench '^BenchmarkFig7bIncremental$$' -benchtime 1x -count=1 .
-	$(GO) test -run xxx -bench '^BenchmarkServiceMatch$$' -benchtime 1x -count=1 ./internal/service
+	$(GO) test -run xxx -bench '^(BenchmarkServiceMatch|BenchmarkServiceMissAllocs)$$' -benchtime 1x -count=1 ./internal/service
 
 # Every figure's quick grid, as aligned tables (full sweeps: drop
 # -quick). The root package's testing.B benchmarks are micro-benchmarks

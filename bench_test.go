@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tpq/internal/acim"
+	"tpq/internal/chase"
 	"tpq/internal/containment"
 	"tpq/internal/data"
 	"tpq/internal/genquery"
@@ -83,6 +84,30 @@ func BenchmarkContainmentDense(b *testing.B) {
 			b.Fatal("self-mapping must exist")
 		}
 	}
+}
+
+// BenchmarkContainmentAugmented maps a 20-node query over the publishing
+// types, augmented under the publishing constraints, into itself: one
+// FindMapping the size of those or-absorption and ContainedUnder run.
+func BenchmarkContainmentAugmented(b *testing.B) {
+	types := []pattern.Type{"Articles", "Article", "Title", "Author", "LastName", "FirstName", "Section", "Paragraph"}
+	rng := rand.New(rand.NewSource(1))
+	nodes := []*pattern.Node{pattern.NewNode("Articles")}
+	for len(nodes) < 20 {
+		child := pattern.NewNode(types[rng.Intn(len(types))])
+		nodes = append(nodes, nodes[rng.Intn(len(nodes))].AddChild(pattern.EdgeKind(rng.Intn(2)), child))
+	}
+	nodes[len(nodes)-1].Star = true
+	q := pattern.New(nodes[0])
+	chase.PlanFor(data.PublishingConstraints().Closure()).Augment(q)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if containment.FindMapping(q, q) == nil {
+			b.Fatal("self-mapping must exist")
+		}
+	}
+	b.ReportMetric(float64(q.Size()), "nodes")
 }
 
 func BenchmarkContainmentMap(b *testing.B) {

@@ -51,6 +51,7 @@ import (
 	"tpq/internal/cim"
 	"tpq/internal/data"
 	"tpq/internal/ics"
+	"tpq/internal/match/stream"
 	"tpq/internal/pattern"
 	"tpq/internal/xpath"
 )
@@ -227,7 +228,18 @@ func (sh *shell) exec(line string) {
 		sh.withUnion(rest, func(q *pattern.Pattern) {
 			fmt.Fprintf(sh.out, "%d answer(s)\n", sh.theMatcher().Count(q))
 		}, func(d *tpq.Disjunction) {
-			fmt.Fprintf(sh.out, "%d answer(s)\n", len(sh.theMatcher().MatchDisjunction(d)))
+			// The union's answer count is the popcount of the OR of the
+			// disjuncts' answer rows: no answer is materialized.
+			qs := make([]*tpq.MatchQuery, 0, len(d.Disjuncts))
+			for _, p := range d.Disjuncts {
+				q, err := sh.theMatcher().Compile(p)
+				if err != nil {
+					sh.errorf("%v", err)
+					return
+				}
+				qs = append(qs, q)
+			}
+			fmt.Fprintf(sh.out, "%d answer(s)\n", stream.UnionCount(context.Background(), qs))
 		})
 	case "stream":
 		if sh.forest == nil {

@@ -124,6 +124,31 @@ func TestShellMatchWithDocument(t *testing.T) {
 	}
 }
 
+// TestShellMatchUnionCount counts a union whose disjuncts' answers
+// overlap: the count is the size of the union, not the sum of the
+// disjuncts' counts.
+func TestShellMatchUnionCount(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "doc.xml")
+	// Book*[/Title] answers the first two Books, Book*[/Author] the last
+	// two: three distinct answers, four by disjunct.
+	doc := "<Library><Book><Title/></Book><Book><Title/><Author/></Book><Book><Author/></Book></Library>"
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, code := runShell(t, "match Book*[/Title]\nmatch Book*[/Author]\nmatch Book*[/or(Title, Author)]\nquit\n", "-xml", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	for _, want := range []string{"2 answer(s)\n", "2 answer(s)\n", "3 answer(s)\n"} {
+		i := strings.Index(out, want)
+		if i < 0 {
+			t.Fatalf("output missing %q in order:\n%s", want, out)
+		}
+		out = out[i+len(want):]
+	}
+}
+
 func TestShellConstraintFileAndErrors(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ics.txt")

@@ -236,15 +236,15 @@ func InfoContent(p *pattern.Pattern) map[*pattern.Node]Info {
 func propagate(edge pattern.EdgeKind, a Arg) Arg {
 	switch a.Kind {
 	case SelfU:
-		if edge == pattern.Descendant {
-			return Arg{AncU, a.Type}
+		if edge == pattern.Child {
+			return Arg{ParU, a.Type}
 		}
-		return Arg{ParU, a.Type}
+		return Arg{AncU, a.Type}
 	case SelfC:
-		if edge == pattern.Descendant {
-			return Arg{AncC, a.Type}
+		if edge == pattern.Child {
+			return Arg{ParC, a.Type}
 		}
-		return Arg{ParC, a.Type}
+		return Arg{AncC, a.Type}
 	default:
 		return Arg{AncC, a.Type}
 	}
@@ -403,10 +403,10 @@ func (r *run) propagate(dst, src int, edge pattern.EdgeKind) {
 		su, sc := b[int(SelfU)*w+x], b[int(SelfC)*w+x]
 		var out [6]bitset.Word
 		out[AncC] = b[int(AncU)*w+x] | b[int(AncC)*w+x] | b[int(ParU)*w+x] | b[int(ParC)*w+x]
-		if edge == pattern.Descendant {
-			out[AncU], out[AncC] = su, out[AncC]|sc
-		} else {
+		if edge == pattern.Child {
 			out[ParU], out[ParC] = su, sc
+		} else {
+			out[AncU], out[AncC] = su, out[AncC]|sc
 		}
 		for k, o := range out {
 			if dst == src {

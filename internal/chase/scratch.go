@@ -11,10 +11,11 @@ import (
 // minimization kernels run in. A plan numbers its closed set's types
 // 0..k-1 (Plan.typeID); Flatten numbers a query's other types k, k+1, …
 // in a table that lives for one run, so request input never grows a
-// process-wide table. The chase, the CDM sweep and the CIM engine work on
-// the flattened query (preorder ordinals, subtree ends, parents, symbols)
-// and carve the rest of their state from the scratch's buffers, which one
-// sync.Pool of *Scratch recycles across runs.
+// process-wide table. The chase, the CDM sweep, the CIM engine and the
+// unsatisfiability check work on the flattened query — the pattern's
+// preorder layout (pattern.Preorder: ordinals, subtree ends, parents)
+// plus each node's symbols — and carve the rest of their state from the
+// scratch's buffers, which one sync.Pool of *Scratch recycles across runs.
 
 // Scratch is the working memory of one minimization run. Take it with
 // GetScratch at the start of the run and give it back with Release at
@@ -23,12 +24,11 @@ import (
 type Scratch struct {
 	plan *Plan
 
-	// Flatten's output. Nodes[i] is the node of preorder ordinal i,
-	// End[i] the last ordinal of its subtree and Parent[i] its parent's
-	// ordinal (-1 at the root); Syms(i) lists its symbols.
-	Nodes  []*pattern.Node
-	End    []int32
-	Parent []int32
+	// Flatten's output: the query's layout (Nodes[i] is the node of
+	// preorder ordinal i, End[i] the last ordinal of its subtree and
+	// Parent[i] its parent's ordinal, -1 at the root), and Syms(i), the
+	// symbols of ordinal i.
+	pattern.Preorder
 	symOff []int32
 	syms   []int32
 	nsym   int32
@@ -72,12 +72,12 @@ func (s *Scratch) Release() {
 	scratchPool.Put(s)
 }
 
-// Flatten lists p's nodes in preorder with their subtree ends, parents
-// and symbols. Symbols are listed in Types() order: the plan's number for
-// a set type, otherwise the number the run's table gives the name, the
-// next free one above the plan's range on its first occurrence.
+// Flatten lays p out in preorder and lists each node's symbols in Types()
+// order: the plan's number for a set type, otherwise the number the run's
+// table gives the name, the next free one above the plan's range on its
+// first occurrence.
 func (s *Scratch) Flatten(p *pattern.Pattern) {
-	s.Nodes, s.End, s.Parent = s.Nodes[:0], s.End[:0], s.Parent[:0]
+	s.Fill(p)
 	s.symOff, s.syms = s.symOff[:0], s.syms[:0]
 	if len(s.local) > 0 {
 		clear(s.local)
@@ -86,26 +86,14 @@ func (s *Scratch) Flatten(p *pattern.Pattern) {
 	if s.plan != nil {
 		s.nsym = int32(len(s.plan.setTypes))
 	}
-	if p != nil && p.Root != nil {
-		s.visit(p.Root, -1)
+	for _, n := range s.Nodes {
+		s.symOff = append(s.symOff, int32(len(s.syms)))
+		s.syms = append(s.syms, s.symbol(n.Type))
+		for _, t := range n.Extra {
+			s.syms = append(s.syms, s.symbol(t))
+		}
 	}
 	s.symOff = append(s.symOff, int32(len(s.syms)))
-}
-
-func (s *Scratch) visit(n *pattern.Node, parent int32) {
-	i := int32(len(s.Nodes))
-	s.Nodes = append(s.Nodes, n)
-	s.End = append(s.End, i)
-	s.Parent = append(s.Parent, parent)
-	s.symOff = append(s.symOff, int32(len(s.syms)))
-	s.syms = append(s.syms, s.symbol(n.Type))
-	for _, t := range n.Extra {
-		s.syms = append(s.syms, s.symbol(t))
-	}
-	for _, c := range n.Children {
-		s.visit(c, i)
-	}
-	s.End[i] = int32(len(s.Nodes) - 1)
 }
 
 func (s *Scratch) symbol(t pattern.Type) int32 {

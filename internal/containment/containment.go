@@ -18,11 +18,12 @@
 // mapping P → Q exists; package tests cross-validate this against
 // brute-force evaluation over canonical databases.
 //
-// FindMapping runs on the integer-indexed execution layer: feasibility
-// rows are bitsets over dense preorder node IDs (package bitset), seeded
-// from the index's per-label candidate lists, with descendant checks
-// answered by one preorder-interval probe per row. The nested-map dynamic
-// program it is checked against is internal/oracle's FindMappingMap.
+// FindMapping runs on the patterns' preorder layouts (pattern.Preorder):
+// feasibility rows are bitsets over q's preorder ordinals (package
+// bitset), seeded from per-type candidate lists of q, with descendant
+// checks answered by one preorder-interval probe per row. The nested-map
+// dynamic program it is checked against is internal/oracle's
+// FindMappingMap.
 package containment
 
 import (
@@ -42,60 +43,71 @@ func Exists(p, q *pattern.Pattern) bool {
 // FindMapping returns a containment mapping from p to q, or nil if none
 // exists.
 //
-// It runs the standard bottom-up dynamic program on the dense execution
-// layer: for each node u of p (children before parent, by walking the
-// preorder IDs in reverse) the feasible images form a bitset row over q's
-// preorder IDs. Rows are seeded from q's per-label candidate list for u's
-// primary type — only label-compatible nodes are ever visited — and a
-// d-child's structural check is a single IntersectsRange probe of the
-// child's row against the candidate's preorder interval. Children on both
-// sides are enumerated by interval walking, so no node-keyed maps are
-// built. Worst-case time O(|p|·|q|·(maxFanout + |q|/64)).
+// It runs the standard bottom-up dynamic program on the preorder layouts
+// of p and q: for each node u of p (children before parent, by walking
+// p's ordinals in reverse) the feasible images form a bitset row over q's
+// ordinals. Rows are seeded from q's candidate list for u's primary type —
+// only label-compatible nodes are ever visited — and a d-child's
+// structural check is a single range probe of the child's row against the
+// candidate's subtree interval. Children on both sides are enumerated by
+// hopping subtree ends, so no node-keyed maps are built. The mapping
+// takes, at every node, the first feasible image in preorder. Worst-case
+// time O(|p|·|q|·(maxFanout + |q|/64)).
 func FindMapping(p, q *pattern.Pattern) Mapping {
 	if p == nil || p.Root == nil || q == nil || q.Root == nil {
 		return nil
 	}
-	qIdx := pattern.NewExecIndex(q)
-	pIdx := pattern.NewExecIndex(p)
-	np, nq := pIdx.Size(), qIdx.Size()
+	var pl, ql pattern.Preorder
+	pl.Fill(p)
+	ql.Fill(q)
+	np, nq := len(pl.Nodes), len(ql.Nodes)
+
+	// q's ordinals by type (primary and extra), ascending.
+	cands := make(map[pattern.Type][]int32)
+	for vi, v := range ql.Nodes {
+		cands[v.Type] = append(cands[v.Type], int32(vi))
+		for _, t := range v.Extra {
+			cands[t] = append(cands[t], int32(vi))
+		}
+	}
 
 	rows := bitset.NewMatrix(np, nq)
 
 	// Reverse preorder visits every node after all of its descendants.
 	for ui := np - 1; ui >= 0; ui-- {
-		u := pIdx.NodeAt(ui)
+		u := pl.Nodes[ui]
 		row := rows.Row(ui)
-		uEnd := pIdx.SubtreeEnd(ui)
+		uEnd := pl.End[ui]
 	candidates:
-		for _, vi := range qIdx.Candidates(u.Type) {
-			if !labelCompatible(u, qIdx.NodeAt(vi)) {
+		for _, vi := range cands[u.Type] {
+			if !labelCompatible(u, ql.Nodes[vi]) {
 				continue
 			}
-			for ci := ui + 1; ci <= uEnd; ci = pIdx.SubtreeEnd(ci) + 1 {
-				if pickChildImageDense(pIdx.NodeAt(ci).Edge, vi, rows.Row(ci), qIdx) < 0 {
+			for ci := int32(ui) + 1; ci <= uEnd; ci = pl.End[ci] + 1 {
+				if pickChildImage(pl.Nodes[ci].Edge, int(vi), rows.Row(int(ci)), &ql) < 0 {
 					continue candidates
 				}
 			}
-			row.Add(vi)
+			row.Add(int(vi))
 		}
 	}
 
-	// Pick any image for the root, then reconstruct the mapping top-down by
-	// choosing, for each child, a compatible image under its parent's image.
+	// Pick the first image of the root, then reconstruct the mapping
+	// top-down by choosing, for each child, the first compatible image
+	// under its parent's image.
 	rootImage := rows.Row(0).NextSet(0)
 	if rootImage < 0 {
 		return nil
 	}
-	m := Mapping{p.Root: qIdx.NodeAt(rootImage)}
+	m := Mapping{p.Root: ql.Nodes[rootImage]}
 	var build func(ui, vi int) bool
 	build = func(ui, vi int) bool {
-		uEnd := pIdx.SubtreeEnd(ui)
-		for ci := ui + 1; ci <= uEnd; ci = pIdx.SubtreeEnd(ci) + 1 {
-			img := pickChildImageDense(pIdx.NodeAt(ci).Edge, vi, rows.Row(ci), qIdx)
+		for ci := ui + 1; ci <= int(pl.End[ui]); ci = int(pl.End[ci]) + 1 {
+			img := pickChildImage(pl.Nodes[ci].Edge, vi, rows.Row(ci), &ql)
 			if img < 0 {
 				return false // cannot happen if the DP is correct
 			}
-			m[pIdx.NodeAt(ci)] = qIdx.NodeAt(img)
+			m[pl.Nodes[ci]] = ql.Nodes[img]
 			if !build(ci, img) {
 				return false
 			}
@@ -108,14 +120,14 @@ func FindMapping(p, q *pattern.Pattern) Mapping {
 	return m
 }
 
-// pickChildImageDense returns the ID of a feasible image (per row) of a
-// pattern child with the given edge kind, correctly related to candidate
-// parent image vi, or -1.
-func pickChildImageDense(edge pattern.EdgeKind, vi int, row bitset.Set, qIdx *pattern.Index) int {
-	end := qIdx.SubtreeEnd(vi)
+// pickChildImage returns the first ordinal of q, in preorder, that is a
+// feasible image (per row) of a pattern child with the given edge kind
+// and is correctly related to the candidate parent image vi, or -1.
+func pickChildImage(edge pattern.EdgeKind, vi int, row bitset.Set, ql *pattern.Preorder) int {
+	end := int(ql.End[vi])
 	if edge == pattern.Child {
-		for wi := vi + 1; wi <= end; wi = qIdx.SubtreeEnd(wi) + 1 {
-			if qIdx.NodeAt(wi).Edge == pattern.Child && row.Has(wi) {
+		for wi := vi + 1; wi <= end; wi = int(ql.End[wi]) + 1 {
+			if ql.Nodes[wi].Edge == pattern.Child && row.Has(wi) {
 				return wi
 			}
 		}
@@ -143,11 +155,8 @@ func Verify(p, q *pattern.Pattern, m Mapping) bool {
 	if m == nil {
 		return false
 	}
-	qIdx := pattern.NewIndex(q)
 	qSet := make(map[*pattern.Node]bool)
-	for _, v := range qIdx.Order {
-		qSet[v] = true
-	}
+	q.Walk(func(v *pattern.Node) { qSet[v] = true })
 	ok := true
 	p.Walk(func(u *pattern.Node) {
 		v := m[u]
@@ -155,18 +164,16 @@ func Verify(p, q *pattern.Pattern, m Mapping) bool {
 			ok = false
 			return
 		}
-		if u.Parent != nil {
-			pv := m[u.Parent]
-			switch u.Edge {
-			case pattern.Child:
-				if v.Parent != pv || v.Edge != pattern.Child {
-					ok = false
-				}
-			case pattern.Descendant:
-				if !qIdx.IsDescendant(v, pv) {
-					ok = false
-				}
+		if u.Parent == nil {
+			return
+		}
+		pv := m[u.Parent]
+		if u.Edge == pattern.Child {
+			if v.Parent != pv || v.Edge != pattern.Child {
+				ok = false
 			}
+		} else if !pv.IsAncestorOf(v) {
+			ok = false
 		}
 	})
 	return ok

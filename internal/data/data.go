@@ -203,7 +203,7 @@ func Canonical(p *pattern.Pattern, extraHops int) (*Forest, map[*pattern.Node]*N
 		for _, c := range pn.Children {
 			cd := rec(c)
 			attach := d
-			if c.Edge == pattern.Descendant {
+			if c.Edge != pattern.Child {
 				for h := 0; h < extraHops; h++ {
 					attach = attach.Child(pattern.Type(fmt.Sprintf("⊥%d", fresh)))
 					fresh++

@@ -4,7 +4,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"strings"
 
 	"tpq/internal/pattern"
 )
@@ -44,9 +43,4 @@ func ParseXML(r io.Reader) (*Forest, error) {
 		return nil, fmt.Errorf("data: empty XML document")
 	}
 	return NewForest(root), nil
-}
-
-// ParseXMLString is ParseXML over a string.
-func ParseXMLString(s string) (*Forest, error) {
-	return ParseXML(strings.NewReader(s))
 }

@@ -19,7 +19,7 @@ const sampleXML = `<?xml version="1.0"?>
 </Library>`
 
 func TestParseXML(t *testing.T) {
-	f, err := ParseXMLString(sampleXML)
+	f, err := ParseXML(strings.NewReader(sampleXML))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func TestParseXMLErrors(t *testing.T) {
 		"<a></a><b></b>", // two roots
 		"<a><b></a>",     // mismatched
 	} {
-		if _, err := ParseXMLString(bad); err == nil {
-			t.Errorf("ParseXMLString(%q) succeeded", bad)
+		if _, err := ParseXML(strings.NewReader(bad)); err == nil {
+			t.Errorf("ParseXML(%q) succeeded", bad)
 		}
 	}
 }

@@ -41,9 +41,9 @@
 //  7. Match: the evaluation kernels agree with the literal embedding
 //     definition of internal/oracle. The twig engine (match/stream)
 //     yields exactly the answer set of oracle.BindingsMap, and the
-//     streamed embedding enumeration and the counting kernel agree with
-//     oracle.CountEmbeddingsMap, on the query's canonical database and a
-//     generated forest.
+//     streamed embedding enumeration and the compiled query's embedding
+//     count agree with oracle.CountEmbeddingsMap, on the query's
+//     canonical database and a generated forest.
 //  8. Store: an entry persisted through the serving layer's write-behind
 //     tier and reloaded by a fresh service over the same store files is
 //     byte-identical (canonical form) to a freshly computed
@@ -523,9 +523,10 @@ func CheckStore(q *pattern.Pattern, cs *ics.Set) *Failure {
 // (match/stream) must return exactly the answer set of
 // oracle.BindingsMap, which shares no code with it, and count it
 // exactly: Count is what a /match reply without answers returns. The streamed
-// embedding enumeration and the counting kernel (match.CountEmbeddings)
-// must agree with oracle.CountEmbeddingsMap, and the enumeration must
-// bind the output node to exactly the answer set. cs may be nil —
+// embedding enumeration and the compiled query's embedding count
+// (stream.Query.CountEmbeddings) must agree with
+// oracle.CountEmbeddingsMap, and the enumeration must bind the output
+// node to exactly the answer set. cs may be nil —
 // matching is constraint-independent, but a generated forest repaired to
 // satisfy cs exercises denser candidate lists.
 func CheckMatch(q *pattern.Pattern, cs *ics.Set) *Failure {
@@ -574,8 +575,8 @@ func CheckMatch(q *pattern.Pattern, cs *ics.Set) *Failure {
 		}
 
 		wantCount := oracle.CountEmbeddingsMap(q, f)
-		if got := match.CountEmbeddings(q, idx); got.Cmp(wantCount) != 0 {
-			return fail(q, cs, "match", "forest %d: counting kernel says %s embeddings, reference %s",
+		if got := sq.CountEmbeddings(ctx); got.Cmp(wantCount) != 0 {
+			return fail(q, cs, "match", "forest %d: CountEmbeddings says %s embeddings, reference %s",
 				fi, got, wantCount)
 		}
 		images := make(map[*data.Node]bool)

@@ -102,7 +102,7 @@ func shrinkQuery(q *pattern.Pattern, cs *ics.Set, failing Failing) (*pattern.Pat
 				return trial, true
 			}
 		}
-		if n.Parent != nil && n.Edge == pattern.Descendant {
+		if n.Parent != nil && n.Edge != pattern.Child {
 			trial, m := q.CloneMap()
 			m[n].Edge = pattern.Child
 			if failing(trial, cs) {

@@ -146,15 +146,6 @@ func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 // Max returns the exact largest observation.
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
-// Mean returns the average observation, 0 when empty.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
 // Quantile returns an upper bound on the q-quantile: the bound of the
 // first bucket at which the cumulative count reaches q·total, or the
 // exact observed maximum when that bucket is +Inf. Returns 0 when empty.

@@ -1,3 +1,17 @@
+// Package match holds what evaluation shares: the inverted type index
+// over a data forest (ForestIndex) with its per-type bitset rows, their
+// cached lifts and the forest's preorder arrays. Evaluation itself — the
+// answer set, the embeddings and their count — runs on the twig engine in
+// match/stream. Evaluation cost is what motivates minimization (Section 1
+// of the paper): it grows with pattern size, so a minimized pattern
+// matches faster.
+//
+// Embeddings are non-anchored: the pattern root may bind to any data node.
+// An embedding e maps pattern nodes to data nodes such that every type
+// required by a pattern node is carried by its data image, every value
+// condition holds there, a c-child maps to a child, and a d-child maps to
+// a proper descendant. The reference implementations of this definition
+// live in internal/oracle.
 package match
 
 import (
@@ -12,8 +26,8 @@ import (
 // ForestIndex is an inverted index from type to the nodes carrying it, in
 // document order, plus the forest's shape as flat preorder arrays. Build
 // once per forest, reuse across queries: the twig engine in match/stream
-// and CountEmbeddings draw their candidates from it. It is safe for
-// concurrent use.
+// builds every pattern node's admission row from its type rows. It is
+// safe for concurrent use.
 type ForestIndex struct {
 	forest *data.Forest
 	byType map[pattern.Type][]*data.Node
@@ -93,7 +107,7 @@ func (idx *ForestIndex) TypeBits(t pattern.Type) bitset.Set {
 }
 
 // LiftBits returns the parents (c-edge) or proper ancestors (d-edge) of
-// the nodes carrying t; any kind but Descendant lifts as a c-edge, as
+// the nodes carrying t; any kind but Child lifts as a d-edge, as
 // EdgeKind.String renders it. It follows TypeBits' policy: built on first
 // use and cached, the shared all-zero row for a type no node carries,
 // read-only. The streaming engine folds a plain pattern leaf into its
@@ -102,7 +116,7 @@ func (idx *ForestIndex) LiftBits(t pattern.Type, e pattern.EdgeKind) bitset.Set 
 	if _, ok := idx.byType[t]; !ok {
 		return idx.none
 	}
-	desc := e == pattern.Descendant
+	desc := e != pattern.Child
 	i := 0
 	if desc {
 		i = 1
@@ -148,22 +162,6 @@ func (idx *ForestIndex) lift(row bitset.Set, desc bool) bitset.Set {
 					break
 				}
 			}
-		}
-	}
-	return out
-}
-
-// Candidates returns the nodes satisfying the pattern node's local
-// requirements (all types, all conditions), in document order.
-func (idx *ForestIndex) Candidates(u *pattern.Node) []*data.Node {
-	base := idx.byType[u.Type]
-	if len(u.Extra) == 0 && len(u.Conds) == 0 {
-		return base
-	}
-	out := make([]*data.Node, 0, len(base))
-	for _, v := range base {
-		if TypesOK(u, v) {
-			out = append(out, v)
 		}
 	}
 	return out

@@ -46,25 +46,29 @@ func TestIndexedBasic(t *testing.T) {
 	}
 }
 
+// TestIndexedCandidates checks the admission rows compiled from the
+// index: a node's types are ANDed, and its conditions filter the result.
 func TestIndexedCandidates(t *testing.T) {
 	org := data.NewNode("Org")
 	org.Child("Employee", "Person").SetAttr("age", 30)
-	org.Child("Employee")
+	org.Child("Employee").SetAttr("age", 40)
+	org.Child("Employee", "Person").SetAttr("age", 20)
 	f := data.NewForest(org)
 	idx := match.NewForestIndex(f)
-
-	if got := idx.Candidates(pattern.NewNode("Employee")); len(got) != 2 {
-		t.Errorf("Candidates(Employee) = %d", len(got))
-	}
-	multi := pattern.NewNode("Employee")
-	multi.AddType("Person", false)
-	if got := idx.Candidates(multi); len(got) != 1 {
-		t.Errorf("Candidates(Employee{Person}) = %d", len(got))
-	}
-	cond := pattern.NewNode("Employee")
-	cond.AddCond(pattern.Condition{Attr: "age", Op: pattern.OpGt, Value: 25})
-	if got := idx.Candidates(cond); len(got) != 1 {
-		t.Errorf("Candidates with condition = %d", len(got))
+	for _, c := range []struct {
+		src  string
+		want int
+	}{
+		{"Employee*", 3},
+		{"Employee{Person}*", 2},
+		{"Employee*(@age>25)", 2},
+		{"Employee{Person}*(@age>25)", 1},
+		{"Org/Employee{Person}*(@age<25)", 1},
+		{"Employee{Person}*(@age>50)", 0},
+	} {
+		if got := countIndexed(pattern.MustParse(c.src), idx); got != c.want {
+			t.Errorf("%s: %d answers, want %d", c.src, got, c.want)
+		}
 	}
 }
 
@@ -146,8 +150,8 @@ func TestTypeBitsAbsentTypes(t *testing.T) {
 }
 
 // bruteLift returns the parents (c-edge) or proper ancestors (d-edge) of
-// f's nodes carrying ty, by parent pointers; any kind but Descendant is a
-// c-edge, as EdgeKind.String renders it.
+// f's nodes carrying ty, by parent pointers; any kind but Child is a
+// d-edge, as EdgeKind.String renders it.
 func bruteLift(f *data.Forest, ty pattern.Type, e pattern.EdgeKind) bitset.Set {
 	want := bitset.New(f.Size())
 	for _, v := range f.Nodes() {
@@ -156,7 +160,7 @@ func bruteLift(f *data.Forest, ty pattern.Type, e pattern.EdgeKind) bitset.Set {
 		}
 		for a := v.Parent; a != nil; a = a.Parent {
 			want.Add(a.ID)
-			if e != pattern.Descendant {
+			if e == pattern.Child {
 				break
 			}
 		}
@@ -167,8 +171,8 @@ func bruteLift(f *data.Forest, ty pattern.Type, e pattern.EdgeKind) bitset.Set {
 // TestLiftBits pins the index's leaf lift rows against the forest's
 // pointers on random deep forests: for every type and both edge kinds,
 // LiftBits holds exactly the parents (c-edge) or proper ancestors
-// (d-edge) of the type's nodes. An edge kind out of range lifts as a
-// c-edge and shares its cached row. Lifting a type the forest lacks
+// (d-edge) of the type's nodes. An edge kind other than Child lifts as a
+// d-edge and shares its cached row. Lifting a type the forest lacks
 // returns the shared zero row and caches nothing, as TypeBits does.
 func TestLiftBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
@@ -209,7 +213,7 @@ func TestLiftBits(t *testing.T) {
 					}
 				}
 			}
-			if a, b := idx.LiftBits(ty, 5), idx.LiftBits(ty, pattern.Child); len(a) > 0 && &a[0] != &b[0] {
+			if a, b := idx.LiftBits(ty, 5), idx.LiftBits(ty, pattern.Descendant); len(a) > 0 && &a[0] != &b[0] {
 				t.Fatalf("trial %d: an out-of-range edge kind built its own lift row of %s", trial, ty)
 			}
 		}

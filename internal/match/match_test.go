@@ -236,7 +236,7 @@ func answersNaive(p *pattern.Pattern, f *data.Forest) []*data.Node {
 	// embed reports whether subtree(u) embeds with u ↦ v.
 	var embed func(u *pattern.Node, v *data.Node) bool
 	embed = func(u *pattern.Node, v *data.Node) bool {
-		if !match.TypesOK(u, v) {
+		if !oracle.Admits(u, v) {
 			return false
 		}
 		for _, c := range u.Children {

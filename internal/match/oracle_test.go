@@ -6,7 +6,6 @@ import (
 
 	"tpq/internal/data"
 	"tpq/internal/genquery"
-	"tpq/internal/match"
 	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
@@ -25,14 +24,14 @@ func denseForest(t *testing.T, rng *rand.Rand, size int) *data.Forest {
 	return f
 }
 
-// TestCountEmbeddingsDenseMatchesMap cross-validates the flat-row
-// embedding counter against the nested-map reference of internal/oracle.
+// TestCountEmbeddingsDenseMatchesMap cross-validates the compiled query's
+// embedding count against the nested-map reference of internal/oracle.
 func TestCountEmbeddingsDenseMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 120; trial++ {
 		f := denseForest(t, rng, 30+rng.Intn(150))
 		q := genquery.Random(rng, 1+rng.Intn(8), 4)
-		got := match.CountEmbeddings(q, match.NewForestIndex(f))
+		got := countEmbeddings(q, f)
 		want := oracle.CountEmbeddingsMap(q, f)
 		if got.Cmp(want) != 0 {
 			t.Fatalf("trial %d: %s vs %s embeddings\nquery = %s", trial, got, want, q)

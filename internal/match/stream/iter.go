@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"iter"
+	"math/big"
 
 	"tpq/internal/data"
 	"tpq/internal/pattern"
@@ -36,6 +37,99 @@ func (q *Query) Count(ctx context.Context) int {
 	return UnionCount(ctx, qs[:])
 }
 
+// CountEmbeddings returns the number of embeddings — full assignments of
+// pattern nodes to data nodes, not distinct answers — as a big integer:
+// the count can be exponential in the pattern size. It runs the
+// product-of-sums program bottom-up over the compiled pattern. emb(u, v),
+// the number of embeddings of u's subtree with u ↦ v, is zero off S(u)
+// (the rows Embeddings admits through) and otherwise the product, over
+// u's children c, of the sum of emb(c, w) over c's images w under v: v's
+// children for a c-edge, its proper descendants for a d-edge. The count
+// is the sum of emb(root, v). ctx is polled between pattern nodes; a
+// canceled run counts 0, as Count does.
+func (q *Query) CountEmbeddings(ctx context.Context) *big.Int {
+	total := new(big.Int)
+	if q == nil || len(q.nodes) == 0 {
+		return total
+	}
+	r := newRun(ctx, q)
+	defer r.release()
+	rows := r.allRows()
+	if r.done {
+		return total
+	}
+	defer func() {
+		for u, row := range rows {
+			if len(q.kids[u]) > 0 {
+				r.put(row)
+			}
+		}
+	}()
+	// emb[u][v], nil off S(u). Every cell of a leaf is one shared 1; a
+	// node's row is dropped once its parent has summed it.
+	one := big.NewInt(1)
+	emb := make([][]*big.Int, q.k)
+	for u := q.k - 1; u >= 0; u-- {
+		if r.poll() {
+			return total
+		}
+		s := rows[u]
+		row := make([]*big.Int, len(q.nodes))
+		if len(q.kids[u]) == 0 {
+			for v := s.NextSet(0); v >= 0; v = s.NextSet(v + 1) {
+				row[v] = one
+			}
+		}
+		for i, c := range q.kids[u] {
+			// Every v of S(u) has an image of c below it, so sums[v] is
+			// set; the sums are fresh, so the first child's become u's.
+			sums := q.childSums(emb[c], q.pat.Nodes[c].Edge == pattern.Child)
+			emb[c] = nil
+			for v := s.NextSet(0); v >= 0; v = s.NextSet(v + 1) {
+				if i == 0 {
+					row[v] = sums[v]
+				} else {
+					row[v].Mul(row[v], sums[v])
+				}
+			}
+		}
+		emb[u] = row
+	}
+	for _, x := range emb[0] {
+		if x != nil {
+			total.Add(total, x)
+		}
+	}
+	return total
+}
+
+// childSums returns, for every data node v, the sum of emb over v's
+// children (child) or over its proper descendants, nil for zero. The
+// descendant sums take one reverse pass over the forest's parents: in
+// reverse preorder every node's own sum is final before it is folded
+// into its parent's.
+func (q *Query) childSums(emb []*big.Int, child bool) []*big.Int {
+	sums := make([]*big.Int, len(q.nodes))
+	add := func(i int32, x *big.Int) {
+		switch {
+		case x == nil:
+		case sums[i] == nil:
+			sums[i] = new(big.Int).Set(x)
+		default:
+			sums[i].Add(sums[i], x)
+		}
+	}
+	for v := len(q.nodes) - 1; v >= 0; v-- {
+		if p := q.parent[v]; p >= 0 {
+			add(p, emb[v])
+			if !child {
+				add(p, sums[v])
+			}
+		}
+	}
+	return sums
+}
+
 // Embedding is one full assignment of pattern nodes to data nodes, yielded
 // by Embeddings. The underlying storage is owned by the iterator and
 // reused between yields: an Embedding is valid only until the consumer's
@@ -52,14 +146,14 @@ func (e Embedding) Len() int { return len(e.nodes) }
 func (e Embedding) At(i int) *data.Node { return e.nodes[i] }
 
 // PatternNode returns the pattern node with preorder ID i.
-func (e Embedding) PatternNode(i int) *pattern.Node { return e.q.repr[i].node }
+func (e Embedding) PatternNode(i int) *pattern.Node { return e.q.pat.Nodes[i] }
 
 // Binding returns the image of pattern node u, or nil when u is not a
 // node of the compiled pattern. It scans the compiled nodes; At is the
 // constant-time form.
 func (e Embedding) Binding(u *pattern.Node) *data.Node {
-	for i := range e.q.repr {
-		if e.q.repr[i].node == u {
+	for i, n := range e.q.pat.Nodes {
+		if n == u {
 			return e.nodes[i]
 		}
 	}
@@ -121,9 +215,9 @@ func (q *Query) Embeddings(ctx context.Context) iter.Seq[Embedding] {
 				}
 				return true
 			}
-			p := img[q.par[i]]
+			p := img[q.pat.Parent[i]]
 			hi := int(q.end[p])
-			if q.repr[i].node.Edge == pattern.Child {
+			if q.pat.Nodes[i].Edge == pattern.Child {
 				for c := p + 1; c <= hi; c = int(q.end[c]) + 1 {
 					if row.Has(c) {
 						img[i], assign[i] = c, q.nodes[c]

@@ -118,7 +118,7 @@ func (r *run) answerRow() (row bitset.Set, owned bool) {
 				copy(own, row)
 				row, owned = own, true
 			}
-			if q.repr[pi].node.Edge == pattern.Child {
+			if q.pat.Nodes[pi].Edge == pattern.Child {
 				r.belowChild(row, cand)
 			} else {
 				r.belowDesc(row, cand)
@@ -201,7 +201,7 @@ func (r *run) lift(row bitset.Set, owned bool, s bitset.Set, sOwned bool, c int)
 		row.And(l)
 		return row, true
 	}
-	if r.q.repr[c].node.Edge == pattern.Child {
+	if r.q.pat.Nodes[c].Edge == pattern.Child {
 		if !sOwned {
 			own := r.row()
 			copy(own, s)

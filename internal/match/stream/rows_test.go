@@ -234,7 +234,7 @@ func TestRowPrimitivesAlias(t *testing.T) {
 			if len(q.kids[i]) == 0 {
 				continue
 			}
-			if q.repr[i].node.Edge == pattern.Child {
+			if q.pat.Nodes[i].Edge == pattern.Child {
 				inner["liftChild"] = i
 			} else {
 				inner["liftDesc"] = i

@@ -12,12 +12,14 @@
 // Ends): the proper descendants of v are the interval (v, end[v]] and its
 // children are v+1, end[v+1]+1, … up to end[v].
 //
-// Compile gives every pattern node an admission row: the data IDs passing
-// its local test (all types, all conditions), built from the index's
-// per-type rows, so no pass compares type names. A leaf's lift depends on
-// the forest alone, so every plain leaf (one type, no conditions) off the
-// root-to-output path also takes its lift row from the index's per-type
-// cache (match.ForestIndex.LiftBits). A run then computes:
+// Compile reads the pattern through its preorder layout
+// (pattern.Preorder), so pattern nodes are ordinals too, and gives every
+// node an admission row: the data IDs passing its local test (all types,
+// all conditions), built from the index's per-type rows, so no pass
+// compares type names. A leaf's lift depends on the forest alone, so
+// every plain leaf (one type, no conditions) off the root-to-output path
+// also takes its lift row from the index's per-type cache
+// (match.ForestIndex.LiftBits). A run then computes:
 //
 //   - bottom-up, for each pattern node u off the root-to-output path, the
 //     row S(u) of data nodes where u's subtree embeds: u's admission row
@@ -44,13 +46,13 @@
 // ⌊log₂ k⌋ + 2 rows and a union one more (see answerRow): memory is
 // bounded by construction, not by a ceiling. Embeddings keeps one S row
 // per pattern node as its admission filter, which makes its enumeration
-// polynomial-delay.
+// polynomial-delay; CountEmbeddings counts the same embeddings without
+// enumerating them, by one product-of-sums pass over those rows.
 package stream
 
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"slices"
 
 	"tpq/internal/bitset"
@@ -71,31 +73,30 @@ type Query struct {
 	nodes  []*data.Node // forest preorder; nodes[i].ID == i
 	parent []int32      // the index's preorder arrays
 	end    []int32
+	pat    pattern.Preorder // the pattern's layout: ordinals, subtree ends, parents
 	k      int
-	star   int   // pattern preorder ID of the output node
-	path   []int // pattern IDs, root (path[0]) to output node
+	star   int   // pattern ordinal of the output node
+	path   []int // pattern ordinals, root (path[0]) to output node
 	repr   []nodeRepr
-	par    []int   // pattern parent IDs, -1 at the root
-	kids   [][]int // pattern children IDs, largest subtree first
+	kids   [][]int // pattern children ordinals, largest subtree first
 	words  int     // words of one row: ⌈n/64⌉
 }
 
 // nodeRepr is one pattern node compiled: its admission row — the data
-// IDs passing match.TypesOK(node, ·) — and, for a plain leaf off the
-// root-to-output path, its lift row: the admission row lifted along the
-// node's edge, which is all its parent's fold needs of it. Both are
-// shared with the index for a node with no extra types or conditions,
-// and read-only either way.
+// IDs carrying all its types and satisfying all its conditions — and, for
+// a plain leaf off the root-to-output path, its lift row: the admission
+// row lifted along the node's edge, which is all its parent's fold needs
+// of it. Both are shared with the index for a node with no extra types or
+// conditions, and read-only either way.
 type nodeRepr struct {
-	node *pattern.Node
 	cand bitset.Set
 	lift bitset.Set // nil unless the node is a plain leaf off the path
 }
 
 // Compile prepares p for evaluation over idx. The pattern must be
-// non-empty, carry an output node, and give every node the edge kind
-// Child or Descendant; the forest may be empty (the iterators yield
-// nothing).
+// non-empty and carry an output node; the forest may be empty (the
+// iterators yield nothing). An edge kind other than Child reads as a
+// d-edge, as everywhere else.
 func Compile(p *pattern.Pattern, idx *match.ForestIndex, _ Options) (*Query, error) {
 	if p == nil || p.Root == nil {
 		return nil, errors.New("stream: empty pattern")
@@ -103,42 +104,23 @@ func Compile(p *pattern.Pattern, idx *match.ForestIndex, _ Options) (*Query, err
 	if idx == nil {
 		return nil, errors.New("stream: nil forest index")
 	}
-	k := countNodes(p.Root)
 	n := idx.Forest().Size()
 	q := &Query{
 		nodes:  idx.Forest().Nodes(),
 		parent: idx.Parents(),
 		end:    idx.Ends(),
-		k:      k,
 		star:   -1,
-		repr:   make([]nodeRepr, 0, k),
-		par:    make([]int, 0, k),
-		kids:   make([][]int, k),
 		words:  bitset.WordsFor(n),
 	}
-	// One preorder walk numbers the pattern nodes, compiles their
-	// admission rows and records parents and subtree ends.
-	ends := make([]int, k)
-	var badEdge *pattern.Node
-	var walk func(u *pattern.Node, parent int)
-	walk = func(u *pattern.Node, parent int) {
-		if u.Edge != pattern.Child && u.Edge != pattern.Descendant {
-			badEdge = u
-		}
-		i := len(q.repr)
-		q.repr = append(q.repr, nodeRepr{node: u, cand: admission(u, idx, n)})
-		q.par = append(q.par, parent)
+	q.pat.Fill(p)
+	k := len(q.pat.Nodes)
+	q.k = k
+	q.repr = make([]nodeRepr, k)
+	for i, u := range q.pat.Nodes {
+		q.repr[i].cand = admission(u, idx, n)
 		if u.Star && q.star < 0 {
 			q.star = i
 		}
-		for _, c := range u.Children {
-			walk(c, i)
-		}
-		ends[i] = len(q.repr) - 1
-	}
-	walk(p.Root, -1)
-	if badEdge != nil {
-		return nil, fmt.Errorf("stream: pattern node %s has edge kind %d, neither child nor descendant", badEdge.Type, badEdge.Edge)
 	}
 	if q.star < 0 {
 		return nil, errors.New("stream: pattern has no output node")
@@ -147,69 +129,66 @@ func Compile(p *pattern.Pattern, idx *match.ForestIndex, _ Options) (*Query, err
 	// bottom-up pass folds a node's first child without holding a row of
 	// its own, which is what bounds a run's rows by ⌊log₂ k⌋ rather than
 	// by the pattern's depth.
+	end := q.pat.End
 	kids := make([]int, 0, k-1)
+	q.kids = make([][]int, k)
 	for i := range q.kids {
 		from := len(kids)
-		for c := i + 1; c <= ends[i]; c = ends[c] + 1 {
+		for c := i + 1; c <= int(end[i]); c = int(end[c]) + 1 {
 			kids = append(kids, c)
 		}
 		q.kids[i] = kids[from:len(kids):len(kids)]
 	}
 	for _, ks := range q.kids {
-		slices.SortStableFunc(ks, func(a, b int) int { return cmp.Compare(ends[b]-b, ends[a]-a) })
+		slices.SortStableFunc(ks, func(a, b int) int { return cmp.Compare(int(end[b])-b, int(end[a])-a) })
 	}
 	// A plain leaf's lift depends on the forest alone, so every one the
 	// bottom-up pass folds takes its lift row from the index: folding it
 	// is then one AND. Any other leaf is lifted by the kernels, as the
 	// output leaf is in allRows.
-	for i, rp := range q.repr {
-		u := rp.node
+	for i, u := range q.pat.Nodes {
 		if len(q.kids[i]) == 0 && i != q.star && len(u.Extra) == 0 && len(u.Conds) == 0 {
 			q.repr[i].lift = idx.LiftBits(u.Type, u.Edge)
 		}
 	}
 	depth := 0
-	for i := q.star; i >= 0; i = q.par[i] {
+	for i := q.star; i >= 0; i = int(q.pat.Parent[i]) {
 		depth++
 	}
 	q.path = make([]int, depth)
-	for i := q.star; i >= 0; i = q.par[i] {
+	for i := q.star; i >= 0; i = int(q.pat.Parent[i]) {
 		depth--
 		q.path[depth] = i
 	}
 	return q, nil
 }
 
-// countNodes returns the size of the subtree rooted at u.
-func countNodes(u *pattern.Node) int {
-	n := 1
-	for _, c := range u.Children {
-		n += countNodes(c)
-	}
-	return n
-}
-
 // admission returns u's admission row over the index's n nodes: the
 // index's own type row when u has no extra types or conditions, a
-// private row otherwise.
+// private row otherwise — its type rows ANDed, then every member whose
+// attributes fail a condition cleared.
 func admission(u *pattern.Node, idx *match.ForestIndex, n int) bitset.Set {
-	switch {
-	case len(u.Conds) > 0:
-		row := bitset.New(n)
-		for _, v := range idx.Candidates(u) {
-			row.Add(v.ID)
-		}
-		return row
-	case len(u.Extra) > 0:
-		row := bitset.New(n)
-		row.CopyFrom(idx.TypeBits(u.Type))
-		for _, t := range u.Extra {
-			row.And(idx.TypeBits(t))
-		}
-		return row
-	default:
+	if len(u.Extra) == 0 && len(u.Conds) == 0 {
 		return idx.TypeBits(u.Type)
 	}
+	row := bitset.New(n)
+	row.CopyFrom(idx.TypeBits(u.Type))
+	for _, t := range u.Extra {
+		row.And(idx.TypeBits(t))
+	}
+	if len(u.Conds) == 0 {
+		return row
+	}
+	nodes := idx.Forest().Nodes()
+	for v := row.NextSet(0); v >= 0; v = row.NextSet(v + 1) {
+		for _, c := range u.Conds {
+			if val, ok := nodes[v].Attrs[c.Attr]; !ok || !c.Holds(val) {
+				row.Remove(v)
+				break
+			}
+		}
+	}
+	return row
 }
 
 // Size returns the compiled pattern's node count.

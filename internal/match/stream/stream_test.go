@@ -91,11 +91,11 @@ func checkEmbedding(t *testing.T, q *Query, e Embedding) {
 		if v == nil {
 			t.Fatalf("pattern node %d unassigned", i)
 		}
-		if !match.TypesOK(u, v) {
+		if !oracle.Admits(u, v) {
 			t.Fatalf("pattern node %d: image %d fails the local test", i, v.ID)
 		}
-		if pid := q.par[i]; pid >= 0 {
-			p := e.At(pid)
+		if pid := q.pat.Parent[i]; pid >= 0 {
+			p := e.At(int(pid))
 			if u.Edge == pattern.Child {
 				if v.Parent != p {
 					t.Fatalf("pattern node %d: c-edge image %d is not a child of %d", i, v.ID, p.ID)
@@ -109,8 +109,9 @@ func checkEmbedding(t *testing.T, q *Query, e Embedding) {
 
 // TestAgainstMaterializedEngines is the in-package differential sweep: the
 // streamed answer set must equal the reference bindings of internal/oracle,
-// and the streamed embedding enumeration must agree with the big-integer
-// counting kernel, on hundreds of random query/forest pairs.
+// and CountEmbeddings and the streamed embedding enumeration must agree
+// with the reference's big-integer count, on hundreds of random
+// query/forest pairs.
 func TestAgainstMaterializedEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	const embedCap = 5000
@@ -142,7 +143,10 @@ func TestAgainstMaterializedEngines(t *testing.T) {
 				break
 			}
 		}
-		wantCount := match.CountEmbeddings(q, idx)
+		wantCount := oracle.CountEmbeddingsMap(q, f)
+		if got := sq.CountEmbeddings(context.Background()); got.Cmp(wantCount) != 0 {
+			t.Fatalf("case %d: query %s: CountEmbeddings says %s, reference %s", i, q, got, wantCount)
+		}
 		if complete {
 			if wantCount.Cmp(big.NewInt(int64(n))) != 0 {
 				t.Fatalf("case %d: query %s: counted %s embeddings, enumerated %d", i, q, wantCount, n)
@@ -151,10 +155,10 @@ func TestAgainstMaterializedEngines(t *testing.T) {
 				t.Fatalf("case %d: query %s: embeddings bind the output to %d nodes, answers have %d", i, q, len(starImages), len(want))
 			}
 		} else if wantCount.Cmp(big.NewInt(embedCap)) < 0 {
-			t.Fatalf("case %d: query %s: enumerated %d embeddings, counting kernel says %s", i, q, embedCap, wantCount)
+			t.Fatalf("case %d: query %s: enumerated %d embeddings, reference counts %s", i, q, embedCap, wantCount)
 		}
 		for id := range starImages {
-			if !idx.Forest().Nodes()[id].HasType(sq.repr[sq.star].node.Type) {
+			if !idx.Forest().Nodes()[id].HasType(sq.pat.Nodes[sq.star].Type) {
 				t.Fatalf("case %d: star image %d lacks the output type", i, id)
 			}
 		}
@@ -224,6 +228,65 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// TestCountEmbeddingsCancellation pins CountEmbeddings' cancellation
+// contract, Count's: a run on a canceled context stops and counts 0.
+func TestCountEmbeddingsCancellation(t *testing.T) {
+	f := data.GeneratePublishing(rand.New(rand.NewSource(8)), 50)
+	sq, err := Compile(pattern.MustParse("Article[/Title]//Paragraph*"), match.NewForestIndex(f), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sq.CountEmbeddings(context.Background()).Sign() == 0 {
+		t.Fatal("workload has no embeddings")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got := sq.CountEmbeddings(ctx); got.Sign() != 0 {
+		t.Fatalf("canceled run counted %s embeddings", got)
+	}
+}
+
+// TestCountEmbeddingsConditionsAndExtras checks CountEmbeddings against
+// the reference count for patterns whose nodes carry extra types and
+// value conditions, whose admission rows are built privately: type rows
+// ANDed, then the members failing a condition cleared.
+func TestCountEmbeddingsConditionsAndExtras(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	srcs := []string{
+		"t0*[/t1{t2}(@x<=6), //t2(@x>=3)]",
+		"t0{t1}[//t2(@x<5)]//t1*(@x>=2)",
+		"t2(@x!=4)[/t0{t1}, /t0]/t1{t0}*",
+	}
+	nonzero := 0
+	for trial := 0; trial < 40; trial++ {
+		f := randomForest(rng, 40+rng.Intn(120), 3)
+		for _, v := range f.Nodes() {
+			if rng.Intn(2) == 0 {
+				v.AddType(genquery.T(rng.Intn(3)))
+			}
+			v.SetAttr("x", float64(rng.Intn(10)))
+		}
+		idx := match.NewForestIndex(f)
+		for _, src := range srcs {
+			p := pattern.MustParse(src)
+			sq, err := Compile(p, idx, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			want := oracle.CountEmbeddingsMap(p, f)
+			if got := sq.CountEmbeddings(context.Background()); got.Cmp(want) != 0 {
+				t.Fatalf("trial %d: %s: CountEmbeddings %s, reference %s", trial, src, got, want)
+			}
+			if want.Sign() > 0 {
+				nonzero++
+			}
+		}
+	}
+	if nonzero < 40 {
+		t.Fatalf("only %d of 120 cases have embeddings", nonzero)
+	}
+}
+
 func TestCompileErrors(t *testing.T) {
 	f := data.NewForest(data.NewNode("a"))
 	idx := match.NewForestIndex(f)
@@ -238,27 +301,49 @@ func TestCompileErrors(t *testing.T) {
 		t.Fatal("nil index compiled")
 	}
 	// A hand-built pattern may carry an edge kind that is neither child
-	// nor descendant, on a plain leaf (which would take a cached lift
-	// row), an inner node, an output node or the root: each is an error.
+	// nor descendant, on a plain leaf (which takes a cached lift row), an
+	// inner node, an output node or the root: it compiles, and evaluates
+	// as a d-edge.
+	g, err := data.Generate(rand.New(rand.NewSource(5)), data.GenOptions{Size: 300, Types: []pattern.Type{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx = match.NewForestIndex(g)
 	const src = "a[/b/a]/a*[/a, //b]"
-	for i := 0; i < pattern.MustParse(src).Size(); i++ {
+	withEdge := func(i int, k pattern.EdgeKind) *Query {
 		p, j := pattern.MustParse(src), 0
 		p.Walk(func(u *pattern.Node) {
 			if j == i {
-				u.Edge = 5
+				u.Edge = k
 			}
 			j++
 		})
-		if _, err := Compile(p, idx, Options{}); err == nil {
-			t.Fatalf("node %d: a pattern with edge kind 5 compiled", i)
+		q, err := Compile(p, idx, Options{})
+		if err != nil {
+			t.Fatalf("node %d: edge kind %d: %v", i, k, err)
+		}
+		return q
+	}
+	ctx := context.Background()
+	for i := 0; i < pattern.MustParse(src).Size(); i++ {
+		got, want := withEdge(i, 5), withEdge(i, pattern.Descendant)
+		if want.Count(ctx) == 0 {
+			t.Fatalf("node %d: the d-edge pattern has no answers to compare", i)
+		}
+		if !equalIDs(ids(collect(got, ctx)), ids(collect(want, ctx))) || got.Count(ctx) != want.Count(ctx) {
+			t.Fatalf("node %d: edge kind 5 answers differ from a d-edge's", i)
+		}
+		if got.CountEmbeddings(ctx).Cmp(want.CountEmbeddings(ctx)) != 0 {
+			t.Fatalf("node %d: edge kind 5 embedding count differs from a d-edge's", i)
 		}
 	}
 }
 
 // TestCompileAllocs pins the cost of compiling one disjunct, which
-// /match pays per disjunct on every request: one counting pass and one
-// preorder walk fill exactly sized arrays (7 allocations here with Go
-// 1.24; building a pattern.Index for the same walk took 29).
+// /match pays per disjunct on every request: the pattern's preorder
+// layout is filled into exactly sized arrays and the compiled arrays are
+// sized from it (7 allocations here with Go 1.24; building the old
+// node-keyed pattern index for the same walk took 29).
 func TestCompileAllocs(t *testing.T) {
 	idx := match.NewForestIndex(data.GeneratePublishing(rand.New(rand.NewSource(1)), 20))
 	p := pattern.MustParse("Article[/Title]//Paragraph*")

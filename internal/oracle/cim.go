@@ -125,21 +125,21 @@ func imageCompatible(u, v *pattern.Node) bool {
 func redundantLeafMap(p *pattern.Pattern, l *pattern.Node, st *cim.Stats) bool {
 	tStart := time.Now()
 	st.TablesBuilt++
-	idx := pattern.NewIndex(p)
+	nodes := p.Nodes()
 
 	// Temporaries are never requirements, so they get no image set; they
 	// may serve as images of anything except the leaf being deleted.
-	images := make(map[*pattern.Node]map[*pattern.Node]bool, len(idx.Order))
+	images := make(map[*pattern.Node]map[*pattern.Node]bool, len(nodes))
 	ownTemp := make(map[*pattern.Node]bool)
 	for _, m := range l.Children {
 		markSubtree(m, ownTemp)
 	}
-	for _, v := range idx.Order {
+	for _, v := range nodes {
 		if v.Temp {
 			continue
 		}
 		set := make(map[*pattern.Node]bool)
-		for _, m := range idx.Order {
+		for _, m := range nodes {
 			if v == l && (m == l || ownTemp[m]) {
 				continue
 			}
@@ -157,7 +157,7 @@ func redundantLeafMap(p *pattern.Pattern, l *pattern.Node, st *cim.Stats) bool {
 
 	marked := map[*pattern.Node]bool{l: true}
 	for v := l.Parent; v != nil; v = v.Parent {
-		pruneImages(v, images, marked, idx)
+		pruneImages(v, images, marked)
 		if len(images[v]) == 0 {
 			return false
 		}
@@ -180,7 +180,7 @@ func markSubtree(n *pattern.Node, set map[*pattern.Node]bool) {
 // pruneImages prunes the image sets of v's permanent descendants and then
 // of v itself, marking processed nodes so shared work is not repeated
 // across the upward walk.
-func pruneImages(v *pattern.Node, images map[*pattern.Node]map[*pattern.Node]bool, marked map[*pattern.Node]bool, idx *pattern.Index) {
+func pruneImages(v *pattern.Node, images map[*pattern.Node]map[*pattern.Node]bool, marked map[*pattern.Node]bool) {
 	if marked[v] {
 		return
 	}
@@ -192,12 +192,12 @@ func pruneImages(v *pattern.Node, images map[*pattern.Node]map[*pattern.Node]boo
 		}
 	}
 	for _, u := range reqs {
-		pruneImages(u, images, marked, idx)
+		pruneImages(u, images, marked)
 	}
 	set := images[v]
 	for s := range set {
 		for _, u := range reqs {
-			if !hasImageUnder(u, s, images[u], idx) {
+			if !hasImageUnder(u, s, images[u]) {
 				delete(set, s)
 				break
 			}
@@ -207,7 +207,7 @@ func pruneImages(v *pattern.Node, images map[*pattern.Node]map[*pattern.Node]boo
 
 // hasImageUnder reports whether child u of the pattern has a surviving
 // image correctly related to the candidate image s of u's parent.
-func hasImageUnder(u *pattern.Node, s *pattern.Node, uImages map[*pattern.Node]bool, idx *pattern.Index) bool {
+func hasImageUnder(u *pattern.Node, s *pattern.Node, uImages map[*pattern.Node]bool) bool {
 	if u.Edge == pattern.Child {
 		for _, m := range s.Children {
 			if m.Edge == pattern.Child && uImages[m] {
@@ -217,7 +217,7 @@ func hasImageUnder(u *pattern.Node, s *pattern.Node, uImages map[*pattern.Node]b
 		return false
 	}
 	for m := range uImages {
-		if idx.IsDescendant(m, s) {
+		if s.IsAncestorOf(m) {
 			return true
 		}
 	}

@@ -15,8 +15,7 @@ func FindMappingMap(p, q *pattern.Pattern) containment.Mapping {
 	if p == nil || p.Root == nil || q == nil || q.Root == nil {
 		return nil
 	}
-	qIdx := pattern.NewIndex(q)
-	qNodes := qIdx.Order
+	qNodes := q.Nodes()
 
 	canMap := make(map[*pattern.Node]map[*pattern.Node]bool)
 	var compute func(u *pattern.Node)
@@ -31,7 +30,7 @@ func FindMappingMap(p, q *pattern.Pattern) containment.Mapping {
 			}
 			ok := true
 			for _, c := range u.Children {
-				if pickChildImage(c, v, canMap[c], qIdx) == nil {
+				if pickChildImage(c, v, canMap[c]) == nil {
 					ok = false
 					break
 				}
@@ -58,7 +57,7 @@ func FindMappingMap(p, q *pattern.Pattern) containment.Mapping {
 	var build func(u *pattern.Node) bool
 	build = func(u *pattern.Node) bool {
 		for _, c := range u.Children {
-			img := pickChildImage(c, m[u], canMap[c], qIdx)
+			img := pickChildImage(c, m[u], canMap[c])
 			if img == nil {
 				return false
 			}
@@ -87,7 +86,7 @@ func mappingCompatible(u, v *pattern.Node) bool {
 
 // pickChildImage returns a feasible image (per row) of the pattern child c
 // correctly related to the candidate image v of c's parent, or nil.
-func pickChildImage(c *pattern.Node, v *pattern.Node, row map[*pattern.Node]bool, qIdx *pattern.Index) *pattern.Node {
+func pickChildImage(c *pattern.Node, v *pattern.Node, row map[*pattern.Node]bool) *pattern.Node {
 	if c.Edge == pattern.Child {
 		for _, w := range v.Children {
 			if w.Edge == pattern.Child && row[w] {
@@ -97,7 +96,7 @@ func pickChildImage(c *pattern.Node, v *pattern.Node, row map[*pattern.Node]bool
 		return nil
 	}
 	for w := range row {
-		if qIdx.IsDescendant(w, v) {
+		if v.IsAncestorOf(w) {
 			return w
 		}
 	}

@@ -59,7 +59,7 @@ func BindingsMap(p *pattern.Pattern, f *data.Forest) map[*pattern.Node][]*data.N
 			kids = append(kids, ks)
 		}
 		for _, v := range nodes {
-			if !admits(u, v) {
+			if !Admits(u, v) {
 				continue
 			}
 			ok := true
@@ -191,7 +191,7 @@ func CountEmbeddingsMap(p *pattern.Pattern, f *data.Forest) *big.Int {
 		}
 
 		for _, v := range nodes {
-			if !admits(u, v) {
+			if !Admits(u, v) {
 				row[v.ID] = big.NewInt(0)
 				continue
 			}
@@ -214,12 +214,13 @@ func CountEmbeddingsMap(p *pattern.Pattern, f *data.Forest) *big.Int {
 	return total
 }
 
-// admits reports whether data node v meets pattern node u's local
+// Admits reports whether data node v meets pattern node u's local
 // requirements: it carries every type u requires (primary and extra) and
-// its attributes satisfy every value condition of u. This is the
-// reference's own copy of the admission test match.TypesOK performs, so
-// a defect there cannot hide from the references.
-func admits(u *pattern.Node, v *data.Node) bool {
+// its attributes satisfy every value condition of u. It is the
+// references' own copy of the test match/stream compiles into admission
+// rows, so a defect there cannot hide from the references; tests use it
+// as their brute-force admission.
+func Admits(u *pattern.Node, v *data.Node) bool {
 	if !v.HasType(u.Type) {
 		return false
 	}

@@ -57,9 +57,9 @@ func UnsatisfiableUnder(p *pattern.Pattern, cs *ics.Set) bool {
 	}
 
 	unsat := false
-	idx := pattern.NewIndex(p)
-	eff := make(map[*pattern.Node][]pattern.Type, len(idx.Order))
-	for _, n := range idx.Order {
+	nodes := p.Nodes()
+	eff := make(map[*pattern.Node][]pattern.Type, len(nodes))
+	for _, n := range nodes {
 		eff[n] = effective(n)
 		for _, t := range eff[n] {
 			if empty[t] {
@@ -73,9 +73,9 @@ func UnsatisfiableUnder(p *pattern.Pattern, cs *ics.Set) bool {
 
 	// below[x]: the types guaranteed to occur strictly below a match of x —
 	// x's own required descendants, per the closed set.
-	for _, w := range idx.Order {
-		for _, x := range idx.Order {
-			if w == x || !idx.IsDescendant(x, w) {
+	for _, w := range nodes {
+		for _, x := range nodes {
+			if !w.IsAncestorOf(x) {
 				continue
 			}
 			for _, tw := range eff[w] {

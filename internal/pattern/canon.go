@@ -89,10 +89,10 @@ func appendLabel(dst []byte, n *Node) []byte {
 }
 
 func appendEdge(dst []byte, k EdgeKind) []byte {
-	if k == Descendant {
-		return append(dst, '/', '/')
+	if k == Child {
+		return append(dst, '/')
 	}
-	return append(dst, '/')
+	return append(dst, '/', '/')
 }
 
 func appendCanon(dst []byte, n *Node, s *canonScratch) []byte {

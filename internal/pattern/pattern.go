@@ -1,8 +1,11 @@
 // Package pattern defines the tree pattern query (TPQ) data model used
 // throughout the library, together with a text syntax (see parse.go), a
 // canonical form for isomorphism testing (see canon.go), and the structural
-// helpers (traversal orders, ancestry intervals, cloning, editing) that the
-// minimization algorithms build on.
+// helpers (traversal, cloning, editing) that the minimization algorithms
+// build on. Preorder is the one layout the dense kernels read a pattern
+// through — CDM, the chase, CIM, the unsatisfiability check, containment
+// mappings and the match engine — so the ordinals, subtree intervals and
+// parent links they address are computed in one place.
 //
 // A tree pattern query is a rooted, unordered tree. Every node carries one
 // or more types; every non-root node is connected to its parent by either a
@@ -30,7 +33,9 @@ import (
 // constraint says so.
 type Type string
 
-// EdgeKind distinguishes the two kinds of pattern edges.
+// EdgeKind distinguishes the two kinds of pattern edges. Child is the one
+// c-edge kind: every reader, from the printer to the kernels, reads any
+// other value as Descendant.
 type EdgeKind int8
 
 const (
@@ -43,12 +48,13 @@ const (
 	Descendant
 )
 
-// String returns the textual rendering of the edge kind ("/" or "//").
+// String returns the textual rendering of the edge kind: "/" for Child,
+// "//" for any other kind.
 func (k EdgeKind) String() string {
-	if k == Descendant {
-		return "//"
+	if k == Child {
+		return "/"
 	}
-	return "/"
+	return "//"
 }
 
 // Node is a single node of a tree pattern query.
@@ -161,9 +167,6 @@ func (n *Node) Detach() {
 // IsLeaf reports whether n has no children.
 func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
 
-// IsRoot reports whether n has no parent.
-func (n *Node) IsRoot() bool { return n.Parent == nil }
-
 // HasType reports whether t is among the node's types (primary or extra).
 func (n *Node) HasType(t Type) bool {
 	if n.Type == t {
@@ -250,15 +253,6 @@ func (n *Node) RequiredTypesSubsetOf(m *Node) bool {
 	return true
 }
 
-// Ancestors returns the proper ancestors of n, nearest first.
-func (n *Node) Ancestors() []*Node {
-	var out []*Node
-	for a := n.Parent; a != nil; a = a.Parent {
-		out = append(out, a)
-	}
-	return out
-}
-
 // IsAncestorOf reports whether n is a proper ancestor of m.
 func (n *Node) IsAncestorOf(m *Node) bool {
 	for a := m.Parent; a != nil; a = a.Parent {
@@ -310,27 +304,6 @@ func (p *Pattern) Walk(f func(*Node)) {
 		for _, c := range n.Children {
 			rec(c)
 		}
-	}
-	rec(p.Root)
-}
-
-// WalkPost visits every node of the pattern in postorder (children before
-// parent). Minimization sweeps are bottom-up, so this is the order they
-// use.
-func (p *Pattern) WalkPost(f func(*Node)) {
-	if p == nil || p.Root == nil {
-		return
-	}
-	var rec func(*Node)
-	rec = func(n *Node) {
-		// Children may be removed by f on earlier siblings' subtrees, but f
-		// must not remove n itself or nodes outside subtree(n); iterate over
-		// a snapshot to stay safe against edits below.
-		kids := append([]*Node(nil), n.Children...)
-		for _, c := range kids {
-			rec(c)
-		}
-		f(n)
 	}
 	rec(p.Root)
 }
@@ -515,99 +488,45 @@ func (p *Pattern) Validate() error {
 	return nil
 }
 
-// Index assigns preorder intervals to every node of the pattern and returns
-// them. Intervals answer ancestor/descendant queries in O(1): m is a proper
-// descendant of n iff n.In < m.In && m.Out <= n.Out. The index is a
-// snapshot; it becomes stale if the pattern is edited.
-//
-// The index is also the pattern side of the integer-indexed execution
-// layer: every node gets a stable dense ID (its 0-based preorder
-// position), subtree membership becomes a contiguous ID interval
-// [i+1, SubtreeEnd(i)], and per-label candidate lists enumerate the nodes
-// carrying a type. containment.FindMapping addresses its bitset rows by
-// these IDs, as match.CountEmbeddings does its flat rows.
-type Index struct {
-	In, Out map[*Node]int
-	Order   []*Node // preorder; Order[i] has ID i
-
-	id     map[*Node]int
-	end    []int          // end[i]: largest ID in subtree(Order[i])
-	parent []int          // parent[i]: ID of Order[i]'s parent, -1 at root
-	byType map[Type][]int // type -> ascending IDs of nodes carrying it
+// Preorder is a pattern laid out for the dense kernels: its nodes in
+// preorder, so that every subtree is an interval of ordinals. Nodes[i] is
+// the node of ordinal i, End[i] the last ordinal of its subtree and
+// Parent[i] its parent's ordinal (-1 at the root). The proper descendants
+// of i are (i, End[i]], and its children are i+1, End[i+1]+1, … up to
+// End[i]. A layout is a snapshot: it goes stale if the pattern is edited.
+type Preorder struct {
+	Nodes       []*Node
+	End, Parent []int32
 }
 
-// NewIndex builds the full preorder interval index for p: the dense
-// execution layer plus the node-keyed In/Out/ID maps.
-func NewIndex(p *Pattern) *Index {
-	idx := NewExecIndex(p)
-	n := len(idx.Order)
-	idx.In = make(map[*Node]int, n)
-	idx.Out = make(map[*Node]int, n)
-	idx.id = make(map[*Node]int, n)
-	for i, v := range idx.Order {
-		idx.In[v] = i + 1
-		idx.Out[v] = idx.end[i] + 1
-		idx.id[v] = i
-	}
-	return idx
-}
-
-// NewExecIndex builds only the dense, integer-addressed part of the index:
-// Order, subtree intervals, parent IDs and per-label candidate lists. It
-// skips the three node-keyed hash maps, which dominate NewIndex's cost on
-// large (augmented) patterns. The node-keyed accessors — ID, IsDescendant,
-// In, Out — are unavailable on an exec index; the dense kernels address
-// nodes purely by preorder position (children of i are found by walking
-// subtree intervals: the first is i+1, each next sibling starts at
-// SubtreeEnd(prev)+1).
-func NewExecIndex(p *Pattern) *Index {
-	idx := &Index{byType: make(map[Type][]int)}
-	var rec func(*Node, int)
-	rec = func(n *Node, parent int) {
-		i := len(idx.Order)
-		idx.Order = append(idx.Order, n)
-		idx.end = append(idx.end, i)
-		idx.parent = append(idx.parent, parent)
-		for _, typ := range n.Types() {
-			idx.byType[typ] = append(idx.byType[typ], i)
-		}
-		for _, c := range n.Children {
-			rec(c, i)
-		}
-		idx.end[i] = len(idx.Order) - 1
-	}
+// Fill lays p out in l, reusing l's slices: a refill from a pattern no
+// larger than the biggest l has held allocates nothing.
+func (l *Preorder) Fill(p *Pattern) {
+	n := 0
 	if p != nil && p.Root != nil {
-		rec(p.Root, -1)
+		n = countNodes(p.Root)
 	}
-	return idx
+	if cap(l.Nodes) < n || cap(l.End) < n || cap(l.Parent) < n {
+		// Grow geometrically, as append would; End and Parent share one
+		// allocation.
+		c := max(n, 2*cap(l.Nodes))
+		l.Nodes = make([]*Node, 0, c)
+		ints := make([]int32, 2*c)
+		l.End, l.Parent = ints[:0:c], ints[c:c:2*c]
+	}
+	l.Nodes, l.End, l.Parent = l.Nodes[:0], l.End[:0], l.Parent[:0]
+	if n > 0 {
+		l.add(p.Root, -1)
+	}
 }
 
-// IsDescendant reports whether m is a proper descendant of n according to
-// the index.
-func (idx *Index) IsDescendant(m, n *Node) bool {
-	return idx.In[n] < idx.In[m] && idx.Out[m] <= idx.Out[n]
+func (l *Preorder) add(n *Node, parent int32) {
+	i := int32(len(l.Nodes))
+	l.Nodes = append(l.Nodes, n)
+	l.End = append(l.End, i)
+	l.Parent = append(l.Parent, parent)
+	for _, c := range n.Children {
+		l.add(c, i)
+	}
+	l.End[i] = int32(len(l.Nodes)) - 1
 }
-
-// Size returns the number of indexed nodes.
-func (idx *Index) Size() int { return len(idx.Order) }
-
-// ID returns the dense preorder ID of n (0-based). n must belong to the
-// indexed pattern, and the index must have been built with NewIndex (an
-// exec index carries no node-keyed map).
-func (idx *Index) ID(n *Node) int { return idx.id[n] }
-
-// NodeAt returns the node with ID i.
-func (idx *Index) NodeAt(i int) *Node { return idx.Order[i] }
-
-// SubtreeEnd returns the largest ID in the subtree rooted at the node with
-// ID i; the proper descendants of i are exactly the IDs in
-// [i+1, SubtreeEnd(i)].
-func (idx *Index) SubtreeEnd(i int) int { return idx.end[i] }
-
-// ParentID returns the ID of node i's parent, or -1 for the root.
-func (idx *Index) ParentID(i int) int { return idx.parent[i] }
-
-// Candidates returns the IDs of the nodes carrying type t (primary or
-// extra), in ascending preorder. The returned slice is owned by the index
-// and must not be modified.
-func (idx *Index) Candidates(t Type) []int { return idx.byType[t] }

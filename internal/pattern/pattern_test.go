@@ -32,25 +32,16 @@ func TestSize(t *testing.T) {
 
 func TestWalkOrders(t *testing.T) {
 	p := fig2a()
-	var pre, post []Type
+	var pre []Type
 	p.Walk(func(n *Node) { pre = append(pre, n.Type) })
-	p.WalkPost(func(n *Node) { post = append(post, n.Type) })
-	if pre[0] != "Articles" {
-		t.Errorf("preorder starts with %q, want Articles", pre[0])
+	want := []Type{"Articles", "Article", "Title", "Paragraph", "Section", "Paragraph"}
+	if len(pre) != len(want) {
+		t.Fatalf("preorder %v, want %v", pre, want)
 	}
-	if post[len(post)-1] != "Articles" {
-		t.Errorf("postorder ends with %q, want Articles", post[len(post)-1])
-	}
-	if len(pre) != 6 || len(post) != 6 {
-		t.Fatalf("walk lengths = %d, %d, want 6", len(pre), len(post))
-	}
-	// In postorder every node appears after all of its descendants.
-	seen := map[Type]int{}
-	for i, ty := range post {
-		seen[ty] = i
-	}
-	if seen["Articles"] != 5 {
-		t.Errorf("Articles at postorder index %d, want 5", seen["Articles"])
+	for i := range want {
+		if pre[i] != want[i] {
+			t.Fatalf("preorder %v, want %v", pre, want)
+		}
 	}
 }
 
@@ -156,10 +147,6 @@ func TestAncestry(t *testing.T) {
 	if para2.Depth() != 3 {
 		t.Errorf("Depth = %d, want 3", para2.Depth())
 	}
-	anc := para2.Ancestors()
-	if len(anc) != 3 || anc[0].Type != "Section" || anc[2].Type != "Articles" {
-		t.Errorf("Ancestors = %v", anc)
-	}
 	if !p.Root.IsAncestorOf(para2) || para2.IsAncestorOf(p.Root) {
 		t.Error("IsAncestorOf wrong")
 	}
@@ -168,37 +155,48 @@ func TestAncestry(t *testing.T) {
 	}
 }
 
-func TestIndex(t *testing.T) {
+// TestPreorder pins the layout of Figure 2(a): preorder ordinals,
+// subtree ends and parents, children found by hopping subtree ends, and a
+// refill from a pattern of the same size that allocates nothing, which the
+// pooled scratch of the minimization kernels relies on.
+func TestPreorder(t *testing.T) {
 	p := fig2a()
-	idx := NewIndex(p)
-	if len(idx.Order) != 6 {
-		t.Fatalf("Order length %d, want 6", len(idx.Order))
+	var l Preorder
+	l.Fill(p)
+	// Articles/Article*[/Title, //Paragraph, /Section//Paragraph]
+	types := []Type{"Articles", "Article", "Title", "Paragraph", "Section", "Paragraph"}
+	end := []int32{5, 5, 2, 3, 5, 5}
+	parent := []int32{-1, 0, 1, 1, 1, 4}
+	if len(l.Nodes) != len(types) || len(l.End) != len(end) || len(l.Parent) != len(parent) {
+		t.Fatalf("layout of %d/%d/%d entries, want %d", len(l.Nodes), len(l.End), len(l.Parent), len(types))
 	}
-	var section, para2, title *Node
-	p.Walk(func(n *Node) {
-		switch {
-		case n.Type == "Section":
-			section = n
-		case n.Type == "Title":
-			title = n
-		case n.Type == "Paragraph" && n.Parent.Type == "Section":
-			para2 = n
+	for i, n := range l.Nodes {
+		if n.Type != types[i] || l.End[i] != end[i] || l.Parent[i] != parent[i] {
+			t.Errorf("ordinal %d: %s end %d parent %d, want %s end %d parent %d",
+				i, n.Type, l.End[i], l.Parent[i], types[i], end[i], parent[i])
 		}
-	})
-	if !idx.IsDescendant(para2, section) {
-		t.Error("Paragraph should be descendant of Section")
+		if pi := l.Parent[i]; pi >= 0 && n.Parent != l.Nodes[pi] {
+			t.Errorf("ordinal %d: Parent %d is not its parent node", i, pi)
+		}
 	}
-	if !idx.IsDescendant(para2, p.Root) {
-		t.Error("Paragraph should be descendant of root")
+	var kids []int32
+	for c := int32(2); c <= l.End[1]; c = l.End[c] + 1 {
+		kids = append(kids, c)
 	}
-	if idx.IsDescendant(section, para2) {
-		t.Error("Section is not a descendant of Paragraph")
+	if len(kids) != 3 || kids[0] != 2 || kids[1] != 3 || kids[2] != 4 {
+		t.Errorf("children of Article %v, want [2 3 4]", kids)
 	}
-	if idx.IsDescendant(title, section) {
-		t.Error("Title is not a descendant of Section")
+
+	q := fig2a()
+	if allocs := testing.AllocsPerRun(100, func() { l.Fill(q) }); allocs != 0 {
+		t.Errorf("refilling from a pattern of the same size allocates %v times", allocs)
 	}
-	if idx.IsDescendant(section, section) {
-		t.Error("IsDescendant must be proper")
+	if l.Nodes[0] != q.Root {
+		t.Error("refill kept the old pattern's nodes")
+	}
+	l.Fill(nil)
+	if len(l.Nodes) != 0 || len(l.End) != 0 || len(l.Parent) != 0 {
+		t.Error("nil pattern left a non-empty layout")
 	}
 }
 
@@ -322,11 +320,14 @@ func TestEdgeKindString(t *testing.T) {
 	if Child.String() != "/" || Descendant.String() != "//" {
 		t.Error("EdgeKind.String wrong")
 	}
+	if EdgeKind(5).String() != "//" {
+		t.Error("a kind other than Child must render as a descendant edge")
+	}
 }
 
 func TestNodePredicates(t *testing.T) {
 	p := fig2a()
-	if !p.Root.IsRoot() || p.Root.IsLeaf() {
+	if p.Root.IsLeaf() {
 		t.Error("root predicates wrong")
 	}
 	var title *Node
@@ -335,7 +336,7 @@ func TestNodePredicates(t *testing.T) {
 			title = n
 		}
 	})
-	if title.IsRoot() || !title.IsLeaf() {
+	if !title.IsLeaf() {
 		t.Error("leaf predicates wrong")
 	}
 }

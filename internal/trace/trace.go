@@ -179,47 +179,3 @@ func (t *Trace) Count(c Counter) int64 {
 	}
 	return t.counts[c].Load()
 }
-
-// PhaseDurs returns the duration of every phase in pipeline order,
-// indexed by Phase. Nil Trace returns the zero array.
-func (t *Trace) PhaseDurs() [NumPhases]time.Duration {
-	var out [NumPhases]time.Duration
-	if t == nil {
-		return out
-	}
-	for p := Phase(0); p < NumPhases; p++ {
-		out[p] = time.Duration(t.durs[p].Load())
-	}
-	return out
-}
-
-// Merge adds every duration and counter of o into t. Nil receivers and
-// nil arguments are no-ops.
-func (t *Trace) Merge(o *Trace) {
-	if t == nil || o == nil {
-		return
-	}
-	for p := Phase(0); p < NumPhases; p++ {
-		if d := o.durs[p].Load(); d != 0 {
-			t.durs[p].Add(d)
-		}
-	}
-	for c := Counter(0); c < NumCounters; c++ {
-		if n := o.counts[c].Load(); n != 0 {
-			t.counts[c].Add(n)
-		}
-	}
-}
-
-// Reset zeroes every duration and counter so a Trace can be pooled.
-func (t *Trace) Reset() {
-	if t == nil {
-		return
-	}
-	for p := Phase(0); p < NumPhases; p++ {
-		t.durs[p].Store(0)
-	}
-	for c := Counter(0); c < NumCounters; c++ {
-		t.counts[c].Store(0)
-	}
-}

@@ -12,13 +12,8 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	sp.End()
 	tr.AddDur(Chase, time.Second)
 	tr.Add(Tests, 7)
-	tr.Merge(New())
-	tr.Reset()
 	if tr.Dur(Chase) != 0 || tr.Count(Tests) != 0 {
 		t.Fatal("nil trace reported nonzero values")
-	}
-	if tr.PhaseDurs() != [NumPhases]time.Duration{} {
-		t.Fatal("nil trace PhaseDurs not zero")
 	}
 }
 
@@ -74,30 +69,6 @@ func TestCountersAndAddDur(t *testing.T) {
 	tr.AddDur(Parse, 5*time.Microsecond)
 	if got := tr.Dur(Parse); got != 10*time.Microsecond {
 		t.Fatalf("Dur(Parse) = %v, want 10µs", got)
-	}
-	durs := tr.PhaseDurs()
-	if durs[Parse] != 10*time.Microsecond {
-		t.Fatalf("PhaseDurs()[Parse] = %v", durs[Parse])
-	}
-}
-
-func TestMergeAndReset(t *testing.T) {
-	a, b := New(), New()
-	a.AddDur(CIM, time.Millisecond)
-	a.Add(TablesBuilt, 1)
-	b.AddDur(CIM, 2*time.Millisecond)
-	b.Add(TablesDerived, 9)
-	a.Merge(b)
-	if a.Dur(CIM) != 3*time.Millisecond {
-		t.Fatalf("merged Dur(CIM) = %v", a.Dur(CIM))
-	}
-	if a.Count(TablesBuilt) != 1 || a.Count(TablesDerived) != 9 {
-		t.Fatalf("merged counters: built=%d derived=%d",
-			a.Count(TablesBuilt), a.Count(TablesDerived))
-	}
-	a.Reset()
-	if a.Dur(CIM) != 0 || a.Count(TablesDerived) != 0 {
-		t.Fatal("Reset left residue")
 	}
 }
 

@@ -96,7 +96,7 @@ func writeStep(b *strings.Builder, n *pattern.Node, onSpine map[*pattern.Node]bo
 // Multi-branch subtrees nest further predicates.
 func writeRelative(b *strings.Builder, n *pattern.Node, first bool) {
 	if first {
-		if n.Edge == pattern.Descendant {
+		if n.Edge != pattern.Child {
 			b.WriteString(".//")
 		}
 	} else {

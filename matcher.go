@@ -63,11 +63,11 @@ func (m *Matcher) Index() *MatchIndex { return m.idx }
 // Forest returns the database the Matcher evaluates against.
 func (m *Matcher) Forest() *Forest { return m.idx.Forest() }
 
-// Compile prepares p for streaming evaluation. It fails when p is empty,
-// has no output node or has a node whose edge kind is neither Child nor
-// Descendant. The result can be iterated concurrently and is
-// the way to evaluate one query repeatedly without re-deriving its
-// candidate representation.
+// Compile prepares p for streaming evaluation. It fails when p is empty
+// or has no output node; an edge kind other than Child reads as
+// Descendant, as in every other part of the package. The result can be
+// iterated concurrently and is the way to evaluate one query repeatedly
+// without re-deriving its candidate representation.
 func (m *Matcher) Compile(p *Pattern) (*MatchQuery, error) {
 	return stream.Compile(p, m.idx, stream.Options{})
 }
@@ -152,9 +152,14 @@ func (m *Matcher) Count(p *Pattern) int {
 }
 
 // CountEmbeddings returns the number of distinct full embeddings of p as
-// a big integer. The count can be exponential in the pattern size, so it
-// runs on the materialized counting kernel rather than the streaming
-// enumerator; use Embeddings to visit the embeddings themselves.
+// a big integer, 0 for an invalid pattern. The count can be exponential
+// in the pattern size, so it is computed on the compiled query by one
+// bottom-up product-of-sums pass, without enumerating; use Embeddings to
+// visit the embeddings themselves.
 func (m *Matcher) CountEmbeddings(p *Pattern) *big.Int {
-	return match.CountEmbeddings(p, m.idx)
+	q, err := m.Compile(p)
+	if err != nil {
+		return new(big.Int)
+	}
+	return q.CountEmbeddings(context.Background())
 }

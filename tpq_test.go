@@ -172,6 +172,30 @@ func TestFacadeCountEmbeddings(t *testing.T) {
 	}
 }
 
+// TestFacadeEdgeKindRule pins one reading of an edge kind that is neither
+// Child nor Descendant, which a hand-built pattern may carry: every layer
+// reads it as a d-edge. The printer, the canonical form, containment, the
+// embedding count and the match engine must agree.
+func TestFacadeEdgeKindRule(t *testing.T) {
+	p := MustParse("a*[/b]")
+	p.Root.Children[0].Edge = 5
+	root := NewDataNode("a")
+	root.Child("c").Child("b")
+	f := NewForest(root)
+	if got := p.String(); got != "a*//b" {
+		t.Errorf("String = %q, want a*//b", got)
+	}
+	if !Equivalent(p, MustParse(p.String())) {
+		t.Error("the pattern is not equivalent to the parse of its own printing")
+	}
+	if got := CountEmbeddings(p, f); got.Int64() != 1 {
+		t.Errorf("CountEmbeddings = %s, want 1", got)
+	}
+	if got := MatchCount(p, f); got != 1 {
+		t.Errorf("MatchCount = %d, want 1", got)
+	}
+}
+
 func TestFacadeForbiddenConstraints(t *testing.T) {
 	q := MustParse("Section*//Footnote")
 	cs := NewConstraints(ForbidDescendant("Section", "Footnote"))
