@@ -83,6 +83,22 @@ func FuzzMatch(f *testing.F) {
 	})
 }
 
+// FuzzAugment runs oracle 6: a byte-decoded query augmented under the
+// decoded constraints through the chase plan and through the per-call
+// reference must come out identical, with the same wanted witness types,
+// and re-augmenting must leave it as it is.
+func FuzzAugment(f *testing.F) {
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, cs := genquery.FromBytesWithICs(data)
+		if err := CheckAugment(q, cs).err(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // FuzzOr runs the disjunctive oracle: a byte-decoded union of up to four
 // disjuncts through evaluation-engine agreement, minimize-with-absorption
 // equivalence, and the serving layer's disjunctive path.

@@ -141,3 +141,33 @@ func TestRegressAgreementVirtualWitnessChains(t *testing.T) {
 		}
 	}
 }
+
+// TestRegressAugmentPermanentTypes: re-augmenting an augmented query
+// changed it. Both chases took every type of the query as a query type,
+// temporary witnesses and temporary extra types included, so a second
+// pass read a witness's type as the query's and associated it with a
+// permanent node through a co-occurrence constraint: in t4/t3*/t0 the
+// t2 witness under t0 made the second pass give t0 the extra type t2.
+// The query types are now the permanent nodes' permanent types. These
+// are the nine shrunk failures of tpqfuzz's default sweep (5,000 cases,
+// seed 1); each failed oracle 6 before the fix.
+func TestRegressAugmentPermanentTypes(t *testing.T) {
+	for _, c := range []struct {
+		q  string
+		cs []string
+	}{
+		{"t4/t3*/t0", []string{"t0 => t2", "t2 => t3", "t0 ~ t2"}},
+		{"t5/t0*/t3", []string{"t0 -> t1", "t1 -> t3", "t0 ~ t1"}},
+		{"t1[/t3*, /t5/t0]", []string{"t1 -> t4", "t4 -> t5", "t0 ~ t4"}},
+		{"t0*/t5/t3", []string{"t0 => t3", "t1 => t5", "t3 ~ t1"}},
+		{"t0/t2*/t4", []string{"t0 -> t1", "t1 -> t4", "t0 ~ t1"}},
+		{"t2[/t0, /t3*]", []string{"t0 -> t1", "t1 -> t3", "t0 ~ t1"}},
+		{"t1{t0}*", []string{"t0 => t5", "t1 ~ t5", "t4 ~ t1", "t5 ~ t4"}},
+		{"t0*/t3", []string{"t3 => t5", "t0 ~ t4", "t4 ~ t0", "t5 ~ t4"}},
+		{"t1[/t1[/t0, /t1/t1*], /t3]", []string{"t0 -> t2", "t2 -> t3", "t0 ~ t2"}},
+	} {
+		if f := CheckAugment(pattern.MustParse(c.q), ics.MustParseSet(c.cs...)); f != nil {
+			t.Errorf("oracle %q fails on %s under %v: %v", f.Oracle, c.q, c.cs, f)
+		}
+	}
+}

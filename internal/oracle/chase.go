@@ -18,8 +18,9 @@ import (
 // and required children, recursively, because a query node may have to
 // map onto it. Recursion follows required edges only on acyclic-required
 // sets, so witness chains are no longer than the number of mentioned
-// types; on a cyclic set witnesses stay one level deep. Re-augmenting an
-// augmented query adds nothing.
+// types; on a cyclic set witnesses stay one level deep. The query types
+// are p.TypeSet(), its permanent nodes' permanent types, so re-augmenting
+// an augmented query adds nothing.
 func Augment(p *pattern.Pattern, cs *ics.Set) int {
 	if p == nil || p.Root == nil || cs == nil {
 		return 0
