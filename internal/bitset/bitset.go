@@ -2,12 +2,11 @@
 // execution layer: fixed-capacity sets of small integers packed into
 // uint64 words, and flat matrices of such rows.
 //
-// The minimization and matching dynamic programs all reduce to the same
-// two primitives over node-ID sets — "intersect a row with a candidate
-// set" and "does this row contain any ID in a preorder interval" — so a
-// Set is deliberately minimal: a []uint64 with a word-parallel And, a
-// range-intersection test (ancestor/descendant checks against preorder
-// intervals become one masked word scan), and NextSet iteration.
+// The minimization and matching kernels keep their rows as Sets over
+// preorder ordinals, and package semijoin builds the one tree step on
+// them, so a Set is deliberately minimal: word-parallel And and Or, range
+// operations over a preorder interval (a node's proper descendants) that
+// read only the words it spans, and NextSet iteration.
 //
 // Sets are plain slices, not structs: the capacity is fixed at creation
 // and callers index only within it. All binary operations require equal
@@ -109,47 +108,16 @@ func (s Set) NextSet(i int) int {
 }
 
 // IntersectsRange reports whether the set contains any member in the
-// inclusive range [lo, hi]. This is the ancestor/descendant primitive: the
-// proper descendants of a node occupy a contiguous preorder-ID interval,
-// so "does this child have a feasible image below s" is one call.
-func (s Set) IntersectsRange(lo, hi int) bool {
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > hi || lo >= len(s)*wordBits {
-		return false
-	}
-	if max := len(s)*wordBits - 1; hi > max {
-		hi = max
-	}
-	loW, hiW := lo/wordBits, hi/wordBits
-	loMask := ^Word(0) << (uint(lo) % wordBits)
-	hiMask := ^Word(0) >> (wordBits - 1 - uint(hi)%wordBits)
-	if loW == hiW {
-		return s[loW]&loMask&hiMask != 0
-	}
-	if s[loW]&loMask != 0 {
-		return true
-	}
-	for w := loW + 1; w < hiW; w++ {
-		if s[w] != 0 {
-			return true
-		}
-	}
-	return s[hiW]&hiMask != 0
-}
+// inclusive range [lo, hi]: whether a node has a member of the set among
+// its proper descendants, which occupy a preorder interval.
+func (s Set) IntersectsRange(lo, hi int) bool { return s.NextInRange(lo, hi) >= 0 }
 
 // RemoveRange deletes every integer in the inclusive range [lo, hi],
 // word-parallel. The incremental images-table engine uses it to mask a
 // tested leaf's excluded subtree interval and to clear the columns of a
 // removed subtree from every surviving row.
 func (s Set) RemoveRange(lo, hi int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if max := len(s)*wordBits - 1; hi > max {
-		hi = max
-	}
+	lo, hi = max(lo, 0), min(hi, len(s)*wordBits-1)
 	if lo > hi {
 		return
 	}
@@ -161,9 +129,7 @@ func (s Set) RemoveRange(lo, hi int) {
 		return
 	}
 	s[loW] &^= loMask
-	for w := loW + 1; w < hiW; w++ {
-		s[w] = 0
-	}
+	clear(s[loW+1 : hiW])
 	s[hiW] &^= hiMask
 }
 
@@ -172,12 +138,7 @@ func (s Set) RemoveRange(lo, hi int) {
 // lengths required. The streaming matcher uses it to keep a candidate
 // row inside the subtree intervals of a descendant step.
 func (s Set) CopyRange(t Set, lo, hi int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if max := len(s)*wordBits - 1; hi > max {
-		hi = max
-	}
+	lo, hi = max(lo, 0), min(hi, len(s)*wordBits-1)
 	if lo > hi {
 		return
 	}
@@ -205,13 +166,25 @@ func (s Set) Equal(t Set) bool {
 	return true
 }
 
-// NextInRange returns the smallest member in [lo, hi], or -1.
+// NextInRange returns the smallest member in [lo, hi], or -1. It reads
+// only the words the range spans.
 func (s Set) NextInRange(lo, hi int) int {
-	i := s.NextSet(lo)
-	if i < 0 || i > hi {
+	lo, hi = max(lo, 0), min(hi, len(s)*wordBits-1)
+	if lo > hi {
 		return -1
 	}
-	return i
+	w := lo / wordBits
+	for cur := s[w] & (^Word(0) << (uint(lo) % wordBits)); ; cur = s[w] {
+		if cur != 0 {
+			if i := w*wordBits + bits.TrailingZeros64(cur); i <= hi {
+				return i
+			}
+			return -1
+		}
+		if w++; w > hi/wordBits {
+			return -1
+		}
+	}
 }
 
 // Matrix is a dense table of equal-length rows allocated in one slab —

@@ -18,17 +18,15 @@
 // mapping P → Q exists; package tests cross-validate this against
 // brute-force evaluation over canonical databases.
 //
-// FindMapping runs on the patterns' preorder layouts (pattern.Preorder):
-// feasibility rows are bitsets over q's preorder ordinals (package
-// bitset), seeded from per-type candidate lists of q, with descendant
-// checks answered by one preorder-interval probe per row. The nested-map
-// dynamic program it is checked against is internal/oracle's
-// FindMappingMap.
+// FindMapping runs on the patterns' preorder layouts (pattern.Preorder),
+// with rows over q's ordinals filtered by the semijoin step of package
+// semijoin. Its reference is internal/oracle's FindMappingMap.
 package containment
 
 import (
 	"tpq/internal/bitset"
 	"tpq/internal/pattern"
+	"tpq/internal/semijoin"
 )
 
 // Mapping is a witness containment mapping from the nodes of one pattern to
@@ -41,18 +39,13 @@ func Exists(p, q *pattern.Pattern) bool {
 }
 
 // FindMapping returns a containment mapping from p to q, or nil if none
-// exists.
-//
-// It runs the standard bottom-up dynamic program on the preorder layouts
-// of p and q: for each node u of p (children before parent, by walking
-// p's ordinals in reverse) the feasible images form a bitset row over q's
-// ordinals. Rows are seeded from q's candidate list for u's primary type —
-// only label-compatible nodes are ever visited — and a d-child's
-// structural check is a single range probe of the child's row against the
-// candidate's subtree interval. Children on both sides are enumerated by
-// hopping subtree ends, so no node-keyed maps are built. The mapping
-// takes, at every node, the first feasible image in preorder. Worst-case
-// time O(|p|·|q|·(maxFanout + |q|/64)).
+// exists. It runs the bottom-up dynamic program over p's ordinals in
+// reverse preorder, children before parents: u's row of feasible images
+// over q's ordinals is its admission row — the AND of q's rows for u's
+// types, and of q's output row if u is the output node, less the members
+// whose conditions do not entail u's — filtered against its children's
+// rows by one semijoin step over q. The mapping takes, at every node, the
+// first feasible image in preorder. O(|p|·|q|·(maxFanout + |q|/64)).
 func FindMapping(p, q *pattern.Pattern) Mapping {
 	if p == nil || p.Root == nil || q == nil || q.Root == nil {
 		return nil
@@ -61,35 +54,63 @@ func FindMapping(p, q *pattern.Pattern) Mapping {
 	pl.Fill(p)
 	ql.Fill(q)
 	np, nq := len(pl.Nodes), len(ql.Nodes)
+	t := semijoin.Target{Up: ql.Up, End: ql.End, Kids: ql.Kids}
 
-	// q's ordinals by type (primary and extra), ascending.
-	cands := make(map[pattern.Type][]int32)
+	// Rows 0..np-1 are p's; then come q's output row, the filter's
+	// scratch row, and q's row of each type p names.
+	typeRow := make(map[pattern.Type]int)
+	name := func(ty pattern.Type) {
+		if _, ok := typeRow[ty]; !ok {
+			typeRow[ty] = np + 2 + len(typeRow)
+		}
+	}
+	for _, u := range pl.Nodes {
+		name(u.Type)
+		for _, ty := range u.Extra {
+			name(ty)
+		}
+	}
+	rows := bitset.NewMatrix(np+2+len(typeRow), nq)
+	star, tmp := rows.Row(np), rows.Row(np+1)
+	mark := func(ty pattern.Type, vi int) {
+		if r, ok := typeRow[ty]; ok {
+			rows.Row(r).Add(vi)
+		}
+	}
 	for vi, v := range ql.Nodes {
-		cands[v.Type] = append(cands[v.Type], int32(vi))
-		for _, t := range v.Extra {
-			cands[t] = append(cands[t], int32(vi))
+		if v.Star {
+			star.Add(vi)
+		}
+		mark(v.Type, vi)
+		for _, ty := range v.Extra {
+			mark(ty, vi)
 		}
 	}
 
-	rows := bitset.NewMatrix(np, nq)
-
 	// Reverse preorder visits every node after all of its descendants.
+	var buf [8]semijoin.Req
 	for ui := np - 1; ui >= 0; ui-- {
 		u := pl.Nodes[ui]
 		row := rows.Row(ui)
-		uEnd := pl.End[ui]
-	candidates:
-		for _, vi := range cands[u.Type] {
-			if !labelCompatible(u, ql.Nodes[vi]) {
-				continue
-			}
-			for ci := int32(ui) + 1; ci <= uEnd; ci = pl.End[ci] + 1 {
-				if pickChildImage(pl.Nodes[ci].Edge, int(vi), rows.Row(int(ci)), &ql) < 0 {
-					continue candidates
+		row.CopyFrom(rows.Row(typeRow[u.Type]))
+		for _, ty := range u.Extra {
+			row.And(rows.Row(typeRow[ty]))
+		}
+		if u.Star {
+			row.And(star)
+		}
+		if len(u.Conds) > 0 {
+			for vi := row.NextSet(0); vi >= 0; vi = row.NextSet(vi + 1) {
+				if !ql.Nodes[vi].CondsEntail(u) {
+					row.Remove(vi)
 				}
 			}
-			row.Add(int(vi))
 		}
+		reqs := buf[:0]
+		for ci := int32(ui) + 1; ci <= pl.End[ui]; ci = pl.End[ci] + 1 {
+			reqs = append(reqs, semijoin.Req{Row: rows.Row(int(ci)), Child: pl.Nodes[ci].Edge == pattern.Child})
+		}
+		t.Filter(row, reqs, tmp)
 	}
 
 	// Pick the first image of the root, then reconstruct the mapping
@@ -103,7 +124,7 @@ func FindMapping(p, q *pattern.Pattern) Mapping {
 	var build func(ui, vi int) bool
 	build = func(ui, vi int) bool {
 		for ci := ui + 1; ci <= int(pl.End[ui]); ci = int(pl.End[ci]) + 1 {
-			img := pickChildImage(pl.Nodes[ci].Edge, vi, rows.Row(ci), &ql)
+			img := t.Image(rows.Row(ci), vi, vi, pl.Nodes[ci].Edge == pattern.Child)
 			if img < 0 {
 				return false // cannot happen if the DP is correct
 			}
@@ -118,22 +139,6 @@ func FindMapping(p, q *pattern.Pattern) Mapping {
 		return nil
 	}
 	return m
-}
-
-// pickChildImage returns the first ordinal of q, in preorder, that is a
-// feasible image (per row) of a pattern child with the given edge kind
-// and is correctly related to the candidate parent image vi, or -1.
-func pickChildImage(edge pattern.EdgeKind, vi int, row bitset.Set, ql *pattern.Preorder) int {
-	end := int(ql.End[vi])
-	if edge == pattern.Child {
-		for wi := vi + 1; wi <= end; wi = int(ql.End[wi]) + 1 {
-			if ql.Nodes[wi].Edge == pattern.Child && row.Has(wi) {
-				return wi
-			}
-		}
-		return -1
-	}
-	return row.NextInRange(vi+1, end)
 }
 
 // labelCompatible implements condition (1): type-set inclusion plus output

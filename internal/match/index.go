@@ -15,12 +15,12 @@
 package match
 
 import (
-	"math/bits"
 	"sync"
 
 	"tpq/internal/bitset"
 	"tpq/internal/data"
 	"tpq/internal/pattern"
+	"tpq/internal/semijoin"
 )
 
 // ForestIndex is an inverted index from type to the nodes carrying it, in
@@ -33,11 +33,7 @@ type ForestIndex struct {
 	byType map[pattern.Type][]*data.Node
 	none   bitset.Set // the all-zero row of every type the forest lacks
 
-	// The forest's shape over preorder IDs: parent[v] is v's parent (-1
-	// at a root) and end[v] the last ID of v's subtree, so v's proper
-	// descendants are (v, end[v]] and its children v+1, end[v+1]+1, …
-	// up to end[v].
-	parent, end []int32
+	shape semijoin.Target // every node's parent and subtree end, by preorder ID
 
 	// mu guards rows, which caches per type the rows derived from
 	// byType[t]: its bitset over node IDs and that row's lift along each
@@ -65,18 +61,17 @@ func NewForestIndex(f *data.Forest) *ForestIndex {
 		byType: make(map[pattern.Type][]*data.Node),
 		none:   bitset.New(f.Size()),
 		rows:   make(map[pattern.Type]*typeRows),
-		parent: make([]int32, f.Size()),
-		end:    make([]int32, f.Size()),
+		shape:  semijoin.Target{Up: make([]int32, f.Size()), End: make([]int32, f.Size())},
 	}
 	for _, n := range f.Nodes() {
 		for _, t := range n.Types {
 			idx.byType[t] = append(idx.byType[t], n)
 		}
-		idx.parent[n.ID] = -1
+		idx.shape.Up[n.ID] = -1
 		if n.Parent != nil {
-			idx.parent[n.ID] = int32(n.Parent.ID)
+			idx.shape.Up[n.ID] = int32(n.Parent.ID)
 		}
-		idx.end[n.ID] = int32(n.SubtreeEnd())
+		idx.shape.End[n.ID] = int32(n.SubtreeEnd())
 	}
 	return idx
 }
@@ -84,13 +79,10 @@ func NewForestIndex(f *data.Forest) *ForestIndex {
 // Forest returns the indexed forest.
 func (idx *ForestIndex) Forest() *data.Forest { return idx.forest }
 
-// Parents returns the parent ID of every node by preorder ID, -1 at a
-// root. The slice is owned by the index and read-only.
-func (idx *ForestIndex) Parents() []int32 { return idx.parent }
-
-// Ends returns the last preorder ID of every node's subtree, by
-// preorder ID. The slice is owned by the index and read-only.
-func (idx *ForestIndex) Ends() []int32 { return idx.end }
+// Target returns the forest's shape as a semijoin target: every node's
+// parent (-1 at a root) and the last preorder ID of its subtree, by
+// preorder ID. Its slices are owned by the index and read-only.
+func (idx *ForestIndex) Target() semijoin.Target { return idx.shape }
 
 // TypeBits returns the bitset over node IDs of the nodes carrying t,
 // built on first use and cached; a type no node carries gets one shared
@@ -125,7 +117,18 @@ func (idx *ForestIndex) LiftBits(t pattern.Type, e pattern.EdgeKind) bitset.Set 
 	defer idx.mu.Unlock()
 	tr := idx.typeRows(t)
 	if tr.lift[i] == nil {
-		tr.lift[i] = idx.lift(tr.bits, desc)
+		row := make(bitset.Set, len(tr.bits))
+		if desc { // every node may be an ancestor: the mask is the forest
+			for w := range row {
+				row[w] = ^bitset.Word(0)
+			}
+			row.RemoveRange(idx.forest.Size(), len(row)*64-1)
+			idx.shape.LiftDesc(row, row, tr.bits, nil)
+		} else {
+			copy(row, tr.bits)
+			idx.shape.LiftChild(row, nil)
+		}
+		tr.lift[i] = row
 	}
 	return tr.lift[i]
 }
@@ -143,26 +146,4 @@ func (idx *ForestIndex) typeRows(t pattern.Type) *typeRows {
 	tr := &typeRows{bits: s}
 	idx.rows[t] = tr
 	return tr
-}
-
-// lift returns a new row: the proper ancestors of row's members when
-// desc, their parents otherwise. The ancestor walk stops at a node
-// already marked, whose own ancestors are then marked too, so each node
-// is marked at most once: O(|row| + |lift(row)| + n/64), where a c-edge
-// marks at most |row| nodes.
-func (idx *ForestIndex) lift(row bitset.Set, desc bool) bitset.Set {
-	out := make(bitset.Set, len(row))
-	for wi, w := range row {
-		for w != 0 {
-			v := wi<<6 | bits.TrailingZeros64(w)
-			w &= w - 1
-			for p := idx.parent[v]; p >= 0 && !out.Has(int(p)); p = idx.parent[p] {
-				out.Add(int(p))
-				if !desc {
-					break
-				}
-			}
-		}
-	}
-	return out
 }

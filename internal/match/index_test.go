@@ -102,15 +102,15 @@ func TestIndexedNestedAncestors(t *testing.T) {
 }
 
 // TestDescendantFilterProperty checks the index's preorder arrays
-// against the forest's pointers on random forests: Parents gives every
-// node's parent, and the interval (v, Ends()[v]] holds exactly v's proper
+// against the forest's pointers on random forests: Target's Up gives every
+// node's parent, and the interval (v, End[v]] holds exactly v's proper
 // descendants — the descendant filter every engine pass relies on.
 func TestDescendantFilterProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 300; trial++ {
 		f := randomForest(rng, 1+rng.Intn(200))
 		idx := match.NewForestIndex(f)
-		parent, end := idx.Parents(), idx.Ends()
+		parent, end := idx.Target().Up, idx.Target().End
 		nodes := f.Nodes()
 		for _, v := range nodes {
 			want := int32(-1)

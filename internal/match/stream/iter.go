@@ -120,7 +120,7 @@ func (q *Query) childSums(emb []*big.Int, child bool) []*big.Int {
 		}
 	}
 	for v := len(q.nodes) - 1; v >= 0; v-- {
-		if p := q.parent[v]; p >= 0 {
+		if p := q.t.Up[v]; p >= 0 {
 			add(p, emb[v])
 			if !child {
 				add(p, sums[v])
@@ -216,19 +216,8 @@ func (q *Query) Embeddings(ctx context.Context) iter.Seq[Embedding] {
 				return true
 			}
 			p := img[q.pat.Parent[i]]
-			hi := int(q.end[p])
-			if q.pat.Nodes[i].Edge == pattern.Child {
-				for c := p + 1; c <= hi; c = int(q.end[c]) + 1 {
-					if row.Has(c) {
-						img[i], assign[i] = c, q.nodes[c]
-						if !rec(i + 1) {
-							return false
-						}
-					}
-				}
-				return true
-			}
-			for v := row.NextInRange(p+1, hi); v >= 0; v = row.NextInRange(v+1, hi) {
+			child := q.pat.Nodes[i].Edge == pattern.Child
+			for v := q.t.Image(row, p, p, child); v >= 0; v = q.t.Image(row, p, v, child) {
 				img[i], assign[i] = v, q.nodes[v]
 				if !rec(i + 1) {
 					return false

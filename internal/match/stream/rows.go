@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"math"
 	"math/bits"
 	"sync"
 
@@ -10,10 +9,6 @@ import (
 	"tpq/internal/data"
 	"tpq/internal/pattern"
 )
-
-// pollMask amortizes context polls inside a pass: once per 1,024 row
-// words, or per 1,024 subtree intervals of a descendant step.
-const pollMask = 1024 - 1
 
 // maxPooledWords bounds the row storage a pooled scratch keeps, 8 MiB: a
 // run that allocated more (Embeddings' k rows over a large forest) drops
@@ -119,9 +114,9 @@ func (r *run) answerRow() (row bitset.Set, owned bool) {
 				row, owned = own, true
 			}
 			if q.pat.Nodes[pi].Edge == pattern.Child {
-				r.belowChild(row, cand)
+				q.t.BelowChild(row, cand, r.poll)
 			} else {
-				r.belowDesc(row, cand)
+				q.t.BelowDesc(row, cand, r.poll)
 			}
 		}
 		row, owned = r.fold(row, owned, pi, next)
@@ -207,7 +202,7 @@ func (r *run) lift(row bitset.Set, owned bool, s bitset.Set, sOwned bool, c int)
 			copy(own, s)
 			s = own
 		}
-		r.liftChild(s)
+		r.q.t.LiftChild(s, r.poll)
 		if owned {
 			row.And(s)
 			r.put(s)
@@ -216,120 +211,18 @@ func (r *run) lift(row bitset.Set, owned bool, s bitset.Set, sOwned bool, c int)
 		s.And(row)
 		return s, true
 	}
+	dst := s // an owned S(c) takes the result unless the mask is owned
 	switch {
 	case owned:
-		r.liftDesc(row, row, s)
-		if sOwned {
-			r.put(s)
-		}
-		return row, true
-	case sOwned:
-		r.liftDesc(s, row, s)
-	default:
-		dst := r.row()
-		r.liftDesc(dst, row, s)
-		s = dst
+		dst = row
+	case !sOwned:
+		dst = r.row()
 	}
-	return s, true
-}
-
-// liftChild rewrites s, in place, to the parents of its members. A parent
-// precedes its children in preorder, so one ascending pass that reads
-// word wi, clears it and ORs each member's parent bit into a word at or
-// before wi reads every word before any parent bit lands in it:
-// O(|s| + n/64).
-func (r *run) liftChild(s bitset.Set) {
-	parent := r.q.parent
-	for wi := range s {
-		if wi&pollMask == 0 && r.poll() {
-			return
-		}
-		w := s[wi]
-		s[wi] = 0
-		for ; w != 0; w &= w - 1 {
-			if p := parent[wi<<6|bits.TrailingZeros64(w)]; p >= 0 {
-				s[p>>6] |= 1 << (uint(p) & 63)
-			}
-		}
+	r.q.t.LiftDesc(dst, row, s, r.poll)
+	if owned && sOwned {
+		r.put(s)
 	}
-}
-
-// liftDesc sets dst to the members v of mask with a member of src in
-// (v, end[v]]. A descending pass keeps next, the smallest member of src
-// above the current position, so each v is one comparison: no range scan
-// grows with subtree size. It reads src's word before writing dst's:
-// dst may alias mask or src.
-func (r *run) liftDesc(dst, mask, src bitset.Set) {
-	end := r.q.end
-	next := math.MaxInt
-	for wi := len(dst) - 1; wi >= 0; wi-- {
-		if wi&pollMask == 0 && r.poll() {
-			return
-		}
-		m, sw := mask[wi], src[wi]
-		var out bitset.Word
-		if m == 0 {
-			if sw != 0 {
-				next = wi<<6 | bits.TrailingZeros64(sw)
-			}
-			dst[wi] = 0
-			continue
-		}
-		for all := m | sw; all != 0; {
-			b := 63 - bits.LeadingZeros64(all)
-			bit := bitset.Word(1) << uint(b)
-			all &^= bit
-			v := wi<<6 | b
-			if m&bit != 0 && next <= int(end[v]) {
-				out |= bit
-			}
-			if sw&bit != 0 {
-				next = v
-			}
-		}
-		dst[wi] = out
-	}
-}
-
-// belowChild rewrites row, in place, to the members of cand whose parent
-// is in row. A parent precedes its children in preorder, so a descending
-// pass writes row[wi] only after every member whose parent bit lies in
-// word wi has been tested.
-func (r *run) belowChild(row, cand bitset.Set) {
-	parent := r.q.parent
-	for wi := len(row) - 1; wi >= 0; wi-- {
-		if wi&pollMask == 0 && r.poll() {
-			return
-		}
-		var out bitset.Word
-		for c := cand[wi]; c != 0; c &= c - 1 {
-			b := bits.TrailingZeros64(c)
-			if p := parent[wi<<6|b]; p >= 0 {
-				out |= row[p>>6] >> (uint(p) & 63) & 1 << uint(b)
-			}
-		}
-		row[wi] = out
-	}
-}
-
-// belowDesc rewrites row, in place, to the members of cand that are
-// proper descendants of a member of row. Subtree intervals nest, so one
-// ascending merge suffices: jump to the next member a at or after pos,
-// clear [pos, a], copy cand over (a, end[a]] — members nested there add
-// nothing — and go on from end[a]+1, where row is still unwritten.
-func (r *run) belowDesc(row, cand bitset.Set) {
-	end := r.q.end
-	pos, tick := 0, 0
-	for a := row.NextSet(0); a >= 0; a = row.NextSet(pos) {
-		if tick++; tick&pollMask == 0 && r.poll() {
-			return
-		}
-		e := int(end[a])
-		row.RemoveRange(pos, a)
-		row.CopyRange(cand, a+1, e)
-		pos = e + 1
-	}
-	row.RemoveRange(pos, len(row)*64-1)
+	return dst, true
 }
 
 // each yields the members of row in document order, polling the context

@@ -318,11 +318,11 @@ func TestRowPrimitivesAlias(t *testing.T) {
 			}
 		}
 		s := clone(src)
-		r.belowChild(s, mask)
+		q.t.BelowChild(s, mask, r.poll)
 		check("belowChild", "belowChild", s)
 		r.put(s)
 		s = clone(src)
-		r.belowDesc(s, mask)
+		q.t.BelowDesc(s, mask, r.poll)
 		check("belowDesc", "belowDesc", s)
 		r.put(s)
 		r.release()

@@ -3,14 +3,11 @@
 // through iterators. It is the one evaluation engine behind tpq.Matcher,
 // tpqd's /match and tpqmatch.
 //
-// A tree pattern is an acyclic conjunctive query over the child and
-// descendant axes, so two semijoin passes evaluate it in time linear in
-// data × query (Gottlob, Koch & Schulz, Conjunctive Queries over Trees).
-// The engine runs both passes set-at-a-time, on rows: bitsets over the
-// forest's preorder IDs, walked word by word. The forest's shape comes
-// from the index's flat preorder arrays (match.ForestIndex.Parents and
-// Ends): the proper descendants of v are the interval (v, end[v]] and its
-// children are v+1, end[v+1]+1, … up to end[v].
+// A tree pattern is an acyclic conjunctive query, so semijoins evaluate
+// it in time linear in data × query. The engine runs them set-at-a-time
+// on rows, bitsets over the forest's preorder IDs, through the passes of
+// package semijoin, over the index's preorder arrays
+// (match.ForestIndex.Target) as their target.
 //
 // Compile reads the pattern through its preorder layout
 // (pattern.Preorder), so pattern nodes are ordinals too, and gives every
@@ -32,14 +29,11 @@
 //
 // C(pₘ) is the answer row; the iterators walk it in document order, and a
 // count is its popcount (UnionCount, Query.Count), with no per-answer
-// work. Each step costs what its input rows hold: a plain leaf's lift is
-// one AND with its precomputed row, O(n/64); any other child's c-edge
-// lift marks the parents of S(c) in place — a row the run owns, or a
-// scratch copy of a leaf's admission row — then ANDs the mask,
-// O(|S(c)| + n/64); a c-edge step down tests each candidate's parent bit,
-// O(|cand| + n/64); a d-edge lift or step is one pass over its rows. So a
-// run costs O(k·n) for a k-node pattern over an n-node forest whatever
-// its answers.
+// work. Each step costs what its rows hold: a plain leaf's lift is one AND
+// with its precomputed row, O(n/64); any other lift or step is one
+// semijoin pass, O(|S(c)| + n/64) for a c-edge lift, in place in a row the
+// run owns or a scratch copy. So a run costs O(k·n) for a k-node pattern
+// over an n-node forest whatever its answers.
 //
 // Rows come from a pooled per-run scratch and are rewritten in place
 // wherever the pattern allows, so Answers and Count hold at most
@@ -59,6 +53,7 @@ import (
 	"tpq/internal/data"
 	"tpq/internal/match"
 	"tpq/internal/pattern"
+	"tpq/internal/semijoin"
 )
 
 // Options configure a compiled Query. The engine has no settings; the
@@ -70,16 +65,15 @@ type Options struct{}
 // and safe for concurrent use — every Answers/Embeddings call owns its
 // private run state.
 type Query struct {
-	nodes  []*data.Node // forest preorder; nodes[i].ID == i
-	parent []int32      // the index's preorder arrays
-	end    []int32
-	pat    pattern.Preorder // the pattern's layout: ordinals, subtree ends, parents
-	k      int
-	star   int   // pattern ordinal of the output node
-	path   []int // pattern ordinals, root (path[0]) to output node
-	repr   []nodeRepr
-	kids   [][]int // pattern children ordinals, largest subtree first
-	words  int     // words of one row: ⌈n/64⌉
+	nodes []*data.Node     // forest preorder; nodes[i].ID == i
+	t     semijoin.Target  // the index's preorder arrays
+	pat   pattern.Preorder // the pattern's layout: ordinals, subtree ends, parents
+	k     int
+	star  int   // pattern ordinal of the output node
+	path  []int // pattern ordinals, root (path[0]) to output node
+	repr  []nodeRepr
+	kids  [][]int // pattern children ordinals, largest subtree first
+	words int     // words of one row: ⌈n/64⌉
 }
 
 // nodeRepr is one pattern node compiled: its admission row — the data
@@ -106,11 +100,10 @@ func Compile(p *pattern.Pattern, idx *match.ForestIndex, _ Options) (*Query, err
 	}
 	n := idx.Forest().Size()
 	q := &Query{
-		nodes:  idx.Forest().Nodes(),
-		parent: idx.Parents(),
-		end:    idx.Ends(),
-		star:   -1,
-		words:  bitset.WordsFor(n),
+		nodes: idx.Forest().Nodes(),
+		t:     idx.Target(),
+		star:  -1,
+		words: bitset.WordsFor(n),
 	}
 	q.pat.Fill(p)
 	k := len(q.pat.Nodes)

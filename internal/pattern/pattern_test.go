@@ -167,13 +167,15 @@ func TestPreorder(t *testing.T) {
 	types := []Type{"Articles", "Article", "Title", "Paragraph", "Section", "Paragraph"}
 	end := []int32{5, 5, 2, 3, 5, 5}
 	parent := []int32{-1, 0, 1, 1, 1, 4}
-	if len(l.Nodes) != len(types) || len(l.End) != len(end) || len(l.Parent) != len(parent) {
-		t.Fatalf("layout of %d/%d/%d entries, want %d", len(l.Nodes), len(l.End), len(l.Parent), len(types))
+	up := []int32{-1, 0, 1, -1, 1, -1} // the c-edge parents: d-edges give -1
+	nkids := []int32{1, 3, 0, 0, 1, 0}
+	if len(l.Nodes) != len(types) || len(l.End) != len(end) || len(l.Parent) != len(parent) || len(l.Up) != len(up) || len(l.Kids) != len(nkids) {
+		t.Fatalf("layout of %d/%d/%d/%d/%d entries, want %d", len(l.Nodes), len(l.End), len(l.Parent), len(l.Up), len(l.Kids), len(types))
 	}
 	for i, n := range l.Nodes {
-		if n.Type != types[i] || l.End[i] != end[i] || l.Parent[i] != parent[i] {
-			t.Errorf("ordinal %d: %s end %d parent %d, want %s end %d parent %d",
-				i, n.Type, l.End[i], l.Parent[i], types[i], end[i], parent[i])
+		if n.Type != types[i] || l.End[i] != end[i] || l.Parent[i] != parent[i] || l.Up[i] != up[i] || l.Kids[i] != nkids[i] {
+			t.Errorf("ordinal %d: %s end %d parent %d up %d kids %d, want %s end %d parent %d up %d kids %d",
+				i, n.Type, l.End[i], l.Parent[i], l.Up[i], l.Kids[i], types[i], end[i], parent[i], up[i], nkids[i])
 		}
 		if pi := l.Parent[i]; pi >= 0 && n.Parent != l.Nodes[pi] {
 			t.Errorf("ordinal %d: Parent %d is not its parent node", i, pi)
@@ -195,7 +197,7 @@ func TestPreorder(t *testing.T) {
 		t.Error("refill kept the old pattern's nodes")
 	}
 	l.Fill(nil)
-	if len(l.Nodes) != 0 || len(l.End) != 0 || len(l.Parent) != 0 {
+	if len(l.Nodes) != 0 || len(l.End) != 0 || len(l.Parent) != 0 || len(l.Up) != 0 || len(l.Kids) != 0 {
 		t.Error("nil pattern left a non-empty layout")
 	}
 }
