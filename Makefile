@@ -6,7 +6,7 @@ GO ?= go
 # rises.
 COVER_FLOOR ?= 84.0
 
-.PHONY: check ci build vet test race race-service race-match store-fault fuzz-smoke bench-smoke bench-load bench-load-smoke perfbench-check fmtcheck bench bench-regression bench-chase bench-cim bench-match bench-or cover fmt loc
+.PHONY: check ci build vet test race race-service race-match store-fault fuzz-smoke bench-smoke bench-load bench-load-smoke perfbench-check fmtcheck bench bench-regression bench-cim bench-match bench-or cover fmt loc
 
 # The gate every change must pass before commit.
 check: build vet fmtcheck test race race-service race-match store-fault fuzz-smoke bench-smoke bench-load-smoke perfbench-check
@@ -80,8 +80,9 @@ fuzz-smoke:
 # first b.Fatals if its output diverges from ACIM with the nested-map
 # reference kernel of internal/oracle, the second if a reply's count
 # differs from oracle.BindingsMap's, and the third runs the miss path
-# (CDM, chase, CIM, unsat check, each over a flattened query) end to end
-# in process, so this is a correctness gate as much as a perf smoke test.
+# (the unsat check, CDM, the chase and CIM, all over the one layout a
+# miss flattens) end to end in process, so this is a correctness gate as
+# much as a perf smoke test.
 bench-smoke:
 	$(GO) test -run xxx -bench '^BenchmarkFig7bIncremental$$' -benchtime 1x -count=1 .
 	$(GO) test -run xxx -bench '^(BenchmarkServiceMatch|BenchmarkServiceMissAllocs)$$' -benchtime 1x -count=1 ./internal/service
@@ -106,18 +107,11 @@ bench-regression:
 	$(GO) run ./cmd/tpqbench -json -o .bench/BENCH_head.json
 	$(GO) run ./cmd/tpqbench -compare BENCH_baseline.json .bench/BENCH_head.json -threshold 1.5x
 
-# Targeted chase gate: re-measure only the Figure 7(b) workload (the
-# chase-plan series isolates plan-based augmentation) and compare its
-# totals and phases against the baseline. Much faster than the full
-# bench-regression; the gate that pins the precompiled-plan speedup.
-bench-chase:
-	$(GO) run ./cmd/tpqbench -json -fig 7b -outdir .bench
-	$(GO) run ./cmd/tpqbench -compare BENCH_baseline.json .bench/BENCH_7b.json -threshold 1.5x
-
 # Targeted images-table gate: re-measure the three figures CIM's row
 # filter moves (7a, whose rows are lifted whole because probing the fan
 # root's children costs more; 7b, whose sparse rows over thousands of
-# temporary columns are probed; and 9a's ACIM series) and compare each
+# witness columns are probed, and whose chase-plan series times the chase
+# that writes those columns; and 9a's ACIM series) and compare each
 # against the baseline, totals and phases.
 bench-cim:
 	$(GO) run ./cmd/tpqbench -json -fig 7a -outdir .bench

@@ -3,23 +3,25 @@
 // augmentation followed by constraint-independent minimization. The
 // unsatisfiability check of Section 7 is chase.(*Plan).Unsatisfiable.
 //
-// ACIM runs three steps:
+// ACIM runs two steps on the query's flattened layout (chase.Scratch):
 //
-//  1. Augment the query with respect to the logical closure of the given
+//  1. Augment the layout with respect to the logical closure of the given
 //     integrity constraints (package chase). Added nodes and type
 //     associations are temporary: witnesses for containment mappings, never
-//     requirements, never candidates for elimination.
-//  2. Run CIM (package cim) on the augmented query. Temporary nodes widen
-//     the image sets, exposing redundancies that only hold under the
-//     constraints.
-//  3. Strip the temporary nodes and type associations.
+//     requirements, never candidates for elimination. They exist only in
+//     the layout, so the pattern never carries them and nothing is
+//     stripped afterwards.
+//  2. Run CIM (package cim) on the augmented layout. Witnesses widen the
+//     image sets, exposing redundancies that only hold under the
+//     constraints; each removal detaches a node of the query.
 //
 // Theorem 5.1: for required-child, required-descendant and co-occurrence
 // constraints the minimal equivalent query under the constraints is unique,
 // and ACIM finds it. ACIM is a direct implementation of the optimal
 // strategy A·M·R of Lemma 5.4 (augment, minimize, reduce); the reduction
 // step and the strategy algebra the lemmas speak about are in
-// internal/oracle (Reduce, ApplyStrategy), where the tests exercise them.
+// internal/oracle (Reduce, ApplyStrategy), where the tests exercise them,
+// beside the reference ACIM on nested-map images tables (MinimizeACIMMap).
 package acim
 
 import (
@@ -37,9 +39,6 @@ import (
 type Stats struct {
 	// Augmented is the number of temporary nodes added.
 	Augmented int
-	// AugmentedSize is the query size after augmentation (permanent +
-	// temporary nodes).
-	AugmentedSize int
 	// Removed is the number of permanent nodes eliminated.
 	Removed int
 	// Tests is the number of leaf-redundancy tests run by the CIM phase.
@@ -52,9 +51,6 @@ type Stats struct {
 	// TablesTime is the time spent building images and ancestor/descendant
 	// tables (Figure 7(b) reports this fraction of TotalTime).
 	TablesTime time.Duration
-	// AugmentTime is the time spent in the augmentation step, including
-	// closing the constraint set if it was not already closed.
-	AugmentTime time.Duration
 	// TotalTime is the wall-clock time of the whole run.
 	TotalTime time.Duration
 }
@@ -68,62 +64,40 @@ func Minimize(p *pattern.Pattern, cs *ics.Set) *pattern.Pattern {
 
 // MinimizeWithStats is Minimize with run statistics.
 func MinimizeWithStats(p *pattern.Pattern, cs *ics.Set) (*pattern.Pattern, Stats) {
-	return MinimizeWithRunner(p, cs, func(q *pattern.Pattern) cim.Stats {
-		return cim.MinimizeInPlace(q, cim.Options{})
-	})
-}
-
-// MinimizeWithRunner is MinimizeWithStats with the CIM phase supplied by
-// the caller: run receives the augmented query and minimizes it in place.
-// The engine package passes cim.MinimizeInPlace with its trace here, so
-// augmentation and temporary-stripping stay in one place; tests and
-// difffuzz plug in the reference kernels of internal/oracle the same way.
-func MinimizeWithRunner(p *pattern.Pattern, cs *ics.Set, run func(*pattern.Pattern) cim.Stats) (*pattern.Pattern, Stats) {
-	return MinimizeWithRunnerTraced(p, cs, nil, run)
-}
-
-// MinimizeWithRunnerTraced is MinimizeWithRunner recording the run into
-// tr (see MinimizeInPlaceTraced). tr may be nil (then it is exactly
-// MinimizeWithRunner).
-func MinimizeWithRunnerTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace, run func(*pattern.Pattern) cim.Stats) (*pattern.Pattern, Stats) {
 	q := p.Clone()
-	return q, MinimizeInPlaceTraced(q, cs, tr, run)
+	return q, MinimizeInPlaceTraced(q, cs, nil)
 }
 
-// MinimizeInPlaceTraced is the ACIM core: it minimizes q itself, for a
-// caller that owns a private copy (the engine runs it on CDM's output).
-// It records the run under the ACIM phase of tr, augmentation under the
-// nested Chase phase, the temporary strip under Compact, and removals
-// under ACIMRemoved. The runner is expected to meter the CIM phase
-// itself (cim.MinimizeInPlace does, given cim.Options.Trace), so Chase +
-// CIM + Compact nest inside — and sum to at most — ACIM. tr may be nil.
-func MinimizeInPlaceTraced(q *pattern.Pattern, cs *ics.Set, tr *trace.Trace, run func(*pattern.Pattern) cim.Stats) Stats {
-	var st Stats
-	sp := tr.Start(trace.ACIM)
-	start := time.Now()
+// MinimizeInPlaceTraced minimizes q itself, for a caller that owns a
+// private copy: it fetches cs's plan from the registry (recording the
+// lookup into tr), flattens q by the plan's alphabet and runs
+// MinimizeLayout. tr may be nil.
+func MinimizeInPlaceTraced(q *pattern.Pattern, cs *ics.Set, tr *trace.Trace) Stats {
 	if cs == nil {
 		cs = ics.NewSet()
 	}
+	// The registry closes the set and compiles once per fingerprint, so
+	// repeat minimizations under one schema pay a map probe plus work
+	// proportional to the query.
+	s := chase.GetScratch(chase.PlanForTraced(cs, tr))
+	defer s.Release()
+	s.Flatten(q)
+	return MinimizeLayout(s, tr)
+}
 
-	// Augment through the precompiled chase plan: the registry closes the
-	// set and compiles once per fingerprint, so repeat minimizations under
-	// one schema pay a map probe plus work proportional to the query.
-	tAug := time.Now()
-	pl := chase.PlanForTraced(cs, tr)
-	st.Augmented = pl.AugmentTraced(q, tr)
-	st.AugmentTime = time.Since(tAug)
-	st.AugmentedSize = q.Size()
-
-	cimStats := run(q)
-	st.Removed = cimStats.Removed
-	st.Tests = cimStats.Tests
-	st.TablesBuilt = cimStats.TablesBuilt
-	st.TablesDerived = cimStats.TablesDerived
-	st.TablesTime = cimStats.TablesTime
-
-	spStrip := tr.Start(trace.Compact)
-	q.StripTemp()
-	spStrip.End()
+// MinimizeLayout is the ACIM core: it augments the query flattened in s
+// under the constraint set of s's plan and runs CIM on the augmented
+// layout, which detaches each removed node from the query. It records
+// the run under the ACIM phase of tr, augmentation under the nested
+// Chase phase, the CIM loop under CIM and applying its removals under
+// Compact, so Chase + CIM + Compact nest inside — and sum to at most —
+// ACIM; removals go under ACIMRemoved. tr may be nil.
+func MinimizeLayout(s *chase.Scratch, tr *trace.Trace) Stats {
+	sp := tr.Start(trace.ACIM)
+	start := time.Now()
+	st := Stats{Augmented: s.Augment(tr)}
+	c := cim.MinimizeLayout(s, cim.Options{Trace: tr})
+	st.Removed, st.Tests, st.TablesBuilt, st.TablesDerived, st.TablesTime = c.Removed, c.Tests, c.TablesBuilt, c.TablesDerived, c.TablesTime
 	st.TotalTime = time.Since(start)
 	sp.End()
 	tr.Add(trace.ACIMRemoved, st.Removed)

@@ -8,21 +8,24 @@ import (
 )
 
 // checkMinimize runs ACIM on q under cs and checks the output is
-// isomorphic to want, well formed, and free of augmentation residue.
+// isomorphic to want, well formed, and free of augmentation residue: it
+// carries no type the input lacks.
 func checkMinimize(t *testing.T, q string, cs *ics.Set, want string) {
 	t.Helper()
-	got := Minimize(mp(q), cs)
+	in := mp(q)
+	got := Minimize(in, cs)
 	if !pattern.Isomorphic(got, mp(want)) {
 		t.Errorf("Minimize(%s) = %s, want %s", q, got, want)
 	}
 	if err := got.Validate(); err != nil {
 		t.Errorf("Minimize(%s): invalid output: %v", q, err)
 	}
-	got.Walk(func(n *pattern.Node) {
-		if n.Temp || len(n.TempExtra) > 0 {
-			t.Errorf("Minimize(%s): residual temporary state on %q", q, n.Type)
+	types := in.TypeSet()
+	for ty := range got.TypeSet() {
+		if !types[ty] {
+			t.Errorf("Minimize(%s): output %s carries type %q the input lacks", q, got, ty)
 		}
-	})
+	}
 }
 
 // TestVirtualMatchesPhysicalOnPaperExamples checks ACIM (which augments

@@ -158,13 +158,10 @@ func steps(from, to, step int) []int {
 	return out
 }
 
-// runACIM is one ACIM minimization of q under the closed set cs with the
-// production CIM kernel, traced into tr.
+// runACIM is one ACIM minimization of a copy of q under the closed set
+// cs, traced into tr.
 func runACIM(q *pattern.Pattern, cs *ics.Set, tr *trace.Trace) acim.Stats {
-	_, st := acim.MinimizeWithRunnerTraced(q, cs, tr, func(aug *pattern.Pattern) cim.Stats {
-		return cim.MinimizeInPlace(aug, cim.Options{Trace: tr})
-	})
-	return st
+	return acim.MinimizeInPlaceTraced(q.Clone(), cs, tr)
 }
 
 // measureACIM measures runACIM on q under cs.
@@ -250,7 +247,10 @@ func fig7b(opts Options, x int) []benchjson.Result {
 		}
 	}))
 	pl := chase.PlanFor(closed)
-	plan := measure(opts, traced(func(tr *trace.Trace) { pl.AugmentTraced(q.Clone(), tr) }))
+	plan := measure(opts, traced(func(tr *trace.Trace) {
+		s, _ := pl.Augment(q, tr)
+		s.Release()
+	}))
 	out := []benchjson.Result{
 		inc.result(name("incremental"), "incremental", float64(x), params("incremental"),
 			counts(inc.tr, trace.Tests, trace.TablesBuilt, trace.TablesDerived)),

@@ -39,9 +39,10 @@
 //
 // The sweep runs on the closed set's chase plan: types are symbols of the
 // plan's alphabet, the rules read the plan's rows instead of the
-// constraint set's hash indexes, and the query is flattened once per run
-// into pooled scratch (see run). InfoContent and DebugDump keep the
-// literal Info maps for tests and teaching material.
+// constraint set's hash indexes, and the query is the layout in pooled
+// scratch that the engine flattens once per run (see run). InfoContent
+// and DebugDump keep the literal Info maps for tests and teaching
+// material.
 package cdm
 
 import (
@@ -162,31 +163,42 @@ func Minimize(p *pattern.Pattern, cs *ics.Set) *pattern.Pattern {
 }
 
 // MinimizeInPlace removes every locally redundant node of p (the output
-// node and temporary nodes are never candidates) and returns statistics.
-// cs must be logically closed; it is closed defensively otherwise.
+// node is never a candidate) and returns statistics. cs must be logically
+// closed; it is closed defensively otherwise.
 func MinimizeInPlace(p *pattern.Pattern, cs *ics.Set) (st Stats) {
 	return MinimizeInPlaceTraced(p, cs, nil)
 }
 
-// MinimizeInPlaceTraced is MinimizeInPlace recording the run into tr:
-// elapsed time under the CDM phase, removals under the CDMRemoved
-// counter. tr may be nil (then it is exactly MinimizeInPlace).
-func MinimizeInPlaceTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace) (st Stats) {
+// MinimizeInPlaceTraced is MinimizeInPlace recording the run into tr
+// (see MinimizeLayout). tr may be nil (then it is exactly
+// MinimizeInPlace).
+func MinimizeInPlaceTraced(p *pattern.Pattern, cs *ics.Set, tr *trace.Trace) Stats {
+	if p == nil || p.Root == nil || cs == nil {
+		return MinimizeLayout(nil, tr)
+	}
+	s := chase.GetScratch(chase.PlanFor(cs))
+	defer s.Release()
+	s.Flatten(p)
+	return MinimizeLayout(s, tr)
+}
+
+// MinimizeLayout is the CDM core: it runs the sweep on the query
+// flattened in s, under the constraint set of s's plan, and deletes each
+// redundant leaf by detaching its node, its ordinal left in place. It
+// records the elapsed time under tr's CDM phase and the removals under
+// its CDMRemoved counter. s or tr may be nil.
+func MinimizeLayout(s *chase.Scratch, tr *trace.Trace) (st Stats) {
 	start := time.Now()
 	defer func() {
 		st.TotalTime = time.Since(start)
 		tr.AddDur(trace.CDM, st.TotalTime)
 		tr.Add(trace.CDMRemoved, st.Removed)
 	}()
-	if p == nil || p.Root == nil || cs == nil {
+	if s == nil || len(s.Nodes) == 0 {
 		st.Passes = 1
 		return st
 	}
-	pl := chase.PlanFor(cs)
-	s := chase.GetScratch(pl)
-	defer s.Release()
-	s.Flatten(p)
-	r := newRun(pl, s)
+	r := newRun(s.Plan(), s)
 	for st.Passes = 1; r.sweep() > 0; st.Passes++ {
 	}
 	st.Removed, st.Probes = r.removed, r.probes
@@ -329,7 +341,7 @@ func (r *run) visit(i int32) int {
 	// practice and bounded work matches the paper's analysis.
 	for j := base; j < end; {
 		y := s.Nodes[r.kids[j]]
-		if y.Star || y.Temp || len(y.Children) != 0 || !r.deletable(i, r.kids[j], r.kids[base:end], acc) {
+		if y.Star || len(y.Children) != 0 || !r.deletable(i, r.kids[j], r.kids[base:end], acc) {
 			j++
 			continue
 		}

@@ -14,8 +14,9 @@
 //     witness must sit on a required-edge chain leading to one that does
 //     (chains are followed only on acyclic-required sets, so they
 //     terminate),
-//  3. everything added is marked temporary so minimization can treat it as
-//     witness-only and strip it at the end.
+//  3. everything added is temporary: the witnesses live in the flattened
+//     query the kernels run on (scratch.go), never in the pattern, so
+//     minimization treats them as images only and nothing is stripped.
 //
 // Under these restrictions the augmented query's size is bounded by
 // O(n·k) where n is the original query size and k the number of types
@@ -160,7 +161,7 @@ func WitnessTargets(cs *ics.Set, ts []pattern.Type, wanted map[pattern.Type]bool
 }
 
 // FullChase applies the unrestricted chase for up to maxRounds rounds,
-// adding permanent nodes and types (no temporary marking). It exists to
+// adding nodes and types to the pattern itself. It exists to
 // demonstrate — in tests and documentation — why augmentation's
 // restrictions matter: with cyclic required-descendant constraints the
 // unrestricted chase grows without bound, and even on acyclic sets its
@@ -177,7 +178,7 @@ func FullChase(p *pattern.Pattern, cs *ics.Set, maxRounds int) int {
 			for _, t := range n.Types() {
 				for _, b := range cs.CoTargets(t) {
 					if !n.HasType(b) {
-						n.AddType(b, false)
+						n.AddType(b)
 						addedThisRound++
 					}
 				}

@@ -6,15 +6,15 @@ package chase
 // descendant-coverage candidates, and the witness-chain shape — is
 // compiled once into a Plan, and everything that additionally depends on
 // the query's type set is specialized once per type-set shape into an
-// Instance and cached. Augmenting a query through a plan is then
-// proportional to the query and the nodes added: no closure probing, no
-// sorting, no per-call template rebuild, and witness chains are
-// instantiated out of batch-allocated arenas instead of one NewNode call
-// per witness.
+// Instance and cached. An instance holds, per type, the witnesses a node
+// of the type spawns as one flat template in preorder, so augmenting a
+// flattened query is one pass that copies templates into the layout: no
+// closure probing, no sorting, no per-call template rebuild, and no
+// pattern node per witness.
 //
 // The per-call chase (internal/oracle's Augment) is the reference: the
 // difffuzz harness asserts plan-based augmentation produces the identical
-// pattern, node for node.
+// augmented query, node for node.
 //
 // Correctness of the per-type specialization rests on a closure-folding
 // property: on a closed set, a ~ b together with b -> c (or b => c)
@@ -276,73 +276,152 @@ func (pl *Plan) Wanted(base map[pattern.Type]bool) map[pattern.Type]bool {
 	return out
 }
 
-// Augment applies the restricted chase of §5.2 to p in place under the
-// plan's constraint set, marking every added node and type association
-// temporary, and returns the number of nodes added. The query types are
-// those of its permanent nodes, without the temporary ones, so
-// re-augmenting an augmented query adds nothing.
-func (pl *Plan) Augment(p *pattern.Pattern) int {
-	return pl.AugmentTraced(p, nil)
+// Augment lays p out in a pooled scratch numbered by the plan's alphabet
+// and augments the layout (Scratch.Augment); p itself is left as it is.
+// The caller reads the augmented query from the scratch and releases
+// it. Augment also returns the number of witnesses added; tr may be nil.
+func (pl *Plan) Augment(p *pattern.Pattern, tr *trace.Trace) (*Scratch, int) {
+	s := GetScratch(pl)
+	s.Flatten(p)
+	return s, s.Augment(tr)
 }
 
-// AugmentTraced is Augment recording the chase into tr: the elapsed time
-// under the Chase phase and the witness count under the Augmented
-// counter. tr may be nil.
-func (pl *Plan) AugmentTraced(p *pattern.Pattern, tr *trace.Trace) int {
+// Augment applies the restricted chase of §5.2, under the constraint set
+// of the plan s was taken for, to the query flattened in s, and returns
+// the number of witnesses it added. It rewrites the layout: every live
+// ordinal in preorder, each followed — after its permanent subtree — by
+// the witnesses the chase hangs under it, child targets then descendant
+// targets with each chain depth-first, the order of the per-call chase.
+// An ordinal whose node has been detached (CDM deletes leaves in place)
+// is dead and dropped. The query's types are the own symbols of the live
+// ordinals; the layout must not be augmented yet. It records the time
+// under tr's Chase phase and the witnesses under its Augmented counter;
+// tr may be nil.
+func (s *Scratch) Augment(tr *trace.Trace) int {
 	sp := tr.Start(trace.Chase)
-	added := pl.augment(p)
+	added := s.augment()
 	sp.End()
 	tr.Add(trace.Augmented, added)
 	return added
 }
 
-func (pl *Plan) augment(p *pattern.Pattern) int {
-	if p == nil || p.Root == nil {
+func (s *Scratch) augment() int {
+	pl, n := s.plan, len(s.Nodes)
+	if pl == nil || n == 0 {
 		return 0
 	}
-	// The flattened query lists the nodes to visit before any witness is
-	// attached, and its symbols give the set-type row that keys the
-	// instance and each node's primary symbol. Only permanent types of
-	// permanent nodes count, so an earlier pass's witnesses add nothing.
-	s := GetScratch(pl)
-	defer s.Release()
-	s.Flatten(p)
-	k := int32(len(pl.setTypes))
-	row := bitset.Set(s.Words(bitset.WordsFor(int(k))))
-	for i, n := range s.Nodes {
-		for j, t := range s.Syms(i) {
-			if t < k && !n.Temp && (j == 0 || !slices.Contains(n.TempExtra, n.Extra[j-1])) {
-				row.Add(int(t))
-			}
-		}
-	}
-	in := pl.instance(row)
-	added := 0
-	for i, n := range s.Nodes {
-		if n.Temp {
-			continue
-		}
-		// A node whose extra types all come from this pass's co-occurrence
-		// step spawns exactly its primary type's targets (closure folding);
-		// pre-existing extras — user-written or from an earlier
-		// augmentation — route through the shared kernel instead.
-		single := len(n.Extra) == 0
-		for _, t := range n.Types() {
-			for _, b := range pl.cs.CoTargets(t) {
-				if in.base[b] {
-					n.AddType(b, true)
+	// The live own symbols give the set-type row that keys the instance.
+	kw := bitset.WordsFor(len(pl.setTypes))
+	words := s.Words(2 * kw)
+	base, row := bitset.Set(words[:kw]), bitset.Set(words[kw:])
+	for i := range n {
+		if s.live(i) {
+			for _, t := range s.Own(i) {
+				if int(t) < len(pl.setTypes) {
+					base.Add(int(t))
 				}
 			}
 		}
-		targets := in.specAt(s.Syms(i)[0]).children
-		if !single {
-			targets = in.targets(WitnessTargets(pl.cs, n.Types(), in.wanted, pl.deep))
+	}
+	in := pl.instance(base)
+
+	// Pick each live ordinal's witnesses, counting the new layout's size.
+	// A node whose extra types all come from this pass's co-occurrence
+	// step spawns exactly its primary type's targets (closure folding);
+	// user-written extras route through the shared kernel instead.
+	s.tmpls = slices.Grow(s.tmpls[:0], n)[:n]
+	live, size := 0, 0
+	for i := range n {
+		s.tmpls[i] = nil
+		if !s.live(i) {
+			continue
 		}
-		if len(targets) > 0 {
-			added += in.attach(n, targets)
+		if own := s.Own(i); len(own) == 1 {
+			s.tmpls[i] = in.specAt(own[0]).tmpl
+		} else {
+			s.tmpls[i] = in.fallback(s.Nodes[i], s.added(i, base, row))
+		}
+		live++
+		size += 1 + len(s.tmpls[i])
+	}
+
+	out := &s.spare
+	out.Resize(size)
+	out.symOff, out.syms, out.own = out.symOff[:0], out.syms[:0], out.own[:0]
+	s.write(0, -1, 0, base, row)
+	out.symOff = append(out.symOff, int32(len(out.syms)))
+	s.layout, s.spare = s.spare, s.layout
+	return size - live
+}
+
+// live reports whether ordinal i's node is still in the pattern: the
+// root, or a node with a parent.
+func (s *Scratch) live(i int) bool { return i == 0 || s.Nodes[i].Parent != nil }
+
+// added sets row to the symbols the chase associates with live ordinal
+// i, and returns it: the co-occurrence targets of its own types that are
+// query types (base) and not its own.
+func (s *Scratch) added(i int, base, row bitset.Set) bitset.Set {
+	clear(row)
+	own := s.Own(i)
+	for _, t := range own {
+		if co := s.plan.rulesOf(t).co; co != nil {
+			row.Or(co)
 		}
 	}
-	return added
+	row.And(base)
+	for _, t := range own {
+		if int(t) < len(s.plan.setTypes) {
+			row.Remove(int(t))
+		}
+	}
+	return row
+}
+
+// write writes the subtree of live ordinal i to the new layout from
+// ordinal j on, below new ordinal parent: i with its own and added
+// symbols, its live children's subtrees, then its witnesses. It returns
+// the next free ordinal.
+func (s *Scratch) write(i, parent, j int32, base, row bitset.Set) int32 {
+	out, v := &s.spare, j
+	up := int32(-1)
+	if s.Up[i] >= 0 {
+		up = parent
+	}
+	out.Nodes[v], out.Parent[v], out.Up[v], out.Kids[v] = s.Nodes[i], parent, up, 0
+	if parent >= 0 {
+		out.Kids[parent]++
+	}
+	own := s.Own(int(i))
+	out.symOff, out.own = append(out.symOff, int32(len(out.syms))), append(out.own, int32(len(own)))
+	out.syms = append(out.syms, own...)
+	added := s.added(int(i), base, row)
+	for b := added.NextSet(0); b >= 0; b = added.NextSet(b + 1) {
+		out.syms = append(out.syms, int32(b))
+	}
+	j++
+	for c := i + 1; c <= s.End[i]; c = s.End[c] + 1 {
+		if s.live(int(c)) {
+			j = s.write(c, v, j, base, row)
+		}
+	}
+	j0 := j
+	for _, w := range s.tmpls[i] {
+		p, u := v, int32(-1)
+		if w.parent >= 0 {
+			p = j0 + w.parent
+		}
+		if w.child {
+			u = p
+		}
+		out.Nodes[j], out.Parent[j], out.Up[j], out.End[j], out.Kids[j] = nil, p, u, j0+w.end, 0
+		out.Kids[p]++
+		out.symOff, out.own = append(out.symOff, int32(len(out.syms))), append(out.own, 0)
+		out.syms = append(out.syms, w.syms...)
+		j++
+	}
+	out.End[v] = j - 1
+	return j
 }
 
 // Specialize returns the plan's instance for the given query type set,
@@ -393,42 +472,35 @@ func (pl *Plan) instance(row bitset.Set) *Instance {
 }
 
 // Instance is a plan specialized to one query type-set shape: the wanted
-// set, and per type the witness targets and the fully resolved chain
-// shape with arena sizes. Immutable after construction.
+// set, and per wanted type the witness template. Immutable after
+// construction.
 type Instance struct {
 	plan   *Plan
 	base   map[pattern.Type]bool // query types ∩ set types
 	wanted map[pattern.Type]bool // restricted to set types
-	spec   []*typeSpec           // by set symbol
+	spec   []*typeSpec           // by set symbol, nil for a type not wanted
 }
 
-// typeSpec is the per-type specialization: the witnesses a node of the
-// type spawns and — when chains are grown — the chain below a fresh
-// witness of the type, with precomputed node and extra-type counts for
-// arena sizing.
+// typeSpec is the specialization of one wanted type: the symbols of a
+// fresh witness of the type — its own, then, when chains are grown, its
+// co-occurrence types among the query's — and tmpl, every witness a node
+// of the type spawns in preorder: each wanted child target, then each
+// wanted descendant target (coverage-pruned when deep), and when chains
+// are grown the chain below each, the instantiation order of the
+// per-call chase (internal/oracle).
 type typeSpec struct {
-	// children lists the wanted witness targets, child targets then
-	// descendant targets (coverage-pruned when deep), mirroring the
-	// instantiation order of the per-call chase (internal/oracle). When
-	// chains are grown each carries the spec of the chain below it.
-	children []chainChild
-	extras   []pattern.Type // temporary co-occurrence types of a fresh witness
-	// nodes and extrasTotal size the chain below one witness of the type:
-	// nodes added and extra-type associations (excluding the witness's
-	// own extras), so attach can arena-allocate in one batch.
-	nodes       int
-	extrasTotal int
+	self []int32
+	tmpl []witness
 }
 
 var emptySpec = &typeSpec{}
 
-// chainChild is one compiled witness edge: a node spawns a temporary
-// child of this type over this edge kind, with sub continuing the chain
-// below it (nil when chains are not grown).
-type chainChild struct {
-	edge pattern.EdgeKind
-	typ  pattern.Type
-	sub  *typeSpec
+// witness is one witness of a template. Offsets count from the
+// template's first witness; -1 is the node the template hangs under.
+type witness struct {
+	parent, end int32 // the parent's offset, the subtree's last offset
+	child       bool  // a c-edge to the parent
+	syms        []int32
 }
 
 func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
@@ -446,198 +518,99 @@ func (pl *Plan) newInstance(rest []pattern.Type) *Instance {
 			in.wanted[b] = true
 		}
 	}
-	cs := pl.cs
-	building := make(map[pattern.Type]bool)
-	var build func(t pattern.Type) *typeSpec
-	build = func(t pattern.Type) *typeSpec {
-		if s := in.spec[pl.typeID[t]]; s != nil {
-			return s
-		}
-		if building[t] {
-			return nil // required-edge cycle: unreachable when deep
-		}
-		building[t] = true
-		s := &typeSpec{}
-		for _, b := range cs.ChildTargets(t) {
-			if in.wanted[b] {
-				s.children = append(s.children, chainChild{edge: pattern.Child, typ: b})
-			}
-		}
-		for _, d := range pl.descOnly[t] {
-			if !in.wanted[d] {
-				continue
-			}
-			if pl.deep {
-				covered := false
-				for _, b := range pl.coverers[t][d] {
-					if in.wanted[b] {
-						covered = true
-						break
-					}
-				}
-				if covered {
-					continue
-				}
-			}
-			s.children = append(s.children, chainChild{edge: pattern.Descendant, typ: d})
-		}
-		if pl.deep {
-			for _, b := range cs.CoTargets(t) {
-				if in.base[b] {
-					s.extras = append(s.extras, b)
-				}
-			}
-			for i := range s.children {
-				c := &s.children[i]
-				c.sub = build(c.typ)
-				s.nodes++
-				if c.sub != nil {
-					s.nodes += c.sub.nodes
-					s.extrasTotal += len(c.sub.extras) + c.sub.extrasTotal
-				}
-			}
-		}
-		delete(building, t)
-		in.spec[pl.typeID[t]] = s
-		return s
-	}
 	for _, t := range pl.setTypes {
-		build(t)
+		if in.wanted[t] {
+			in.build(t)
+		}
 	}
 	return in
 }
 
-// specAt returns the spec of a type by its symbol.
+// build returns the spec of wanted type t, compiling it — and the specs
+// its chains splice in — on first use.
+func (in *Instance) build(t pattern.Type) *typeSpec {
+	pl := in.plan
+	if s := in.spec[pl.typeID[t]]; s != nil {
+		return s
+	}
+	s := &typeSpec{self: []int32{pl.typeID[t]}}
+	in.spec[pl.typeID[t]] = s // a required-edge cycle stops here; none when deep
+	if pl.deep {
+		for _, b := range pl.cs.CoTargets(t) {
+			if in.base[b] {
+				s.self = append(s.self, pl.typeID[b])
+			}
+		}
+	}
+	for _, b := range pl.cs.ChildTargets(t) {
+		if in.wanted[b] {
+			s.tmpl = in.appendChain(s.tmpl, true, b)
+		}
+	}
+next:
+	for _, d := range pl.descOnly[t] {
+		if !in.wanted[d] {
+			continue
+		}
+		if pl.deep {
+			for _, b := range pl.coverers[t][d] {
+				if in.wanted[b] {
+					continue next
+				}
+			}
+		}
+		s.tmpl = in.appendChain(s.tmpl, false, d)
+	}
+	return s
+}
+
+// appendChain appends to ws a witness of type b over a c-edge (child) or
+// a d-edge and, when chains are grown, the chain below it, and returns
+// ws.
+func (in *Instance) appendChain(ws []witness, child bool, b pattern.Type) []witness {
+	root := int32(len(ws))
+	sub := in.build(b)
+	ws = append(ws, witness{parent: -1, end: root, child: child, syms: sub.self})
+	if !in.plan.deep {
+		return ws
+	}
+	for _, w := range sub.tmpl {
+		if w.parent < 0 {
+			w.parent = root
+		} else {
+			w.parent += root + 1
+		}
+		w.end += root + 1
+		ws = append(ws, w)
+	}
+	ws[root].end = int32(len(ws)) - 1
+	return ws
+}
+
+// specAt returns the spec of a query type by its symbol.
 func (in *Instance) specAt(sym int32) *typeSpec {
-	if int(sym) < len(in.spec) {
+	if int(sym) < len(in.spec) && in.spec[sym] != nil {
 		return in.spec[sym]
 	}
 	return emptySpec
 }
 
-// targets lists the witnesses of a node whose targets WitnessTargets
-// computed, each with its spec when chains are grown.
-func (in *Instance) targets(childT, descT []pattern.Type) []chainChild {
-	out := make([]chainChild, 0, len(childT)+len(descT))
+// fallback builds the witness template of node n, which carries
+// user-written extra types, from the shared WitnessTargets kernel over
+// n's types plus the added ones (the symbols of added), in Types()
+// order: that order decides the witnesses' order.
+func (in *Instance) fallback(n *pattern.Node, added bitset.Set) []witness {
+	extra := slices.Clone(n.Extra)
+	for b := added.NextSet(0); b >= 0; b = added.NextSet(b + 1) {
+		extra = append(extra, in.plan.setTypes[b])
+	}
+	slices.Sort(extra)
+	childT, descT := WitnessTargets(in.plan.cs, append([]pattern.Type{n.Type}, extra...), in.wanted, in.plan.deep)
+	var ws []witness
 	for i, b := range append(childT, descT...) {
-		c := chainChild{edge: pattern.Child, typ: b}
-		if i >= len(childT) {
-			c.edge = pattern.Descendant
-		}
-		if in.plan.deep {
-			c.sub = in.spec[in.plan.typeID[b]] // b is a set type
-		}
-		out = append(out, c)
+		ws = in.appendChain(ws, i < len(childT), b)
 	}
-	return out
-}
-
-// attach creates the missing temporary witnesses for the given targets
-// under n, instantiating each witness's chain from the compiled spec in
-// one arena batch, and returns the number of nodes added. It keeps the
-// chase idempotent: targets already witnessed by an existing temporary
-// child are skipped (the scan runs only when n has
-// temporary children at all — a freshly cloned query has none).
-func (in *Instance) attach(n *pattern.Node, targets []chainChild) int {
-	for _, c := range n.Children {
-		if c.Temp {
-			targets = unwitnessed(n, targets)
-			break
-		}
-	}
-	if len(targets) == 0 {
-		return 0
-	}
-
-	var nNodes, nPtrs, nTypes int
-	for _, tg := range targets {
-		nNodes++
-		if tg.sub != nil {
-			nNodes += tg.sub.nodes
-			nPtrs += tg.sub.nodes
-			nTypes += len(tg.sub.extras) + tg.sub.extrasTotal
-		}
-	}
-	ar := &arena{nodes: make([]pattern.Node, nNodes)}
-	if nPtrs > 0 {
-		ar.ptrs = make([]*pattern.Node, nPtrs)
-	}
-	if nTypes > 0 {
-		ar.types = make([]pattern.Type, 2*nTypes)
-	}
-
-	added := 0
-	for _, tg := range targets {
-		w := &ar.nodes[ar.ni]
-		ar.ni++
-		w.Type, w.Temp, w.Edge, w.Parent = tg.typ, true, tg.edge, n
-		n.Children = append(n.Children, w)
-		added++
-		if tg.sub != nil {
-			added += ar.emit(w, tg.sub)
-		}
-	}
-	return added
-}
-
-// unwitnessed returns the targets no temporary child of n witnesses yet.
-func unwitnessed(n *pattern.Node, targets []chainChild) []chainChild {
-	var out []chainChild
-next:
-	for _, tg := range targets {
-		for _, c := range n.Children {
-			if c.Temp && c.Type == tg.typ && c.Edge == tg.edge {
-				continue next
-			}
-		}
-		out = append(out, tg)
-	}
-	return out
-}
-
-// arena is the batch allocation backing one attach call: every chain
-// node, child-pointer slot and extra-type cell comes out of three
-// slices sized up front.
-type arena struct {
-	nodes      []pattern.Node
-	ptrs       []*pattern.Node
-	types      []pattern.Type
-	ni, pi, ti int
-}
-
-// emit writes the chain below the fresh witness w from its spec and
-// returns the nodes added. Extra and TempExtra get separate full-cap
-// carvings of the shared type buffer: StripTemp filters Extra in place
-// while reading TempExtra, and any later append must reallocate rather
-// than clobber a sibling's cells.
-func (ar *arena) emit(w *pattern.Node, sp *typeSpec) int {
-	if m := len(sp.extras); m > 0 {
-		ex := ar.types[ar.ti : ar.ti+m : ar.ti+m]
-		te := ar.types[ar.ti+m : ar.ti+2*m : ar.ti+2*m]
-		ar.ti += 2 * m
-		copy(ex, sp.extras)
-		copy(te, sp.extras)
-		w.Extra, w.TempExtra = ex, te
-	}
-	if len(sp.children) == 0 {
-		return 0
-	}
-	k := len(sp.children)
-	kids := ar.ptrs[ar.pi : ar.pi+k : ar.pi+k]
-	ar.pi += k
-	w.Children = kids
-	added := 0
-	for i, c := range sp.children {
-		cw := &ar.nodes[ar.ni]
-		ar.ni++
-		cw.Type, cw.Temp, cw.Edge, cw.Parent = c.typ, true, c.edge, w
-		kids[i] = cw
-		added++
-		if c.sub != nil {
-			added += ar.emit(cw, c.sub)
-		}
-	}
-	return added
+	return ws
 }
 
 // Registry is a bounded, concurrency-safe LRU cache of compiled plans

@@ -63,8 +63,11 @@ func TestRegistryConcurrent(t *testing.T) {
 					return
 				}
 				q := pattern.MustParse("a*[/b, //m]")
-				ref := pattern.MustParse("a*[/b, //m]")
-				if got, want := pl.Augment(q), Compile(cs).Augment(ref); got != want {
+				s, got := pl.Augment(q, nil)
+				s.Release()
+				s, want := Compile(cs).Augment(q, nil)
+				s.Release()
+				if got != want {
 					t.Errorf("registry plan added %d, fresh plan %d", got, want)
 					return
 				}
@@ -164,8 +167,10 @@ func TestPlanNilAndEmptyInputs(t *testing.T) {
 		t.Fatal("PlanFor(nil) returned nil")
 	}
 	q := pattern.MustParse("a*/b")
-	if added := pl.Augment(q); added != 0 {
-		t.Errorf("empty plan added %d nodes", added)
+	s, added := pl.Augment(q, nil)
+	defer s.Release()
+	if added != 0 || len(s.Nodes) != 2 {
+		t.Errorf("empty plan added %d nodes, layout has %d", added, len(s.Nodes))
 	}
 	if w := pl.Wanted(q.TypeSet()); len(w) != len(q.TypeSet()) {
 		t.Errorf("empty plan wanted = %v", w)

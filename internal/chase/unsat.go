@@ -64,31 +64,41 @@ func compileUnsat(cs *ics.Set, setTypes []pattern.Type, id map[pattern.Type]int3
 }
 
 // Unsatisfiable reports whether p can never produce an answer on any
-// database satisfying the plan's constraint set. It walks the flattened
-// query once, in preorder, keeping two rows per node: the union of the
-// forbidDesc rows of its and its ancestors' types, and the forbidChild
-// row of its types. A node conflicts when its effective row meets the
-// empty types, when its parent's carried row meets its below row (an
-// ancestor forbids, as a descendant, one of its types or a type it
-// requires below itself), or when it is a c-child whose effective row
-// meets its parent's forbidChild row.
+// database satisfying the plan's constraint set: it flattens p into a
+// pooled scratch and runs Scratch.Unsatisfiable.
 func (pl *Plan) Unsatisfiable(p *pattern.Pattern) bool {
 	if pl.unsat == nil || p == nil || p.Root == nil {
 		return false
 	}
-	u, k := pl.unsat, pl.unsat.words
 	s := GetScratch(pl)
 	defer s.Release()
 	s.Flatten(p)
+	return s.Unsatisfiable()
+}
+
+// Unsatisfiable reports whether the query flattened in s can never
+// produce an answer on any database satisfying the constraint set of s's
+// plan. It walks the layout once, in preorder, keeping two rows per node:
+// the union of the forbidDesc rows of its and its ancestors' types, and
+// the forbidChild row of its types. A node conflicts when its effective
+// row meets the empty types, when its parent's carried row meets its
+// below row (an ancestor forbids, as a descendant, one of its types or a
+// type it requires below itself), or when it is a c-child whose effective
+// row meets its parent's forbidChild row.
+func (s *Scratch) Unsatisfiable() bool {
+	if s.plan == nil || s.plan.unsat == nil {
+		return false
+	}
+	u, k := s.plan.unsat, s.plan.unsat.words
 	// Pair j+1 holds ordinal j's rows; pair 0, the root's parent, is empty.
 	rows := s.Words(2 * k * (len(s.Nodes) + 1))
 	row := func(j, half int) bitset.Set { return rows[(2*j+half)*k : (2*j+half+1)*k] }
-	for i, n := range s.Nodes {
+	for i := range s.Nodes {
 		par := int(s.Parent[i]) + 1
 		carried, parentFC := row(par, 0), row(par, 1)
 		desc, fc := row(i+1, 0), row(i+1, 1)
 		desc.CopyFrom(carried)
-		child := i > 0 && n.Edge == pattern.Child
+		child := s.Up[i] >= 0
 		for _, t := range s.Syms(i) {
 			if int(t) >= len(u.rows) {
 				continue // a type outside the set is in no constraint

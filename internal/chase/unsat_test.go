@@ -66,7 +66,7 @@ func randomQuery(rng *rand.Rand, alphabet []pattern.Type, size int) *pattern.Pat
 		n := pattern.NewNode(alphabet[rng.Intn(len(alphabet))])
 		if rng.Intn(4) == 0 {
 			for e := 1 + rng.Intn(2); e > 0; e-- {
-				n.AddType(alphabet[rng.Intn(len(alphabet))], false)
+				n.AddType(alphabet[rng.Intn(len(alphabet))])
 			}
 		}
 		if i > 0 {

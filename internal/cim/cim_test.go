@@ -2,9 +2,12 @@ package cim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"tpq/internal/chase"
 	"tpq/internal/containment"
+	"tpq/internal/ics"
 	"tpq/internal/pattern"
 )
 
@@ -186,54 +189,55 @@ func TestStarNeverRemoved(t *testing.T) {
 	}
 }
 
-// Temporary-node behaviour is exercised through package acim; here we check
-// the primitives directly.
+// Witness behaviour is exercised through package acim; here we check the
+// primitives directly, on layouts a chase plan augmented.
+
+// augmented lays q out augmented under cons, for an engine to run on.
+func augmented(q *pattern.Pattern, cons ...ics.Constraint) *chase.Scratch {
+	s, _ := chase.Compile(ics.NewSet(cons...)).Augment(q, nil)
+	return s
+}
+
 func TestTempNodesAsImages(t *testing.T) {
-	// a*[//b] with a temporary //b witness under a: the permanent b leaf
-	// must be found redundant (it can map onto the temporary witness).
+	// a*//b under a => b gets a //b witness under a: the permanent b leaf
+	// must be found redundant (it can map onto the witness).
 	q := mp("a*//b")
-	tmp := pattern.NewNode("b")
-	tmp.Temp = true
-	q.Root.AddChild(pattern.Descendant, tmp)
-	var b *pattern.Node
-	for _, c := range q.Root.Children {
-		if !c.Temp {
-			b = c
-		}
+	b := q.Root.Children[0]
+	s := augmented(q, ics.Desc("a", "b"))
+	defer s.Release()
+	if len(s.Nodes) != 3 || s.Nodes[2] != nil {
+		t.Fatalf("layout %v, want a, b and a witness", s.Nodes)
 	}
-	if !RedundantLeaf(q, b) {
-		t.Error("permanent leaf not redundant despite temporary witness")
+	e := newEngine(s, Options{})
+	if !e.Test(b) {
+		t.Error("permanent leaf not redundant despite the witness")
 	}
-	// The temporary node itself is never a candidate.
-	clone := q.Clone()
-	st := MinimizeInPlace(clone, Options{})
-	if st.Removed != 1 {
-		t.Errorf("Removed = %d, want 1 (the permanent b only)", st.Removed)
+	e.Close()
+	// The witness itself is never a candidate.
+	st := MinimizeLayout(s, Options{})
+	if st.Removed != 1 || q.Size() != 1 {
+		t.Errorf("Removed = %d, query %s; want the permanent b only", st.Removed, q)
 	}
-	left := 0
-	clone.Walk(func(n *pattern.Node) {
-		if n.Temp {
-			left++
-		}
-	})
-	if left != 1 {
-		t.Errorf("temporary nodes left = %d, want 1", left)
+	if s.Nodes[len(s.Nodes)-1] != nil {
+		t.Error("the witness left the layout")
 	}
 }
 
 func TestTempChildrenAreNotRequirements(t *testing.T) {
-	// A leaf whose only children are temporary witnesses can map onto a
-	// childless image: temporaries do not constrain the mapping.
+	// A leaf whose only children are witnesses can map onto a childless
+	// image: witnesses do not constrain the mapping. b -> c hangs a /c
+	// witness under both b leaves.
 	q := mp("a*[//b, //b]")
 	b1 := q.Root.Children[0]
-	tmp := pattern.NewNode("c")
-	tmp.Temp = true
-	b1.AddChild(pattern.Child, tmp)
-	if !effectiveLeaf(b1) {
-		t.Fatal("node with only temp children should be an effective leaf")
+	s := augmented(q, ics.Child("b", "c"))
+	defer s.Release()
+	e := newEngine(s, Options{})
+	defer e.Close()
+	if !slices.Contains(e.Candidates(), b1) {
+		t.Fatal("node with only witness children should be a candidate leaf")
 	}
-	if !RedundantLeaf(q, b1) {
-		t.Error("effective leaf with temp children not redundant")
+	if !e.Test(b1) {
+		t.Error("effective leaf with witness children not redundant")
 	}
 }
 

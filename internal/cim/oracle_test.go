@@ -11,6 +11,7 @@ import (
 	"tpq/internal/chase"
 	"tpq/internal/cim"
 	"tpq/internal/genquery"
+	"tpq/internal/ics"
 	"tpq/internal/oracle"
 	"tpq/internal/pattern"
 )
@@ -26,7 +27,7 @@ func TestDenseMatchesMapMinimize(t *testing.T) {
 		a := q.Clone()
 		stA := cim.MinimizeInPlace(a, cim.Options{})
 		b := q.Clone()
-		stB := oracle.MinimizeMapInPlace(b)
+		stB := oracle.MinimizeMapInPlace(b, nil)
 		if a.String() != b.String() {
 			t.Fatalf("trial %d: outputs differ\ninput = %s\ndense = %s\nmap   = %s",
 				trial, q, a, b)
@@ -38,47 +39,66 @@ func TestDenseMatchesMapMinimize(t *testing.T) {
 	}
 }
 
+// augmentBoth augments q under cs twice: through the plan, into a
+// layout of q's own nodes for the production engine, and through the
+// per-call chase, into a marked copy for the references. m maps q's
+// nodes to the copy's.
+func augmentBoth(q *pattern.Pattern, cs *ics.Set) (s *chase.Scratch, ref *pattern.Pattern, m map[*pattern.Node]*pattern.Node, w *oracle.Witnesses) {
+	ref, m = q.CloneMap()
+	w = oracle.Augment(ref, cs)
+	s, _ = chase.Compile(cs).Augment(q, nil)
+	return s, ref, m, w
+}
+
 // TestDenseMatchesMapVerdicts cross-validates the per-leaf redundancy
-// verdict (the Figure 3 entry point) on augmented queries, so
-// temporaries — image candidates that are never requirements — exercise
-// the engine's row elision.
+// verdict (the Figure 3 entry point) on augmented queries, so witnesses
+// — image candidates that are never requirements — exercise the engine's
+// row elision. The engine reads the plan's layout, the reference the
+// per-call chase's marked pattern.
 func TestDenseMatchesMapVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 250; trial++ {
 		q := genquery.Random(rng, 2+rng.Intn(10), 3)
 		cs := genquery.RandomConstraints(rng, 4, 3).Closure()
-		chase.Compile(cs).Augment(q)
-		e := cim.NewEngine(q, cim.Options{})
-		leaves := e.Candidates()
-		e.Close()
-		for _, l := range leaves {
-			got, want := cim.RedundantLeaf(q, l), oracle.RedundantLeafMap(q, l)
+		s, ref, m, w := augmentBoth(q, cs)
+		e := cim.NewEngineOn(s, cim.Options{})
+		for _, l := range e.Candidates() {
+			got, want := e.Test(l), oracle.RedundantLeafMap(ref, m[l], w)
 			if got != want {
 				t.Fatalf("trial %d: verdict differs for leaf %s: dense=%v map=%v\nquery = %s",
-					trial, l.Type, got, want, q)
+					trial, l.Type, got, want, oracle.RenderMarked(ref, w))
 			}
 		}
+		e.Close()
+		s.Release()
 	}
 }
 
 // TestIncrementalPropertySweep is the difffuzz-style cross-validation of
 // the incremental engine: over >=1k random queries (half of them
-// augmented), the engine and the nested-map reference must produce
-// identical final patterns and identical Removed/Tests counts, and the
-// engine must have built at least one master table while deriving one
-// table per test.
+// augmented — through the plan for the engine, through the per-call
+// chase for the reference), the engine and the nested-map reference must
+// produce identical final patterns and identical Removed/Tests counts,
+// and the engine must have built at least one master table while
+// deriving one table per test.
 func TestIncrementalPropertySweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 1200; trial++ {
 		q := genquery.Random(rng, 1+rng.Intn(14), 3)
+		inc := q.Clone()
+		var stInc, stMap cim.Stats
+		var mp *pattern.Pattern
 		if trial%2 == 1 {
 			cs := genquery.RandomConstraints(rng, 4, 3).Closure()
-			chase.Compile(cs).Augment(q)
+			s, _ := chase.Compile(cs).Augment(inc, nil)
+			stInc = cim.MinimizeLayout(s, cim.Options{})
+			s.Release()
+			mp, stMap = oracle.MinimizeACIMMap(q, cs)
+		} else {
+			stInc = cim.MinimizeInPlace(inc, cim.Options{})
+			mp = q.Clone()
+			stMap = oracle.MinimizeMapInPlace(mp, nil)
 		}
-		inc := q.Clone()
-		stInc := cim.MinimizeInPlace(inc, cim.Options{})
-		mp := q.Clone()
-		stMap := oracle.MinimizeMapInPlace(mp)
 
 		if inc.String() != mp.String() {
 			t.Fatalf("trial %d: outputs differ\ninput = %s\nincr  = %s\nmap   = %s",
@@ -132,25 +152,36 @@ func TestWorklistMatchesWalkOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 400; trial++ {
 		q := genquery.Random(rng, 2+rng.Intn(12), 3)
+		// The walk runs on ref, q's copy — augmented by the per-call chase
+		// when the engine's layout is augmented by the plan.
+		ref, m := q.CloneMap()
+		var s *chase.Scratch
+		var w *oracle.Witnesses
 		if trial%3 == 2 {
 			cs := genquery.RandomConstraints(rng, 3, 3).Closure()
-			chase.Compile(cs).Augment(q)
+			s, ref, m, w = augmentBoth(q, cs)
 		}
-		var order map[*pattern.Node]int
+		var order, refOrder map[*pattern.Node]int
 		if trial%2 == 1 {
-			order = make(map[*pattern.Node]int)
+			order, refOrder = make(map[*pattern.Node]int), make(map[*pattern.Node]int)
 			q.Walk(func(n *pattern.Node) {
 				if rng.Intn(2) == 0 {
 					order[n] = rng.Intn(1000)
+					refOrder[m[n]] = order[n]
 				}
 			})
 		}
-		e := cim.NewEngine(q, cim.Options{Order: order})
+		var e *cim.Engine
+		if s != nil {
+			e = cim.NewEngineOn(s, cim.Options{Order: order})
+		} else {
+			e = cim.NewEngine(q, cim.Options{Order: order})
+		}
 		nonRed := make(map[*pattern.Node]bool)
 		for step := 0; ; step++ {
-			want := oracle.NextCandidate(q, nonRed, order)
+			want := oracle.NextCandidate(ref, nonRed, refOrder, w)
 			got := e.Pop()
-			if got != want {
+			if m[got] != want {
 				t.Fatalf("trial %d step %d: worklist popped %v, walk picked %v", trial, step, got, want)
 			}
 			if got == nil {
@@ -158,11 +189,15 @@ func TestWorklistMatchesWalkOracle(t *testing.T) {
 			}
 			if rng.Intn(2) == 0 { // pretend redundant: remove it
 				e.Remove(got)
+				want.Detach()
 			} else {
-				nonRed[got] = true
+				nonRed[want] = true
 				e.MarkNonRedundant(got)
 			}
 		}
 		e.Close()
+		if s != nil {
+			s.Release()
+		}
 	}
 }

@@ -9,15 +9,15 @@ import (
 
 // worklist maintains the candidate leaves of a minimization run, as
 // ordinals, so the next candidate is picked without re-walking the whole
-// pattern (a walk is O(augmented size) per pick, dominated by temporary
-// witness subtrees that can never contain a candidate). internal/oracle's
+// pattern (a walk is O(augmented size) per pick, dominated by witness
+// subtrees that can never contain a candidate). internal/oracle's
 // NextCandidate is that walk, kept as the reference for this order.
 //
-// A node is a candidate when it is an effective leaf (no permanent
-// children), permanent, not an output node, and not yet proven
+// A node is a candidate when Engine.candidate holds — permanent, not an
+// output node, no live permanent child — and it is not yet proven
 // non-redundant. Candidates leave the list when popped or dropped; a node
 // enters after construction only when the removal of its last permanent
-// child turns it into an effective leaf (add).
+// child makes it a candidate (add).
 //
 // The rank of an ordinal is its 1-based preorder position at
 // construction, or its entry in the Options.Order map with unmapped nodes
@@ -30,7 +30,7 @@ type worklist struct {
 	items []int32 // current candidates, unordered
 }
 
-func (w *worklist) init(nodes []*pattern.Node, order map[*pattern.Node]int, rank, items []int32) {
+func (w *worklist) init(nodes []*pattern.Node, order map[*pattern.Node]int, rank, items []int32, candidate func(int) bool) {
 	w.rank, w.items = rank, items
 	for i, n := range nodes {
 		r := int32(i + 1)
@@ -42,16 +42,10 @@ func (w *worklist) init(nodes []*pattern.Node, order map[*pattern.Node]int, rank
 			}
 		}
 		w.rank[i] = r
-		if candidateLeaf(n) {
+		if candidate(i) {
 			w.items = append(w.items, int32(i))
 		}
 	}
-}
-
-// candidateLeaf reports whether n may be tested for redundancy: a
-// permanent, non-output effective leaf.
-func candidateLeaf(n *pattern.Node) bool {
-	return !n.Star && !n.Temp && effectiveLeaf(n)
 }
 
 func (w *worklist) less(a, b int32) bool {

@@ -22,7 +22,7 @@ const goldenWitnessDigest = "8005ade0af7d8498dbc01e9bb7561e641e264622fd48562263e
 func decorate(rng *rand.Rand, p *pattern.Pattern, alphabet int) {
 	p.Walk(func(n *pattern.Node) {
 		if rng.Intn(4) == 0 {
-			n.AddType(pattern.Type("t"+string(rune('0'+rng.Intn(alphabet)))), false)
+			n.AddType(pattern.Type("t" + string(rune('0'+rng.Intn(alphabet)))))
 		}
 		if rng.Intn(5) == 0 {
 			op := []pattern.Op{pattern.OpLt, pattern.OpLe, pattern.OpGt, pattern.OpGe, pattern.OpEq, pattern.OpNe}[rng.Intn(6)]
@@ -67,7 +67,7 @@ func weaken(rng *rand.Rand, q *pattern.Pattern) *pattern.Pattern {
 			n.Edge = pattern.Descendant
 		}
 		if len(n.Extra) > 0 && rng.Intn(2) == 0 {
-			n.Extra, n.TempExtra = nil, nil
+			n.Extra = nil
 		}
 		if len(n.Conds) > 0 && rng.Intn(2) == 0 {
 			n.Conds = nil

@@ -25,19 +25,19 @@
 //  4. Kernels: the production kernels agree with the nested-map
 //     references of internal/oracle. ACIM with the incremental
 //     images-table engine produces a canonical form byte-identical to
-//     ACIM with the reference leaf-redundancy test
-//     (oracle.MinimizeMapInPlace), and the dense containment-mapping
-//     search agrees with oracle.FindMappingMap.
+//     the reference ACIM (oracle.MinimizeACIMMap: the per-call chase,
+//     then the reference leaf-redundancy test), and the dense
+//     containment-mapping search agrees with oracle.FindMappingMap.
 //  5. Service: the cached, singleflight-deduplicated serving path returns
 //     results isomorphic to a direct engine run — on a cold miss, on a hot
 //     cache hit, with caching disabled, and across a duplicate-heavy batch
 //     — with consistent report flags.
 //  6. Augment: plan-based augmentation (chase.Plan, compiled once per
-//     closed constraint set) produces a pattern structurally identical —
-//     node for node, including Temp marks, temporary extra types, edge
-//     kinds and child order — to the per-call oracle.Augment, reports the
-//     same node count and the same wanted-witness set, and stays
-//     idempotent on re-augmentation.
+//     closed constraint set) writes a layout identical — node for node,
+//     including witness marks, own and added types, edge kinds and child
+//     order, as oracle.RenderLayout and RenderMarked show them — to the
+//     pattern the per-call oracle.Augment marks, and reports the same
+//     node count and the same wanted-witness set.
 //  7. Match: the evaluation kernels agree with the literal embedding
 //     definition of internal/oracle. The twig engine (match/stream)
 //     yields exactly the answer set of oracle.BindingsMap, and the
@@ -66,11 +66,11 @@ package difffuzz
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/big"
 	"math/rand"
 	"os"
 	"sort"
-	"strings"
 
 	"tpq/internal/acim"
 	"tpq/internal/cdm"
@@ -140,8 +140,8 @@ func Check(q *pattern.Pattern, cs *ics.Set) *Failure {
 // plan agrees exactly with the per-call chase. The comparison is strict
 // structural identity — stronger than isomorphism — because the plan
 // path promises to reproduce the oracle's output verbatim: same child
-// order, same Temp marks, same temporary extra types, same edges. cs may
-// be nil.
+// order, same witnesses, same own and added types, same edges. cs may be
+// nil.
 func CheckAugment(q *pattern.Pattern, cs *ics.Set) *Failure {
 	if q == nil || q.Validate() != nil {
 		return nil
@@ -152,85 +152,27 @@ func CheckAugment(q *pattern.Pattern, cs *ics.Set) *Failure {
 	closed := cs.Closure()
 
 	ref := q.Clone()
-	refAdded := oracle.Augment(ref, closed)
+	marks := oracle.Augment(ref, closed)
+	refAdded := len(marks.Nodes)
 
 	pl := chase.PlanFor(closed)
-	got := q.Clone()
-	gotAdded := pl.Augment(got)
+	s, gotAdded := pl.Augment(q, nil)
+	defer s.Release()
 
 	if refAdded != gotAdded {
 		return fail(q, cs, "augment", "per-call chase added %d nodes, plan added %d", refAdded, gotAdded)
 	}
-	refDump, gotDump := exactDump(ref), exactDump(got)
-	if refDump != gotDump {
-		return fail(q, cs, "augment", "augmented patterns differ:\n  per-call: %s\n  plan:     %s", refDump, gotDump)
+	if refDump, gotDump := oracle.RenderMarked(ref, marks), oracle.RenderLayout(s); refDump != gotDump {
+		return fail(q, cs, "augment", "augmented queries differ:\n  per-call: %s\n  plan:     %s", refDump, gotDump)
 	}
 
 	// The wanted-witness relation must match too: ContainedUnder filters
 	// constraints through it.
 	base := q.TypeSet()
-	refWanted := chase.WantedWitnessTypes(closed, base)
-	gotWanted := pl.Wanted(base)
-	if len(refWanted) != len(gotWanted) {
+	if refWanted, gotWanted := chase.WantedWitnessTypes(closed, base), pl.Wanted(base); !maps.Equal(refWanted, gotWanted) {
 		return fail(q, cs, "augment", "wanted sets differ: per-call %v, plan %v", refWanted, gotWanted)
 	}
-	for t := range refWanted {
-		if !gotWanted[t] {
-			return fail(q, cs, "augment", "wanted sets differ at %q: per-call %v, plan %v", t, refWanted, gotWanted)
-		}
-	}
-
-	// Idempotency: re-augmenting an already-augmented query through the
-	// plan must add nothing, as it adds nothing through the per-call path.
-	if extra := pl.Augment(got); extra != 0 {
-		return fail(q, cs, "augment", "re-augmenting through the plan added %d nodes", extra)
-	}
-	if d := exactDump(got); d != refDump {
-		return fail(q, cs, "augment", "re-augmenting through the plan changed the pattern:\n  was: %s\n  now: %s", refDump, d)
-	}
 	return nil
-}
-
-// exactDump serializes a pattern preserving everything augmentation can
-// touch: child order, edge kinds, Temp marks and the permanent/temporary
-// extra-type split. Two patterns with equal dumps are structurally
-// identical (conditions included).
-func exactDump(p *pattern.Pattern) string {
-	var sb strings.Builder
-	var rec func(n *pattern.Node)
-	rec = func(n *pattern.Node) {
-		sb.WriteString(n.Edge.String())
-		sb.WriteString(string(n.Type))
-		if len(n.Extra) > 0 {
-			fmt.Fprintf(&sb, "{%v}", n.Extra)
-		}
-		if len(n.TempExtra) > 0 {
-			fmt.Fprintf(&sb, "tmp{%v}", n.TempExtra)
-		}
-		if n.Temp {
-			sb.WriteByte('~')
-		}
-		if n.Star {
-			sb.WriteByte('*')
-		}
-		if len(n.Conds) > 0 {
-			fmt.Fprintf(&sb, "?%v", n.Conds)
-		}
-		if len(n.Children) > 0 {
-			sb.WriteByte('(')
-			for i, c := range n.Children {
-				if i > 0 {
-					sb.WriteByte(',')
-				}
-				rec(c)
-			}
-			sb.WriteByte(')')
-		}
-	}
-	if p != nil && p.Root != nil {
-		rec(p.Root)
-	}
-	return sb.String()
 }
 
 // CheckMinimize runs oracles 1-4: equivalence, minimality, pipeline
@@ -247,19 +189,9 @@ func CheckMinimize(q *pattern.Pattern, cs *ics.Set) *Failure {
 	// Reference run: ACIM alone, production kernels.
 	out, _ := acim.MinimizeWithStats(q, closed)
 
-	// Structural sanity: the output must be a well-formed query with no
-	// augmentation residue.
+	// Structural sanity: the output must be a well-formed query.
 	if err := out.Validate(); err != nil {
 		return fail(q, cs, "equivalence", "minimized output is invalid: %v", err)
-	}
-	var residue *pattern.Node
-	out.Walk(func(n *pattern.Node) {
-		if residue == nil && (n.Temp || len(n.TempExtra) > 0) {
-			residue = n
-		}
-	})
-	if residue != nil {
-		return fail(q, cs, "equivalence", "temporary node/type survived StripTemp at %q (output %s)", residue.Type, out)
 	}
 
 	// Oracle 1a: the output is equivalent to the input under the
@@ -298,7 +230,7 @@ func CheckMinimize(q *pattern.Pattern, cs *ics.Set) *Failure {
 
 	// Oracle 4a: the incremental CIM engine is byte-identical to the
 	// nested-map reference through the whole ACIM pipeline.
-	mapOut, _ := acim.MinimizeWithRunner(q, closed, oracle.MinimizeMapInPlace)
+	mapOut, _ := oracle.MinimizeACIMMap(q, closed)
 	if out.Canonical() != mapOut.Canonical() {
 		return fail(q, cs, "kernel", "incremental ACIM produced %s, map-tables ACIM produced %s", out, mapOut)
 	}

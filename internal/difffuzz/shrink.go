@@ -97,7 +97,6 @@ func shrinkQuery(q *pattern.Pattern, cs *ics.Set, failing Failing) (*pattern.Pat
 		if len(n.Extra) > 0 {
 			trial, m := q.CloneMap()
 			m[n].Extra = nil
-			m[n].TempExtra = nil
 			if failing(trial, cs) {
 				return trial, true
 			}

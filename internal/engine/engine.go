@@ -59,6 +59,10 @@ type Result struct {
 	// interval masking (see cim.Stats). The serving layer exports their
 	// totals so the amortization ratio is visible in /stats.
 	TablesBuilt, TablesDerived int
+	// Unsatisfiable is set when the input can never return an answer
+	// under the constraints (chase.Scratch.Unsatisfiable, on the input's
+	// layout before CDM).
+	Unsatisfiable bool
 }
 
 // Minimizer minimizes queries under one closed constraint set. It is
@@ -66,7 +70,7 @@ type Result struct {
 type Minimizer struct {
 	algo   Algo
 	closed *ics.Set
-	plan   *chase.Plan // closed's chase plan: ACIM's CIM phase numbers types by its alphabet
+	plan   *chase.Plan // closed's chase plan: every run numbers types by its alphabet
 }
 
 // New returns a Minimizer with the given options.
@@ -92,39 +96,42 @@ func (m *Minimizer) Closed() *ics.Set { return m.closed }
 // sub-phases. tr may be nil, in which case the run pays one nil check
 // per phase and nothing else. q is never mutated.
 //
-// The context is checked on entry and, on the Auto pipeline, again
-// between the CDM pre-filter and the ACIM phase (the expensive part), so
-// a caller whose deadline fires during CDM pays nothing for ACIM. A phase
-// that has started always runs to completion; on cancellation the Result
-// is zero.
+// The run flattens one private copy of q once, into a pooled scratch, and
+// hands that layout to the unsatisfiability check, CDM, the chase and CIM
+// in turn. The context is checked on entry and, on the Auto pipeline,
+// again between the CDM pre-filter and the ACIM phase (the expensive
+// part), so a caller whose deadline fires during CDM pays nothing for
+// ACIM. A phase that has started always runs to completion; on
+// cancellation the Result is zero.
 func (m *Minimizer) MinimizeContextTraced(ctx context.Context, q *pattern.Pattern, tr *trace.Trace) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	// Every pipeline minimizes one private copy of q in place: ACIM runs
-	// on CDM's output rather than copying it again.
+	pl := m.plan
+	if m.algo == Auto || m.algo == ACIM {
+		// ACIM's registry lookup: tpq_plan_hits_total counts it.
+		pl = chase.PlanForTraced(m.closed, tr)
+	}
 	out := q.Clone()
-	var r Result
+	s := chase.GetScratch(pl)
+	defer s.Release()
+	s.Flatten(out)
+	r := Result{Output: out, Unsatisfiable: s.Unsatisfiable()}
 	switch m.algo {
 	case CIM:
-		st := cim.MinimizeInPlace(out, cim.Options{Trace: tr})
-		r.Output, r.ACIMRemoved = out, st.Removed
-		r.TablesBuilt, r.TablesDerived = st.TablesBuilt, st.TablesDerived
+		st := cim.MinimizeLayout(s, cim.Options{Trace: tr})
+		r.ACIMRemoved, r.TablesBuilt, r.TablesDerived = st.Removed, st.TablesBuilt, st.TablesDerived
 		return r, nil
 	case CDM, Auto:
-		r.CDMRemoved = cdm.MinimizeInPlaceTraced(out, m.closed, tr).Removed
+		r.CDMRemoved = cdm.MinimizeLayout(s, tr).Removed
 		if m.algo == CDM {
-			r.Output = out
 			return r, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
 	}
-	st := acim.MinimizeInPlaceTraced(out, m.closed, tr, func(aug *pattern.Pattern) cim.Stats {
-		return cim.MinimizeOnPlan(aug, m.plan, cim.Options{Trace: tr})
-	})
-	r.Output, r.ACIMRemoved = out, st.Removed
-	r.TablesBuilt, r.TablesDerived = st.TablesBuilt, st.TablesDerived
+	st := acim.MinimizeLayout(s, tr)
+	r.ACIMRemoved, r.TablesBuilt, r.TablesDerived = st.Removed, st.TablesBuilt, st.TablesDerived
 	return r, nil
 }

@@ -107,7 +107,7 @@ func decodeQuery(c *byteCursor) *pattern.Pattern {
 		if c.next()%4 != 0 {
 			continue
 		}
-		nodes[c.next()%len(nodes)].AddType(T(c.next()%alphabet), false)
+		nodes[c.next()%len(nodes)].AddType(T(c.next() % alphabet))
 	}
 	// Value conditions, rarely. Attributes and values are drawn from tiny
 	// domains so that entailment between conditions actually occurs.

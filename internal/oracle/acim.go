@@ -62,6 +62,18 @@ func leafImplied(n *pattern.Node, cs *ics.Set) bool {
 	return false
 }
 
+// MinimizeACIMMap is the reference ACIM: on a clone of p it runs Augment
+// under cs, then the nested-map CIM kernel (MinimizeMapInPlace) on the
+// marked pattern, then strips the witnesses and marked types. It returns
+// the minimized query and the CIM phase's statistics.
+func MinimizeACIMMap(p *pattern.Pattern, cs *ics.Set) (*pattern.Pattern, cim.Stats) {
+	q := p.Clone()
+	w := Augment(q, cs)
+	st := MinimizeMapInPlace(q, w)
+	w.strip()
+	return q, st
+}
+
 // ApplyStrategy interprets a strategy string over the alphabet {A, R, M}
 // of §5.3 on a clone of p: A = augmentation with the added material made
 // permanent, R = reduction, M = constraint-independent minimization. It
@@ -74,11 +86,7 @@ func ApplyStrategy(p *pattern.Pattern, cs *ics.Set, strategy string) *pattern.Pa
 	for _, step := range strategy {
 		switch step {
 		case 'A', 'a':
-			Augment(q, closed)
-			q.Walk(func(n *pattern.Node) {
-				n.Temp = false
-				n.TempExtra = nil
-			})
+			Augment(q, closed) // the marks are dropped: the material stays
 		case 'R', 'r':
 			Reduce(q, closed)
 		case 'M', 'm':

@@ -49,7 +49,7 @@ func MinimizeDirectInPlace(p *pattern.Pattern, cs *ics.Set) (st cdm.Stats) {
 func findDirectVictim(p *pattern.Pattern, cs *ics.Set) *pattern.Node {
 	var victim *pattern.Node
 	p.Walk(func(y *pattern.Node) {
-		if victim != nil || y.Star || y.Temp || y.Parent == nil || !y.IsLeaf() {
+		if victim != nil || y.Star || y.Parent == nil || !y.IsLeaf() {
 			return
 		}
 		if directlyRedundant(y, cs) {

@@ -9,19 +9,16 @@ import (
 
 // MinimizeMapInPlace is CIM on the nested-map images tables: it removes
 // every redundant node of p, testing the candidate NextCandidate picks and
-// never retesting a leaf found non-redundant (enhancement 1 of §4). It
-// has the signature acim.MinimizeWithRunner expects, so
-//
-//	acim.MinimizeWithRunner(q, cs, oracle.MinimizeMapInPlace)
-//
-// is ACIM with the reference kernel in place of the incremental engine.
-func MinimizeMapInPlace(p *pattern.Pattern) (st cim.Stats) {
+// never retesting a leaf found non-redundant (enhancement 1 of §4). w
+// marks p's witnesses, images that are never requirements nor candidates
+// (nil for a plain query); MinimizeACIMMap runs it on what Augment marks.
+func MinimizeMapInPlace(p *pattern.Pattern, w *Witnesses) (st cim.Stats) {
 	start := time.Now()
 	defer func() { st.TotalTime = time.Since(start) }()
 	nonRedundant := make(map[*pattern.Node]bool)
-	for l := NextCandidate(p, nonRedundant, nil); l != nil; l = NextCandidate(p, nonRedundant, nil) {
+	for l := NextCandidate(p, nonRedundant, nil, w); l != nil; l = NextCandidate(p, nonRedundant, nil, w) {
 		st.Tests++
-		if redundantLeafMap(p, l, &st) {
+		if redundantLeafMap(p, l, w, &st) {
 			l.Detach()
 			st.Removed++
 		} else {
@@ -57,19 +54,19 @@ func MinimizeNaiveInPlace(p *pattern.Pattern) cim.Stats {
 }
 
 // NextCandidate picks the best-ranked effective leaf of p that is still
-// worth testing: not the output node, not temporary, not known
+// worth testing: not the output node, not a witness w marks, not known
 // non-redundant. The rank is the preorder position, or — when order is
 // non-nil — the node's entry in order, with unmapped nodes after every
 // mapped one; ties go to the earlier preorder position. It re-walks the
 // whole pattern on every call: the reference for the candidate order of
-// cim.Engine's worklist.
-func NextCandidate(p *pattern.Pattern, nonRedundant map[*pattern.Node]bool, order map[*pattern.Node]int) *pattern.Node {
+// cim.Engine's worklist. w may be nil.
+func NextCandidate(p *pattern.Pattern, nonRedundant map[*pattern.Node]bool, order map[*pattern.Node]int, w *Witnesses) *pattern.Node {
 	var best *pattern.Node
 	bestRank := int(^uint(0) >> 1)
 	pos := 0
 	p.Walk(func(n *pattern.Node) {
 		pos++
-		if n.Star || n.Temp || nonRedundant[n] || !effectiveLeaf(n) {
+		if n.Star || w.witness(n) || nonRedundant[n] || !effectiveLeaf(n, w) {
 			return
 		}
 		rank := pos
@@ -87,18 +84,19 @@ func NextCandidate(p *pattern.Pattern, nonRedundant map[*pattern.Node]bool, orde
 	return best
 }
 
-// RedundantLeafMap reports whether l — an effective leaf of p — is
-// redundant, by Figure 3 on nested-map images tables.
-func RedundantLeafMap(p *pattern.Pattern, l *pattern.Node) bool {
+// RedundantLeafMap reports whether l — an effective leaf of p, whose
+// witnesses w marks (nil for none) — is redundant, by Figure 3 on
+// nested-map images tables.
+func RedundantLeafMap(p *pattern.Pattern, l *pattern.Node, w *Witnesses) bool {
 	var st cim.Stats
-	return redundantLeafMap(p, l, &st)
+	return redundantLeafMap(p, l, w, &st)
 }
 
-// effectiveLeaf reports whether n has no permanent children: temporary
-// children are witnesses, not requirements.
-func effectiveLeaf(n *pattern.Node) bool {
+// effectiveLeaf reports whether n has no permanent children: witness
+// children are not requirements.
+func effectiveLeaf(n *pattern.Node, w *Witnesses) bool {
 	for _, c := range n.Children {
-		if !c.Temp {
+		if !w.witness(c) {
 			return false
 		}
 	}
@@ -110,11 +108,16 @@ func effectiveLeaf(n *pattern.Node) bool {
 // required types. Extra types added by augmentation are consequences of
 // the integrity constraints, guaranteed at any image of u, so they must
 // not narrow u's image set (they still widen v's capability side).
-func imageCompatible(u, v *pattern.Node) bool {
+func imageCompatible(u, v *pattern.Node, w *Witnesses) bool {
 	if u.Star && !v.Star {
 		return false
 	}
-	return u.RequiredTypesSubsetOf(v) && v.CondsEntail(u)
+	for _, t := range u.Types() {
+		if !w.added(u, t) && !v.HasType(t) {
+			return false
+		}
+	}
+	return v.CondsEntail(u)
 }
 
 // redundantLeafMap is Figure 3 with the enhancements of §4: images(l)
@@ -122,12 +125,12 @@ func imageCompatible(u, v *pattern.Node) bool {
 // label-compatible nodes, and the sets are pruned bottom-up along l's root
 // path with the two early exits (an empty set: not redundant; v in
 // images(v) at a proper ancestor: redundant).
-func redundantLeafMap(p *pattern.Pattern, l *pattern.Node, st *cim.Stats) bool {
+func redundantLeafMap(p *pattern.Pattern, l *pattern.Node, w *Witnesses, st *cim.Stats) bool {
 	tStart := time.Now()
 	st.TablesBuilt++
 	nodes := p.Nodes()
 
-	// Temporaries are never requirements, so they get no image set; they
+	// Witnesses are never requirements, so they get no image set; they
 	// may serve as images of anything except the leaf being deleted.
 	images := make(map[*pattern.Node]map[*pattern.Node]bool, len(nodes))
 	ownTemp := make(map[*pattern.Node]bool)
@@ -135,7 +138,7 @@ func redundantLeafMap(p *pattern.Pattern, l *pattern.Node, st *cim.Stats) bool {
 		markSubtree(m, ownTemp)
 	}
 	for _, v := range nodes {
-		if v.Temp {
+		if w.witness(v) {
 			continue
 		}
 		set := make(map[*pattern.Node]bool)
@@ -143,7 +146,7 @@ func redundantLeafMap(p *pattern.Pattern, l *pattern.Node, st *cim.Stats) bool {
 			if v == l && (m == l || ownTemp[m]) {
 				continue
 			}
-			if imageCompatible(v, m) {
+			if imageCompatible(v, m, w) {
 				set[m] = true
 			}
 		}
@@ -157,7 +160,7 @@ func redundantLeafMap(p *pattern.Pattern, l *pattern.Node, st *cim.Stats) bool {
 
 	marked := map[*pattern.Node]bool{l: true}
 	for v := l.Parent; v != nil; v = v.Parent {
-		pruneImages(v, images, marked)
+		pruneImages(v, images, marked, w)
 		if len(images[v]) == 0 {
 			return false
 		}
@@ -180,19 +183,19 @@ func markSubtree(n *pattern.Node, set map[*pattern.Node]bool) {
 // pruneImages prunes the image sets of v's permanent descendants and then
 // of v itself, marking processed nodes so shared work is not repeated
 // across the upward walk.
-func pruneImages(v *pattern.Node, images map[*pattern.Node]map[*pattern.Node]bool, marked map[*pattern.Node]bool) {
+func pruneImages(v *pattern.Node, images map[*pattern.Node]map[*pattern.Node]bool, marked map[*pattern.Node]bool, w *Witnesses) {
 	if marked[v] {
 		return
 	}
 	marked[v] = true
 	var reqs []*pattern.Node
 	for _, c := range v.Children {
-		if !c.Temp {
+		if !w.witness(c) {
 			reqs = append(reqs, c)
 		}
 	}
 	for _, u := range reqs {
-		pruneImages(u, images, marked)
+		pruneImages(u, images, marked, w)
 	}
 	set := images[v]
 	for s := range set {

@@ -39,7 +39,7 @@ func TestReferencesOnPaperExamples(t *testing.T) {
 	for _, c := range cases {
 		q, want := pattern.MustParse(c.q), pattern.MustParse(c.want)
 		cs := ics.MustParseSet(c.cs...)
-		if got, _ := acim.MinimizeWithRunner(q, cs, MinimizeMapInPlace); !pattern.Isomorphic(got, want) {
+		if got, _ := MinimizeACIMMap(q, cs); !pattern.Isomorphic(got, want) {
 			t.Errorf("map ACIM(%s) = %s, want %s", c.q, got, c.want)
 		}
 		// A made the augmented types permanent, so only the size is the
@@ -51,7 +51,7 @@ func TestReferencesOnPaperExamples(t *testing.T) {
 			continue
 		}
 		for name, run := range map[string]func(*pattern.Pattern) cim.Stats{
-			"map":   MinimizeMapInPlace,
+			"map":   func(p *pattern.Pattern) cim.Stats { return MinimizeMapInPlace(p, nil) },
 			"naive": MinimizeNaiveInPlace,
 		} {
 			got := q.Clone()
@@ -92,14 +92,14 @@ func TestReferencesAgainstJudge(t *testing.T) {
 			}
 		})
 		mapped := q.Clone()
-		MinimizeMapInPlace(mapped)
+		MinimizeMapInPlace(mapped, nil)
 		if !pattern.Isomorphic(mapped, naive) {
 			t.Fatalf("trial %d: map CIM %s, naive CIM %s on %s", trial, mapped, naive, q)
 		}
 
 		// ACIM and the strategy algebra: equivalent under the constraints
 		// and minimal under them; A·M·R reaches the same size.
-		out, _ := acim.MinimizeWithRunner(q, closed, MinimizeMapInPlace)
+		out, _ := MinimizeACIMMap(q, closed)
 		if !acim.EquivalentUnder(q, out, closed) {
 			t.Fatalf("trial %d: map ACIM output %s not equivalent to %s under %s", trial, out, q, cs)
 		}
@@ -119,16 +119,18 @@ func TestReferencesAgainstJudge(t *testing.T) {
 			t.Fatalf("trial %d: direct CDM output %s not equivalent to %s under %s", trial, direct, q, cs)
 		}
 
-		// The per-call chase, on the unclosed set.
+		// The per-call chase, on the unclosed set: idempotent, and its
+		// marks are exactly what it added.
 		aug := q.Clone()
-		added := Augment(aug, cs)
+		w := Augment(aug, cs)
+		added := len(w.Nodes)
 		if err := aug.Validate(); err != nil || aug.Size() != q.Size()+added {
 			t.Fatalf("trial %d: augmenting %s added %d nodes to size %d (%v)", trial, q, added, aug.Size(), err)
 		}
-		if again := Augment(aug, cs); again != 0 {
+		if again := w.Augment(aug, cs); again != 0 {
 			t.Fatalf("trial %d: re-augmenting %s added %d nodes", trial, q, again)
 		}
-		aug.StripTemp()
+		w.strip()
 		if !pattern.Isomorphic(aug, q) {
 			t.Fatalf("trial %d: augmented %s strips to %s", trial, q, aug)
 		}

@@ -8,8 +8,8 @@ import (
 
 // This file implements a canonical form for tree pattern queries, an
 // adaptation of the Aho-Hopcroft-Ullman canonical encoding of unordered
-// trees extended with edge kinds, output markers, type sets, and temporary
-// flags. Two patterns are isomorphic — equal up to reordering of siblings —
+// trees extended with edge kinds, output markers, type sets and value
+// conditions. Two patterns are isomorphic — equal up to reordering of siblings —
 // iff their canonical encodings are equal. Theorem 4.1 of the paper states
 // the minimal equivalent query is unique up to isomorphism, so the test
 // suite leans on this encoding heavily.
@@ -97,9 +97,6 @@ func appendEdge(dst []byte, k EdgeKind) []byte {
 
 func appendCanon(dst []byte, n *Node, s *canonScratch) []byte {
 	dst = appendLabel(dst, n)
-	if n.Temp {
-		dst = append(dst, '!')
-	}
 	switch len(n.Children) {
 	case 0:
 		return dst
@@ -161,8 +158,8 @@ func (p *Pattern) Canonical() string {
 }
 
 // Isomorphic reports whether p and q are equal up to reordering of
-// siblings. Types, type sets, edge kinds, output markers and temporary
-// flags all must match.
+// siblings. Types, type sets, edge kinds and output markers all must
+// match.
 func Isomorphic(p, q *Pattern) bool {
 	return p.Canonical() == q.Canonical()
 }

@@ -42,9 +42,6 @@ func refLabel(n *Node) string {
 
 func refWriteCanon(b *strings.Builder, n *Node) {
 	b.WriteString(refLabel(n))
-	if n.Temp {
-		b.WriteByte('!')
-	}
 	if len(n.Children) == 0 {
 		return
 	}
@@ -64,8 +61,8 @@ func refWriteCanon(b *strings.Builder, n *Node) {
 }
 
 // randomCanonPattern builds a random pattern exercising every feature the
-// canonical form encodes: edge kinds, extra types, conditions, temp flags
-// and the output marker.
+// canonical form encodes: edge kinds, extra types, conditions and the
+// output marker.
 func randomCanonPattern(rng *rand.Rand, size int) *Pattern {
 	types := []Type{"a", "b", "c", "d", "e"}
 	root := NewNode(types[rng.Intn(len(types))])
@@ -84,10 +81,7 @@ func randomCanonPattern(rng *rand.Rand, size int) *Pattern {
 	star.Star = true
 	for _, n := range nodes {
 		if rng.Intn(4) == 0 {
-			n.AddType(types[rng.Intn(len(types))], rng.Intn(2) == 0)
-		}
-		if rng.Intn(5) == 0 {
-			n.Temp = true
+			n.AddType(types[rng.Intn(len(types))])
 		}
 		if rng.Intn(5) == 0 {
 			n.AddCond(Condition{Attr: "price", Op: Op(rng.Intn(6)), Value: float64(rng.Intn(100))})

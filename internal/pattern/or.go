@@ -189,15 +189,12 @@ var errTooManyDisjuncts = fmt.Errorf("pattern: or-distribution produces more tha
 // copyLabel clones one node's label fields (everything but the tree
 // links).
 func copyLabel(n *Node) *Node {
-	c := &Node{Type: n.Type, Star: n.Star, Temp: n.Temp, Or: n.Or, Edge: n.Edge}
+	c := &Node{Type: n.Type, Star: n.Star, Or: n.Or, Edge: n.Edge}
 	if len(n.Extra) > 0 {
 		c.Extra = append([]Type(nil), n.Extra...)
 	}
 	if len(n.Conds) > 0 {
 		c.Conds = append([]Condition(nil), n.Conds...)
-	}
-	if len(n.TempExtra) > 0 {
-		c.TempExtra = append([]Type(nil), n.TempExtra...)
 	}
 	return c
 }

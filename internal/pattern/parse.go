@@ -223,7 +223,7 @@ func (p *parser) parseNode() (*Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			n.AddType(Type(extra), false)
+			n.AddType(Type(extra))
 			if p.accept(",") {
 				continue
 			}

@@ -175,7 +175,7 @@ func randomPattern(seed int64, maxNodes int) *Pattern {
 		}
 		c := parent.AddChild(kind, NewNode(types[rng.next()%len(types)]))
 		if rng.next()%4 == 0 {
-			c.AddType(types[rng.next()%len(types)], false)
+			c.AddType(types[rng.next()%len(types)])
 		}
 		nodes = append(nodes, c)
 	}

@@ -68,11 +68,10 @@ type Node struct {
 	// written.
 	Type Type
 
-	// Extra holds additional types associated with the node. User queries
-	// normally leave it empty; the chase/augmentation step of
-	// constraint-dependent minimization populates it when a co-occurrence
-	// constraint applies (every node of type A is also of type B). Sorted
-	// and duplicate-free; maintained by AddType.
+	// Extra holds additional types associated with the node: a query
+	// may write them (a{b}), and the full chase adds them when a
+	// co-occurrence constraint applies (every node of type A is also of
+	// type B). Sorted and duplicate-free; maintained by AddType.
 	Extra []Type
 
 	// Star marks the output node. Exactly one node per valid pattern has
@@ -84,16 +83,6 @@ type Node struct {
 	// containment mapping may send this node onto an image only if the
 	// image's conditions entail these. Kept sorted by AddCond.
 	Conds []Condition
-
-	// Temp marks a node added by the augmentation step of ACIM. Temporary
-	// nodes witness integrity constraints: they may serve as images of
-	// containment mappings but are never requirements, never candidates for
-	// elimination, and are stripped when minimization completes.
-	Temp bool
-
-	// TempExtra holds extra types added by augmentation, stripped together
-	// with temporary nodes. Always a subset of Extra.
-	TempExtra []Type
 
 	// Or marks a disjunction node: its Children are alternatives, not
 	// conjunctive siblings, and Edge is the edge each alternative takes
@@ -181,15 +170,10 @@ func (n *Node) HasType(t Type) bool {
 }
 
 // AddType associates an additional type with the node. Adding the primary
-// type or an already-present extra type is a no-op. If temp is true the
-// association is recorded as added by augmentation and StripTemp removes it.
-func (n *Node) AddType(t Type, temp bool) {
-	if n.HasType(t) {
-		return
-	}
-	n.Extra = insertSorted(n.Extra, t)
-	if temp {
-		n.TempExtra = insertSorted(n.TempExtra, t)
+// type or an already-present extra type is a no-op.
+func (n *Node) AddType(t Type) {
+	if !n.HasType(t) {
+		n.Extra = insertSorted(n.Extra, t)
 	}
 }
 
@@ -224,28 +208,6 @@ func (n *Node) TypesSubsetOf(m *Node) bool {
 		return false
 	}
 	for _, t := range n.Extra {
-		if !m.HasType(t) {
-			return false
-		}
-	}
-	return true
-}
-
-// RequiredTypesSubsetOf is TypesSubsetOf restricted to n's required types:
-// the primary type and the permanent extras, skipping extras added by
-// augmentation. Temporary type associations are consequences of the
-// integrity constraints — any image carrying the required types carries
-// them too — so the minimization phase of ACIM must not treat them as
-// obligations of n, only as capabilities of an image. (n's own temporary
-// extras still count on the image side: m's full type set is consulted.)
-func (n *Node) RequiredTypesSubsetOf(m *Node) bool {
-	if !m.HasType(n.Type) {
-		return false
-	}
-	for _, t := range n.Extra {
-		if containsType(n.TempExtra, t) {
-			continue
-		}
 		if !m.HasType(t) {
 			return false
 		}
@@ -338,19 +300,13 @@ func (p *Pattern) OutputNode() *Node {
 }
 
 // TypeSet returns the set of the query's types: the primary and extra
-// types of its permanent nodes, without the temporary nodes and
-// temporary extra types that augmentation adds.
+// types of its nodes.
 func (p *Pattern) TypeSet() map[Type]bool {
 	set := make(map[Type]bool)
 	p.Walk(func(n *Node) {
-		if n.Temp {
-			return
-		}
 		set[n.Type] = true
 		for _, t := range n.Extra {
-			if !containsType(n.TempExtra, t) {
-				set[t] = true
-			}
+			set[t] = true
 		}
 	})
 	return set
@@ -384,41 +340,6 @@ func (p *Pattern) CloneMap() (*Pattern, map[*Node]*Node) {
 	return q, m
 }
 
-// StripTemp removes every temporary node (with its subtree; temporary nodes
-// never have permanent descendants) and every temporary extra-type
-// association. It returns the number of nodes removed.
-func (p *Pattern) StripTemp() int {
-	removed := 0
-	var rec func(*Node)
-	rec = func(n *Node) {
-		kept := n.Children[:0]
-		for _, c := range n.Children {
-			if c.Temp {
-				removed += countNodes(c)
-				c.Parent = nil
-				continue
-			}
-			rec(c)
-			kept = append(kept, c)
-		}
-		n.Children = kept
-		if len(n.TempExtra) > 0 {
-			keptExtra := n.Extra[:0]
-			for _, t := range n.Extra {
-				if !containsType(n.TempExtra, t) {
-					keptExtra = append(keptExtra, t)
-				}
-			}
-			n.Extra = keptExtra
-			n.TempExtra = nil
-		}
-	}
-	if p.Root != nil {
-		rec(p.Root)
-	}
-	return removed
-}
-
 func countNodes(n *Node) int {
 	c := 1
 	for _, ch := range n.Children {
@@ -427,19 +348,10 @@ func countNodes(n *Node) int {
 	return c
 }
 
-func containsType(ts []Type, t Type) bool {
-	for _, x := range ts {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks the structural invariants of a well-formed query:
 // non-empty, exactly one output node, consistent parent/child links, no
-// node reachable twice, no empty type names, temporary nodes childless or
-// with only temporary children. It returns nil if the pattern is valid.
+// node reachable twice, no empty type names. It returns nil if the pattern
+// is valid.
 func (p *Pattern) Validate() error {
 	if p == nil || p.Root == nil {
 		return fmt.Errorf("pattern: empty pattern")
@@ -464,20 +376,9 @@ func (p *Pattern) Validate() error {
 		if n.Star {
 			stars++
 		}
-		if n.Star && n.Temp {
-			return fmt.Errorf("pattern: temporary node %q is the output node", n.Type)
-		}
-		for _, t := range n.TempExtra {
-			if !containsType(n.Extra, t) {
-				return fmt.Errorf("pattern: node %q: temp extra type %q not in Extra", n.Type, t)
-			}
-		}
 		for _, c := range n.Children {
 			if c.Parent != n {
 				return fmt.Errorf("pattern: node %q: child %q has wrong parent link", n.Type, c.Type)
-			}
-			if n.Temp && !c.Temp {
-				return fmt.Errorf("pattern: temporary node %q has permanent child %q", n.Type, c.Type)
 			}
 			if err := rec(c); err != nil {
 				return err
@@ -515,6 +416,15 @@ func (l *Preorder) Fill(p *Pattern) {
 	if p != nil && p.Root != nil {
 		n = countNodes(p.Root)
 	}
+	l.Resize(n)
+	if n > 0 {
+		l.add(p.Root, -1, 0)
+	}
+}
+
+// Resize sets l's length to n ordinals, reusing its slices, for a writer
+// that fills every array itself; what the arrays hold before is stale.
+func (l *Preorder) Resize(n int) {
 	if cap(l.Nodes) < n {
 		// Grow geometrically, as append would; the four int arrays share
 		// one allocation.
@@ -524,9 +434,6 @@ func (l *Preorder) Fill(p *Pattern) {
 		l.End, l.Parent, l.Up, l.Kids = ints[:0:c], ints[c:c:2*c], ints[2*c:2*c:3*c], ints[3*c:3*c:4*c]
 	}
 	l.Nodes, l.End, l.Parent, l.Up, l.Kids = l.Nodes[:n], l.End[:n], l.Parent[:n], l.Up[:n], l.Kids[:n]
-	if n > 0 {
-		l.add(p.Root, -1, 0)
-	}
 }
 
 // add lays out n's subtree from ordinal i and returns the ordinal after it.

@@ -104,9 +104,9 @@ func TestTypes(t *testing.T) {
 	if !n.HasType("Employee") || n.HasType("Person") {
 		t.Fatal("HasType on fresh node wrong")
 	}
-	n.AddType("Person", false)
-	n.AddType("Agent", true)
-	n.AddType("Person", false) // duplicate: no-op
+	n.AddType("Person")
+	n.AddType("Agent")
+	n.AddType("Person") // duplicate: no-op
 	if got := n.Types(); len(got) != 3 || got[0] != "Employee" {
 		t.Fatalf("Types = %v", got)
 	}
@@ -114,7 +114,7 @@ func TestTypes(t *testing.T) {
 		t.Error("added types not reported by HasType")
 	}
 	m := NewNode("Employee")
-	m.AddType("Person", false)
+	m.AddType("Person")
 	if m.TypesSubsetOf(n) != true {
 		t.Error("TypesSubsetOf: {Employee,Person} should be subset of {Employee,Person,Agent}")
 	}
@@ -126,7 +126,7 @@ func TestTypes(t *testing.T) {
 func TestAddTypeSorted(t *testing.T) {
 	n := NewNode("a")
 	for _, ty := range []Type{"z", "m", "b", "m"} {
-		n.AddType(ty, false)
+		n.AddType(ty)
 	}
 	want := []Type{"b", "m", "z"}
 	for i, ty := range n.Extra {
@@ -204,7 +204,7 @@ func TestPreorder(t *testing.T) {
 
 func TestClone(t *testing.T) {
 	p := fig2a()
-	p.Root.Children[0].AddType("Doc", true)
+	p.Root.Children[0].AddType("Doc")
 	q, m := p.CloneMap()
 	if q.Size() != p.Size() {
 		t.Fatalf("clone size %d != %d", q.Size(), p.Size())
@@ -251,20 +251,6 @@ func TestValidate(t *testing.T) {
 			r.Child("")
 			return New(r)
 		}, "empty type"},
-		{"temp star", func() *Pattern {
-			r := NewNode("a")
-			s := r.Child("b")
-			s.Star = true
-			s.Temp = true
-			return New(r)
-		}, "temporary"},
-		{"temp with perm child", func() *Pattern {
-			r := NewStar("a")
-			tmp := r.Child("b")
-			tmp.Temp = true
-			tmp.Child("c")
-			return New(r)
-		}, "permanent child"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -273,48 +259,6 @@ func TestValidate(t *testing.T) {
 				t.Errorf("Validate = %v, want error containing %q", err, c.want)
 			}
 		})
-	}
-}
-
-func TestStripTemp(t *testing.T) {
-	p := fig2a()
-	var section *Node
-	p.Walk(func(n *Node) {
-		if n.Type == "Section" {
-			section = n
-		}
-	})
-	tmp := NewNode("Paragraph")
-	tmp.Temp = true
-	section.AddChild(Descendant, tmp)
-	tmp2 := NewNode("Footnote")
-	tmp2.Temp = true
-	tmp.AddChild(Child, tmp2)
-	section.AddType("Div", true)
-	section.AddType("Block", false)
-
-	if removed := p.StripTemp(); removed != 2 {
-		t.Errorf("StripTemp removed %d, want 2", removed)
-	}
-	if p.Size() != 6 {
-		t.Errorf("after StripTemp Size = %d, want 6", p.Size())
-	}
-	if section.HasType("Div") {
-		t.Error("temporary extra type survived StripTemp")
-	}
-	if !section.HasType("Block") {
-		t.Error("permanent extra type removed by StripTemp")
-	}
-	if !Isomorphic(p, func() *Pattern {
-		q := fig2a()
-		q.Walk(func(n *Node) {
-			if n.Type == "Section" {
-				n.AddType("Block", false)
-			}
-		})
-		return q
-	}()) {
-		t.Error("StripTemp result not isomorphic to expected")
 	}
 }
 
@@ -361,7 +305,7 @@ func TestNodesAndLeaves(t *testing.T) {
 
 func TestTypeSet(t *testing.T) {
 	p := fig2a()
-	p.Root.AddType("Collection", false)
+	p.Root.AddType("Collection")
 	set := p.TypeSet()
 	for _, ty := range []Type{"Articles", "Article", "Title", "Paragraph", "Section", "Collection"} {
 		if !set[ty] {
@@ -370,30 +314,6 @@ func TestTypeSet(t *testing.T) {
 	}
 	if len(set) != 6 {
 		t.Errorf("TypeSet size = %d", len(set))
-	}
-}
-
-func TestRequiredTypesSubsetOf(t *testing.T) {
-	u := NewNode("a")
-	u.AddType("perm", false)
-	u.AddType("tmp", true)
-	v := NewNode("a")
-	v.AddType("perm", false)
-	// v lacks "tmp", but tmp is a temporary extra: not a requirement.
-	if !u.RequiredTypesSubsetOf(v) {
-		t.Error("temporary extra treated as a requirement")
-	}
-	if u.TypesSubsetOf(v) {
-		t.Error("TypesSubsetOf should still require the temp extra")
-	}
-	// Permanent extras are required.
-	w := NewNode("a")
-	if u.RequiredTypesSubsetOf(w) {
-		t.Error("permanent extra not required")
-	}
-	// Primary type always required.
-	if u.RequiredTypesSubsetOf(NewNode("b")) {
-		t.Error("primary type mismatch accepted")
 	}
 }
 

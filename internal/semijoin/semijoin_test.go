@@ -83,7 +83,7 @@ func patternRef(rng *rand.Rand, size int) ref {
 	for len(nodes) < size {
 		u := pattern.NewNode(pattern.Type(types[rng.Intn(3)]))
 		if rng.Intn(3) == 0 {
-			u.AddType(pattern.Type(types[rng.Intn(3)]), rng.Intn(2) == 0)
+			u.AddType(pattern.Type(types[rng.Intn(3)]))
 		}
 		kind := pattern.Child
 		if rng.Intn(2) == 0 {

@@ -131,7 +131,6 @@ type entry struct {
 type Service struct {
 	eng     *engine.Minimizer
 	closed  *ics.Set
-	plan    *chase.Plan // the closed set's plan: the unsatisfiability check
 	fp      string
 	workers int
 	start   time.Time
@@ -192,7 +191,6 @@ func New(opts Options) *Service {
 	s := &Service{
 		eng:     eng,
 		closed:  eng.Closed(),
-		plan:    chase.PlanFor(eng.Closed()),
 		workers: opts.Workers,
 		start:   time.Now(),
 	}
@@ -579,7 +577,6 @@ func (s *Service) compute(ctx context.Context, p *pattern.Pattern) (*entry, erro
 	if err != nil {
 		return nil, err
 	}
-	unsat := s.plan.Unsatisfiable(p)
 	elapsed := time.Since(start)
 	s.stats.observePhases(tr)
 	s.stats.minimizations.Add(1)
@@ -589,7 +586,7 @@ func (s *Service) compute(ctx context.Context, p *pattern.Pattern) (*entry, erro
 	s.stats.tablesDerived.Add(int64(r.TablesDerived))
 	s.stats.plansCompiled.Add(tr.Count(trace.PlansCompiled))
 	s.stats.planHits.Add(tr.Count(trace.PlanHits))
-	if unsat {
+	if r.Unsatisfiable {
 		s.stats.unsat.Add(1)
 	}
 	if s.slowLog != nil && elapsed >= s.slowThreshold {
@@ -602,7 +599,7 @@ func (s *Service) compute(ctx context.Context, p *pattern.Pattern) (*entry, erro
 			OutputSize:    r.Output.Size(),
 			CDMRemoved:    r.CDMRemoved,
 			ACIMRemoved:   r.ACIMRemoved,
-			Unsatisfiable: unsat,
+			Unsatisfiable: r.Unsatisfiable,
 		},
 	}, nil
 }

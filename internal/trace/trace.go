@@ -38,17 +38,20 @@ const (
 	// Parse is query-text (or XPath) parsing, recorded by the serving
 	// layer — the algorithm packages never see unparsed text.
 	Parse Phase = iota
-	// Chase is the augmentation step of ACIM (chase.Plan.Augment).
+	// Chase is the augmentation step of ACIM (chase.Scratch.Augment),
+	// which writes the witnesses into the query's flattened layout.
 	Chase
 	// CDM is the constraint-dependent local pre-filter (cdm.MinimizeInPlace).
 	CDM
-	// ACIM is the whole augment→CIM→strip pipeline; it nests Chase, CIM
-	// and Compact.
+	// ACIM is the whole augment→CIM pipeline; it nests Chase, CIM and
+	// Compact.
 	ACIM
 	// CIM is the constraint-independent minimization loop, whichever
 	// kernel runs it (the incremental engine, or the map oracle).
 	CIM
-	// Compact is the temporary-node strip after CIM (pattern.StripTemp).
+	// Compact is applying CIM's removals to the pattern after its loop:
+	// the detaches that, with the witnesses living only in the layout,
+	// replaced stripping them from an augmented pattern.
 	Compact
 	// Match is pattern evaluation over a database — the serving layer's
 	// /match endpoint, on the twig engine of match/stream.
